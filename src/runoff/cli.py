@@ -195,8 +195,11 @@ def _per_year_block(dist: ReserveDistribution) -> list[dict]:
         if y.draws is None:
             entry.update({"mean": None, "se": None})
         else:
-            entry["mean"] = None if y.mean_suppressed else float(y.draws.mean())
-            entry["se"] = float(y.draws.std(ddof=1)) if y.draws.size > 1 else None
+            # A suppressed mean (c*F <= 2) suppresses se too: the ratio's
+            # variance exists only for c*F > 2.
+            shown = not y.mean_suppressed
+            entry["mean"] = float(y.draws.mean()) if shown else None
+            entry["se"] = float(y.draws.std(ddof=1)) if shown and y.draws.size > 1 else None
             qs = np.quantile(y.draws, [0.05, 0.25, 0.50, 0.75, 0.95])
             entry.update(
                 {"q5": qs[0], "q25": qs[1], "q50": qs[2], "q75": qs[3], "q95": qs[4]}
@@ -422,16 +425,21 @@ def _write_bootstrap_csv(path: Path, report: dict) -> None:
                     s["q5"], s["q25"], s["q50"], s["q75"], s["q95"], "", "", ""])
 
 
-def _dump_draws(path: Path, dist: ReserveDistribution) -> None:
-    import csv as _csv
+_DUMP_ROWS = 4096  # draws converted to Python floats at a time
 
+
+def _dump_draws(path: Path, dist: ReserveDistribution) -> None:
+    """One CSV row per draw: the included years, then the total, each
+    float written with repr and every row ended by CRLF, as csv.writer
+    writes them. Rows are converted a block at a time, so a large B never
+    holds all draws as Python floats."""
     included = [y for y in dist.per_year if y.draws is not None]
+    columns = [y.draws for y in included] + [dist.total]
     with open(path, "w", newline="") as fh:
-        w = _csv.writer(fh)
-        w.writerow([f"accident_{y.accident}" for y in included] + ["total"])
-        stacked = np.column_stack([y.draws for y in included] + [dist.total])
-        for row in stacked:
-            w.writerow([repr(float(v)) for v in row])
+        fh.write(",".join([f"accident_{y.accident}" for y in included] + ["total"]) + "\r\n")
+        for k in range(0, dist.total.size, _DUMP_ROWS):
+            rows = np.column_stack([c[k : k + _DUMP_ROWS] for c in columns]).tolist()
+            fh.write("".join([",".join(map(repr, row)) + "\r\n" for row in rows]))
 
 
 # ----------------------------------------------------------- simulate

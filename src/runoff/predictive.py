@@ -9,6 +9,8 @@ observed proportion W is resampled, from Beta(c F, c (1 - F)).
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -22,6 +24,8 @@ _ROW_DOMAIN = 1  # stream tag for per-accident-year draws
 _SUPPRESS_AT_OR_BELOW = 2.0  # c*F at or below this keeps draws but hides the mean
 _W_FLOOR = 1e-15
 _FULLY_DEVELOPED = 1.0 - 1e-12
+_CHUNK = 1 << 15  # Beta variates drawn per generator call
+_PARALLEL_MIN_B = 50_000  # from this B on, accident years are drawn on a thread pool
 
 DEFAULT_INCLUSION_THRESHOLD = 5.0
 
@@ -74,10 +78,12 @@ class ReserveDistribution:
 
 
 def _summarise(total: np.ndarray, mean_suppressed: bool) -> dict[str, float | None]:
+    """Mean, se and quantiles of total. A suppressed mean withholds se too:
+    the mean is suppressed at c*F <= 2, where the ratio has no variance."""
     q5, q25, q50, q75, q95 = np.percentile(total, [5, 25, 50, 75, 95])
     return {
         "mean": None if mean_suppressed else float(total.mean()),
-        "se": float(total.std(ddof=1)) if total.size > 1 else None,
+        "se": float(total.std(ddof=1)) if total.size > 1 and not mean_suppressed else None,
         "q5": float(q5),
         "q25": float(q25),
         "q50": float(q50),
@@ -93,8 +99,11 @@ def _assemble(
     if not included:
         raise PredictiveError("all accident years excluded by the inclusion rule")
     total = np.zeros(B)
-    for y in included:
-        total += y.draws
+    with np.errstate(over="ignore"):
+        for y in included:
+            total += y.draws
+    if not np.isfinite(total).all():
+        raise PredictiveError("the total of the bootstrap draws overflows the float range")
     flags: dict[int, tuple[str, ...]] = {}
     for y in years:
         notes = []
@@ -122,6 +131,108 @@ def _validate_bootstrap_args(c_hat: float, B: int) -> None:
         raise PredictiveError(f"B must be a positive integer, got {B}")
 
 
+class _Draw(NamedTuple):
+    """One accident year to resample: its stream, Beta parameters and scale."""
+
+    accident: int
+    generator: np.random.Generator
+    a: float
+    b: float
+    scale: float  # observed total (CL) or prior ultimate (BF)
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _draw_years(block: np.ndarray, draws: list[_Draw], ratio: bool) -> None:
+    """Fill block[k] with the outstanding-amount draws of draws[k].
+
+    With ratio the row is scale * (1 - W) / W, W floored at 1e-15 (CL);
+    without it, scale * (1 - W) (BF). Each row is drawn in chunks of
+    _CHUNK variates, which consume the year's stream exactly as one
+    beta(size=B) call does, so a row depends neither on the chunk size nor
+    on the thread that fills it. From B = _PARALLEL_MIN_B on, the years
+    are spread over a thread pool: numpy releases the GIL inside the draws
+    and ufuncs, and a worker touches only numpy and its own row. A row
+    that overflows the float range is an error, not a silent inf or NaN.
+    """
+    B = block.shape[1]
+    scale_name = "observed total" if ratio else "prior ultimate"
+
+    def fill(k: int) -> None:
+        d = draws[k]
+        row = block[k]
+        # Overflow is reported by the check below, not by a numpy warning.
+        with np.errstate(over="ignore"):
+            for start in range(0, B, _CHUNK):
+                seg = row[start : start + _CHUNK]
+                w = d.generator.beta(d.a, d.b, size=seg.size)
+                if ratio:
+                    np.maximum(w, _W_FLOOR, out=w)
+                np.subtract(1.0, w, out=seg)
+                np.multiply(d.scale, seg, out=seg)
+                if ratio:
+                    np.divide(seg, w, out=seg)
+                if not np.isfinite(seg).all():
+                    raise PredictiveError(
+                        f"accident year {d.accident}: bootstrap draws overflow the "
+                        f"float range ({scale_name} {d.scale:.6g})"
+                    )
+
+    workers = min(_usable_cores(), len(draws)) if B >= _PARALLEL_MIN_B else 1
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(fill, range(len(draws))))
+    else:
+        list(map(fill, range(len(draws))))
+
+
+def _anchored_bootstrap(
+    rows: list[tuple[int, float, float, float, str | None]],
+    c_hat: float,
+    B: int,
+    seed: int,
+    anchor: str,
+) -> ReserveDistribution:
+    """Draw and assemble the years given as (accident, F, point reserve,
+    scale, exclusion reason or None); anchor "CL" selects the ratio
+    transform and its mean suppression, "BF" the linear one."""
+    ratio = anchor == "CL"
+    root = RngStream(seed)
+    draws = [
+        _Draw(i, root.derive(_ROW_DOMAIN, i).generator(), c_hat * F, c_hat * (1.0 - F), scale)
+        for i, F, _, scale, reason in rows
+        if F < _FULLY_DEVELOPED and reason is None
+    ]
+    block = np.empty((len(draws), B))
+    _draw_years(block, draws, ratio)
+    drawn = iter(block)
+    years: list[YearPredictive] = []
+    for i, F, point, _, reason in rows:
+        cf = c_hat * F
+        if F >= _FULLY_DEVELOPED:
+            years.append(YearPredictive(i, F, cf, point_reserve=0.0, draws=np.zeros(B)))
+        elif reason is not None:
+            years.append(
+                YearPredictive(
+                    i, F, cf, point_reserve=point, draws=None, excluded=True,
+                    exclusion_reason=reason,
+                )
+            )
+        else:
+            years.append(
+                YearPredictive(
+                    i, F, cf, point_reserve=point, draws=next(drawn),
+                    mean_suppressed=ratio and cf <= _SUPPRESS_AT_OR_BELOW,
+                )
+            )
+    return _assemble(years, B, anchor=anchor)
+
+
 def multinomial_bootstrap(
     diag: DiagonalSummary,
     pattern: DevelopmentPattern,
@@ -146,47 +257,16 @@ def multinomial_bootstrap(
     obs = np.asarray(diag.observed, dtype=float)
     if not np.all(np.isfinite(obs)) or np.any(obs < 0.0):
         raise PredictiveError("observed row totals must be finite and non-negative")
-    root = RngStream(seed)
-    years: list[YearPredictive] = []
+    rows = []
     for idx, (x_obs, dev) in enumerate(zip(obs, diag.dev_lag)):
-        i = idx + 1
         F = pattern.F_at_lag(dev)
         cf = c_hat * F
-        if F >= _FULLY_DEVELOPED:
-            years.append(
-                YearPredictive(i, F, cf, point_reserve=0.0, draws=np.zeros(B))
-            )
-            continue
         point = x_obs * (1.0 - F) / F
-        if cf < inclusion_threshold:
-            years.append(
-                YearPredictive(
-                    i,
-                    F,
-                    cf,
-                    point_reserve=point,
-                    draws=None,
-                    excluded=True,
-                    exclusion_reason=(
-                        f"c*F = {cf:.3g} below inclusion threshold {inclusion_threshold:g}"
-                    ),
-                )
-            )
-            continue
-        g = root.derive(_ROW_DOMAIN, i).generator()
-        w = g.beta(cf, c_hat * (1.0 - F), size=B)
-        np.maximum(w, _W_FLOOR, out=w)
-        years.append(
-            YearPredictive(
-                i,
-                F,
-                cf,
-                point_reserve=point,
-                draws=x_obs * (1.0 - w) / w,
-                mean_suppressed=cf <= _SUPPRESS_AT_OR_BELOW,
-            )
-        )
-    return _assemble(years, B, anchor="CL")
+        reason = None
+        if F < _FULLY_DEVELOPED and cf < inclusion_threshold:
+            reason = f"c*F = {cf:.3g} below inclusion threshold {inclusion_threshold:g}"
+        rows.append((idx + 1, F, point, x_obs, reason))
+    return _anchored_bootstrap(rows, c_hat, B, seed, anchor="CL")
 
 
 def bf_bootstrap(
@@ -212,28 +292,12 @@ def bf_bootstrap(
     if not np.isfinite(q_bf) or q_bf <= 0.0:
         raise PredictiveError(f"prior loss ratio must be positive, got {q_bf}")
     I = E.size
-    root = RngStream(seed)
-    years: list[YearPredictive] = []
+    rows = []
     for idx in range(I):
-        i = idx + 1
-        F = pattern.F_at_lag(I - i)
-        cf = c_hat * F
-        anchor = E[idx] * q_bf
-        if F >= _FULLY_DEVELOPED:
-            years.append(YearPredictive(i, F, cf, point_reserve=0.0, draws=np.zeros(B)))
-            continue
-        g = root.derive(_ROW_DOMAIN, i).generator()
-        w = g.beta(cf, c_hat * (1.0 - F), size=B)
-        years.append(
-            YearPredictive(
-                i,
-                F,
-                cf,
-                point_reserve=anchor * (1.0 - F),
-                draws=anchor * (1.0 - w),
-            )
-        )
-    return _assemble(years, B, anchor="BF")
+        F = pattern.F_at_lag(I - idx - 1)
+        prior = E[idx] * q_bf
+        rows.append((idx + 1, F, prior * (1.0 - F), prior, None))
+    return _anchored_bootstrap(rows, c_hat, B, seed, anchor="BF")
 
 
 def delta_method_variance(X_obs: float, F: float, c: float) -> float:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from importlib import resources
 
 import pytest
 
@@ -21,6 +22,10 @@ TA_EXPOSURES = "accident,exposure\n" + "".join(
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def bundled_csv(name):
+    return resources.files("runoff").joinpath("data", name).read_text()
 
 
 class TestFit:
@@ -124,6 +129,46 @@ class TestBootstrap:
         dump = draws.read_text().splitlines()
         assert dump[0].endswith(",total")
         assert len(dump) == 81  # header plus one line per draw
+
+    def test_no_se_where_the_mean_is_suppressed(self, tmp_path):
+        # At c = 0.5 every developing year has c*F <= 2, where the ratio's
+        # variance does not exist: se is withheld along with the mean.
+        code = main(["bootstrap", "raa", "--B", "500", "--seed", "4", "--c-hat", "0.5",
+                     "--inclusion-threshold", "0", "--output-format", "csv",
+                     "--out-dir", str(tmp_path)])
+        assert code == 0
+        code = main(["bootstrap", "raa", "--B", "500", "--seed", "4", "--c-hat", "0.5",
+                     "--inclusion-threshold", "0", "--out-dir", str(tmp_path)])
+        assert code == 0
+        report = read_json(tmp_path / "runoff_bootstrap.json")
+        assert report["summary"]["mean"] is None and report["summary"]["se"] is None
+        suppressed = [y for y in report["per_year"] if y["mean_suppressed"]]
+        assert [y["accident"] for y in suppressed] == list(range(2, 11))
+        for y in suppressed:
+            assert y["mean"] is None and y["se"] is None
+            assert y["q5"] <= y["q50"] <= y["q95"]
+        # The fully developed year keeps its exact zero mean and se.
+        assert report["per_year"][0]["se"] == 0.0
+        rows = (tmp_path / "runoff_bootstrap.csv").read_text().splitlines()
+        header = rows[0].split(",")
+        total = rows[-1].split(",")
+        assert total[0] == "total" and total[header.index("se")] == ""
+
+    @pytest.mark.filterwarnings("error")  # numpy overflow warnings must not escape
+    def test_overflowing_draws_are_an_error(self, tmp_path, capsys):
+        # RAA scaled by 1e300 at c = 3: the draws exceed the float range.
+        raa = tmp_path / "raa.csv"
+        lines = ["accident,lag,value"]
+        for line in bundled_csv("raa.csv").splitlines()[1:]:
+            i, j, v = line.split(",")
+            lines.append(f"{i},{j},{float(v) * 1e300!r}")
+        raa.write_text("\n".join(lines) + "\n")
+        code = main(["bootstrap", str(raa), "--B", "1000", "--seed", "1", "--c-hat", "3",
+                     "--inclusion-threshold", "0", "--out-dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: accident year" in err and "overflow" in err
+        assert not (tmp_path / "runoff_bootstrap.json").exists()
 
     def test_flag_validation(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -2,9 +2,12 @@
 moments, delta-method shortcut, and claim-count laws."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
+from runoff import predictive
 from runoff.distributions import RngStream, beta_prime_moments
 from runoff.patterns import DevelopmentPattern, chain_ladder_pattern, cl_ultimates
 from runoff.predictive import (
@@ -117,7 +120,9 @@ class TestMultinomialBootstrap:
         assert y4.mean_suppressed and not y4.excluded
         assert y4.draws is not None
         assert dist.summary["mean"] is None
-        assert dist.summary["se"] > 0.0
+        # The ratio's variance exists only for c*F > 2, so se goes too.
+        assert dist.summary["se"] is None
+        assert dist.summary["q95"] > dist.summary["q5"]
         assert any("mean-suppressed" in n for n in dist.flags[4])
 
     def test_reproducible_by_seed(self):
@@ -214,6 +219,84 @@ class TestBfBootstrap:
             bf_bootstrap(np.array([100.0, 200.0]), 0.0, pat, 30.0, 100, seed=0)
         with pytest.raises(PredictiveError, match="vector"):
             bf_bootstrap(np.ones((2, 2)), 0.9, pat, 30.0, 100, seed=0)
+
+
+def raa_inputs():
+    t = bundled_triangle("raa")
+    E = np.array([t.cells[(i, 0)] for i in range(1, t.I + 1)])
+    return latest_diagonal(t), chain_ladder_pattern(t), E
+
+
+class TestParallelDraws:
+    """Years drawn on the thread pool, in chunks, match the serial draws bit
+    for bit. raa at c = 13.4 has a fully developed year 1 and excludes
+    years 9 and 10 under the CL anchor."""
+
+    @pytest.fixture
+    def pool_calls(self, monkeypatch):
+        calls = []
+
+        class RecordingPool(predictive.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                calls.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(predictive, "ThreadPoolExecutor", RecordingPool)
+        return calls
+
+    @staticmethod
+    def run_both(B):
+        diag, pattern, E = raa_inputs()
+        return (multinomial_bootstrap(diag, pattern, 13.4, B, seed=5),
+                bf_bootstrap(E, 1.3, pattern, 13.4, B, seed=6))
+
+    @pytest.mark.parametrize("B, chunk", [(2000, 1 << 15), (2000, 300), (2001, 512)])
+    def test_pool_matches_serial(self, monkeypatch, pool_calls, B, chunk):
+        serial = self.run_both(B)
+        assert pool_calls == []
+        monkeypatch.setattr(predictive, "_PARALLEL_MIN_B", 1)
+        monkeypatch.setattr(predictive, "_CHUNK", chunk)
+        monkeypatch.setattr(predictive, "_usable_cores", lambda: 4)
+        pooled = self.run_both(B)
+        assert pool_calls == [4, 4]
+        cl = pooled[0]
+        assert cl.excluded_years == (9, 10)
+        assert np.all(cl.per_year[0].draws == 0.0)
+        for a, b in zip(serial, pooled):
+            assert a.anchor == b.anchor
+            assert np.array_equal(a.total, b.total)
+            assert a.summary == b.summary
+            for ya, yb in zip(a.per_year, b.per_year):
+                assert ya == yb if ya.draws is None else np.array_equal(ya.draws, yb.draws)
+
+    def test_pool_is_capped_at_drawn_years(self, monkeypatch, pool_calls):
+        monkeypatch.setattr(predictive, "_PARALLEL_MIN_B", 1)
+        monkeypatch.setattr(predictive, "_usable_cores", lambda: 64)
+        self.run_both(100)
+        # CL draws years 2-8, BF years 2-10; year 1 is fully developed.
+        assert pool_calls == [7, 9]
+
+    @pytest.mark.parametrize("threshold", [10**9, 1])
+    def test_overflow_is_an_error_not_a_warning(self, monkeypatch, threshold):
+        # RAA scaled by 1e300 at c = 3: the ratio of draws exceeds the
+        # float range. No numpy warning may escape; the error names the year.
+        monkeypatch.setattr(predictive, "_PARALLEL_MIN_B", threshold)
+        diag, pattern, _ = raa_inputs()
+        huge = DiagonalSummary(
+            observed=tuple(x * 1e300 for x in diag.observed), dev_lag=diag.dev_lag)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PredictiveError, match=r"accident year \d+: .*overflow"):
+                multinomial_bootstrap(huge, pattern, 3.0, 1000, seed=1,
+                                      inclusion_threshold=0.0)
+
+    def test_total_overflow_is_an_error(self):
+        # Each year stays finite, but their sum exceeds the float range.
+        pat = DevelopmentPattern(
+            pi=np.array([0.1, 0.1, 0.1, 0.1, 0.6]),
+            F=np.array([0.1, 0.2, 0.3, 0.4, 1.0]), method="fixed")
+        with pytest.raises(PredictiveError, match="total .* overflows"):
+            bf_bootstrap(np.full(5, 1.7e308), 1.0, pat, 50.0, 1000, seed=2)
 
 
 class TestDeltaMethod:
