@@ -36,6 +36,7 @@ from .predictive import (
     DEFAULT_INCLUSION_THRESHOLD,
     PredictiveError,
     ReserveDistribution,
+    _summarise,
     bf_bootstrap,
     multinomial_bootstrap,
 )
@@ -195,15 +196,7 @@ def _per_year_block(dist: ReserveDistribution) -> list[dict]:
         if y.draws is None:
             entry.update({"mean": None, "se": None})
         else:
-            # A suppressed mean (c*F <= 2) suppresses se too: the ratio's
-            # variance exists only for c*F > 2.
-            shown = not y.mean_suppressed
-            entry["mean"] = float(y.draws.mean()) if shown else None
-            entry["se"] = float(y.draws.std(ddof=1)) if shown and y.draws.size > 1 else None
-            qs = np.quantile(y.draws, [0.05, 0.25, 0.50, 0.75, 0.95])
-            entry.update(
-                {"q5": qs[0], "q25": qs[1], "q50": qs[2], "q75": qs[3], "q95": qs[4]}
-            )
+            entry.update(_summarise(y.draws, y.mean_suppressed))
         out.append(entry)
     return out
 

@@ -9,6 +9,7 @@ observed proportion W is resampled, from Beta(c F, c (1 - F)).
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -77,13 +78,58 @@ class ReserveDistribution:
         return float(sum(y.point_reserve for y in self.per_year if y.excluded))
 
 
-def _summarise(total: np.ndarray, mean_suppressed: bool) -> dict[str, float | None]:
-    """Mean, se and quantiles of total. A suppressed mean withholds se too:
-    the mean is suppressed at c*F <= 2, where the ratio has no variance."""
-    q5, q25, q50, q75, q95 = np.percentile(total, [5, 25, 50, 75, 95])
+_SUMMARY_PROBS = np.array([0.05, 0.25, 0.50, 0.75, 0.95])  # == [5, 25, 50, 75, 95] / 100
+
+
+def _quantiles(x: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Quantiles of x at probs by Hyndman & Fan's method 7, the same bits
+    np.quantile(x, probs) returns (numpy's "linear" method).
+
+    A sorted copy replaces numpy's multi-kth partition, which is about
+    three times slower on 1e6 draws; x keeps its order, on which mean, std
+    and the draw dump depend. The index and interpolation arithmetic is
+    that of numpy's _get_indexes and _lerp. The one difference: +0.0 and
+    -0.0 tie, and the sort and the partition may break that tie apart, so
+    a zero quantile of a vector holding both may differ in sign. Non-finite
+    input is an error, where np.quantile would return NaN.
+    """
+    s = np.sort(x)
+    if not (np.isfinite(s[0]) and np.isfinite(s[-1])):  # NaN and inf sort to the ends
+        raise PredictiveError("quantiles of non-finite draws are undefined")
+    n = s.size
+    v = (n - 1) * probs
+    lo = np.floor(v)
+    hi = lo + 1
+    top = v >= n - 1  # both neighbours become the maximum
+    lo[top] = -1
+    hi[top] = -1
+    g = v - lo
+    a = s[lo.astype(np.intp)]
+    b = s[hi.astype(np.intp)]
+    d = b - a
+    out = a + d * g
+    np.subtract(b, d * (1 - g), out=out, where=g >= 0.5)
+    return out
+
+
+def _summarise(draws: np.ndarray, mean_suppressed: bool) -> dict[str, float | None]:
+    """Mean, se and quantiles of draws. A suppressed mean withholds se too:
+    the mean is suppressed at c*F <= 2, where the ratio has no variance.
+    A mean or se that overflows the float range is an error."""
+    q5, q25, q50, q75, q95 = _quantiles(draws, _SUMMARY_PROBS)
+    mean = se = None
+    if not mean_suppressed:
+        # Overflow is reported by the check below, not by a numpy warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = float(draws.mean())
+            se = float(draws.std(ddof=1)) if draws.size > 1 else None
+        if not (math.isfinite(mean) and (se is None or math.isfinite(se))):
+            raise PredictiveError(
+                "the mean or standard error of the bootstrap draws overflows the float range"
+            )
     return {
-        "mean": None if mean_suppressed else float(total.mean()),
-        "se": float(total.std(ddof=1)) if total.size > 1 and not mean_suppressed else None,
+        "mean": mean,
+        "se": se,
         "q5": float(q5),
         "q25": float(q25),
         "q50": float(q50),

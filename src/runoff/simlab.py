@@ -40,7 +40,7 @@ from .concentration import ConcentrationError, _ddof, estimate_c, sigma_c_square
 from .distributions import RngStream, beta_prime_moments, sample_tweedie
 from .odp import OdpError, odp_bootstrap, odp_fit
 from .patterns import DevelopmentPattern, PatternError, cl_ultimates
-from .predictive import PredictiveError, multinomial_bootstrap
+from .predictive import PredictiveError, _quantiles, multinomial_bootstrap
 from .triangle import Triangle, TriangleError, latest_diagonal
 
 PATTERN_J5 = (0.45, 0.25, 0.15, 0.10, 0.05)
@@ -77,6 +77,7 @@ _BOOT_ODP = 5
 
 _DGPS = ("dirichlet-gamma", "nonstationary", "tweedie", "count-hierarchy")
 _METHODS = ("multinomial", "odp")
+_SCORE_PROBS = np.array([0.025, 0.125, 0.875, 0.975])  # 95% and 75% interval ends
 
 
 class SimulationError(ValueError):
@@ -317,9 +318,9 @@ def _one_coverage_rep(cfg: SimConfig, rep: int, method: str) -> dict:
             fit = odp_fit(t)
             dist = odp_bootstrap(fit, cfg.B, seed=root.derive(_BOOT_ODP).stream_id)
             c_hat = _c_hat_or_nan(t)
+        q025, q125, q875, q975 = _quantiles(dist.total, _SCORE_PROBS)
     except (PatternError, ConcentrationError, PredictiveError, OdpError, TriangleError) as exc:
         return {"failure": f"{type(exc).__name__}: {exc}"}
-    q025, q125, q875, q975 = np.quantile(dist.total, [0.025, 0.125, 0.875, 0.975])
     return {
         "covered95": bool(q025 <= truth <= q975),
         "covered75": bool(q125 <= truth <= q875),

@@ -8,11 +8,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import warnings
 from importlib import resources
 
+import numpy as np
 import pytest
 
-from runoff.cli import main
+from runoff.cli import _per_year_block, main
+from runoff.predictive import PredictiveError, ReserveDistribution, YearPredictive
 
 TA_EXPOSURES = "accident,exposure\n" + "".join(
     f"{i},{1000 + 10 * i}\n" for i in range(1, 11)
@@ -169,6 +172,16 @@ class TestBootstrap:
         err = capsys.readouterr().err
         assert "error: accident year" in err and "overflow" in err
         assert not (tmp_path / "runoff_bootstrap.json").exists()
+
+    def test_per_year_mean_overflow_is_an_error(self):
+        # Draws of about 1e308 are finite, but their mean's sum is not.
+        year = YearPredictive(1, 0.5, 25.0, point_reserve=1e308, draws=np.full(1000, 1e308))
+        dist = ReserveDistribution(per_year=(year,), total=year.draws, summary={}, flags={},
+                                   anchor="BF")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PredictiveError, match="overflows"):
+                _per_year_block(dist)
 
     def test_flag_validation(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

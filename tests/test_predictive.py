@@ -6,6 +6,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from runoff import predictive
 from runoff.distributions import RngStream, beta_prime_moments
@@ -13,6 +16,8 @@ from runoff.patterns import DevelopmentPattern, chain_ladder_pattern, cl_ultimat
 from runoff.predictive import (
     DEFAULT_INCLUSION_THRESHOLD,
     PredictiveError,
+    _quantiles,
+    _summarise,
     bf_bootstrap,
     delta_method_variance,
     ibnp_exact_moments,
@@ -297,6 +302,82 @@ class TestParallelDraws:
             F=np.array([0.1, 0.2, 0.3, 0.4, 1.0]), method="fixed")
         with pytest.raises(PredictiveError, match="total .* overflows"):
             bf_bootstrap(np.full(5, 1.7e308), 1.0, pat, 50.0, 1000, seed=2)
+
+
+def float_vectors():
+    """Float vectors of length 1 to 5000: any finite floats, with many ties
+    and zeros, constant vectors (the fill value), and dense random vectors."""
+    elements = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([0.0, 1.0, -2.5, 1e-300, 7.25e5]),
+    )
+    dense = st.builds(
+        lambda n, seed, ties: (np.random.default_rng(seed).integers(-3, 4, n).astype(float)
+                               if ties else np.random.default_rng(seed).lognormal(0, 5, n)),
+        st.integers(1, 5000), st.integers(0, 2**32), st.booleans(),
+    )
+    return st.one_of(hnp.arrays(np.float64, st.integers(1, 5000), elements=elements,
+                                fill=elements), dense)
+
+
+def probabilities():
+    return st.lists(st.floats(0.0, 1.0), max_size=6).map(lambda p: np.array([0.0, 1.0, *p]))
+
+
+class TestQuantileKernel:
+    # -0.0 is mapped to +0.0 (x + 0.0) where bits are compared: the two tie,
+    # and the sort and numpy's partition may order them differently.
+    # Bootstrap draws are never -0.0.
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=float_vectors(), probs=probabilities())
+    def test_matches_np_quantile_bit_for_bit(self, x, probs):
+        x = x + 0.0
+        before = x.copy()
+        # Differences of opposite-sign extremes overflow in both the same way.
+        with np.errstate(all="ignore"):
+            got = _quantiles(x, probs)
+            want = np.quantile(x, probs)
+        assert got.tobytes() == want.tobytes()
+        assert x.tobytes() == before.tobytes()  # the draws keep their order
+
+    @settings(max_examples=100, deadline=None)
+    @given(x=float_vectors())
+    def test_matches_np_percentile_of_the_summary(self, x):
+        x = x + 0.0
+        with np.errstate(all="ignore"):
+            got = _quantiles(x, predictive._SUMMARY_PROBS)
+            want = np.percentile(x, [5, 25, 50, 75, 95])
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(x=hnp.arrays(np.float64, st.integers(1, 2000),
+                        elements=st.sampled_from([0.0, -0.0, 1.0, -1.0])),
+           probs=probabilities())
+    def test_signed_zeros_agree_in_value(self, x, probs):
+        assert np.array_equal(_quantiles(x, probs), np.quantile(x, probs))
+
+    @settings(max_examples=50, deadline=None)
+    @given(x=float_vectors(), bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+           where=st.integers(0, 5000))
+    def test_non_finite_input_is_an_error(self, x, bad, where):
+        x = np.insert(x, where % (x.size + 1), bad)
+        with pytest.raises(PredictiveError, match="non-finite"):
+            _quantiles(x, predictive._SUMMARY_PROBS)
+
+    def test_summary_overflow_is_an_error_not_a_warning(self):
+        # Every draw and the total stay finite (about 5e307), but the mean's
+        # sum does not.
+        pat = DevelopmentPattern(pi=(0.5, 0.5), F=(0.5, 1.0), method="x")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PredictiveError, match="mean or standard error .* overflows"):
+                bf_bootstrap(np.array([1e308, 1e308]), 1.0, pat, 50.0, 1000, 1)
+
+    def test_suppressed_summary_skips_the_overflow_check(self):
+        summary = _summarise(np.full(1000, 1e308), mean_suppressed=True)
+        assert summary["mean"] is None and summary["se"] is None
+        assert summary["q5"] == summary["q95"] == 1e308
 
 
 class TestDeltaMethod:

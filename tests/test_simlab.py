@@ -6,6 +6,7 @@ frozen results live in the acceptance tests.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import runoff
+from runoff import simlab
 from runoff.simlab import (
     PATTERN_J5,
     PATTERN_J10,
@@ -165,6 +167,20 @@ class TestRunCoverageStudy:
         assert row["failures"] == 3
         assert row["coverage95"] is None
         assert "failure_reasons" in row
+
+    def test_non_finite_draws_are_a_replication_failure(self, monkeypatch):
+        bootstrap = simlab.multinomial_bootstrap
+
+        def nan_total(*args, **kwargs):
+            dist = bootstrap(*args, **kwargs)
+            total = dist.total.copy()
+            total[-1] = np.nan
+            return dataclasses.replace(dist, total=total)
+
+        monkeypatch.setattr(simlab, "multinomial_bootstrap", nan_total)
+        row = run_coverage_study(SimConfig(M=3, B=20, seed=4)).rows[0]
+        assert row["failures"] == 3
+        assert "non-finite" in row["failure_reasons"]
 
     def test_thread_count_does_not_change_results(self):
         r1 = run_coverage_study(SimConfig(M=6, B=40, seed=14, threads=1))
