@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import RngStream
-from .patterns import link_ratios
+from .patterns import _cumulative_pattern, link_ratios
 from .predictive import ReserveDistribution, YearPredictive, _summarise
 from .triangle import Triangle
 
@@ -52,10 +52,7 @@ class OdpFit:
     projected_future: np.ndarray
 
     def pattern_F(self) -> np.ndarray:
-        F = np.ones(self.J)
-        for j in range(self.J - 2, -1, -1):
-            F[j] = F[j + 1] / self.link_ratios[j]
-        return F
+        return _cumulative_pattern(self.link_ratios)
 
 
 def odp_fit(t: Triangle) -> OdpFit:
@@ -110,23 +107,6 @@ def odp_fit(t: Triangle) -> OdpFit:
     )
 
 
-def _refit_factors(cum: np.ndarray, row_masks: list[np.ndarray]):
-    """Volume-weighted factors per replication from (B, I, J) pseudo
-    cumulatives; returns factors (B, J-1) and a validity flag per b."""
-    B, _, J = cum.shape
-    f = np.empty((B, J - 1))
-    valid = np.ones(B, dtype=bool)
-    for j in range(J - 1):
-        rows = row_masks[j]
-        num = cum[:, rows, j + 1].sum(axis=1)
-        den = cum[:, rows, j].sum(axis=1)
-        ok = (num > 0.0) & (den > 0.0)
-        valid &= ok
-        with np.errstate(invalid="ignore", divide="ignore"):
-            f[:, j] = np.where(ok, num / den, np.nan)
-    return f, valid
-
-
 def odp_bootstrap(fit: OdpFit, B: int, seed: int) -> ReserveDistribution:
     """Residual-resampling bootstrap over the fitted ODP surface.
 
@@ -136,16 +116,29 @@ def odp_bootstrap(fit: OdpFit, B: int, seed: int) -> ReserveDistribution:
     each future cell draws Gamma process error with variance dispersion
     times mean. Replications whose refit degenerates (non-positive
     column sums) are redrawn, up to 100 rounds, and counted.
+
+    The draws are fixed bit for bit by seed, and two things fix them.
+    First, RngStream(seed).derive(_ODP_DOMAIN) is drawn from only thus:
+      1. integers(0, pool size, size=(B, n_obs)), one residual per
+         observed cell in row-major cell order;
+      2. per redraw round, integers(0, pool size, size=(n_bad, n_obs))
+         for the still degenerate replications in increasing order;
+      3. gamma(shape=means / dispersion, scale=dispersion) over the
+         (B, n_future) means, future cells in year-then-lag order.
+    Second, the summation order. Pseudo cumulatives add lag by lag. Each
+    refitted factor's column sums add the accident years one after
+    another, except in a round that refits a single replication, where
+    the column is summed as one vector by numpy's pairwise sum. Future
+    means multiply the factors lag by lag, then scale by the latest
+    pseudo cumulative. Each year's process-error total is numpy's
+    pairwise sum over its future cells (8-way blocks from 8 cells on).
     """
     if int(B) != B or B < 1:
         raise OdpError(f"B must be a positive integer, got {B}")
     I, J = fit.I, fit.J
     last = [min(J - 1, I - i) for i in range(1, I + 1)]
     F = fit.pattern_F()
-    points = np.array(
-        [np.nansum(fit.projected_future[i - 1]) if last[i - 1] < J - 1 else 0.0
-         for i in range(1, I + 1)]
-    )
+    points = np.nansum(fit.projected_future, axis=1)
     phi = fit.dispersion
 
     def finish(years, meta):
@@ -175,29 +168,53 @@ def odp_bootstrap(fit: OdpFit, B: int, seed: int) -> ReserveDistribution:
         years = [year(i, np.full(B, points[i - 1])) for i in range(1, I + 1)]
         return finish(years, {"rejected_replications": 0, "dispersion": phi, "dof": fit.dof})
 
-    obs_mask = np.zeros((I, J), dtype=bool)
-    for i in range(1, I + 1):
-        obs_mask[i - 1, : last[i - 1] + 1] = True
-    m_obs = fit.fitted_incrementals[obs_mask]
-    sqrt_m = np.sqrt(m_obs)
+    # Flat layout: one row of B replications per observed cell, in
+    # row-major cell order, so year i's cells are rows first[i]:first[i + 1].
+    first = np.cumsum([0, *(L + 1 for L in last)])
+    m_obs = np.concatenate([fit.fitted_incrementals[i, : L + 1] for i, L in enumerate(last)])
+    n_obs = m_obs.size
+    sqrt_m = np.sqrt(m_obs)[:, None]
+    m_obs = m_obs[:, None]
     pool = fit.residuals[np.isfinite(fit.residuals)]
     if pool.size == 0:
         raise OdpError("empty residual pool: every fitted mean is degenerate")
     pool = pool * np.sqrt(fit.n_cells / fit.dof)
-    row_masks = [np.array([last[i] >= j + 1 for i in range(I)]) for j in range(J - 1)]
+    open_years = [i for i in range(I) if last[i] < J - 1]
+    diagonal = [first[i] + last[i] for i in open_years]
+    # Lag j is refitted from the first reach[j] years, those observing lag j + 1.
+    reach = [sum(L > j for L in last) for j in range(J - 1)]
 
     g = RngStream(seed).derive(_ODP_DOMAIN).generator()
 
     def build(idx: np.ndarray):
-        nb = idx.shape[0]
-        inc = np.zeros((nb, I, J))
-        inc[:, obs_mask] = m_obs + pool[idx] * sqrt_m
-        cum = np.cumsum(inc, axis=2)
-        factors, valid = _refit_factors(cum, row_masks)
-        return cum, factors, valid
+        """Latest pseudo cumulatives of the open years, refitted factors
+        (J - 1, nb) and a validity flag per replication."""
+        cum = pool[idx.T.copy()]  # C order: a cell's replications are one row
+        cum *= sqrt_m
+        cum += m_obs
+        for a, b in zip(first[:-1], first[1:]):
+            for k in range(a + 1, b):
+                cum[k] += cum[k - 1]
+        if idx.shape[0] > 1:
+            # Column sums added one year after another; year 1 observes
+            # every lag.
+            num, den = cum[1 : first[1]].copy(), cum[: first[1] - 1].copy()
+            for a, L in zip(first[1:], last[1:]):
+                num[:L] += cum[a + 1 : a + L + 1]
+                den[:L] += cum[a : a + L]
+        else:
+            # A lone replication's column is one contiguous vector, which
+            # numpy sums pairwise.
+            col = cum[:, 0]
+            num = np.array([[col[first[:n] + j + 1].sum()] for j, n in enumerate(reach)])
+            den = np.array([[col[first[:n] + j].sum()] for j, n in enumerate(reach)])
+        with np.errstate(invalid="ignore", divide="ignore"):
+            factors = num / den
+        valid = np.all((num > 0.0) & (den > 0.0), axis=0)
+        return cum[diagonal], factors, valid
 
-    idx = g.integers(0, pool.size, size=(B, m_obs.size))
-    cum, factors, valid = build(idx)
+    idx = g.integers(0, pool.size, size=(B, n_obs))
+    latest, factors, valid = build(idx)
     rejected = 0
     rounds = 0
     while not np.all(valid):
@@ -209,38 +226,35 @@ def odp_bootstrap(fit: OdpFit, B: int, seed: int) -> ReserveDistribution:
             )
         bad = np.nonzero(~valid)[0]
         rejected += bad.size
-        re_idx = g.integers(0, pool.size, size=(bad.size, m_obs.size))
-        re_cum, re_f, re_valid = build(re_idx)
-        cum[bad] = re_cum
-        factors[bad] = re_f
-        keep = np.zeros_like(valid)
-        keep[bad] = re_valid
-        valid |= keep
+        re_idx = g.integers(0, pool.size, size=(bad.size, n_obs))
+        latest[:, bad], factors[:, bad], valid[bad] = build(re_idx)
 
-    # Project future means per accident year and attach Gamma process error.
-    blocks: list[tuple[int, int]] = []  # (accident, future-cell count)
-    means: list[np.ndarray] = []
-    for i in range(1, I + 1):
-        L = last[i - 1]
-        if L >= J - 1:
-            continue
-        latest = cum[:, i - 1, L]
-        walk = np.cumprod(factors[:, L : J - 1], axis=1) * latest[:, None]
-        proj = np.diff(np.concatenate([latest[:, None], walk], axis=1), axis=1)
-        blocks.append((i, proj.shape[1]))
-        means.append(proj)
-    all_means = np.concatenate(means, axis=1) if means else np.empty((B, 0))
-    np.maximum(all_means, _MEAN_FLOOR, out=all_means)
-    process = g.gamma(shape=all_means / phi, scale=phi)
-
-    years = []
+    # Future means, one row per future cell in year-then-lag order: each
+    # open year walks its latest pseudo cumulative forward through the
+    # running product of its factors, and differences the walk.
+    widths = [J - 1 - last[i] for i in open_years]
+    lags = [j for i in open_years for j in range(last[i], J - 1)]
+    means = factors[lags]
     offset = 0
-    per_year_draws: dict[int, np.ndarray] = {}
-    for i, width in blocks:
-        per_year_draws[i] = process[:, offset : offset + width].sum(axis=1)
+    for k, width in enumerate(widths):
+        walk = means[offset : offset + width]
+        for j in range(1, width):
+            walk[j] *= walk[j - 1]
+        walk *= latest[k]
+        for j in range(width - 1, 0, -1):
+            walk[j] -= walk[j - 1]
+        walk[0] -= latest[k]
         offset += width
-    for i in range(1, I + 1):
-        years.append(year(i, per_year_draws.get(i, np.zeros(B))))
+    np.maximum(means, _MEAN_FLOOR, out=means)
+    means /= phi
+    process = g.gamma(shape=means.T, scale=phi)
+
+    per_year_draws: dict[int, np.ndarray] = {}
+    offset = 0
+    for i, width in zip(open_years, widths):
+        per_year_draws[i + 1] = process[:, offset : offset + width].sum(axis=1)
+        offset += width
+    years = [year(i, per_year_draws.get(i, np.zeros(B))) for i in range(1, I + 1)]
     return finish(
         years,
         {"rejected_replications": rejected, "dispersion": phi, "dof": fit.dof},

@@ -91,12 +91,17 @@ def link_ratios(t: Triangle) -> np.ndarray:
     return f
 
 
-def chain_ladder_pattern(t: Triangle) -> DevelopmentPattern:
-    f = link_ratios(t)
-    J = t.J
-    F = np.ones(J)
-    for j in range(J - 2, -1, -1):
+def _cumulative_pattern(f: np.ndarray) -> np.ndarray:
+    """F from link ratios by the backward product F_j = F_{j+1} / f_j,
+    F_{J-1} = 1."""
+    F = np.ones(len(f) + 1)
+    for j in range(len(f) - 1, -1, -1):
         F[j] = F[j + 1] / f[j]
+    return F
+
+
+def chain_ladder_pattern(t: Triangle) -> DevelopmentPattern:
+    F = _cumulative_pattern(link_ratios(t))
     pi = np.diff(np.concatenate([[0.0], F]))
     if np.any(pi <= 0.0):
         # Link ratios below one produce non-positive proportions, which the

@@ -32,7 +32,7 @@ import math
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -272,13 +272,6 @@ def generate_triangle(cfg: SimConfig, replication: int) -> tuple[Triangle, float
     return t, float(truth)
 
 
-def _c_hat_or_nan(t: Triangle) -> float:
-    try:
-        return estimate_c(t).c_hat
-    except ConcentrationError:
-        return float("nan")
-
-
 def _true_pattern(cfg: SimConfig) -> DevelopmentPattern:
     """Generating development pattern as conditioning information.
 
@@ -293,53 +286,91 @@ def _true_pattern(cfg: SimConfig) -> DevelopmentPattern:
     return DevelopmentPattern(pi=tuple(pi), F=tuple(F), method="true")
 
 
-def _one_coverage_rep(cfg: SimConfig, rep: int, method: str) -> dict:
+_REP_ERRORS = (PatternError, ConcentrationError, PredictiveError, OdpError, TriangleError)
+
+
+def _replicate(cfg: SimConfig, rep: int, methods: tuple[str, ...]) -> dict[str, dict]:
+    """Score one replication's triangle under each of methods.
+
+    The triangle is generated, and the CL point and c-hat estimated, once
+    for all methods. If the concentration estimator fails, the
+    multinomial result is that failure and the ODP result carries
+    c_hat = NaN. Each result's "seconds" is the shared work plus the
+    method's own.
+    """
+    start = time.perf_counter()
+
+    def fail(reason: str) -> dict[str, dict]:
+        seconds = time.perf_counter() - start
+        return {method: {"failure": reason, "seconds": seconds} for method in methods}
+
     try:
         t, truth = generate_triangle(cfg, rep)
     except (TriangleError, SimulationError) as exc:
-        return {"failure": f"generation: {exc}"}
+        return fail(f"generation: {exc}")
     if truth <= 0.0:
-        return {"failure": "non-positive realised future reserve"}
-    root = RngStream(cfg.seed).derive(_SIM_DOMAIN, rep)
+        return fail("non-positive realised future reserve")
     try:
         pattern = _true_pattern(cfg)
         point = float(np.sum(cl_ultimates(t, pattern).reserves))
-        if method == "multinomial":
-            c_hat = estimate_c(t).c_hat
-            dist = multinomial_bootstrap(
-                latest_diagonal(t),
-                pattern,
-                c_hat,
-                cfg.B,
-                seed=root.derive(_BOOT_MULTINOMIAL).stream_id,
-                inclusion_threshold=cfg.inclusion_threshold,
-            )
-        else:
-            fit = odp_fit(t)
-            dist = odp_bootstrap(fit, cfg.B, seed=root.derive(_BOOT_ODP).stream_id)
-            c_hat = _c_hat_or_nan(t)
-        q025, q125, q875, q975 = _quantiles(dist.total, _SCORE_PROBS)
-    except (PatternError, ConcentrationError, PredictiveError, OdpError, TriangleError) as exc:
-        return {"failure": f"{type(exc).__name__}: {exc}"}
-    return {
-        "covered95": bool(q025 <= truth <= q975),
-        "covered75": bool(q125 <= truth <= q875),
-        "rel_bias": (point - truth) / truth,
-        "rel_width": (q975 - q025) / truth,
-        "c_hat": c_hat,
-    }
+    except _REP_ERRORS as exc:
+        return fail(f"{type(exc).__name__}: {exc}")
+    try:
+        c_hat, c_error = estimate_c(t).c_hat, None
+    except ConcentrationError as exc:
+        c_hat, c_error = float("nan"), exc
+    shared = time.perf_counter() - start
+    root = RngStream(cfg.seed).derive(_SIM_DOMAIN, rep)
+    results = {}
+    for method in methods:
+        method_start = time.perf_counter()
+        try:
+            if method == "multinomial":
+                if c_error is not None:
+                    raise c_error
+                dist = multinomial_bootstrap(
+                    latest_diagonal(t),
+                    pattern,
+                    c_hat,
+                    cfg.B,
+                    seed=root.derive(_BOOT_MULTINOMIAL).stream_id,
+                    inclusion_threshold=cfg.inclusion_threshold,
+                )
+            else:
+                fit = odp_fit(t)
+                dist = odp_bootstrap(fit, cfg.B, seed=root.derive(_BOOT_ODP).stream_id)
+            q025, q125, q875, q975 = _quantiles(dist.total, _SCORE_PROBS)
+            result = {
+                "covered95": bool(q025 <= truth <= q975),
+                "covered75": bool(q125 <= truth <= q875),
+                "rel_bias": (point - truth) / truth,
+                "rel_width": (q975 - q025) / truth,
+                "c_hat": c_hat,
+            }
+        except _REP_ERRORS as exc:
+            result = {"failure": f"{type(exc).__name__}: {exc}"}
+        result["seconds"] = shared + time.perf_counter() - method_start
+        results[method] = result
+    return results
 
 
-def _run_reps(cfg: SimConfig, method: str) -> tuple[list[dict], float]:
-    if method not in _METHODS:
-        raise SimulationError(f"unknown method {method!r}; expected one of {_METHODS}")
-    start = time.perf_counter()
+def _run_reps(
+    cfg: SimConfig, methods: tuple[str, ...] = ("multinomial",)
+) -> dict[str, tuple[list[dict], float]]:
+    """Per method: the M replication results and the seconds spent on them."""
+    for method in methods:
+        if method not in _METHODS:
+            raise SimulationError(f"unknown method {method!r}; expected one of {_METHODS}")
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(lambda r: _one_coverage_rep(cfg, r, method), range(cfg.M)))
+            reps = list(pool.map(lambda r: _replicate(cfg, r, methods), range(cfg.M)))
     else:
-        results = [_one_coverage_rep(cfg, r, method) for r in range(cfg.M)]
-    return results, time.perf_counter() - start
+        reps = [_replicate(cfg, r, methods) for r in range(cfg.M)]
+    runs = {}
+    for method in methods:
+        results = [rep[method] for rep in reps]
+        runs[method] = (results, sum(r.pop("seconds") for r in results))
+    return runs
 
 
 def _aggregate(results: list[dict], runtime: float, head: dict) -> dict:
@@ -386,12 +417,12 @@ def _aggregate(results: list[dict], runtime: float, head: dict) -> dict:
 def run_coverage_study(cfg: SimConfig, method: str = "multinomial") -> SimulationReport:
     """Coverage, bias and width of one method under one scenario.
 
-    Per replication: generate, fit the pattern, estimate c (multinomial
-    method) or fit the ODP surface (odp method), bootstrap, and score
-    the realised future reserve against the central 95% and 75%
-    intervals. Replication-level failures are counted, not fatal.
+    Per replication: generate, take the CL point at the true pattern,
+    estimate c, bootstrap (the odp method first fits the ODP surface),
+    and score the realised future reserve against the central 95% and
+    75% intervals. Replication-level failures are counted, not fatal.
     """
-    results, runtime = _run_reps(cfg, method)
+    results, runtime = _run_reps(cfg, (method,))[method]
     row = _aggregate(results, runtime, {"dgp": _dgp_label(cfg), "method": method})
     return SimulationReport(
         study="coverage", rows=[row], config=asdict(cfg), runtime_s=runtime
@@ -414,7 +445,7 @@ def nonstationarity_sweep(
     rows = []
     for s in sigma_values:
         sub = replace(cfg, dgp="nonstationary", sigma_delta=float(s))
-        results, runtime = _run_reps(sub, "multinomial")
+        results, runtime = _run_reps(sub)["multinomial"]
         rows.append(_aggregate(results, runtime, {"sigma_delta": float(s)}))
     return SimulationReport(
         study="nonstat", rows=rows, config=asdict(cfg), runtime_s=time.perf_counter() - start
@@ -448,7 +479,7 @@ def tweedie_sweep(
     for ix, p in enumerate(p_values):
         phi = phi_values[ix] if phi_values is not None else _phi_for_power(p, cfg.phi)
         sub = replace(cfg, dgp="tweedie", p=float(p), phi=float(phi))
-        results, runtime = _run_reps(sub, "multinomial")
+        results, runtime = _run_reps(sub)["multinomial"]
         rows.append(_aggregate(results, runtime, {"p": float(p), "phi": float(phi)}))
     return SimulationReport(
         study="tweedie", rows=rows, config=asdict(cfg), runtime_s=time.perf_counter() - start
@@ -476,10 +507,10 @@ def _paired_counts(multi: list[dict], odp: list[dict]) -> dict:
 def compare_odp(cfg: SimConfig) -> SimulationReport:
     """Both bootstraps on identical triangles, five scenarios.
 
-    Generation streams do not depend on the method, so each scenario's
-    replications present the same triangles to both procedures. Each
-    multinomial row also carries its paired counts against the ODP row
-    that follows it (see _paired_counts).
+    Each replication's triangle is generated once and scored by both
+    procedures (see _replicate). Each multinomial row also carries its
+    paired counts against the ODP row that follows it (see
+    _paired_counts).
     """
     start = time.perf_counter()
     scenarios = [
@@ -491,12 +522,10 @@ def compare_odp(cfg: SimConfig) -> SimulationReport:
     ]
     rows = []
     for sub in scenarios:
-        results = {}
-        for method in _METHODS:
-            results[method], runtime = _run_reps(sub, method)
-            rows.append(_aggregate(results[method], runtime,
-                                   {"dgp": _dgp_label(sub), "method": method}))
-        rows[-2].update(_paired_counts(results["multinomial"], results["odp"]))
+        runs = _run_reps(sub, _METHODS)
+        for method, (results, runtime) in runs.items():
+            rows.append(_aggregate(results, runtime, {"dgp": _dgp_label(sub), "method": method}))
+        rows[-2].update(_paired_counts(runs["multinomial"][0], runs["odp"][0]))
     return SimulationReport(
         study="compare-odp", rows=rows, config=asdict(cfg), runtime_s=time.perf_counter() - start
     )
@@ -535,7 +564,7 @@ def sensitivity_grid(
                          "failure_reasons": str(exc)}
                     )
                     continue
-                results, runtime = _run_reps(sub, "multinomial")
+                results, runtime = _run_reps(sub)["multinomial"]
                 full = _aggregate(results, runtime, head)
                 for k in ("coverage75", "mc_se75", "rel_bias", "rel_width"):
                     full.pop(k, None)
@@ -699,26 +728,16 @@ def verify_conservatism(
     )
 
 
+def _parse_pattern(text: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in text.replace(",", " ").split())
+
+
+# One parser per SimConfig field, chosen by its annotation; pi_true is a
+# comma- or space-separated list.
+_SCALAR_CASTS = {"int": int, "float": float, "str": str}
 _CONFIG_CASTS = {
-    "I": int,
-    "J": int,
-    "pi_true": lambda s: tuple(float(x) for x in s.replace(",", " ").split()),
-    "c_true": float,
-    "M": int,
-    "B": int,
-    "seed": int,
-    "dgp": str,
-    "sigma_delta": float,
-    "p": float,
-    "phi": float,
-    "kappa": float,
-    "mu": float,
-    "exposure_shape": float,
-    "exposure_rate": float,
-    "ultimate_shape_factor": float,
-    "ultimate_rate": float,
-    "inclusion_threshold": float,
-    "threads": int,
+    f.name: _parse_pattern if f.name == "pi_true" else _SCALAR_CASTS[f.type]
+    for f in fields(SimConfig)
 }
 
 

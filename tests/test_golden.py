@@ -7,15 +7,20 @@ Beta sampler is not guaranteed stable across numpy versions, so on
 another numpy a mismatch may come from numpy rather than from runoff.
 B = 1000 draws the accident years one after another; B = 50 000 and
 above draws them on a thread pool, whose output must not differ. The
-`simulate` digests pin the interval scoring of the coverage studies.
+`simulate` digests pin the interval scoring of the coverage studies,
+and the `odp_bootstrap` digests pin the ODP residual bootstrap's draws
+bit for bit, redraws included.
 """
 from __future__ import annotations
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from runoff.cli import main
+from runoff.odp import odp_bootstrap, odp_fit
+from runoff.triangle import bundled_triangle
 
 REPORTS = {
     "cl-b1000": (["taylor-ashe", "--B", "1000", "--seed", "11"],
@@ -44,14 +49,34 @@ CSV_REPORTS = {
 }
 
 STUDIES = {
-    "correct": (["--M", "20", "--seed", "21"], {
+    "correct": ("correct", ["--M", "20", "--seed", "21"], {
         "csv": "a892469b18b3f80d19c6de6a804d9a7b694c11d40c6f3f6265d0a88bb9f2a093",
         "json": "0aa97e2560ae4f89d827f77a1890629c2c7335793ca96c19d095254bdb5a8189",
     }),
-    "compare-odp": (["--M", "2", "--seed", "22"], {
+    "compare-odp": ("compare-odp", ["--M", "2", "--seed", "22"], {
         "csv": "01271a32e853e85ebdbb4cc9d36274eed93b8d2f0f2b130593e308c9172d2b9c",
         "json": "6c8166c076db4a674b0989e3a2d80fc258152ec7b95f3fc3508cd2d77839ca4a",
     }),
+    "compare-odp-threads2": ("compare-odp", ["--M", "4", "--threads", "2", "--seed", "24"], {
+        "csv": "5b4ffb7b1e5ea8b2064cde8917b86b00565d5314f6c101bf74d0aacb8f61c1fd",
+        "json": "e113640b007c0c8da152b1a760753204d3f84ff87db41d306e4961ab5de529b0",
+    }),
+}
+
+# case -> (triangle, B, seed, redraws, SHA-256 of every year's draws, the
+# total and the redraw count). The redraw counts are asserted exactly, so
+# the mortgage cases keep covering the redraw branch: at B = 20 000 it
+# redraws hundreds of replications, and at B = 20, seed 14, one redraw
+# round refits a single replication, as does every fit at B = 1.
+ODP_DRAWS = {
+    "taylor-ashe": ("taylor-ashe", 2000, 1, 0,
+                    "f6aa1454c055d24bd98570e56fda9f010b9e68b5d9a930f4aebc6edc2cd03c61"),
+    "mortgage": ("mortgage", 20_000, 1, 568,
+                 "4ee1ead650bd398f9e8d6e4e8b1283d3e062267df5c28fe7d209d28bf8f4e431"),
+    "mortgage-lone-redraw": ("mortgage", 20, 14, 1,
+                             "1121a1c66a5a390f3461408c5a9323f2898b70e6e77a3aaef6f2177dbaefbde8"),
+    "raa-b1": ("raa", 1, 3, 0,
+               "b5f2425b923c8ef547524336daf7a319ed2d4e9de096738eda75fcae4fac409b"),
 }
 
 
@@ -85,9 +110,22 @@ def test_bootstrap_csv_report_digest(tmp_path, case):
     assert sha256(tmp_path / "runoff_bootstrap.csv") == digest
 
 
-@pytest.mark.parametrize("study", sorted(STUDIES))
-def test_simulate_report_digests(tmp_path, study):
-    argv, digests = STUDIES[study]
+@pytest.mark.parametrize("case", sorted(STUDIES))
+def test_simulate_report_digests(tmp_path, case):
+    study, argv, digests = STUDIES[case]
     assert main(["simulate", "--study", study, *argv, "--out-dir", str(tmp_path)]) == 0
     for ext, digest in digests.items():
         assert sha256(tmp_path / f"runoff_{study}.{ext}") == digest, ext
+
+
+@pytest.mark.parametrize("case", sorted(ODP_DRAWS))
+def test_odp_bootstrap_digest(case):
+    name, B, seed, redraws, digest = ODP_DRAWS[case]
+    dist = odp_bootstrap(odp_fit(bundled_triangle(name)), B, seed=seed)
+    h = hashlib.sha256()
+    for y in dist.per_year:
+        h.update(np.ascontiguousarray(y.draws).tobytes())
+    h.update(dist.total.tobytes())
+    h.update(str(dist.meta["rejected_replications"]).encode())
+    assert dist.meta["rejected_replications"] == redraws
+    assert h.hexdigest() == digest

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from runoff.odp import OdpError, odp_bootstrap, odp_fit
+from runoff.odp import OdpError, OdpFit, odp_bootstrap, odp_fit
 from runoff.patterns import chain_ladder_pattern, cl_ultimates, link_ratios
 from runoff.predictive import multinomial_bootstrap
 from runoff.triangle import Triangle, bundled_triangle, latest_diagonal
@@ -62,6 +62,11 @@ class TestFit:
         np.testing.assert_allclose(
             np.nansum(fit.projected_future, axis=1), est.reserves, rtol=1e-9)
 
+    @pytest.mark.parametrize("name", ["taylor-ashe", "raa", "mortgage"])
+    def test_pattern_is_the_chain_ladder_pattern_bit_for_bit(self, name):
+        t = bundled_triangle(name)
+        assert np.array_equal(odp_fit(t).pattern_F(), chain_ladder_pattern(t).F)
+
     def test_saturated_triangle_rejected(self):
         t = Triangle(I=2, J=2, kind="amounts",
                      cells={(1, 0): 4.0, (1, 1): 2.0, (2, 0): 8.0})
@@ -105,6 +110,21 @@ class TestBootstrap:
         for year in dist.per_year:
             assert np.all(year.draws == year.point_reserve)
         assert dist.meta["rejected_replications"] == 0
+
+    def test_redraws_give_up_after_100_rounds(self):
+        # Every fitted mean is zero, so every pseudo increment is zero and
+        # no column sum of any replication can turn positive.
+        nan = np.nan
+        fitted = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, nan], [0.0, nan, nan]])
+        fit = OdpFit(
+            I=3, J=3, fitted_incrementals=fitted, dispersion=1.0,
+            residuals=np.where(np.isnan(fitted), nan, 1.0), dof=1, n_cells=6,
+            link_ratios=np.ones(2),
+            projected_future=np.array([[nan] * 3, [nan, nan, 0.0], [nan, 0.0, 0.0]]),
+        )
+        with pytest.raises(OdpError,
+                           match="^5 replications still degenerate after 100 redraw rounds$"):
+            odp_bootstrap(fit, 5, seed=1)
 
     def test_b_validated(self):
         fit = odp_fit(proportional_triangle())

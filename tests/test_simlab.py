@@ -15,6 +15,7 @@ import pytest
 
 import runoff
 from runoff import simlab
+from runoff.concentration import ConcentrationError
 from runoff.simlab import (
     PATTERN_J5,
     PATTERN_J10,
@@ -32,7 +33,9 @@ from runoff.simlab import (
     tweedie_sweep,
     verify_conservatism,
     verify_sigma_c,
+    _METHODS,
     _paired_counts,
+    _run_reps,
 )
 
 
@@ -271,6 +274,39 @@ class TestSweeps:
             "paired_se95": pytest.approx(0.5**0.5)}
         assert _paired_counts(multi[2:3], odp[2:3])["paired_se95"] is None
 
+    def test_compare_odp_generates_each_triangle_once(self, monkeypatch):
+        calls = []
+        generate = simlab.generate_triangle
+
+        def counting(cfg, rep):
+            calls.append((cfg.dgp, cfg.sigma_delta, cfg.p, rep))
+            return generate(cfg, rep)
+
+        monkeypatch.setattr(simlab, "generate_triangle", counting)
+        compare_odp(SimConfig(M=3, B=20, seed=8, threads=2))
+        assert len(calls) == len(set(calls)) == 5 * 3
+
+    def test_failed_estimate_fails_multinomial_and_leaves_odp_c_hat_nan(self, monkeypatch):
+        estimate = simlab.estimate_c
+        message = "no usable (j, k) cells: forced for one replication"
+        calls = []
+
+        def failing_second(t):
+            calls.append(t)
+            if len(calls) == 2:
+                raise ConcentrationError(message)
+            return estimate(t)
+
+        monkeypatch.setattr(simlab, "estimate_c", failing_second)
+        runs = _run_reps(SimConfig(M=3, B=30, seed=5), _METHODS)
+        assert len(calls) == 3
+        multi, odp = runs["multinomial"][0], runs["odp"][0]
+        assert multi[1] == {"failure": f"ConcentrationError: {message}"}
+        assert "failure" not in odp[1] and np.isnan(odp[1]["c_hat"])
+        for r in (0, 2):
+            assert multi[r]["c_hat"] == odp[r]["c_hat"] == estimate(
+                generate_triangle(SimConfig(M=3, B=30, seed=5), r)[0]).c_hat
+
     def test_sensitivity_grid_reports_impossible_cells(self):
         report = sensitivity_grid((50.0,), (7,), (3, 5), M=3, B=30, seed=4)
         assert report.study == "grid"
@@ -332,6 +368,25 @@ class TestConfigFiles:
             "I": 12, "J": 5, "c_true": 80.0,
             "pi_true": (0.4, 0.3, 0.15, 0.1, 0.05),
         }
+
+    def test_every_field_round_trips_through_the_parser(self):
+        cfg = SimConfig(
+            I=12, J=4, pi_true=(0.4, 0.3, 0.2, 0.1), c_true=80.5, M=7, B=11, seed=3,
+            dgp="tweedie", sigma_delta=0.01, p=1.3, phi=12.5, kappa=30.0, mu=300.0,
+            exposure_shape=9.0, exposure_rate=0.02, ultimate_shape_factor=3.0,
+            ultimate_rate=0.002, inclusion_threshold=1.5, threads=2,
+        )
+        default = SimConfig()
+        text = []
+        for f in dataclasses.fields(SimConfig):
+            value = getattr(cfg, f.name)
+            assert value != getattr(default, f.name), f"{f.name} keeps its default"
+            text.append(f"{f.name} = "
+                        + (", ".join(map(repr, value)) if f.name == "pi_true" else str(value)))
+        values = parse_config_text("\n".join(text))
+        assert SimConfig(**values) == cfg
+        assert {k: type(v) for k, v in values.items()} == {
+            k: type(v) for k, v in dataclasses.asdict(cfg).items()}
 
     def test_parse_errors_carry_line_numbers(self):
         with pytest.raises(SimulationError, match="line 1: unknown key"):
