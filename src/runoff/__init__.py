@@ -11,37 +11,16 @@ synthetic-triangle laboratory round out the comparison tooling.
 from __future__ import annotations
 
 from .concentration import (
-    CellEstimate,
-    ConcentrationEstimate,
     ConcentrationError,
-    DroppedCell,
-    PartialProportions,
-    cell_estimate,
     estimate_c,
-    estimate_c_from_matrix,
-    partial_proportions,
+    estimate_c_batch,
     sigma_c_squared,
 )
-from .distributions import (
-    BetaMoments,
-    BetaPrimeMoments,
-    RngStream,
-    beta_central_moments,
-    beta_prime_moments,
-    sample_beta,
-    sample_dirichlet,
-    sample_gamma,
-    sample_multinomial,
-    sample_negbin,
-    sample_poisson,
-    sample_tweedie,
-    sample_tweedie_cell,
-)
-from .odp import OdpError, OdpFit, odp_bootstrap, odp_fit
+from .distributions import RngStream
+from .odp import OdpError, odp_bootstrap, odp_fit
 from .patterns import (
     DevelopmentPattern,
     PatternError,
-    UltimateEstimates,
     bf_ultimates,
     cape_cod_ultimates,
     chain_ladder_pattern,
@@ -49,11 +28,8 @@ from .patterns import (
     link_ratios,
 )
 from .predictive import (
-    CountPredictive,
-    IbnpMoments,
     PredictiveError,
     ReserveDistribution,
-    YearPredictive,
     bf_bootstrap,
     delta_method_variance,
     ibnp_exact_moments,
@@ -61,14 +37,10 @@ from .predictive import (
     negbin_ibnr,
 )
 from .simlab import (
-    PATTERN_J5,
-    PATTERN_J10,
     SimConfig,
     SimulationError,
-    SimulationReport,
     compare_odp,
     generate_triangle,
-    load_sim_config,
     nonstationarity_sweep,
     run_coverage_study,
     sensitivity_grid,
@@ -77,12 +49,9 @@ from .simlab import (
     verify_sigma_c,
 )
 from .triangle import (
-    DiagonalSummary,
     Triangle,
     TriangleError,
     bundled_triangle,
-    cumulate,
-    decumulate,
     latest_diagonal,
     load_exposures,
     load_triangle,
@@ -91,69 +60,39 @@ from .triangle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BetaMoments",
-    "BetaPrimeMoments",
-    "CellEstimate",
-    "ConcentrationEstimate",
     "ConcentrationError",
-    "CountPredictive",
     "DevelopmentPattern",
-    "DiagonalSummary",
-    "DroppedCell",
-    "IbnpMoments",
     "OdpError",
-    "OdpFit",
-    "PATTERN_J10",
-    "PATTERN_J5",
-    "PartialProportions",
     "PatternError",
     "PredictiveError",
     "ReserveDistribution",
     "RngStream",
     "SimConfig",
     "SimulationError",
-    "SimulationReport",
     "Triangle",
     "TriangleError",
-    "UltimateEstimates",
-    "YearPredictive",
-    "beta_central_moments",
-    "beta_prime_moments",
     "bf_bootstrap",
     "bf_ultimates",
     "bundled_triangle",
     "cape_cod_ultimates",
-    "cell_estimate",
     "chain_ladder_pattern",
     "cl_ultimates",
     "compare_odp",
-    "cumulate",
-    "decumulate",
     "delta_method_variance",
     "estimate_c",
-    "estimate_c_from_matrix",
+    "estimate_c_batch",
     "generate_triangle",
     "ibnp_exact_moments",
     "latest_diagonal",
     "link_ratios",
     "load_exposures",
-    "load_sim_config",
     "load_triangle",
     "multinomial_bootstrap",
     "negbin_ibnr",
     "nonstationarity_sweep",
     "odp_bootstrap",
     "odp_fit",
-    "partial_proportions",
     "run_coverage_study",
-    "sample_beta",
-    "sample_dirichlet",
-    "sample_gamma",
-    "sample_multinomial",
-    "sample_negbin",
-    "sample_poisson",
-    "sample_tweedie",
-    "sample_tweedie_cell",
     "sensitivity_grid",
     "sigma_c_squared",
     "tweedie_sweep",

@@ -16,7 +16,6 @@ import os
 import sys
 import time
 from dataclasses import asdict
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +56,7 @@ from .triangle import (
     _BUNDLED,
     Triangle,
     TriangleError,
+    _bundled_file,
     latest_diagonal,
     load_exposures,
     load_triangle,
@@ -78,18 +78,14 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _resolve_triangle_source(name: str) -> tuple[Path, str | None]:
+def _resolve_triangle_source(name: str) -> Path:
     """A real path wins; otherwise fall back to a bundled dataset name."""
     p = Path(name)
     if p.exists():
-        return p, None
-    key = p.name.lower()
-    if key.endswith(".csv"):
-        key = key[:-4]
-    key = key.replace("_", "-")
-    if key in _BUNDLED:
-        packaged = resources.files("runoff").joinpath("data", _BUNDLED[key])
-        return Path(str(packaged)), key
+        return p
+    packaged = _bundled_file(name)
+    if packaged is not None:
+        return Path(str(packaged))
     raise TriangleError(
         f"no such file {name!r} and no bundled triangle of that name "
         f"(bundled: {sorted(_BUNDLED)})"
@@ -97,7 +93,7 @@ def _resolve_triangle_source(name: str) -> tuple[Path, str | None]:
 
 
 def _load_triangle_args(args) -> tuple[Triangle, dict[str, str]]:
-    path, _ = _resolve_triangle_source(args.triangle)
+    path = _resolve_triangle_source(args.triangle)
     digests = {str(path): _sha256(path)}
     exposures = None
     if getattr(args, "exposures", None):
@@ -217,13 +213,8 @@ def cmd_fit(args) -> int:
             "c_hat": est.c_hat,
             "divisor": est.divisor,
             "diagnostic": est.diagnostic,
-            "cells": [
-                {"j": c.j, "k": c.k, "c_hat": c.c_hat, "n_k": c.n_k, "pi_hat": c.pi_hat}
-                for c in est.cells
-            ],
-            "dropped_cells": [
-                {"j": d.j, "k": d.k, "reason": d.reason} for d in est.dropped_cells
-            ],
+            "cells": [c._asdict() for c in est.cells],
+            "dropped_cells": [d._asdict() for d in est.dropped_cells],
         }
     except ConcentrationError as exc:
         report["concentration"] = {"error": str(exc)}
@@ -323,7 +314,7 @@ def cmd_bootstrap(args) -> int:
         else:
             # No exposures supplied: use each accident year's first-lag
             # claims as the exposure measure.
-            E = np.array([t.cells[(i, 0)] for i in range(1, t.I + 1)])
+            E = t.values[:, 0]
             exposures_source = "lag0-claims"
             if np.any(E <= 0.0):
                 raise PredictiveError(
@@ -438,15 +429,12 @@ def _dump_draws(path: Path, dist: ReserveDistribution) -> None:
 # ----------------------------------------------------------- simulate
 
 
-_STUDY_BASE: dict[str, dict] = {
-    "correct": {"I": 10, "J": 5, "c_true": 50.0, "M": 500, "B": 1000,
-                "dgp": "dirichlet-gamma"},
-    "nonstat": {"I": 10, "J": 5, "c_true": 50.0, "M": 500, "B": 1000,
-                "dgp": "nonstationary"},
-    "tweedie": {"I": 10, "J": 5, "c_true": 50.0, "M": 500, "B": 1000,
-                "dgp": "tweedie"},
-    "compare-odp": {"I": 10, "J": 10, "c_true": 50.0, "M": 500, "B": 1000,
-                    "dgp": "dirichlet-gamma"},
+# The coverage studies: SimConfig defaults plus these fields.
+_STUDY_FIELDS: dict[str, dict] = {
+    "correct": {},
+    "nonstat": {"dgp": "nonstationary"},
+    "tweedie": {"dgp": "tweedie"},
+    "compare-odp": {"J": 10},
 }
 
 _SIM_OVERRIDE_FLAGS = (
@@ -461,9 +449,7 @@ def _build_sim_config(args, seed: int) -> SimConfig:
     overrides["seed"] = seed
     if args.config:
         return load_sim_config(args.config, **overrides)
-    base = dict(_STUDY_BASE[args.study])
-    base.update(overrides)
-    return SimConfig(**base)
+    return SimConfig(**{**_STUDY_FIELDS[args.study], **overrides})
 
 
 def _strip_timing(report: SimulationReport) -> SimulationReport:
@@ -477,11 +463,11 @@ def cmd_simulate(args) -> int:
     seed, seed_generated = _resolve_seed(args.seed)
     digests: dict[str, str] = {}
     if args.config:
-        if args.study not in _STUDY_BASE:
+        if args.study not in _STUDY_FIELDS:
             raise SimulationError(f"--config applies to coverage studies, not {args.study!r}")
         digests[str(args.config)] = _sha256(Path(args.config))
 
-    if args.study in _STUDY_BASE:
+    if args.study in _STUDY_FIELDS:
         cfg = _build_sim_config(args, seed)
         if args.study == "correct":
             report = run_coverage_study(cfg, method=args.method)

@@ -7,7 +7,8 @@ column by column, and moment matching per column yields a concentration
 estimate; the reported c_hat is the median over all retained (j, k)
 cells. Horizons start at k = 2: the two-support-point proportions at
 k = 1 carry the least stable variance estimates and are left out of the
-aggregate (partial_proportions still serves k = 1 for inspection).
+aggregate. One moment kernel serves a stack of M triangles at once
+(estimate_c_batch); a single triangle is its M = 1 case.
 """
 
 from __future__ import annotations
@@ -41,13 +42,6 @@ class DroppedCell(NamedTuple):
     j: int
     k: int
     reason: str
-
-
-class PartialProportions(NamedTuple):
-    k: int
-    rows: tuple[int, ...]
-    W: np.ndarray
-    skipped: tuple[tuple[int, str], ...]
 
 
 @dataclass(frozen=True)
@@ -96,97 +90,110 @@ def sigma_c_squared(c: float, pi: float) -> float:
     )
 
 
-def partial_proportions(t: Triangle, k: int) -> PartialProportions:
-    """Proportions W_ij^(k) for j = 0..k-1 over rows observed beyond lag k.
+class _Horizon(NamedTuple):
+    """Moment estimates of one horizon k over a stack of M triangles."""
 
-    Rows containing a non-positive increment within lags 0..k (or a
-    non-positive denominator) are skipped and reported, not errors: the
-    proportion model assumes positive increments while real triangles
-    need not.
+    k: int
+    used: np.ndarray  # (M,) rows positive in every lag 0..k
+    mean: np.ndarray  # (M, k) mean proportion per column j < k
+    var: np.ndarray  # (M, k) sample variance per column
+    c: np.ndarray  # (M, k) m(1 - m)/v - 1
+    keep: np.ndarray  # (M, k) cells that enter the median
+
+
+def _horizons(X: np.ndarray, ddof: int) -> list[_Horizon]:
+    """The moment kernel over an (M, I, J) block of increments.
+
+    Rows are ordered by accident year; entries beyond a row's observed
+    lags may be NaN since horizons only read the qualifying rows.
+    Horizons run k = 2..J-2 subject to I - k - 1 >= 3. A row enters
+    horizon k only if its increments at lags 0..k are all positive; the
+    others are zeroed out of the sums, so every stack member's column
+    sums add its usable rows in accident-year order.
     """
-    if not 1 <= k <= t.J - 2:
-        raise ConcentrationError(f"horizon k must satisfy 1 <= k <= J-2 = {t.J - 2}, got {k}")
-    rows: list[int] = []
-    skipped: list[tuple[int, str]] = []
-    vals: list[np.ndarray] = []
-    for i in range(1, t.I - k):  # rows with k < I - i
-        head = t.row(i)[: k + 1]
-        if np.any(head <= 0.0):
-            skipped.append((i, "non-positive increment"))
-            continue
-        denom = head.sum()
-        if denom <= 0.0:
-            skipped.append((i, "non-positive denominator"))
-            continue
-        rows.append(i)
-        vals.append(head[:k] / denom)
-    W = np.array(vals) if vals else np.empty((0, k))
-    return PartialProportions(k=k, rows=tuple(rows), W=W, skipped=tuple(skipped))
+    _, I, J = X.shape
+    out = []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(_AGGREGATE_KMIN, J - 1):
+            n_k = I - k - 1
+            if n_k < _MIN_ROWS:
+                continue
+            block = X[:, :n_k, : k + 1]
+            good = (block > 0.0).all(axis=2)
+            rows = good[:, :, None]
+            W = np.where(rows, block[:, :, :k] / block.sum(axis=2, keepdims=True), 0.0)
+            used = good.sum(axis=1)
+            mean = W.sum(axis=1) / used[:, None]
+            dev = np.where(rows, W - mean[:, None, :], 0.0)
+            var = (dev * dev).sum(axis=1) / (used - ddof)[:, None]
+            c = mean * (1.0 - mean) / var - 1.0
+            # c < inf also rules out NaN, and a zero or negative variance
+            # gives c = +-inf or NaN.
+            keep = (c > 0.0) & (c < np.inf) & (used >= _MIN_ROWS)[:, None]
+            out.append(_Horizon(k, used, mean, var, c, keep))
+    return out
 
 
-def cell_estimate(W_column: np.ndarray, divisor: str = "unbiased") -> float:
-    """Moment estimate m(1-m)/v - 1 from one column of proportions."""
-    col = np.asarray(W_column, dtype=float)
-    if col.size < _MIN_ROWS:
-        raise ConcentrationError(f"need at least {_MIN_ROWS} samples, got {col.size}")
-    v = float(col.var(ddof=_ddof(divisor)))
-    if v <= 0.0:
-        raise ConcentrationError("sample variance must be positive")
-    m = float(col.mean())
-    return m * (1.0 - m) / v - 1.0
+def _median(horizons: list[_Horizon]) -> np.ndarray:
+    """Per stack member, the median of its kept cells (NaN if none), with
+    np.median's arithmetic: the middle value, or half the sum of the two."""
+    c = np.concatenate([np.where(h.keep, h.c, np.nan) for h in horizons], axis=1)
+    s = np.sort(c, axis=1)  # NaN sorts last, so a row with none kept reads NaN
+    n = np.count_nonzero(~np.isnan(c), axis=1)
+    rows = np.arange(c.shape[0])
+    lo = s[rows, (n - 1) // 2]
+    hi = s[rows, n // 2]
+    with np.errstate(over="ignore"):
+        return np.where(n % 2 == 1, lo, (lo + hi) / 2.0)
 
 
-def _cells_from_matrix(
-    X: np.ndarray, divisor: str
-) -> tuple[list[CellEstimate], list[DroppedCell]]:
-    """Shared cell enumeration over a row-per-accident-year matrix.
+def estimate_c_batch(X: np.ndarray, divisor: str = "unbiased") -> np.ndarray:
+    """c_hat of every triangle in an (M, I, J) block of increments.
 
-    X holds increments with rows ordered by accident year; entries beyond
-    a row's observed lags may be NaN since horizons only read the
-    qualifying rows. Horizons run k = 2..J-2 subject to I - k - 1 >= 3.
+    Each slice gives the bits estimate_c gives on it; a slice with no
+    usable cell gets NaN instead of an error. Raises if no horizon
+    qualifies at this I and J.
     """
-    ddof = _ddof(divisor)
-    I, J = X.shape
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 3:
+        raise ConcentrationError("expected an (M, I, J) array of increments")
+    horizons = _horizons(X, _ddof(divisor))
+    if not horizons:
+        raise ConcentrationError(f"no estimable horizon at I={X.shape[1]}, J={X.shape[2]}")
+    return _median(horizons)
+
+
+def estimate_c_from_matrix(X: np.ndarray, divisor: str = "unbiased") -> ConcentrationEstimate:
+    """The M = 1 case of estimate_c_batch, with its cell tables, for
+    increments already shaped as an (I, J) array.
+
+    Rows must be ordered so that row index 0 has the longest observation
+    horizon, matching triangle accident-year order.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ConcentrationError("expected a 2-D array of increments")
+    horizons = _horizons(X[None], _ddof(divisor))
     cells: list[CellEstimate] = []
     dropped: list[DroppedCell] = []
-    for k in range(_AGGREGATE_KMIN, J - 1):
-        n_k = I - k - 1
-        if n_k < _MIN_ROWS:
-            continue
-        block = X[:n_k, : k + 1]
-        good = np.all(block > 0.0, axis=1)
-        used = int(good.sum())
-        if used < _MIN_ROWS:
-            for j in range(k):
-                dropped.append(DroppedCell(j, k, f"only {used} usable rows"))
-            continue
-        rows = block[good]
-        W = rows / rows.sum(axis=1, keepdims=True)
-        means = W.mean(axis=0)
-        variances = W.var(axis=0, ddof=ddof)
-        for j in range(k):
-            m, v = float(means[j]), float(variances[j])
-            if v <= 0.0:
-                dropped.append(DroppedCell(j, k, "zero sample variance"))
-                continue
-            c_jk = m * (1.0 - m) / v - 1.0
-            if not np.isfinite(c_jk) or c_jk <= 0.0:
-                dropped.append(DroppedCell(j, k, f"non-positive estimate {c_jk:.4g}"))
-                continue
-            cells.append(CellEstimate(j=j, k=k, c_hat=c_jk, n_k=used, pi_hat=m))
-    return cells, dropped
-
-
-def _aggregate(
-    cells: list[CellEstimate], dropped: list[DroppedCell], divisor: str
-) -> ConcentrationEstimate:
+    for h in horizons:
+        used = int(h.used[0])
+        columns = zip(h.mean[0].tolist(), h.var[0].tolist(), h.c[0].tolist(), h.keep[0].tolist())
+        for j, (m, v, c_jk, keep) in enumerate(columns):
+            if used < _MIN_ROWS:
+                dropped.append(DroppedCell(j, h.k, f"only {used} usable rows"))
+            elif v <= 0.0:
+                dropped.append(DroppedCell(j, h.k, "zero sample variance"))
+            elif not keep:
+                dropped.append(DroppedCell(j, h.k, f"non-positive estimate {c_jk:.4g}"))
+            else:
+                cells.append(CellEstimate(j=j, k=h.k, c_hat=c_jk, n_k=used, pi_hat=m))
     if not cells:
         raise ConcentrationError(
             "no usable (j, k) cells: the triangle is too small or too irregular "
             "for moment estimation of the concentration parameter"
         )
-    cells.sort(key=lambda cell: (cell.k, cell.j))
-    c_hat = float(np.median([cell.c_hat for cell in cells]))
+    c_hat = float(_median(horizons)[0])
     if c_hat >= _DELTA_AT_OR_ABOVE:
         diagnostic = "delta-recommended"
     elif c_hat < _HETEROGENEOUS_BELOW:
@@ -209,18 +216,4 @@ def estimate_c(t: Triangle, divisor: str = "unbiased") -> ConcentrationEstimate:
     under rescaling any accident year. The median is taken as the
     midpoint when the retained cell count is even.
     """
-    cells, dropped = _cells_from_matrix(t.to_matrix(), divisor)
-    return _aggregate(cells, dropped, divisor)
-
-
-def estimate_c_from_matrix(X: np.ndarray, divisor: str = "unbiased") -> ConcentrationEstimate:
-    """estimate_c for simulated data already shaped as an (I, J) array.
-
-    Rows must be ordered so that row index 0 has the longest observation
-    horizon, matching triangle accident-year order.
-    """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ConcentrationError("expected a 2-D array of increments")
-    cells, dropped = _cells_from_matrix(X, divisor)
-    return _aggregate(cells, dropped, divisor)
+    return estimate_c_from_matrix(t.values, divisor)

@@ -1,9 +1,9 @@
-"""Random sampling and closed-form moments for the allocation hierarchy.
+"""Random streams, the Tweedie sampler and closed-form moments for the
+allocation hierarchy.
 
 Streams are value types: the draw sequence is fully determined by the
-(seed, stream_id) pair, so samplers stay pure and safe to call from any
-thread. Gamma parameters are shape and rate throughout; Gamma(k, k/m)
-therefore has mean m.
+(seed, stream_id) pair, so draws stay pure and safe to make from any
+thread. Other draws come straight from a stream's numpy generator.
 """
 
 from __future__ import annotations
@@ -49,12 +49,6 @@ class RngStream:
         return np.random.default_rng(
             np.random.SeedSequence((self.seed & _MASK64, self.stream_id & _MASK64))
         )
-
-
-def _gen(rng: RngStream | np.random.Generator) -> np.random.Generator:
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    return rng
 
 
 class BetaMoments(NamedTuple):
@@ -116,107 +110,6 @@ def beta_prime_moments(c: float, F: float) -> BetaPrimeMoments:
     return BetaPrimeMoments(mean, variance)
 
 
-def sample_gamma(
-    shape: float | np.ndarray,
-    rate: float | np.ndarray,
-    rng: RngStream | np.random.Generator,
-    n: int | None = None,
-) -> np.ndarray:
-    shape = np.asarray(shape, dtype=float)
-    rate = np.asarray(rate, dtype=float)
-    if np.any(shape <= 0.0) or np.any(rate <= 0.0):
-        raise ValueError("gamma shape and rate must be positive")
-    size = n if n is not None else (shape.shape if shape.shape else None)
-    return _gen(rng).gamma(shape=shape, scale=1.0 / rate, size=size)
-
-
-def sample_beta(
-    a: float | np.ndarray,
-    b: float | np.ndarray,
-    rng: RngStream | np.random.Generator,
-    n: int | None = None,
-) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if np.any(a <= 0.0) or np.any(b <= 0.0):
-        raise ValueError("beta parameters must be positive")
-    return _gen(rng).beta(a, b, size=n)
-
-
-def sample_dirichlet(
-    alpha: np.ndarray,
-    rng: RngStream | np.random.Generator,
-    n: int | None = None,
-) -> np.ndarray:
-    """Draw from Dirichlet(alpha); rows sum to one and stay strictly inside
-    the simplex up to float rounding."""
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.ndim != 1 or alpha.size < 2:
-        raise ValueError("alpha must be a vector of length >= 2")
-    if np.any(alpha <= 0.0):
-        raise ValueError("dirichlet parameters must be positive")
-    return _gen(rng).dirichlet(alpha, size=n)
-
-
-def sample_poisson(
-    mean: float | np.ndarray,
-    rng: RngStream | np.random.Generator,
-    n: int | None = None,
-) -> np.ndarray:
-    mean = np.asarray(mean, dtype=float)
-    if np.any(mean < 0.0) or not np.all(np.isfinite(mean)):
-        raise ValueError("poisson mean must be finite and non-negative")
-    size = n if n is not None else (mean.shape if mean.shape else None)
-    return _gen(rng).poisson(lam=mean, size=size)
-
-
-def sample_negbin(
-    r: float,
-    p: float,
-    rng: RngStream | np.random.Generator,
-    n: int | None = None,
-) -> np.ndarray:
-    """Negative Binomial draws with real-valued shape r.
-
-    Sampled through the Gamma-Poisson mixture so r need not be an
-    integer: lambda ~ Gamma(r, rate p/(1-p)), N ~ Poisson(lambda) has
-    mean r(1-p)/p. Degenerate edges r = 0 and p = 1 return zeros.
-    """
-    if r < 0.0:
-        raise ValueError(f"negbin shape must be non-negative, got {r}")
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"negbin probability must lie in (0, 1], got {p}")
-    g = _gen(rng)
-    size = n if n is not None else 1
-    if r == 0.0 or p == 1.0:
-        out = np.zeros(size, dtype=np.int64)
-    else:
-        lam = g.gamma(shape=r, scale=(1.0 - p) / p, size=size)
-        out = g.poisson(lam=lam)
-    return out if n is not None else out[0]
-
-
-def sample_multinomial(
-    n_trials: int,
-    pvals: np.ndarray,
-    rng: RngStream | np.random.Generator,
-    n: int | None = None,
-) -> np.ndarray:
-    pvals = np.asarray(pvals, dtype=float)
-    if n_trials < 0:
-        raise ValueError("number of trials must be non-negative")
-    if np.any(pvals < 0.0) or abs(pvals.sum() - 1.0) > 1e-9:
-        raise ValueError("pvals must be non-negative and sum to one")
-    return _gen(rng).multinomial(n_trials, pvals, size=n)
-
-
-def _tweedie_params(nu: np.ndarray, phi: float, p: float):
-    lam = nu ** (2.0 - p) / (phi * (2.0 - p))
-    alpha = (2.0 - p) / (p - 1.0)
-    scale = phi * (p - 1.0) * nu ** (p - 1.0)
-    return lam, alpha, scale
-
-
 def sample_tweedie(
     nu: np.ndarray,
     phi: float,
@@ -236,18 +129,11 @@ def sample_tweedie(
     nu = np.asarray(nu, dtype=float)
     if np.any(nu < 0.0):
         raise ValueError("tweedie mean must be non-negative")
-    g = _gen(rng)
-    lam, alpha, scale = _tweedie_params(nu, phi, p)
+    g = rng.generator() if isinstance(rng, RngStream) else rng
+    lam = nu ** (2.0 - p) / (phi * (2.0 - p))
+    alpha = (2.0 - p) / (p - 1.0)
+    scale = phi * (p - 1.0) * nu ** (p - 1.0)
     claims = g.poisson(lam=lam)
     # Gamma with shape 0 is an exact point mass at 0, so zero-claim cells
     # need no special casing.
     return g.gamma(shape=claims * alpha, scale=scale)
-
-
-def sample_tweedie_cell(
-    nu: float,
-    phi: float,
-    p: float,
-    rng: RngStream | np.random.Generator,
-) -> float:
-    return float(sample_tweedie(np.asarray([nu]), phi, p, rng)[0])

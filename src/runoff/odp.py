@@ -16,7 +16,7 @@ import numpy as np
 
 from .distributions import RngStream
 from .patterns import _cumulative_pattern, link_ratios
-from .predictive import ReserveDistribution, YearPredictive, _summarise
+from .predictive import ReserveDistribution, YearPredictive, _assemble
 from .triangle import Triangle
 
 _ODP_DOMAIN = 2  # stream tag for the residual bootstrap
@@ -73,13 +73,13 @@ def odp_fit(t: Triangle) -> OdpFit:
             f"saturated triangle: {n_cells} cells for {n_params} parameters leaves dof = {dof}"
         )
     f = link_ratios(t)
-    X = t.to_matrix()
+    X = t.values
     fitted = np.full((I, J), np.nan)
     future = np.full((I, J), np.nan)
     for i in range(1, I + 1):
         last = t.last_lag(i)
         cum_fit = np.empty(last + 1)
-        cum_fit[last] = t.row(i).sum()
+        cum_fit[last] = X[i - 1, : last + 1].sum()
         for j in range(last, 0, -1):
             cum_fit[j - 1] = cum_fit[j] / f[j - 1]
         fitted[i - 1, : last + 1] = np.diff(np.concatenate([[0.0], cum_fit]))
@@ -141,20 +141,6 @@ def odp_bootstrap(fit: OdpFit, B: int, seed: int) -> ReserveDistribution:
     points = np.nansum(fit.projected_future, axis=1)
     phi = fit.dispersion
 
-    def finish(years, meta):
-        included = [y for y in years if not y.excluded]
-        total = np.zeros(B)
-        for y in included:
-            total += y.draws
-        return ReserveDistribution(
-            per_year=tuple(years),
-            total=total,
-            summary=_summarise(total, mean_suppressed=False),
-            flags={},
-            anchor="ODP",
-            meta=meta,
-        )
-
     def year(i, draws):
         return YearPredictive(
             accident=i,
@@ -166,7 +152,8 @@ def odp_bootstrap(fit: OdpFit, B: int, seed: int) -> ReserveDistribution:
 
     if phi <= 0.0:
         years = [year(i, np.full(B, points[i - 1])) for i in range(1, I + 1)]
-        return finish(years, {"rejected_replications": 0, "dispersion": phi, "dof": fit.dof})
+        meta = {"rejected_replications": 0, "dispersion": phi, "dof": fit.dof}
+        return _assemble(years, B, anchor="ODP", meta=meta)
 
     # Flat layout: one row of B replications per observed cell, in
     # row-major cell order, so year i's cells are rows first[i]:first[i + 1].
@@ -255,7 +242,5 @@ def odp_bootstrap(fit: OdpFit, B: int, seed: int) -> ReserveDistribution:
         per_year_draws[i + 1] = process[:, offset : offset + width].sum(axis=1)
         offset += width
     years = [year(i, per_year_draws.get(i, np.zeros(B))) for i in range(1, I + 1)]
-    return finish(
-        years,
-        {"rejected_replications": rejected, "dispersion": phi, "dof": fit.dof},
-    )
+    meta = {"rejected_replications": rejected, "dispersion": phi, "dof": fit.dof}
+    return _assemble(years, B, anchor="ODP", meta=meta)

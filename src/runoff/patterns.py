@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .triangle import Triangle, cumulate, latest_diagonal
+from .triangle import Triangle, _observed_mask, latest_diagonal
 
 _SIMPLEX_TOL = 1e-12
 _PI_FLOOR = 1e-10
@@ -75,20 +75,20 @@ class UltimateEstimates:
 
 def link_ratios(t: Triangle) -> np.ndarray:
     """Volume-weighted link ratios f_j for j = 0..J-2."""
-    if t.J < 2:
-        raise PatternError("need at least two development lags")
-    cum = cumulate(t)
-    f = np.empty(t.J - 1)
-    for j in range(t.J - 1):
-        rows = [i for i in range(1, t.I + 1) if cum.last_lag(i) >= j + 1]
-        if not rows:
+    C = np.cumsum(t.values, axis=1)
+    # pair[:, j]: the accident years observing both lags j and j + 1.
+    pair = _observed_mask(t.I, t.J)[:, 1:]
+    # Column sums add the accident years one after another: cumsum along
+    # axis 0 is sequential, where a 1-D np.sum would be pairwise.
+    num = np.cumsum(np.where(pair, C[:, 1:], 0.0), axis=0)[-1]
+    den = np.cumsum(np.where(pair, C[:, :-1], 0.0), axis=0)[-1]
+    bad = np.nonzero(~(pair.any(axis=0) & (num > 0.0) & (den > 0.0)))[0]
+    if bad.size:
+        j = int(bad[0])
+        if not pair[:, j].any():
             raise PatternError(f"no accident year observes both lags {j} and {j + 1}")
-        num = sum(cum.cells[(i, j + 1)] for i in rows)
-        den = sum(cum.cells[(i, j)] for i in rows)
-        if den <= 0.0 or num <= 0.0:
-            raise PatternError(f"non-positive cumulative column sum at lag {j}")
-        f[j] = num / den
-    return f
+        raise PatternError(f"non-positive cumulative column sum at lag {j}")
+    return num / den
 
 
 def _cumulative_pattern(f: np.ndarray) -> np.ndarray:
@@ -117,10 +117,14 @@ def chain_ladder_pattern(t: Triangle) -> DevelopmentPattern:
     return DevelopmentPattern(pi=pi, F=F, method="CL")
 
 
-def cl_ultimates(t: Triangle, p: DevelopmentPattern) -> UltimateEstimates:
+def _diagonal_and_F(t: Triangle, p: DevelopmentPattern) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's observed total and the pattern's F at its lag."""
     diag = latest_diagonal(t)
-    obs = np.asarray(diag.observed)
-    F = np.array([p.F_at_lag(d) for d in diag.dev_lag])
+    return np.asarray(diag.observed), np.array([p.F_at_lag(d) for d in diag.dev_lag])
+
+
+def cl_ultimates(t: Triangle, p: DevelopmentPattern) -> UltimateEstimates:
+    obs, F = _diagonal_and_F(t, p)
     if np.any(F <= 0.0):
         raise PatternError("cannot gross up a row with zero cumulative proportion")
     ultimates = obs / F
@@ -131,11 +135,9 @@ def bf_ultimates(t: Triangle, p: DevelopmentPattern, prior: np.ndarray) -> Ultim
     """Credibility blend: observed plus the prior's unobserved share,
     equal to F * CL ultimate + (1 - F) * prior for every row with F > 0."""
     prior = np.asarray(prior, dtype=float)
-    diag = latest_diagonal(t)
     if prior.shape != (t.I,):
         raise PatternError(f"prior must have length I = {t.I}")
-    obs = np.asarray(diag.observed)
-    F = np.array([p.F_at_lag(d) for d in diag.dev_lag])
+    obs, F = _diagonal_and_F(t, p)
     reserves = (1.0 - F) * prior
     return UltimateEstimates(ultimates=obs + reserves, reserves=reserves, method="BF")
 
@@ -146,9 +148,7 @@ def cape_cod_ultimates(t: Triangle, p: DevelopmentPattern) -> UltimateEstimates:
     E = np.asarray(t.exposures)
     if np.any(E <= 0.0):
         raise PatternError("Cape Cod needs strictly positive exposures")
-    diag = latest_diagonal(t)
-    obs = np.asarray(diag.observed)
-    F = np.array([p.F_at_lag(d) for d in diag.dev_lag])
+    obs, F = _diagonal_and_F(t, p)
     denom = float(np.sum(E * F))
     if denom <= 0.0:
         raise PatternError("sum of exposure-weighted proportions is zero")

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import RngStream, sample_negbin
+from .distributions import RngStream
 from .patterns import DevelopmentPattern
 from .triangle import DiagonalSummary
 
@@ -91,7 +91,9 @@ def _quantiles(x: np.ndarray, probs: np.ndarray) -> np.ndarray:
     that of numpy's _get_indexes and _lerp. The one difference: +0.0 and
     -0.0 tie, and the sort and the partition may break that tie apart, so
     a zero quantile of a vector holding both may differ in sign. Non-finite
-    input is an error, where np.quantile would return NaN.
+    input is an error, where np.quantile would return NaN, and so is a
+    quantile that overflows (finite extremes of opposite sign near the
+    float limit), where np.quantile would return inf.
     """
     s = np.sort(x)
     if not (np.isfinite(s[0]) and np.isfinite(s[-1])):  # NaN and inf sort to the ends
@@ -106,9 +108,13 @@ def _quantiles(x: np.ndarray, probs: np.ndarray) -> np.ndarray:
     g = v - lo
     a = s[lo.astype(np.intp)]
     b = s[hi.astype(np.intp)]
-    d = b - a
-    out = a + d * g
-    np.subtract(b, d * (1 - g), out=out, where=g >= 0.5)
+    # Overflow is reported by the check below, not by a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = b - a
+        out = a + d * g
+        np.subtract(b, d * (1 - g), out=out, where=g >= 0.5)
+    if not np.isfinite(out).all():
+        raise PredictiveError("a quantile of the bootstrap draws overflows the float range")
     return out
 
 
@@ -382,16 +388,14 @@ def ibnp_exact_moments(X_obs: float, F: float, c: float) -> IbnpMoments:
 @dataclass(frozen=True)
 class CountPredictive:
     """Negative Binomial predictive law for an accident year's unreported
-    claim count; p = 1 marks the fully reported degenerate case."""
+    claim count; p = 1 marks the fully reported degenerate case. numpy's
+    Generator.negative_binomial(r, p) draws from it."""
 
     r: float
     p: float
     mean: float
     variance: float
     kappa_used: float
-
-    def sample(self, rng: RngStream | np.random.Generator, n: int | None = None):
-        return sample_negbin(self.r, self.p, rng, n=n)
 
 
 def negbin_ibnr(

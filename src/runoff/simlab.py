@@ -30,18 +30,17 @@ import csv
 import json
 import math
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .concentration import ConcentrationError, _ddof, estimate_c, sigma_c_squared
+from .concentration import ConcentrationError, estimate_c, estimate_c_batch, sigma_c_squared
 from .distributions import RngStream, beta_prime_moments, sample_tweedie
 from .odp import OdpError, odp_bootstrap, odp_fit
 from .patterns import DevelopmentPattern, PatternError, cl_ultimates
 from .predictive import PredictiveError, _quantiles, multinomial_bootstrap
-from .triangle import Triangle, TriangleError, latest_diagonal
+from .triangle import Triangle, TriangleError, _observed_mask, latest_diagonal
 
 PATTERN_J5 = (0.45, 0.25, 0.15, 0.10, 0.05)
 # Ten-lag pattern: a slowly decaying body, then razor-thin final lags.
@@ -258,17 +257,10 @@ def generate_triangle(cfg: SimConfig, replication: int) -> tuple[Triangle, float
             X[i] = g.multinomial(N[i], pi)
         kind = "counts"
 
-    cells: dict[tuple[int, int], float] = {}
-    truth = 0.0
-    for i in range(1, I + 1):
-        lim = min(J - 1, I - i)
-        for j in range(J):
-            v = X[i - 1, j]
-            if j <= lim:
-                cells[(i, j)] = int(v) if kind == "counts" else float(v)
-            else:
-                truth += v
-    t = Triangle(I=I, J=J, kind=kind, cells=cells, exposures=tuple(float(e) for e in E))
+    observed = _observed_mask(I, J)
+    # The future cells add one at a time in row-major order.
+    truth = np.cumsum(X[~observed])[-1]
+    t = Triangle(np.where(observed, X, np.nan), kind, exposures=E)
     return t, float(truth)
 
 
@@ -578,37 +570,6 @@ def sensitivity_grid(
     )
 
 
-def _chat_per_replication(P: np.ndarray, ddof: int) -> np.ndarray:
-    """Concentration estimates for a stack of simulated proportion
-    squares, mirroring the triangle estimator cell for cell.
-
-    P has shape (M, I, J). The estimator is scale-free, so feeding raw
-    Dirichlet rows is equivalent to feeding increments.
-    """
-    M, I, J = P.shape
-    blocks = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for k in range(2, J - 1):
-            n_k = I - k - 1
-            if n_k < 3:
-                continue
-            sub = P[:, :n_k, : k + 1]
-            good = np.all(sub > 0.0, axis=2)
-            W = sub / sub.sum(axis=2, keepdims=True)
-            W = np.where(good[:, :, None], W, np.nan)
-            count = good.sum(axis=1)
-            mean = np.nanmean(W[:, :, :k], axis=1)
-            var = np.nanvar(W[:, :, :k], axis=1, ddof=ddof)
-            c_hat = mean * (1.0 - mean) / var - 1.0
-            usable = (var > 0.0) & np.isfinite(c_hat) & (c_hat > 0.0) & (count[:, None] >= 3)
-            blocks.append(np.where(usable, c_hat, np.nan))
-        if not blocks:
-            raise SimulationError(f"no estimable horizon at I={I}, J={J}")
-        cells = np.concatenate(blocks, axis=1)
-        return np.nanmedian(cells, axis=1)
-
-
 def verify_sigma_c(
     c_values,
     I: int = 100,
@@ -629,7 +590,6 @@ def verify_sigma_c(
     if M < 2:
         raise SimulationError("need at least two replications to estimate a variance")
     pi = np.asarray(PATTERN_J5)
-    ddof = _ddof(divisor)
     start = time.perf_counter()
     rows = []
     for idx, c in enumerate(c_values):
@@ -637,23 +597,18 @@ def verify_sigma_c(
             raise SimulationError(f"c must be positive, got {c}")
         g = RngStream(seed).derive(_SIM_DOMAIN, _TAG_SIGMA, idx).generator()
         P = g.dirichlet(float(c) * pi, size=(M, I))
-        chats = _chat_per_replication(P, ddof)
+        chats = estimate_c_batch(P, divisor)
         valid = np.isfinite(chats)
         n = int(valid.sum())
-        if n < 2:
-            rows.append({"c": float(c), "formula": sigma_c_squared(float(c), 0.45),
-                         "empirical_I_var": None, "ratio": None, "mean_c_hat": None,
-                         "n_effective": n})
-            continue
-        emp = float(I * np.var(chats[valid], ddof=1))
         formula = sigma_c_squared(float(c), 0.45)
+        emp = float(I * np.var(chats[valid], ddof=1)) if n >= 2 else None
         rows.append(
             {
                 "c": float(c),
                 "formula": formula,
                 "empirical_I_var": emp,
-                "ratio": emp / formula,
-                "mean_c_hat": float(chats[valid].mean()),
+                "ratio": None if emp is None else emp / formula,
+                "mean_c_hat": float(chats[valid].mean()) if n >= 2 else None,
                 "n_effective": n,
             }
         )

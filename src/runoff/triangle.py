@@ -2,20 +2,22 @@
 
 A triangle stores incremental amounts or counts for accident years
 i = 1..I and development lags j = 0..J-1. Cells with i + j <= I are
-observed; future cells are absent, never zero-filled. Triangles are
-immutable after construction and safe to share across threads.
+observed; future cells hold NaN, never zero. A triangle is one read-only
+(I, J) array, so it is immutable after construction and safe to share
+across threads.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
@@ -36,67 +38,150 @@ def _observed_lags(I: int, J: int, i: int) -> int:
     return min(J - 1, I - i)
 
 
-@dataclass(frozen=True)
+def _n_observed(I: int, J: int) -> int:
+    """Number of observed cells: year i observes min(J, I - i + 1) lags."""
+    m = min(I, J)
+    return m * (m + 1) // 2 + (I - m) * J
+
+
+def _observed_cells(I: int, J: int):
+    """(i, j) of every observed cell, in accident-year then lag order."""
+    for i in range(1, I + 1):
+        for j in range(_observed_lags(I, J, i) + 1):
+            yield (i, j)
+
+
+@lru_cache(maxsize=64)
+def _observed_mask(I: int, J: int) -> np.ndarray:
+    """Read-only (I, J) mask of the observed region, i + j <= I (1-based i)."""
+    mask = np.add.outer(np.arange(1, I + 1), np.arange(J)) <= I
+    mask.flags.writeable = False
+    return mask
+
+
+def _check_dims(I: int, J: int) -> None:
+    if I < 2 or J < 2:
+        raise TriangleError(f"need I >= 2 and J >= 2, got I={I}, J={J}")
+
+
+class _Cells(Mapping):
+    """Read-only (i, j) -> value view of a triangle's observed cells, in
+    accident-year then lag order."""
+
+    __slots__ = ("_values",)
+
+    def __init__(self, values: np.ndarray) -> None:
+        self._values = values
+
+    def __getitem__(self, key: tuple[int, int]) -> float:
+        i, j = key
+        I, J = self._values.shape
+        if not (1 <= i <= I and 0 <= j <= _observed_lags(I, J, i)):
+            raise KeyError(key)
+        return float(self._values[i - 1, j])
+
+    def __iter__(self):
+        return _observed_cells(*self._values.shape)
+
+    def __len__(self) -> int:
+        return _n_observed(*self._values.shape)
+
+
+@dataclass(frozen=True, eq=False)
 class Triangle:
     """Complete run-off triangle of incremental values.
 
     Attributes:
-        I: number of accident years (rows, 1-based).
-        J: number of development lags (columns, 0-based).
+        values: read-only (I, J) float array; row i - 1 holds accident
+            year i, column j lag j. The observed region i + j <= I holds
+            finite values and every future cell is NaN.
         kind: "amounts" or "counts".
-        cells: mapping (i, j) -> value over the observed region,
-            i.e. exactly the cells with i + j <= I and j <= J - 1.
         exposures: optional per-accident-year exposure vector.
+
+    The constructor copies values, so a triangle never aliases its input.
     """
 
-    I: int
-    J: int
-    kind: str
-    cells: Mapping[tuple[int, int], float]
+    values: np.ndarray
+    kind: str = "amounts"
     exposures: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.I < 2 or self.J < 2:
-            raise TriangleError(f"need I >= 2 and J >= 2, got I={self.I}, J={self.J}")
+        X = np.array(self.values, dtype=float)
+        if X.ndim != 2:
+            raise TriangleError(f"triangle values must be a 2-D array, got {X.ndim} dimensions")
+        I, J = X.shape
+        _check_dims(I, J)
         if self.kind not in ("amounts", "counts"):
             raise TriangleError(f"kind must be 'amounts' or 'counts', got {self.kind!r}")
-        seen: dict[tuple[int, int], float] = {}
-        for (i, j), v in self.cells.items():
-            if not (1 <= i <= self.I) or not (0 <= j <= self.J - 1):
-                raise TriangleError(f"cell index ({i}, {j}) outside the triangle grid")
-            if i + j > self.I:
-                raise TriangleError(f"future cell ({i}, {j}): i + j exceeds I = {self.I}")
-            v = float(v)
-            if not np.isfinite(v):
-                raise TriangleError(f"non-finite value at cell ({i}, {j})")
-            if self.kind == "counts" and (v < 0 or v != int(v)):
+        observed = _observed_mask(I, J)
+        ok = np.where(observed, np.isfinite(X), np.isnan(X))
+        if not ok.all():
+            r, j = np.argwhere(~ok)[0]
+            if observed[r, j]:
+                raise TriangleError(f"non-finite value at cell ({r + 1}, {j})")
+            raise TriangleError(f"future cell ({r + 1}, {j}): i + j exceeds I = {I}")
+        if self.kind == "counts":
+            bad = observed & ((X < 0.0) | (X != np.floor(X)))
+            if bad.any():
+                r, j = np.argwhere(bad)[0]
                 raise TriangleError(
-                    f"count triangles need non-negative integers, got {v} at ({i}, {j})"
+                    f"count triangles need non-negative integers, got {X[r, j]} at ({r + 1}, {j})"
                 )
-            seen[(i, j)] = v
-        for i in range(1, self.I + 1):
-            for j in range(_observed_lags(self.I, self.J, i) + 1):
-                if (i, j) not in seen:
-                    raise TriangleError(f"missing observed cell ({i}, {j})")
-        if len(seen) != sum(
-            _observed_lags(self.I, self.J, i) + 1 for i in range(1, self.I + 1)
-        ):
-            raise TriangleError("cells outside the observed region")
-        object.__setattr__(self, "cells", MappingProxyType(seen))
+        X.flags.writeable = False
+        object.__setattr__(self, "values", X)
         if self.exposures is not None:
             exp = tuple(float(e) for e in self.exposures)
-            if len(exp) != self.I:
+            if len(exp) != I:
                 raise TriangleError(
-                    f"exposures must have length I = {self.I}, got {len(exp)}"
+                    f"exposures must have length I = {I}, got {len(exp)}"
                 )
             if any(not np.isfinite(e) for e in exp):
                 raise TriangleError("non-finite exposure value")
             object.__setattr__(self, "exposures", exp)
 
+    @classmethod
+    def from_cells(
+        cls,
+        I: int,
+        J: int,
+        kind: str,
+        cells: Mapping[tuple[int, int], float],
+        exposures=None,
+    ) -> Triangle:
+        """Build a triangle from a mapping (i, j) -> value that covers
+        exactly the observed cells i + j <= I, j <= J - 1."""
+        _check_dims(I, J)
+        for i, j in cells:
+            if not (1 <= i <= I) or not (0 <= j <= J - 1):
+                raise TriangleError(f"cell index ({i}, {j}) outside the triangle grid")
+            if i + j > I:
+                raise TriangleError(f"future cell ({i}, {j}): i + j exceeds I = {I}")
+        if len(cells) != _n_observed(I, J):
+            # The first missing cell lies within the first len(cells) + 1
+            # observed cells, so this scan stays short for any I.
+            missing = next(key for key in _observed_cells(I, J) if key not in cells)
+            raise TriangleError(f"missing observed cell {missing}")
+        values = np.full((I, J), np.nan)
+        for (i, j), v in cells.items():
+            values[i - 1, j] = v
+        return cls(values, kind, exposures)
+
+    @property
+    def I(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def J(self) -> int:
+        return self.values.shape[1]
+
+    @property
+    def cells(self) -> Mapping[tuple[int, int], float]:
+        """Read-only (i, j) -> value view of the observed cells."""
+        return _Cells(self.values)
+
     def row(self, i: int) -> np.ndarray:
-        """Observed values of accident year i in lag order."""
-        top = _observed_lags(self.I, self.J, i)
-        return np.array([self.cells[(i, j)] for j in range(top + 1)])
+        """Observed values of accident year i in lag order (a read-only view)."""
+        return self.values[i - 1, : self.last_lag(i) + 1]
 
     def last_lag(self, i: int) -> int:
         return _observed_lags(self.I, self.J, i)
@@ -105,11 +190,9 @@ class Triangle:
         return replace(self, exposures=tuple(float(e) for e in exposures))
 
     def to_matrix(self) -> np.ndarray:
-        """(I, J) array of observed values with NaN in the future region."""
-        out = np.full((self.I, self.J), np.nan)
-        for (i, j), v in self.cells.items():
-            out[i - 1, j] = v
-        return out
+        """(I, J) array of observed values with NaN in the future region:
+        values itself, read-only."""
+        return self.values
 
 
 @dataclass(frozen=True)
@@ -121,35 +204,25 @@ class DiagonalSummary:
 
 
 def latest_diagonal(t: Triangle) -> DiagonalSummary:
-    observed = tuple(float(t.row(i).sum()) for i in range(1, t.I + 1))
+    # Each row's observed prefix is summed as one vector; summing the
+    # NaN-padded row instead would regroup numpy's pairwise sum.
+    X = t.values
+    observed = tuple(float(X[i - 1, : t.last_lag(i) + 1].sum()) for i in range(1, t.I + 1))
     dev_lag = tuple(t.I - i for i in range(1, t.I + 1))
     return DiagonalSummary(observed=observed, dev_lag=dev_lag)
 
 
 def cumulate(t: Triangle) -> Triangle:
-    cells = {}
-    for i in range(1, t.I + 1):
-        run = 0.0
-        for j in range(t.last_lag(i) + 1):
-            run += t.cells[(i, j)]
-            cells[(i, j)] = run
-    return Triangle(t.I, t.J, t.kind, cells, t.exposures)
+    # cumsum adds lag by lag; NaN carries through the future region.
+    return Triangle(np.cumsum(t.values, axis=1), t.kind, t.exposures)
 
 
 def decumulate(t: Triangle) -> Triangle:
     """Inverse of cumulate. Decreasing cumulative amounts produce negative
     increments, which are preserved under a warning; decreasing cumulative
     counts are rejected."""
-    cells = {}
-    negatives = []
-    for i in range(1, t.I + 1):
-        prev = 0.0
-        for j in range(t.last_lag(i) + 1):
-            inc = t.cells[(i, j)] - prev
-            prev = t.cells[(i, j)]
-            if inc < 0 and j > 0:
-                negatives.append((i, j))
-            cells[(i, j)] = inc
+    inc = np.diff(t.values, axis=1, prepend=0.0)
+    negatives = [(int(r) + 1, int(j) + 1) for r, j in np.argwhere(inc[:, 1:] < 0.0)]
     if negatives:
         if t.kind == "counts":
             raise TriangleError(
@@ -158,7 +231,7 @@ def decumulate(t: Triangle) -> Triangle:
         warnings.warn(
             f"negative increments produced at cells {negatives}", stacklevel=2
         )
-    return Triangle(t.I, t.J, t.kind, cells, t.exposures)
+    return Triangle(inc, t.kind, t.exposures)
 
 
 def _read_text(source) -> str:
@@ -177,13 +250,28 @@ def _parse_number(token: str, where: str) -> float:
         raise TriangleError(f"non-numeric value {token!r} in {where}") from None
 
 
-def _parse_long(text: str):
+def _parse_index(token: str, where: str, lowest: int) -> int | None:
+    """token as an integer >= lowest, or None if it is fractional,
+    non-finite or smaller."""
+    x = _parse_number(token, where)
+    if not math.isfinite(x) or x != int(x) or x < lowest:
+        return None
+    return int(x)
+
+
+def _records(text: str):
+    """The lower-cased header and the (line number, fields) of every row
+    that is not blank."""
     reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise TriangleError("empty input") from None
-    header = [h.strip().lower() for h in header]
+    header = [h.strip().lower() for h in next(reader, [])]
+    rows = ((n, rec) for n, rec in enumerate(reader, start=2) if any(f.strip() for f in rec))
+    return header, rows
+
+
+def _parse_long(text: str):
+    header, rows = _records(text)
+    if not header:
+        raise TriangleError("empty input")
     if header[:3] != ["accident", "lag", "value"]:
         raise TriangleError(
             f"long format needs header accident,lag,value[,exposure], got {header}"
@@ -193,17 +281,14 @@ def _parse_long(text: str):
         raise TriangleError(f"unexpected columns in long header: {header[3:]}")
     cells: dict[tuple[int, int], float] = {}
     exposures: dict[int, float] = {}
-    for lineno, rec in enumerate(reader, start=2):
-        if not rec or all(not f.strip() for f in rec):
-            continue
+    for lineno, rec in rows:
         if len(rec) < 3:
             raise TriangleError(f"line {lineno}: expected at least 3 fields")
         where = f"line {lineno}"
-        i = _parse_number(rec[0], where)
-        j = _parse_number(rec[1], where)
-        if i != int(i) or j != int(j) or i < 1 or j < 0:
+        i = _parse_index(rec[0], where, 1)
+        j = _parse_index(rec[1], where, 0)
+        if i is None or j is None:
             raise TriangleError(f"{where}: accident/lag must be integers with accident >= 1")
-        i, j = int(i), int(j)
         if (i, j) in cells:
             raise TriangleError(f"duplicate cell ({i}, {j}) at {where}")
         cells[(i, j)] = _parse_number(rec[2], where)
@@ -216,29 +301,23 @@ def _parse_long(text: str):
 
 
 def _parse_wide(text: str):
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise TriangleError("empty input") from None
-    header = [h.strip().lower() for h in header]
-    if not header or header[0] != "accident":
+    header, rows = _records(text)
+    if not header:
+        raise TriangleError("empty input")
+    if header[0] != "accident":
         raise TriangleError("wide format needs header accident,lag0,...")
     expected = [f"lag{k}" for k in range(len(header) - 1)]
     if header[1:] != expected:
         raise TriangleError(f"wide header columns must be {expected}, got {header[1:]}")
     width = len(header)
     cells: dict[tuple[int, int], float] = {}
-    for lineno, rec in enumerate(reader, start=2):
-        if not rec or all(not f.strip() for f in rec):
-            continue
+    for lineno, rec in rows:
         if len(rec) > width:
             raise TriangleError(f"line {lineno}: ragged row, {len(rec)} fields for {width} columns")
         where = f"line {lineno}"
-        i = _parse_number(rec[0], where)
-        if i != int(i) or i < 1:
+        i = _parse_index(rec[0], where, 1)
+        if i is None:
             raise TriangleError(f"{where}: accident must be an integer >= 1")
-        i = int(i)
         for j, token in enumerate(rec[1:]):
             if not token.strip():
                 continue  # blank means future cell; explicit zeros are data
@@ -273,34 +352,43 @@ def load_triangle(
         raise TriangleError("no data rows")
     I = max(i for i, _ in cells)
     J = max(j for _, j in cells) + 1
-    exp = None
-    if exposures is not None:
-        exp = tuple(float(e) for e in exposures)
-    elif exp_map:
+    # The cells are validated before the exposure column, so a huge
+    # accident index fails fast as a missing cell.
+    t = Triangle.from_cells(I, max(J, 2), kind, cells, exposures)
+    if exposures is None and exp_map:
         missing = [i for i in range(1, I + 1) if i not in exp_map]
         if missing:
             raise TriangleError(f"exposure column present but accident years {missing} lack one")
-        exp = tuple(exp_map[i] for i in range(1, I + 1))
-    return Triangle(I=I, J=max(J, 2), kind=kind, cells=cells, exposures=exp)
+        t = t.with_exposures(exp_map[i] for i in range(1, I + 1))
+    return t
 
 
 def load_exposures(source) -> tuple[float, ...]:
     """Parse a sidecar exposure file with header ``accident,exposure``."""
-    reader = csv.reader(io.StringIO(_read_text(source)))
-    header = [h.strip().lower() for h in next(reader, [])]
+    header, rows = _records(_read_text(source))
     if header != ["accident", "exposure"]:
         raise TriangleError("exposure file needs header accident,exposure")
     vals: dict[int, float] = {}
-    for lineno, rec in enumerate(reader, start=2):
-        if not rec or all(not f.strip() for f in rec):
-            continue
-        i = _parse_number(rec[0], f"line {lineno}")
-        if i != int(i) or int(i) < 1 or (int(i)) in vals:
+    for lineno, rec in rows:
+        if len(rec) != 2:
+            raise TriangleError(f"line {lineno}: expected 2 fields, got {len(rec)}")
+        i = _parse_index(rec[0], f"line {lineno}", 1)
+        if i is None or i in vals:
             raise TriangleError(f"bad or duplicate accident index at line {lineno}")
-        vals[int(i)] = _parse_number(rec[1], f"line {lineno}")
-    if not vals or sorted(vals) != list(range(1, max(vals) + 1)):
+        vals[i] = _parse_number(rec[1], f"line {lineno}")
+    # Distinct indices >= 1 cover 1..I exactly when the largest is their count.
+    if not vals or max(vals) != len(vals):
         raise TriangleError("exposure file must cover accident years 1..I")
     return tuple(vals[i] for i in range(1, max(vals) + 1))
+
+
+def _bundled_file(name: str):
+    """The packaged CSV of a bundled triangle name, or None. Case, leading
+    directories, a .csv suffix and "_" for "-" are ignored."""
+    key = Path(name.strip()).name.lower().removesuffix(".csv").replace("_", "-")
+    if key not in _BUNDLED:
+        return None
+    return resources.files("runoff").joinpath("data", _BUNDLED[key])
 
 
 def bundled_triangle(name: str) -> Triangle:
@@ -309,8 +397,7 @@ def bundled_triangle(name: str) -> Triangle:
     Names: "taylor-ashe", "raa", "mortgage". All three ship as long-format
     incremental amount triangles.
     """
-    key = name.strip().lower().replace("_", "-")
-    if key not in _BUNDLED:
+    path = _bundled_file(name)
+    if path is None:
         raise TriangleError(f"unknown bundled triangle {name!r}; options: {sorted(_BUNDLED)}")
-    path = resources.files("runoff").joinpath("data", _BUNDLED[key])
     return load_triangle(io.StringIO(path.read_text(encoding="utf-8")), format="long")

@@ -22,7 +22,7 @@ import pytest
 from scipy import stats
 
 from runoff.concentration import estimate_c, sigma_c_squared
-from runoff.distributions import RngStream, beta_prime_moments, sample_dirichlet
+from runoff.distributions import RngStream, beta_prime_moments
 from runoff.patterns import chain_ladder_pattern, cl_ultimates
 from runoff.predictive import bf_bootstrap, multinomial_bootstrap, negbin_ibnr
 from runoff.simlab import (
@@ -266,7 +266,7 @@ def test_ac11_property_suite():
     pi5 = np.asarray((0.45, 0.25, 0.15, 0.10, 0.05))
 
     # 1. Dirichlet aggregation: a leading partial sum is Beta.
-    draws = sample_dirichlet(50.0 * pi5, RngStream(11), n=100_000)
+    draws = RngStream(11).generator().dirichlet(50.0 * pi5, size=100_000)
     partial = draws[:, :3].sum(axis=1)
     ref = RngStream(12).generator().beta(42.5, 7.5, size=100_000)
     p_agg = stats.ks_2samp(partial, ref).pvalue

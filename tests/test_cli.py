@@ -72,6 +72,26 @@ class TestFit:
         assert main(["fit", "atlantis", "--out-dir", str(tmp_path)]) == 1
         assert "no such file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name,text,extra", [
+        ("long-nan-accident", "accident,lag,value\n1,0,10\nnan,0,5\n", []),
+        ("long-overflowing-accident", "accident,lag,value\n1,0,10\n1e400,0,5\n", []),
+        ("wide-nan-accident", "accident,lag0,lag1\n1,10,5\nnan,20,\n", ["--format", "wide"]),
+    ])
+    def test_bad_index_is_a_named_error(self, tmp_path, capsys, name, text, extra):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(text)
+        assert main(["fit", str(path), *extra, "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3:") and "integer" in err
+
+    def test_exposure_row_with_one_field_is_a_named_error(self, tmp_path, capsys):
+        epath = tmp_path / "exposures.csv"
+        epath.write_text("accident,exposure\n1,1000\n2\n")
+        code = main(["fit", "taylor-ashe", "--reserves", "cc",
+                     "--exposures", str(epath), "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: line 3: expected 2 fields")
+
 
 class TestBootstrap:
     def test_report_quantiles_and_manifest_seed(self, tmp_path, capsys):

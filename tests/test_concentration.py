@@ -8,31 +8,48 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from runoff.concentration import (
     ConcentrationError,
-    cell_estimate,
     estimate_c,
+    estimate_c_batch,
     estimate_c_from_matrix,
-    partial_proportions,
     sigma_c_squared,
 )
 from runoff.distributions import RngStream
+from runoff.simlab import SimConfig, generate_triangle
 from runoff.triangle import Triangle, bundled_triangle
 
 PATTERN_J5 = (0.45, 0.25, 0.15, 0.10, 0.05)
 
 
 def step_triangle():
-    """5x4 triangle with one zero increment planted in row 2."""
+    """7x4 triangle with one zero increment planted in row 2."""
     cells = {
         (1, 0): 10.0, (1, 1): 6.0, (1, 2): 4.0, (1, 3): 2.0,
         (2, 0): 20.0, (2, 1): 0.0, (2, 2): 8.0, (2, 3): 4.0,
-        (3, 0): 30.0, (3, 1): 15.0, (3, 2): 9.0,
-        (4, 0): 40.0, (4, 1): 20.0,
-        (5, 0): 50.0,
+        (3, 0): 20.0, (3, 1): 10.0, (3, 2): 10.0, (3, 3): 5.0,
+        (4, 0): 12.0, (4, 1): 6.0, (4, 2): 2.0, (4, 3): 1.0,
+        (5, 0): 40.0, (5, 1): 20.0, (5, 2): 10.0,
+        (6, 0): 50.0, (6, 1): 25.0,
+        (7, 0): 60.0,
     }
-    return Triangle(I=5, J=4, kind="amounts", cells=cells)
+    return Triangle.from_cells(7, 4, "amounts", cells)
+
+
+def screening_matrix():
+    """7x5 increments: rows 1-3 are identical through lag 3, with row sums
+    that are powers of two, so horizon 3 has exactly zero variance; at
+    horizon 2 row 4 differs in column 0 only (4/14 == 4/14 in column 1)."""
+    X = np.full((7, 5), np.nan)
+    X[:3] = [8.0, 4.0, 2.0, 2.0, 1.0]
+    X[3, :4] = [9.0, 4.0, 1.0, 1.0]
+    X[4, :3] = [40.0, 20.0, 10.0]
+    X[5, :2] = [50.0, 25.0]
+    X[6, 0] = 60.0
+    return X
 
 
 class TestSigmaCSquared:
@@ -60,44 +77,61 @@ class TestSigmaCSquared:
 
 class TestPartialProportions:
     def test_hand_values_and_skips(self):
-        pp = partial_proportions(step_triangle(), k=2)
-        assert pp.rows == (1,)
-        np.testing.assert_allclose(pp.W, [[0.5, 0.3]])
-        assert pp.skipped == ((2, "non-positive increment"),)
-
-    def test_k_bounds(self):
-        t = step_triangle()
-        with pytest.raises(ConcentrationError, match="horizon"):
-            partial_proportions(t, 0)
-        with pytest.raises(ConcentrationError, match="horizon"):
-            partial_proportions(t, 3)  # J - 2 = 2 is the ceiling
+        # Horizon 2 reads years 1-4; year 2 has a zero increment and is
+        # skipped, leaving proportions (0.5, 0.3), (0.5, 0.25), (0.6, 0.3).
+        est = estimate_c(step_triangle())
+        assert [(c.j, c.k, c.n_k) for c in est.cells] == [(0, 2, 3), (1, 2, 3)]
+        np.testing.assert_allclose([c.pi_hat for c in est.cells], [1.6 / 3, 0.85 / 3])
+        np.testing.assert_allclose([c.c_hat for c in est.cells], [221.0 / 3, 728.0 / 3])
+        assert est.dropped_cells == ()
 
     def test_rows_observe_beyond_lag_k(self):
+        # Horizon k reads years 1..I-k-1 only. Year 6 of taylor-ashe
+        # observes lags 0..4, so changing it moves horizons k <= 3 alone.
         t = bundled_triangle("taylor-ashe")
-        pp = partial_proportions(t, k=4)
-        # Rows must be strictly more developed than the horizon.
-        assert pp.rows == tuple(range(1, t.I - 4))
-        assert pp.W.shape == (len(pp.rows), 4)
-        np.testing.assert_allclose(pp.W.sum(axis=1) <= 1.0, True)
+        X = t.values.copy()
+        X[5, 0] *= 1.5
+        before = {(c.j, c.k): c.c_hat for c in estimate_c(t).cells}
+        after = {(c.j, c.k): c.c_hat for c in estimate_c(Triangle(X)).cells}
+        assert before.keys() == after.keys()
+        assert all((after[key] == before[key]) == (key[1] >= 4) for key in before)
 
 
 class TestCellEstimate:
     def test_hand_value_both_divisors(self):
-        col = np.array([0.2, 0.3, 0.4])
-        assert cell_estimate(col, "unbiased") == pytest.approx(20.0)
-        assert cell_estimate(col, "biased") == pytest.approx(30.5)
+        # Column 0 of horizon 2 holds the proportions 0.2, 0.3, 0.4.
+        X = np.full((6, 4), np.nan)
+        X[:3, :3] = [[2.0, 5.0, 3.0], [3.0, 4.0, 3.0], [4.0, 3.0, 3.0]]
+        unbiased = estimate_c_from_matrix(X, "unbiased").cells[0]
+        biased = estimate_c_from_matrix(X, "biased").cells[0]
+        assert (unbiased.j, unbiased.k) == (biased.j, biased.k) == (0, 2)
+        assert unbiased.c_hat == pytest.approx(20.0)
+        assert biased.c_hat == pytest.approx(30.5)
 
     def test_needs_three_samples(self):
-        with pytest.raises(ConcentrationError, match="at least 3"):
-            cell_estimate(np.array([0.2, 0.3]))
+        X = screening_matrix()
+        X[:3, :4] = [[10.0, 6.0, 4.0, 2.0], [11.0, 5.0, 4.0, 3.0], [9.0, 7.0, 3.0, 0.0]]
+        est = estimate_c_from_matrix(X)
+        assert est.dropped_cells[-3:] == tuple(
+            (j, 3, "only 2 usable rows") for j in range(3))
+        assert [(c.j, c.k, c.n_k) for c in est.cells] == [(0, 2, 4), (1, 2, 4)]
 
     def test_zero_variance_rejected(self):
-        with pytest.raises(ConcentrationError, match="variance"):
-            cell_estimate(np.array([0.3, 0.3, 0.3]))
+        est = estimate_c_from_matrix(screening_matrix())
+        assert [(c.j, c.k) for c in est.cells] == [(0, 2)]
+        assert est.dropped_cells == (
+            (1, 2, "zero sample variance"),
+            (0, 3, "zero sample variance"),
+            (1, 3, "zero sample variance"),
+            (2, 3, "zero sample variance"),
+        )
+        assert est.c_hat == est.cells[0].c_hat == pytest.approx(188.75)
 
     def test_divisor_validated(self):
         with pytest.raises(ConcentrationError, match="divisor"):
-            cell_estimate(np.array([0.2, 0.3, 0.4]), "ml")
+            estimate_c_batch(screening_matrix()[None], "ml")
+        with pytest.raises(ConcentrationError, match="divisor"):
+            estimate_c_from_matrix(screening_matrix(), "ml")
 
 
 class TestEstimateOnBundledTriangles:
@@ -136,12 +170,9 @@ class TestEstimateOnBundledTriangles:
 
     def test_row_scale_invariance(self):
         t = bundled_triangle("taylor-ashe")
-        scaled = dict(t.cells)
-        for j in range(t.J):
-            if (3, j) in scaled:
-                scaled[(3, j)] *= 17.0
-        t17 = Triangle(I=t.I, J=t.J, kind="amounts", cells=scaled)
-        assert estimate_c(t17).c_hat == estimate_c(t).c_hat
+        scaled = t.values.copy()
+        scaled[2] *= 17.0
+        assert estimate_c(Triangle(scaled)).c_hat == estimate_c(t).c_hat
 
     def test_matrix_entrypoint_matches(self):
         t = bundled_triangle("mortgage")
@@ -151,11 +182,32 @@ class TestEstimateOnBundledTriangles:
     def test_matrix_must_be_two_dimensional(self):
         with pytest.raises(ConcentrationError):
             estimate_c_from_matrix(np.ones(12))
+        with pytest.raises(ConcentrationError):
+            estimate_c_batch(np.ones((4, 4)))
+
+    @pytest.mark.parametrize("divisor", ["unbiased", "biased"])
+    def test_batch_is_bit_equal_per_slice(self, divisor):
+        # taylor-ashe and raa share I = J = 10; mortgage is 9 x 9.
+        for names in (("taylor-ashe", "raa"), ("mortgage",)):
+            ts = [bundled_triangle(name) for name in names]
+            batch = estimate_c_batch(np.stack([t.values for t in ts]), divisor)
+            single = [estimate_c(t, divisor).c_hat for t in ts]
+            assert batch.tobytes() == np.array(single).tobytes()
+
+    def test_batch_marks_unestimable_slices_nan(self):
+        X = np.stack([screening_matrix(), np.full((7, 5), 10.0)])
+        c_hat = estimate_c_batch(X)
+        assert c_hat[0] == estimate_c_from_matrix(X[0]).c_hat
+        assert np.isnan(c_hat[1])
+        with pytest.raises(ConcentrationError, match="no usable"):
+            estimate_c_from_matrix(X[1])
+        with pytest.raises(ConcentrationError, match="no estimable horizon"):
+            estimate_c_batch(np.ones((2, 5, 5)))
 
     def test_too_small_triangle(self):
         # I = J = 5 leaves every horizon with fewer than three rows.
         cells = {(i, j): 10.0 for i in range(1, 6) for j in range(5) if i + j <= 5}
-        t = Triangle(I=5, J=5, kind="amounts", cells=cells)
+        t = Triangle.from_cells(5, 5, "amounts", cells)
         with pytest.raises(ConcentrationError, match="no usable"):
             estimate_c(t)
 
@@ -199,3 +251,66 @@ class TestSamplingBehaviour:
     def test_divisor_validated(self):
         with pytest.raises(ConcentrationError, match="divisor"):
             estimate_c(bundled_triangle("raa"), divisor="mle")
+
+
+@st.composite
+def sim_configs(draw):
+    """Generating scenarios whose triangles exercise the screening: Tweedie
+    cells at high dispersion are often exactly zero, and small expected
+    counts leave zero counts in the count hierarchy."""
+    dgp = draw(st.sampled_from(["dirichlet-gamma", "nonstationary", "tweedie",
+                                "count-hierarchy"]))
+    J = draw(st.sampled_from([5, 10]))
+    kw = {"I": draw(st.integers(J if J == 10 else 7, 15)), "J": J, "dgp": dgp,
+          "seed": draw(st.integers(0, 2**31)), "c_true": draw(st.sampled_from([5.0, 50.0, 400.0]))}
+    if dgp == "nonstationary":
+        kw["sigma_delta"] = draw(st.sampled_from([0.01, 0.1]))
+    elif dgp == "tweedie":
+        kw["p"] = draw(st.sampled_from([1.2, 1.5, 1.8]))
+        kw["phi"] = draw(st.sampled_from([2.75, 43.0, 500.0]))
+    elif dgp == "count-hierarchy":
+        kw["mu"] = draw(st.sampled_from([5.0, 40.0, 400.0]))
+    return SimConfig(**kw)
+
+
+def c_hat_or_nan(t, divisor="unbiased"):
+    try:
+        return estimate_c(t, divisor).c_hat
+    except ConcentrationError:
+        return float("nan")
+
+
+class TestEstimatorProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=sim_configs(), M=st.integers(1, 6), divisor=st.sampled_from(["unbiased", "biased"]))
+    def test_batch_equals_estimate_c_per_slice(self, cfg, M, divisor):
+        ts = [generate_triangle(cfg, rep)[0] for rep in range(M)]
+        batch = estimate_c_batch(np.stack([t.values for t in ts]), divisor)
+        single = np.array([c_hat_or_nan(t, divisor) for t in ts])
+        assert np.array_equal(batch, single, equal_nan=True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=sim_configs(), rep=st.integers(0, 50), divisor=st.sampled_from(["unbiased", "biased"]))
+    def test_c_hat_is_np_median_of_the_kept_cells(self, cfg, rep, divisor):
+        t, _ = generate_triangle(cfg, rep)
+        try:
+            est = estimate_c(t, divisor)
+        except ConcentrationError:
+            return
+        assert est.c_hat == float(np.median([cell.c_hat for cell in est.cells]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=sim_configs(), rep=st.integers(0, 50), row=st.integers(0, 14),
+           k=st.integers(-40, 40))
+    def test_scaling_a_row_by_a_power_of_two_keeps_every_bit(self, cfg, rep, row, k):
+        def outcome(t):
+            try:
+                est = estimate_c(t)
+            except ConcentrationError as exc:
+                return str(exc)
+            return est.c_hat, est.cells, est.dropped_cells
+
+        t, _ = generate_triangle(cfg, rep)
+        X = t.values.copy()
+        X[row % t.I] *= 2.0**k
+        assert outcome(Triangle(X)) == outcome(t)

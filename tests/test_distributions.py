@@ -1,4 +1,4 @@
-"""Sampler and closed-form moment checks for the distributions module.
+"""Stream, sampler and closed-form moment checks for the distributions module.
 
 Monte Carlo comparisons run at fixed seeds so every assertion is
 deterministic; tolerances were sized from the sampling error at the
@@ -16,14 +16,7 @@ from runoff.distributions import (
     RngStream,
     beta_central_moments,
     beta_prime_moments,
-    sample_beta,
-    sample_dirichlet,
-    sample_gamma,
-    sample_multinomial,
-    sample_negbin,
-    sample_poisson,
     sample_tweedie,
-    sample_tweedie_cell,
 )
 
 
@@ -61,50 +54,14 @@ class TestRngStream:
             np.testing.assert_array_equal(a, b)
 
 
-class TestGamma:
-    def test_shape_rate_convention(self):
-        # Gamma(k, rate k/m) must have mean m under the rate convention.
-        x = sample_gamma(40.0, 40.0 / 250.0, RngStream(1), n=200_000)
-        assert x.mean() == pytest.approx(250.0, rel=0.01)
-
-    def test_vector_parameters(self):
-        shape = np.array([2.0, 20.0, 200.0])
-        x = sample_gamma(shape, 1.0, RngStream(2))
-        assert x.shape == shape.shape
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            sample_gamma(0.0, 1.0, RngStream(0))
-        with pytest.raises(ValueError):
-            sample_gamma(1.0, -2.0, RngStream(0))
-
-
 class TestBetaAndDirichlet:
-    def test_beta_bounds_and_validation(self):
-        w = sample_beta(2.5, 7.5, RngStream(3), n=10_000)
-        assert np.all((w > 0.0) & (w < 1.0))
-        with pytest.raises(ValueError):
-            sample_beta(-1.0, 2.0, RngStream(0))
-
-    def test_dirichlet_simplex(self):
-        d = sample_dirichlet(np.array([5.0, 3.0, 2.0]), RngStream(4), n=5000)
-        assert d.shape == (5000, 3)
-        np.testing.assert_allclose(d.sum(axis=1), 1.0, atol=1e-12)
-        assert np.all(d > 0.0)
-
-    def test_dirichlet_validation(self):
-        with pytest.raises(ValueError):
-            sample_dirichlet(np.array([1.0]), RngStream(0))
-        with pytest.raises(ValueError):
-            sample_dirichlet(np.array([1.0, 0.0]), RngStream(0))
-
     def test_dirichlet_partial_sum_is_beta(self):
         """Aggregation: the head sum of a Dirichlet(c pi) draw is
         Beta(c F, c (1 - F)); two-sample KS at 1e5 draws."""
         c = 50.0
         pi = np.array([0.45, 0.25, 0.15, 0.10, 0.05])
         F = pi[:3].sum()
-        draws = sample_dirichlet(c * pi, RngStream(11), n=100_000)
+        draws = RngStream(11).generator().dirichlet(c * pi, size=100_000)
         partial = draws[:, :3].sum(axis=1)
         ref = RngStream(12).generator().beta(c * F, c * (1.0 - F), size=100_000)
         assert stats.ks_2samp(partial, ref).pvalue > 1e-3
@@ -112,57 +69,12 @@ class TestBetaAndDirichlet:
     def test_normalised_gammas_are_dirichlet_and_sum_independent(self):
         # Factorisation: iid Gamma(phi) normalised by their sum is
         # Dirichlet(phi, ..., phi), independent of the sum.
-        G = sample_gamma(np.full((100_000, 5), 2.0), 1.0, RngStream(13))
+        G = RngStream(13).generator().gamma(2.0, size=(100_000, 5))
         S = G.sum(axis=1)
         W = G / S[:, None]
-        ref = sample_dirichlet(np.full(5, 2.0), RngStream(14), n=100_000)
+        ref = RngStream(14).generator().dirichlet(np.full(5, 2.0), size=100_000)
         assert stats.ks_2samp(W[:, 0], ref[:, 0]).pvalue > 1e-3
         assert abs(np.corrcoef(S, W[:, 0])[0, 1]) < 0.015
-
-
-class TestCounts:
-    def test_poisson_validation(self):
-        with pytest.raises(ValueError):
-            sample_poisson(-1.0, RngStream(0))
-        with pytest.raises(ValueError):
-            sample_poisson(float("inf"), RngStream(0))
-
-    def test_negbin_moments(self):
-        r, p = 7.5, 0.3
-        x = sample_negbin(r, p, RngStream(5), n=200_000)
-        assert x.mean() == pytest.approx(r * (1 - p) / p, rel=0.02)
-        assert x.var(ddof=1) == pytest.approx(r * (1 - p) / p**2, rel=0.03)
-
-    def test_negbin_real_valued_shape(self):
-        x = sample_negbin(0.4, 0.6, RngStream(6), n=50_000)
-        assert x.dtype == np.int64
-        assert x.min() >= 0
-
-    def test_negbin_degenerate_edges(self):
-        assert sample_negbin(0.0, 0.5, RngStream(0)) == 0
-        np.testing.assert_array_equal(
-            sample_negbin(3.0, 1.0, RngStream(0), n=4), np.zeros(4)
-        )
-
-    def test_negbin_scalar_when_n_omitted(self):
-        v = sample_negbin(5.0, 0.5, RngStream(7))
-        assert np.ndim(v) == 0
-
-    def test_negbin_validation(self):
-        with pytest.raises(ValueError):
-            sample_negbin(-1.0, 0.5, RngStream(0))
-        with pytest.raises(ValueError):
-            sample_negbin(1.0, 0.0, RngStream(0))
-
-    def test_multinomial(self):
-        p = np.array([0.5, 0.3, 0.2])
-        x = sample_multinomial(100, p, RngStream(8), n=200)
-        assert x.shape == (200, 3)
-        np.testing.assert_array_equal(x.sum(axis=1), 100)
-        with pytest.raises(ValueError):
-            sample_multinomial(-1, p, RngStream(0))
-        with pytest.raises(ValueError):
-            sample_multinomial(10, np.array([0.5, 0.4]), RngStream(0))
 
 
 class TestTweedie:
@@ -185,10 +97,6 @@ class TestTweedie:
     def test_zero_mean_is_exact_zero(self):
         x = sample_tweedie(np.array([0.0, 5.0]), 1.0, 1.5, RngStream(0))
         assert x[0] == 0.0
-
-    def test_cell_helper_returns_float(self):
-        v = sample_tweedie_cell(100.0, 2.0, 1.5, RngStream(20))
-        assert isinstance(v, float)
 
     def test_validation(self):
         nu = np.array([1.0])

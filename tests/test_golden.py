@@ -1,5 +1,5 @@
-"""Golden digests: SHA-256 of the bytes `runoff bootstrap` and `runoff
-simulate` write for fixed seeds.
+"""Golden digests: SHA-256 of the bytes `runoff fit`, `runoff bootstrap`
+and `runoff simulate` write for fixed seeds.
 
 A change that moves a digest changes behaviour, not speed, and must say
 why. The digests were taken with numpy 2.4.6 on Python 3.11.7; numpy's
@@ -7,8 +7,10 @@ Beta sampler is not guaranteed stable across numpy versions, so on
 another numpy a mismatch may come from numpy rather than from runoff.
 B = 1000 draws the accident years one after another; B = 50 000 and
 above draws them on a thread pool, whose output must not differ. The
-`simulate` digests pin the interval scoring of the coverage studies,
-and the `odp_bootstrap` digests pin the ODP residual bootstrap's draws
+`fit` digests pin every concentration cell (c_hat, pi_hat, n_k) and
+every dropped-cell reason, the `simulate` digests pin the interval
+scoring of the coverage studies (the count-hierarchy case is the only
+counts-kind path), and the `odp_bootstrap` digests pin the ODP residual bootstrap's draws
 bit for bit, redraws included.
 """
 from __future__ import annotations
@@ -21,6 +23,16 @@ import pytest
 from runoff.cli import main
 from runoff.odp import odp_bootstrap, odp_fit
 from runoff.triangle import bundled_triangle
+
+# (triangle, divisor) -> SHA-256 of the `fit` JSON report.
+FIT_REPORTS = {
+    ("taylor-ashe", "unbiased"): "918537993db63040f53cb5ae39829143765236cc2e8912eddcc8866609a46b98",
+    ("taylor-ashe", "biased"): "c00c29f7c5beb27fb4d641d4a50f822b5b549717eb029a01a580d34b5924a713",
+    ("raa", "unbiased"): "e72bbef9adffc29346daa7eab2af874538d6a366bc18255c8af73f134bf7af42",
+    ("raa", "biased"): "50c9265740240e28f9294cf238e78bad2fc6b629599af3fd12f1500a5e94150b",
+    ("mortgage", "unbiased"): "2c00c4247f23f929e8d65dbc1546a0feeab3d98c6fd7c8d3fe759dc742d09971",
+    ("mortgage", "biased"): "7547347d09b2f6c3f38c0a1c355f726f5fb56c295bf3868e972e2b3fd069d56b",
+}
 
 REPORTS = {
     "cl-b1000": (["taylor-ashe", "--B", "1000", "--seed", "11"],
@@ -57,6 +69,10 @@ STUDIES = {
         "csv": "01271a32e853e85ebdbb4cc9d36274eed93b8d2f0f2b130593e308c9172d2b9c",
         "json": "6c8166c076db4a674b0989e3a2d80fc258152ec7b95f3fc3508cd2d77839ca4a",
     }),
+    "count-hierarchy": ("correct", ["--dgp", "count-hierarchy", "--M", "20", "--seed", "25"], {
+        "csv": "d743a6a46a2b71b779530a43df962a00014faacd3103bbd7e882f8d3d56258a1",
+        "json": "65ee591817522d8425b70d0e406886fae2b66280c36cd3503a98aecb0bdc1426",
+    }),
     "compare-odp-threads2": ("compare-odp", ["--M", "4", "--threads", "2", "--seed", "24"], {
         "csv": "5b4ffb7b1e5ea8b2064cde8917b86b00565d5314f6c101bf74d0aacb8f61c1fd",
         "json": "e113640b007c0c8da152b1a760753204d3f84ff87db41d306e4961ab5de529b0",
@@ -82,6 +98,12 @@ ODP_DRAWS = {
 
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name,divisor", sorted(FIT_REPORTS))
+def test_fit_report_digest(tmp_path, name, divisor):
+    assert main(["fit", name, "--divisor", divisor, "--out-dir", str(tmp_path)]) == 0
+    assert sha256(tmp_path / "runoff_fit.json") == FIT_REPORTS[(name, divisor)]
 
 
 @pytest.mark.parametrize("case", sorted(REPORTS))

@@ -25,7 +25,7 @@ def proportional_triangle():
         for j in range(3):
             if i + j <= 4:
                 cells[(i, j)] = scale * base[j]
-    return Triangle(I=4, J=3, kind="amounts", cells=cells)
+    return Triangle.from_cells(4, 3, "amounts", cells)
 
 
 class TestFit:
@@ -68,13 +68,12 @@ class TestFit:
         assert np.array_equal(odp_fit(t).pattern_F(), chain_ladder_pattern(t).F)
 
     def test_saturated_triangle_rejected(self):
-        t = Triangle(I=2, J=2, kind="amounts",
-                     cells={(1, 0): 4.0, (1, 1): 2.0, (2, 0): 8.0})
+        t = Triangle.from_cells(2, 2, "amounts", {(1, 0): 4.0, (1, 1): 2.0, (2, 0): 8.0})
         with pytest.raises(OdpError, match="saturated"):
             odp_fit(t)
 
     def test_negative_fitted_rejected(self):
-        t = Triangle(I=3, J=2, kind="amounts", cells={
+        t = Triangle.from_cells(3, 2, "amounts", {
             (1, 0): 100.0, (1, 1): -90.0,
             (2, 0): 100.0, (2, 1): -90.0,
             (3, 0): 100.0,
@@ -142,7 +141,7 @@ class TestContrastWithConditionalBootstrap:
         cells = dict(t.cells)
         cells[(1, 3)], cells[(1, 4)] = cells[(1, 4)], cells[(1, 3)]
         assert cells[(1, 3)] != t.cells[(1, 3)]
-        t2 = Triangle(I=t.I, J=t.J, kind="amounts", cells=cells)
+        t2 = Triangle.from_cells(t.I, t.J, "amounts", cells)
 
         odp_a = odp_bootstrap(odp_fit(t), 200, seed=4)
         odp_b = odp_bootstrap(odp_fit(t2), 200, seed=4)

@@ -27,7 +27,7 @@ def hand_triangle():
         (2, 0): 20.0, (2, 1): 12.0,
         (3, 0): 30.0,
     }
-    return Triangle(I=3, J=3, kind="amounts", cells=cells)
+    return Triangle.from_cells(3, 3, "amounts", cells)
 
 
 def classical_chain_ladder(t: Triangle) -> np.ndarray:
@@ -56,13 +56,11 @@ class TestLinkRatios:
         np.testing.assert_allclose(f, [1.6, 1.25])
 
     def test_two_by_two(self):
-        t = Triangle(I=2, J=2, kind="amounts",
-                     cells={(1, 0): 4.0, (1, 1): 2.0, (2, 0): 8.0})
+        t = Triangle.from_cells(2, 2, "amounts", {(1, 0): 4.0, (1, 1): 2.0, (2, 0): 8.0})
         np.testing.assert_allclose(link_ratios(t), [1.5])
 
     def test_non_positive_column_sum(self):
-        t = Triangle(I=2, J=2, kind="amounts",
-                     cells={(1, 0): 4.0, (1, 1): -4.0, (2, 0): 8.0})
+        t = Triangle.from_cells(2, 2, "amounts", {(1, 0): 4.0, (1, 1): -4.0, (2, 0): 8.0})
         with pytest.raises(PatternError, match="non-positive cumulative"):
             link_ratios(t)
 
@@ -90,7 +88,7 @@ class TestChainLadderPattern:
             (2, 0): 20.0, (2, 1): -10.0,
             (3, 0): 30.0,
         }
-        t = Triangle(I=3, J=3, kind="amounts", cells=cells)
+        t = Triangle.from_cells(3, 3, "amounts", cells)
         with pytest.warns(UserWarning, match="floored"):
             p = chain_ladder_pattern(t)
         assert abs(p.pi.sum() - 1.0) < 1e-12

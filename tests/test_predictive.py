@@ -43,13 +43,13 @@ class TestConditioning:
     def test_only_the_diagonal_matters(self):
         # Two triangles with different interiors but the same row totals
         # and lags produce bit-identical predictive distributions.
-        a = Triangle(I=4, J=3, kind="amounts", cells={
+        a = Triangle.from_cells(4, 3, "amounts", {
             (1, 0): 10.0, (1, 1): 6.0, (1, 2): 4.0,
             (2, 0): 18.0, (2, 1): 8.0, (2, 2): 6.0,
             (3, 0): 25.0, (3, 1): 15.0,
             (4, 0): 50.0,
         })
-        b = Triangle(I=4, J=3, kind="amounts", cells={
+        b = Triangle.from_cells(4, 3, "amounts", {
             (1, 0): 12.0, (1, 1): 5.0, (1, 2): 3.0,
             (2, 0): 20.0, (2, 1): 7.0, (2, 2): 5.0,
             (3, 0): 30.0, (3, 1): 10.0,
@@ -334,10 +334,15 @@ class TestQuantileKernel:
     def test_matches_np_quantile_bit_for_bit(self, x, probs):
         x = x + 0.0
         before = x.copy()
-        # Differences of opposite-sign extremes overflow in both the same way.
         with np.errstate(all="ignore"):
-            got = _quantiles(x, probs)
             want = np.quantile(x, probs)
+        if not np.isfinite(want).all():
+            # Differences of opposite-sign extremes overflow; np.quantile
+            # returns inf where the kernel raises.
+            with pytest.raises(PredictiveError, match="overflows"):
+                _quantiles(x, probs)
+            return
+        got = _quantiles(x, probs)
         assert got.tobytes() == want.tobytes()
         assert x.tobytes() == before.tobytes()  # the draws keep their order
 
@@ -346,8 +351,12 @@ class TestQuantileKernel:
     def test_matches_np_percentile_of_the_summary(self, x):
         x = x + 0.0
         with np.errstate(all="ignore"):
-            got = _quantiles(x, predictive._SUMMARY_PROBS)
             want = np.percentile(x, [5, 25, 50, 75, 95])
+        if not np.isfinite(want).all():
+            with pytest.raises(PredictiveError, match="overflows"):
+                _quantiles(x, predictive._SUMMARY_PROBS)
+            return
+        got = _quantiles(x, predictive._SUMMARY_PROBS)
         assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=50, deadline=None)
@@ -364,6 +373,19 @@ class TestQuantileKernel:
         x = np.insert(x, where % (x.size + 1), bad)
         with pytest.raises(PredictiveError, match="non-finite"):
             _quantiles(x, predictive._SUMMARY_PROBS)
+
+    def test_quantile_overflow_is_an_error_not_a_warning(self):
+        # Finite draws whose extremes have opposite signs near the float
+        # limit: b - a overflows, and np.quantile's median would be -inf.
+        x = np.array([-1.7e308, 1.7e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PredictiveError, match="quantile .* overflows"):
+                _quantiles(x, np.array([0.5]))
+            # Extremes whose difference stays finite keep np.quantile's bits.
+            y = np.array([-1.0e308, 0.5e308])
+            probs = predictive._SUMMARY_PROBS
+            assert _quantiles(y, probs).tobytes() == np.quantile(y, probs).tobytes()
 
     def test_summary_overflow_is_an_error_not_a_warning(self):
         # Every draw and the total stay finite (about 5e307), but the mean's
@@ -438,7 +460,7 @@ class TestNegbinIbnr:
         none_seen = negbin_ibnr(0, 0.5, float("inf"))
         assert none_seen.mean == 0.0 and none_seen.variance == 0.0
         g = RngStream(1).generator()
-        assert np.all(fully.sample(g, 50) == 0)
+        assert np.all(g.negative_binomial(fully.r, fully.p, 50) == 0)
 
     def test_validation(self):
         with pytest.raises(PredictiveError):
@@ -453,12 +475,12 @@ class TestNegbinIbnr:
             negbin_ibnr(80, 0.5, 40.0)  # finite frailty without mu
 
     def test_sampling_moments_and_reproducibility(self):
-        d = negbin_ibnr(80, 0.8, float("inf"))
-        x1 = d.sample(RngStream(9, 4), 100_000)
-        x2 = d.sample(RngStream(9, 4), 100_000)
-        assert np.array_equal(x1, x2)
-        se_mean = np.sqrt(d.variance / x1.size)
-        assert abs(x1.mean() - d.mean) < 4.0 * se_mean
-        assert x1.var(ddof=1) == pytest.approx(d.variance, rel=0.05)
-        assert np.isscalar(d.sample(RngStream(9, 5)) * 1.0) or np.ndim(
-            d.sample(RngStream(9, 5))) == 0
+        # numpy's negative_binomial(r, p) draws the law negbin_ibnr names,
+        # with its mean and variance; a frailty gives a real-valued r.
+        for d in (negbin_ibnr(80, 0.8, float("inf")), negbin_ibnr(80, 0.8, 40.5, mu=100.0)):
+            x1 = RngStream(9, 4).generator().negative_binomial(d.r, d.p, 100_000)
+            x2 = RngStream(9, 4).generator().negative_binomial(d.r, d.p, 100_000)
+            assert np.array_equal(x1, x2)
+            se_mean = np.sqrt(d.variance / x1.size)
+            assert abs(x1.mean() - d.mean) < 4.0 * se_mean
+            assert x1.var(ddof=1) == pytest.approx(d.variance, rel=0.05)

@@ -2,10 +2,13 @@
 from __future__ import annotations
 
 import io
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from runoff.simlab import SimConfig, generate_triangle
 from runoff.triangle import (
@@ -28,7 +31,7 @@ def small_triangle(kind="amounts"):
         (2, 0): 20.0, (2, 1): 12.0,
         (3, 0): 30.0,
     }
-    return Triangle(I=3, J=3, kind=kind, cells=cells)
+    return Triangle.from_cells(3, 3, kind, cells)
 
 
 class TestConstruction:
@@ -45,55 +48,54 @@ class TestConstruction:
     def test_missing_observed_cell(self):
         cells = {(1, 0): 1.0, (2, 0): 2.0}
         with pytest.raises(TriangleError, match="missing observed cell"):
-            Triangle(I=3, J=3, kind="amounts", cells=cells)
+            Triangle.from_cells(3, 3, "amounts", cells)
 
     def test_future_cell_rejected(self):
         cells = dict(small_triangle().cells)
         cells[(3, 1)] = 5.0
         with pytest.raises(TriangleError, match="future cell"):
-            Triangle(I=3, J=3, kind="amounts", cells=cells)
+            Triangle.from_cells(3, 3, "amounts", cells)
 
     def test_index_outside_grid(self):
         cells = dict(small_triangle().cells)
         cells[(0, 0)] = 1.0
         with pytest.raises(TriangleError, match="outside the triangle grid"):
-            Triangle(I=3, J=3, kind="amounts", cells=cells)
+            Triangle.from_cells(3, 3, "amounts", cells)
 
     def test_non_finite_value(self):
         cells = dict(small_triangle().cells)
         cells[(1, 0)] = float("nan")
         with pytest.raises(TriangleError, match="non-finite"):
-            Triangle(I=3, J=3, kind="amounts", cells=cells)
+            Triangle.from_cells(3, 3, "amounts", cells)
 
     def test_minimum_dimensions(self):
         with pytest.raises(TriangleError):
-            Triangle(I=1, J=3, kind="amounts", cells={})
+            Triangle.from_cells(1, 3, "amounts", {})
         with pytest.raises(TriangleError):
-            Triangle(I=3, J=1, kind="amounts", cells={})
+            Triangle.from_cells(3, 1, "amounts", {})
 
     def test_kind_checked(self):
         with pytest.raises(TriangleError, match="kind"):
-            Triangle(I=3, J=3, kind="losses", cells=dict(small_triangle().cells))
+            Triangle.from_cells(3, 3, "losses", dict(small_triangle().cells))
 
     def test_counts_must_be_non_negative_integers(self):
         cells = dict(small_triangle().cells)
         cells[(1, 1)] = 6.5
         with pytest.raises(TriangleError, match="non-negative integers"):
-            Triangle(I=3, J=3, kind="counts", cells=cells)
+            Triangle.from_cells(3, 3, "counts", cells)
         cells[(1, 1)] = -2.0
         with pytest.raises(TriangleError):
-            Triangle(I=3, J=3, kind="counts", cells=cells)
+            Triangle.from_cells(3, 3, "counts", cells)
 
     def test_negative_amounts_are_stored(self):
         cells = dict(small_triangle().cells)
         cells[(1, 1)] = -6.0
-        t = Triangle(I=3, J=3, kind="amounts", cells=cells)
+        t = Triangle.from_cells(3, 3, "amounts", cells)
         assert t.cells[(1, 1)] == -6.0
 
     def test_exposures_length_checked(self):
         with pytest.raises(TriangleError, match="exposures"):
-            Triangle(I=3, J=3, kind="amounts", cells=dict(small_triangle().cells),
-                     exposures=(1.0, 2.0))
+            Triangle.from_cells(3, 3, "amounts", dict(small_triangle().cells), (1.0, 2.0))
 
     def test_with_exposures(self):
         t = small_triangle().with_exposures([1, 2, 3])
@@ -120,6 +122,16 @@ class TestAccessors:
         assert d.observed == (20.0, 32.0, 30.0)
         assert d.dev_lag == (2, 1, 0)
 
+    def test_latest_diagonal_sums_each_row_as_one_vector(self):
+        # Rows of 8 or more cells reach numpy's pairwise blocks, so the
+        # summation order shows in the last bits.
+        pi = tuple(np.full(20, 0.05))
+        for rep in range(3):
+            t, _ = generate_triangle(SimConfig(I=20, J=20, pi_true=pi, seed=41), rep)
+            want = tuple(float(np.array([t.cells[(i, j)] for j in range(t.last_lag(i) + 1)]).sum())
+                         for i in range(1, t.I + 1))
+            assert latest_diagonal(t).observed == want
+
     def test_observed_region_closure(self):
         # Every stored cell satisfies i + j <= I; nothing else exists.
         for rep in range(3):
@@ -143,14 +155,14 @@ class TestCumulateDecumulate:
 
     def test_decumulate_warns_on_decreasing_amounts(self):
         cells = {(1, 0): 10.0, (1, 1): 8.0, (2, 0): 5.0}
-        cum = Triangle(I=2, J=2, kind="amounts", cells=cells)
+        cum = Triangle.from_cells(2, 2, "amounts", cells)
         with pytest.warns(UserWarning, match="negative increments"):
             inc = decumulate(cum)
         assert inc.cells[(1, 1)] == -2.0
 
     def test_decumulate_rejects_decreasing_counts(self):
         cells = {(1, 0): 10.0, (1, 1): 8.0, (2, 0): 5.0}
-        cum = Triangle(I=2, J=2, kind="counts", cells=cells)
+        cum = Triangle.from_cells(2, 2, "counts", cells)
         with pytest.raises(TriangleError, match="non-decreasing"):
             decumulate(cum)
 
@@ -299,3 +311,64 @@ class TestBundled:
         # triangle with decreases; downstream estimators must tolerate it.
         t = bundled_triangle("raa")
         assert min(t.cells.values()) < 0.0
+
+
+@st.composite
+def triangles(draw, kind="amounts"):
+    """Triangles with I in 2..12 and J in 2..I (a loader infers J from the
+    largest lag, so J <= I); amounts are any floats of magnitude below
+    1e300, zeros and negatives included, and counts are below 1e6."""
+    I = draw(st.integers(2, 12))
+    J = draw(st.integers(2, I))
+    if kind == "counts":
+        values = st.integers(0, 10**6).map(float)
+    else:
+        values = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+    X = np.full((I, J), np.nan)
+    for i in range(I):
+        for j in range(min(J, I - i)):
+            X[i, j] = draw(values)
+    return Triangle(X, kind)
+
+
+class TestArrayProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(t=triangles())
+    def test_long_and_wide_loaders_round_trip_values(self, t):
+        long = "accident,lag,value\n" + "".join(
+            f"{i},{j},{v!r}\n" for (i, j), v in t.cells.items())
+        wide = "accident," + ",".join(f"lag{j}" for j in range(t.J)) + "\n" + "".join(
+            f"{i}," + ",".join(repr(float(v)) for v in t.row(i)) + "\n" for i in range(1, t.I + 1))
+        for text, fmt in ((long, "long"), (wide, "wide")):
+            back = load_triangle(io.StringIO(text), format=fmt)
+            assert np.array_equal(back.values, t.values, equal_nan=True)
+
+    @settings(max_examples=100, deadline=None)
+    @given(t=triangles("counts"))
+    def test_decumulate_inverts_cumulate_exactly_on_counts(self, t):
+        back = decumulate(cumulate(t))
+        assert back.kind == "counts"
+        assert np.array_equal(back.values, t.values, equal_nan=True)
+
+    @settings(max_examples=100, deadline=None)
+    @given(t=triangles())
+    def test_decumulate_inverts_cumulate_within_rounding_on_amounts(self, t):
+        # Not bit-exact: (0.1 + 0.2) - 0.1 != 0.2.
+        cum = cumulate(t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # negative increments
+            back = decumulate(cum)
+        tol = 4 * np.finfo(float).eps * np.nanmax(np.abs(cum.values), axis=1, keepdims=True)
+        observed = ~np.isnan(t.values)
+        assert np.array_equal(np.isnan(back.values), ~observed)
+        assert np.all(np.abs(back.values - t.values)[observed] <= np.broadcast_to(tol, t.values.shape)[observed])
+
+    def test_values_are_read_only_and_copied(self):
+        X = small_triangle().to_matrix().copy()
+        t = Triangle(X)
+        X[0, 0] = 99.0
+        assert t.values[0, 0] == 10.0
+        with pytest.raises(ValueError):
+            t.values[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            t.row(1)[0] = 1.0
