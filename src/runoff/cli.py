@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +62,6 @@ from .triangle import (
     load_triangle,
 )
 
-_STUDIES = ("correct", "nonstat", "tweedie", "grid", "sigma-c", "conservatism", "compare-odp")
 _ERRORS = (
     TriangleError,
     PatternError,
@@ -171,7 +170,10 @@ def _float_list(text: str) -> tuple[float, ...]:
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in _float_list(text))
+    try:
+        return tuple(int(x) for x in _float_list(text))
+    except OverflowError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------- fit
@@ -429,27 +431,34 @@ def _dump_draws(path: Path, dist: ReserveDistribution) -> None:
 # ----------------------------------------------------------- simulate
 
 
-# The coverage studies: SimConfig defaults plus these fields.
-_STUDY_FIELDS: dict[str, dict] = {
-    "correct": {},
-    "nonstat": {"dgp": "nonstationary"},
-    "tweedie": {"dgp": "tweedie"},
-    "compare-odp": {"J": 10},
+# study -> (the simlab function that runs it, the flags it takes as keyword
+# arguments, and for a coverage study the SimConfig fields it sets on top
+# of the defaults). A flag is passed only when set, so every default lives
+# in the function's signature. The function is looked up in this module
+# when the study runs, so a wrapper patched onto runoff.cli.<name> is the
+# one called.
+_STUDIES: dict[str, tuple[str, tuple[str, ...], dict | None]] = {
+    "correct": ("run_coverage_study", ("method",), {}),
+    "nonstat": ("nonstationarity_sweep", ("sigma_values",), {"dgp": "nonstationary"}),
+    "tweedie": ("tweedie_sweep", ("p_values", "phi_values"), {"dgp": "tweedie"}),
+    "grid": ("sensitivity_grid", ("c_list", "I_list", "J_list", "M", "B", "threads"), None),
+    "sigma-c": ("verify_sigma_c", ("c_values", "I", "M", "divisor"), None),
+    "conservatism": ("verify_conservatism", ("F_values", "nu", "phi", "M"), None),
+    "compare-odp": ("compare_odp", (), {"J": 10}),
 }
 
-_SIM_OVERRIDE_FLAGS = (
-    "I", "J", "c_true", "M", "B", "dgp", "sigma_delta", "p", "phi",
-    "kappa", "mu", "inclusion_threshold", "threads",
-)
+
+def _set_flags(args, names) -> dict:
+    return {k: getattr(args, k) for k in names if getattr(args, k, None) is not None}
 
 
-def _build_sim_config(args, seed: int) -> SimConfig:
-    overrides = {k: getattr(args, k) for k in _SIM_OVERRIDE_FLAGS
-                 if getattr(args, k, None) is not None}
+def _build_sim_config(args, base: dict, seed: int) -> SimConfig:
+    # Every SimConfig field the simulate parser defines is an override flag.
+    overrides = _set_flags(args, [f.name for f in fields(SimConfig)])
     overrides["seed"] = seed
     if args.config:
         return load_sim_config(args.config, **overrides)
-    return SimConfig(**{**_STUDY_FIELDS[args.study], **overrides})
+    return SimConfig(**{**base, **overrides})
 
 
 def _strip_timing(report: SimulationReport) -> SimulationReport:
@@ -461,49 +470,18 @@ def _strip_timing(report: SimulationReport) -> SimulationReport:
 def cmd_simulate(args) -> int:
     started = time.perf_counter()
     seed, seed_generated = _resolve_seed(args.seed)
+    name, flags, base = _STUDIES[args.study]
     digests: dict[str, str] = {}
     if args.config:
-        if args.study not in _STUDY_FIELDS:
+        if base is None:
             raise SimulationError(f"--config applies to coverage studies, not {args.study!r}")
         digests[str(args.config)] = _sha256(Path(args.config))
 
-    if args.study in _STUDY_FIELDS:
-        cfg = _build_sim_config(args, seed)
-        if args.study == "correct":
-            report = run_coverage_study(cfg, method=args.method)
-        elif args.study == "nonstat":
-            report = nonstationarity_sweep(cfg, args.sigma_grid)
-        elif args.study == "tweedie":
-            report = tweedie_sweep(cfg, args.p_grid, phi_values=args.phi_grid)
-        else:
-            report = compare_odp(cfg)
-        params = asdict(cfg)
-    elif args.study == "grid":
-        M = args.M if args.M is not None else 500
-        B = args.B if args.B is not None else 500
-        report = sensitivity_grid(
-            args.grid_c, args.grid_i, args.grid_j, M=M, B=B, seed=seed,
-            threads=args.threads or 1,
-        )
-        params = dict(report.config)
-    elif args.study == "sigma-c":
-        report = verify_sigma_c(
-            args.c_values,
-            I=args.I if args.I is not None else 100,
-            M=args.M if args.M is not None else 10_000,
-            seed=seed,
-            divisor=args.divisor,
-        )
-        params = dict(report.config)
+    study = globals()[name]
+    if base is None:
+        report = study(seed=seed, **_set_flags(args, flags))
     else:
-        report = verify_conservatism(
-            args.F_values,
-            nu=args.nu,
-            phi=args.phi if args.phi is not None else 100.0,
-            M=args.M if args.M is not None else 2000,
-            seed=seed,
-        )
-        params = dict(report.config)
+        report = study(_build_sim_config(args, base, seed), **_set_flags(args, flags))
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -515,7 +493,7 @@ def cmd_simulate(args) -> int:
     artifact.write_json(json_path)
     manifest = _manifest(
         f"simulate --study {args.study}",
-        {**params, "study": args.study, "threads": args.threads},
+        {**report.config, "study": args.study, "threads": args.threads},
         seed=seed,
         seed_generated=seed_generated,
         inputs=digests,
@@ -585,10 +563,10 @@ def build_parser() -> argparse.ArgumentParser:
     boot.set_defaults(func=cmd_bootstrap)
 
     sim = sub.add_parser("simulate", help="Monte Carlo studies and verifications")
-    sim.add_argument("--study", choices=_STUDIES, required=True)
+    sim.add_argument("--study", choices=tuple(_STUDIES), required=True)
     sim.add_argument("--config", default=None,
                      help="key=value file mirroring simulation config fields")
-    sim.add_argument("--method", choices=("multinomial", "odp"), default="multinomial",
+    sim.add_argument("--method", choices=("multinomial", "odp"), default=None,
                      help="bootstrap used by the correct-specification study")
     sim.add_argument("--I", type=int, default=None, dest="I")
     sim.add_argument("--J", type=int, default=None, dest="J")
@@ -606,23 +584,26 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--inclusion-threshold", type=float, default=None,
                      dest="inclusion_threshold")
     sim.add_argument("--threads", type=_positive_int, default=None)
-    sim.add_argument("--sigma-grid", type=_float_list, default=(0.0, 0.02, 0.05, 0.10),
-                     dest="sigma_grid", help="nonstat study: perturbation variances")
-    sim.add_argument("--p-grid", type=_float_list, default=(1.3, 1.5, 1.8), dest="p_grid")
-    sim.add_argument("--phi-grid", type=_float_list, default=None, dest="phi_grid",
+    # Each list flag's dest is the name of the study argument it sets.
+    sim.add_argument("--sigma-grid", type=_float_list, dest="sigma_values",
+                     metavar="SIGMA_GRID", help="nonstat study: perturbation variances")
+    sim.add_argument("--p-grid", type=_float_list, dest="p_values", metavar="P_GRID")
+    sim.add_argument("--phi-grid", type=_float_list, dest="phi_values", metavar="PHI_GRID",
                      help="tweedie study: per-power dispersions aligned with "
                           "--p-grid (default: calibrated table)")
     sim.add_argument("--grid-c", type=_float_list, default=(10, 20, 30, 50, 100, 200),
-                     dest="grid_c")
-    sim.add_argument("--grid-i", type=_int_list, default=(7, 10, 15), dest="grid_i")
-    sim.add_argument("--grid-j", type=_int_list, default=(5, 10), dest="grid_j")
+                     dest="c_list", metavar="GRID_C")
+    sim.add_argument("--grid-i", type=_int_list, default=(7, 10, 15), dest="I_list",
+                     metavar="GRID_I")
+    sim.add_argument("--grid-j", type=_int_list, default=(5, 10), dest="J_list",
+                     metavar="GRID_J")
     sim.add_argument("--c-values", type=_float_list, default=(20.0, 50.0, 100.0),
                      dest="c_values", help="sigma-c study: concentrations to verify")
     sim.add_argument("--F-values", type=_float_list, default=(0.1, 0.5, 0.8),
                      dest="F_values", help="conservatism study: development fractions")
-    sim.add_argument("--nu", type=float, default=1e6,
+    sim.add_argument("--nu", type=float, default=None,
                      help="conservatism study: cell mean")
-    sim.add_argument("--divisor", choices=("unbiased", "biased"), default="unbiased")
+    sim.add_argument("--divisor", choices=("unbiased", "biased"), default=None)
     sim.add_argument("--out-dir", default=".", dest="out_dir")
     sim.add_argument("--stem", default=None)
     sim.set_defaults(func=cmd_simulate)

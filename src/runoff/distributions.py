@@ -51,43 +51,9 @@ class RngStream:
         )
 
 
-class BetaMoments(NamedTuple):
-    mu2: float
-    mu3: float
-    mu4_minus_mu2sq: float
-
-
 class BetaPrimeMoments(NamedTuple):
     mean: float | None
     variance: float | None
-
-
-def beta_central_moments(pi: float, c: float) -> BetaMoments:
-    """Central moments of Beta(c*pi, c*(1-pi)).
-
-    Returns the variance, the third central moment, and the fourth
-    central moment minus the squared variance. The fourth-moment term
-    comes from the standard Beta excess-kurtosis identity,
-
-        mu4 - mu2^2 = 2u [u (c^2 - 10c - 12) + 3(c + 1)]
-                      / ((c+1)^2 (c+2) (c+3)),   u = pi (1 - pi),
-
-    which reduces to 1/180 in the uniform case (pi = 1/2, c = 2).
-    """
-    if not 0.0 < pi < 1.0:
-        raise ValueError(f"pi must lie in (0, 1), got {pi}")
-    if c <= 0.0:
-        raise ValueError(f"c must be positive, got {c}")
-    u = pi * (1.0 - pi)
-    mu2 = u / (c + 1.0)
-    mu3 = 2.0 * u * (1.0 - 2.0 * pi) / ((c + 1.0) * (c + 2.0))
-    mu4_m = (
-        2.0
-        * u
-        * (u * (c * c - 10.0 * c - 12.0) + 3.0 * (c + 1.0))
-        / ((c + 1.0) ** 2 * (c + 2.0) * (c + 3.0))
-    )
-    return BetaMoments(mu2, mu3, mu4_m)
 
 
 def beta_prime_moments(c: float, F: float) -> BetaPrimeMoments:

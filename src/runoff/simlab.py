@@ -115,6 +115,10 @@ class SimConfig:
     threads: int = 1
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise SimulationError(f"{f.name} must be finite, got {value}")
         if self.I < 3 or self.J < 2:
             raise SimulationError(f"triangle dimensions too small: I={self.I}, J={self.J}")
         if self.pi_true is None:
@@ -128,7 +132,7 @@ class SimConfig:
         object.__setattr__(self, "pi_true", pi)
         if len(pi) != self.J:
             raise SimulationError(f"pi_true has {len(pi)} entries for J={self.J}")
-        if min(pi) <= 0.0 or abs(sum(pi) - 1.0) > 1e-12:
+        if min(pi) <= 0.0 or not abs(sum(pi) - 1.0) <= 1e-12:
             raise SimulationError("pi_true must be strictly positive and sum to one")
         if self.c_true <= 0.0:
             raise SimulationError(f"c_true must be positive, got {self.c_true}")
@@ -190,7 +194,7 @@ class SimulationReport:
             "rows": self.rows,
         }
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump(payload, fh, indent=2, allow_nan=False)
             fh.write("\n")
 
     def format_text(self) -> str:
@@ -287,14 +291,11 @@ def _replicate(cfg: SimConfig, rep: int, methods: tuple[str, ...]) -> dict[str, 
     The triangle is generated, and the CL point and c-hat estimated, once
     for all methods. If the concentration estimator fails, the
     multinomial result is that failure and the ODP result carries
-    c_hat = NaN. Each result's "seconds" is the shared work plus the
-    method's own.
+    c_hat = NaN.
     """
-    start = time.perf_counter()
 
     def fail(reason: str) -> dict[str, dict]:
-        seconds = time.perf_counter() - start
-        return {method: {"failure": reason, "seconds": seconds} for method in methods}
+        return {method: {"failure": reason} for method in methods}
 
     try:
         t, truth = generate_triangle(cfg, rep)
@@ -311,11 +312,9 @@ def _replicate(cfg: SimConfig, rep: int, methods: tuple[str, ...]) -> dict[str, 
         c_hat, c_error = estimate_c(t).c_hat, None
     except ConcentrationError as exc:
         c_hat, c_error = float("nan"), exc
-    shared = time.perf_counter() - start
     root = RngStream(cfg.seed).derive(_SIM_DOMAIN, rep)
     results = {}
     for method in methods:
-        method_start = time.perf_counter()
         try:
             if method == "multinomial":
                 if c_error is not None:
@@ -332,7 +331,7 @@ def _replicate(cfg: SimConfig, rep: int, methods: tuple[str, ...]) -> dict[str, 
                 fit = odp_fit(t)
                 dist = odp_bootstrap(fit, cfg.B, seed=root.derive(_BOOT_ODP).stream_id)
             q025, q125, q875, q975 = _quantiles(dist.total, _SCORE_PROBS)
-            result = {
+            results[method] = {
                 "covered95": bool(q025 <= truth <= q975),
                 "covered75": bool(q125 <= truth <= q875),
                 "rel_bias": (point - truth) / truth,
@@ -340,16 +339,14 @@ def _replicate(cfg: SimConfig, rep: int, methods: tuple[str, ...]) -> dict[str, 
                 "c_hat": c_hat,
             }
         except _REP_ERRORS as exc:
-            result = {"failure": f"{type(exc).__name__}: {exc}"}
-        result["seconds"] = shared + time.perf_counter() - method_start
-        results[method] = result
+            results[method] = {"failure": f"{type(exc).__name__}: {exc}"}
     return results
 
 
 def _run_reps(
     cfg: SimConfig, methods: tuple[str, ...] = ("multinomial",)
-) -> dict[str, tuple[list[dict], float]]:
-    """Per method: the M replication results and the seconds spent on them."""
+) -> dict[str, list[dict]]:
+    """Per method: the M replication results."""
     for method in methods:
         if method not in _METHODS:
             raise SimulationError(f"unknown method {method!r}; expected one of {_METHODS}")
@@ -358,11 +355,7 @@ def _run_reps(
             reps = list(pool.map(lambda r: _replicate(cfg, r, methods), range(cfg.M)))
     else:
         reps = [_replicate(cfg, r, methods) for r in range(cfg.M)]
-    runs = {}
-    for method in methods:
-        results = [rep[method] for rep in reps]
-        runs[method] = (results, sum(r.pop("seconds") for r in results))
-    return runs
+    return {method: [rep[method] for rep in reps] for method in methods}
 
 
 def _aggregate(results: list[dict], runtime: float, head: dict) -> dict:
@@ -406,6 +399,41 @@ def _aggregate(results: list[dict], runtime: float, head: dict) -> dict:
     return row
 
 
+def _run_scenarios(
+    study: str,
+    config: dict,
+    scenarios: list[tuple[dict, SimConfig | SimulationError]],
+    methods: tuple[str, ...] | None = None,
+) -> SimulationReport:
+    """Run every (row head, SimConfig) scenario of a coverage study.
+
+    Each scenario gives one row per method, and its rows share one
+    runtime_s: the scenario's wall time. methods names the bootstraps to
+    score and puts a method column after the head; when omitted, the
+    multinomial bootstrap runs alone with no method column. When both
+    methods run, the multinomial row also carries the paired counts (see
+    _paired_counts). A SimulationError in place of a config gives a row
+    of no replications that names it.
+    """
+    start = time.perf_counter()
+    rows = []
+    for head, sub in scenarios:
+        if isinstance(sub, SimulationError):
+            rows.append({**head, "n_reps": 0, "n_effective": 0, "failures": 0,
+                         "coverage95": None, "mc_se95": None, "failure_reasons": str(sub)})
+            continue
+        scenario_start = time.perf_counter()
+        runs = _run_reps(sub, methods or ("multinomial",))
+        runtime = time.perf_counter() - scenario_start
+        for method, results in runs.items():
+            row_head = {**head, "method": method} if methods else head
+            rows.append(_aggregate(results, runtime, row_head))
+        if methods == _METHODS:
+            rows[-2].update(_paired_counts(runs["multinomial"], runs["odp"]))
+    return SimulationReport(study=study, rows=rows, config=config,
+                            runtime_s=time.perf_counter() - start)
+
+
 def run_coverage_study(cfg: SimConfig, method: str = "multinomial") -> SimulationReport:
     """Coverage, bias and width of one method under one scenario.
 
@@ -414,11 +442,8 @@ def run_coverage_study(cfg: SimConfig, method: str = "multinomial") -> Simulatio
     and score the realised future reserve against the central 95% and
     75% intervals. Replication-level failures are counted, not fatal.
     """
-    results, runtime = _run_reps(cfg, (method,))[method]
-    row = _aggregate(results, runtime, {"dgp": _dgp_label(cfg), "method": method})
-    return SimulationReport(
-        study="coverage", rows=[row], config=asdict(cfg), runtime_s=runtime
-    )
+    scenarios = [({"dgp": _dgp_label(cfg)}, cfg)]
+    return _run_scenarios("coverage", asdict(cfg), scenarios, (method,))
 
 
 def _dgp_label(cfg: SimConfig) -> str:
@@ -433,15 +458,9 @@ def nonstationarity_sweep(
     cfg: SimConfig, sigma_values: tuple[float, ...] = (0.0, 0.02, 0.05, 0.10)
 ) -> SimulationReport:
     """Coverage degradation as the pattern perturbation grows."""
-    start = time.perf_counter()
-    rows = []
-    for s in sigma_values:
-        sub = replace(cfg, dgp="nonstationary", sigma_delta=float(s))
-        results, runtime = _run_reps(sub)["multinomial"]
-        rows.append(_aggregate(results, runtime, {"sigma_delta": float(s)}))
-    return SimulationReport(
-        study="nonstat", rows=rows, config=asdict(cfg), runtime_s=time.perf_counter() - start
-    )
+    heads = [{"sigma_delta": float(s)} for s in sigma_values]
+    scenarios = [(head, replace(cfg, dgp="nonstationary", **head)) for head in heads]
+    return _run_scenarios("nonstat", asdict(cfg), scenarios)
 
 
 def _phi_for_power(p: float, fallback: float) -> float:
@@ -466,16 +485,11 @@ def tweedie_sweep(
         raise SimulationError(
             f"phi_values has {len(phi_values)} entries for {len(p_values)} powers"
         )
-    start = time.perf_counter()
-    rows = []
-    for ix, p in enumerate(p_values):
-        phi = phi_values[ix] if phi_values is not None else _phi_for_power(p, cfg.phi)
-        sub = replace(cfg, dgp="tweedie", p=float(p), phi=float(phi))
-        results, runtime = _run_reps(sub)["multinomial"]
-        rows.append(_aggregate(results, runtime, {"p": float(p), "phi": float(phi)}))
-    return SimulationReport(
-        study="tweedie", rows=rows, config=asdict(cfg), runtime_s=time.perf_counter() - start
-    )
+    if phi_values is None:
+        phi_values = [_phi_for_power(p, cfg.phi) for p in p_values]
+    heads = [{"p": float(p), "phi": float(phi)} for p, phi in zip(p_values, phi_values)]
+    scenarios = [(head, replace(cfg, dgp="tweedie", **head)) for head in heads]
+    return _run_scenarios("tweedie", asdict(cfg), scenarios)
 
 
 def _paired_counts(multi: list[dict], odp: list[dict]) -> dict:
@@ -504,23 +518,15 @@ def compare_odp(cfg: SimConfig) -> SimulationReport:
     paired counts against the ODP row that follows it (see
     _paired_counts).
     """
-    start = time.perf_counter()
-    scenarios = [
+    configs = [
         replace(cfg, dgp="dirichlet-gamma"),
         replace(cfg, dgp="nonstationary", sigma_delta=0.05),
         replace(cfg, dgp="tweedie", p=1.3, phi=_phi_for_power(1.3, cfg.phi)),
         replace(cfg, dgp="tweedie", p=1.5, phi=_phi_for_power(1.5, cfg.phi)),
         replace(cfg, dgp="tweedie", p=1.8, phi=_phi_for_power(1.8, cfg.phi)),
     ]
-    rows = []
-    for sub in scenarios:
-        runs = _run_reps(sub, _METHODS)
-        for method, (results, runtime) in runs.items():
-            rows.append(_aggregate(results, runtime, {"dgp": _dgp_label(sub), "method": method}))
-        rows[-2].update(_paired_counts(runs["multinomial"][0], runs["odp"][0]))
-    return SimulationReport(
-        study="compare-odp", rows=rows, config=asdict(cfg), runtime_s=time.perf_counter() - start
-    )
+    scenarios = [({"dgp": _dgp_label(sub)}, sub) for sub in configs]
+    return _run_scenarios("compare-odp", asdict(cfg), scenarios, _METHODS)
 
 
 def sensitivity_grid(
@@ -538,36 +544,26 @@ def sensitivity_grid(
     complete pair of columns at each lag, so J cannot exceed I's reach)
     report absent coverage rather than raising.
     """
-    start = time.perf_counter()
-    rows = []
+    for c in c_list:
+        if not math.isfinite(c):
+            raise SimulationError(f"grid concentrations must be finite, got {c}")
+    scenarios = []
     for J in J_list:
         for I in I_list:
             for c in c_list:
                 head = {"J": int(J), "I": int(I), "c_true": float(c)}
                 try:
-                    sub = SimConfig(
-                        I=int(I), J=int(J), c_true=float(c), M=M, B=B,
-                        seed=seed, threads=threads,
-                    )
+                    sub = SimConfig(**head, M=M, B=B, seed=seed, threads=threads)
                 except SimulationError as exc:
-                    rows.append(
-                        {**head, "n_reps": 0, "n_effective": 0, "failures": 0,
-                         "coverage95": None, "mc_se95": None,
-                         "failure_reasons": str(exc)}
-                    )
-                    continue
-                results, runtime = _run_reps(sub)["multinomial"]
-                full = _aggregate(results, runtime, head)
-                for k in ("coverage75", "mc_se75", "rel_bias", "rel_width"):
-                    full.pop(k, None)
-                rows.append(full)
-    return SimulationReport(
-        study="grid",
-        rows=rows,
-        config={"c_list": list(c_list), "I_list": list(I_list), "J_list": list(J_list),
-                "M": M, "B": B, "seed": seed},
-        runtime_s=time.perf_counter() - start,
-    )
+                    sub = exc
+                scenarios.append((head, sub))
+    config = {"c_list": list(c_list), "I_list": list(I_list), "J_list": list(J_list),
+              "M": M, "B": B, "seed": seed}
+    report = _run_scenarios("grid", config, scenarios)
+    for row in report.rows:
+        for k in ("coverage75", "mc_se75", "rel_bias", "rel_width"):
+            row.pop(k, None)
+    return report
 
 
 def verify_sigma_c(
@@ -593,8 +589,8 @@ def verify_sigma_c(
     start = time.perf_counter()
     rows = []
     for idx, c in enumerate(c_values):
-        if c <= 0.0:
-            raise SimulationError(f"c must be positive, got {c}")
+        if not 0.0 < c < math.inf:
+            raise SimulationError(f"c must be positive and finite, got {c}")
         g = RngStream(seed).derive(_SIM_DOMAIN, _TAG_SIGMA, idx).generator()
         P = g.dirichlet(float(c) * pi, size=(M, I))
         chats = estimate_c_batch(P, divisor)
@@ -638,8 +634,8 @@ def verify_conservatism(
     compared with the true standard deviation of the remainder; the
     ratio approaches 1/sqrt(F) as nu grows.
     """
-    if nu <= 0.0 or phi <= 0.0:
-        raise SimulationError("nu and phi must be positive")
+    if not (0.0 < nu < math.inf and 0.0 < phi < math.inf):
+        raise SimulationError("nu and phi must be positive and finite")
     if M < 2:
         raise SimulationError("need at least two replications")
     c_used = nu / phi - 1.0
@@ -662,6 +658,11 @@ def verify_conservatism(
         x_obs = g.gamma(n_obs, scale)
         x_fut = g.gamma(n_fut, scale)
         sd_true = float(np.std(x_fut, ddof=1))
+        if sd_true == 0.0:
+            raise SimulationError(
+                f"every simulated remainder at F={F:g} is equal, so its spread is zero; "
+                "increase M or nu/phi"
+            )
         sd_boot = float(np.mean(x_obs) * np.sqrt(moments.variance))
         target = 1.0 / np.sqrt(F)
         rows.append(

@@ -9,11 +9,14 @@ here first.
 from __future__ import annotations
 
 import importlib
+import importlib.util
 import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from runoff import cli, simlab
 from runoff.concentration import ConcentrationError, estimate_c_from_matrix
 from runoff.patterns import chain_ladder_pattern, cl_ultimates
 from runoff.triangle import bundled_triangle, load_exposures, load_triangle
@@ -38,6 +41,56 @@ def test_all_eight_layer_modules_import():
         mod = importlib.import_module(f"runoff.{layer}")
         assert mod.__name__ == f"runoff.{layer}"
     assert callable(importlib.import_module("runoff.cli").main)
+
+
+def _tracer_module():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# simulate --study <name> -> the study function the tracer counts it by,
+# with flags that keep the run small.
+STUDY_RUNS = {
+    "correct": ("run_coverage_study", ["--M", "2", "--B", "20"]),
+    "nonstat": ("nonstationarity_sweep", ["--M", "2", "--B", "20", "--sigma-grid", "0"]),
+    "tweedie": ("tweedie_sweep", ["--M", "2", "--B", "20", "--p-grid", "1.5"]),
+    "grid": ("sensitivity_grid", ["--M", "2", "--B", "20", "--grid-c", "50",
+                                  "--grid-i", "7", "--grid-j", "5"]),
+    "sigma-c": ("verify_sigma_c", ["--M", "2", "--I", "20", "--c-values", "50"]),
+    "conservatism": ("verify_conservatism", ["--M", "2", "--F-values", "0.5"]),
+    "compare-odp": ("compare_odp", ["--M", "1", "--B", "20"]),
+}
+
+
+def test_traced_studies_are_public_simlab_functions():
+    # The tracer wraps public functions defined in their layer module and
+    # counts simlab.reps and simlab.study_self_s through these names only.
+    studies = _tracer_module()._STUDIES
+    assert sorted(studies) == sorted(name for name, _ in STUDY_RUNS.values())
+    for name in studies:
+        fn = getattr(simlab, name)
+        assert not name.startswith("_")
+        assert inspect.isfunction(fn) and fn.__module__ == "runoff.simlab", name
+
+
+@pytest.mark.parametrize("study", sorted(STUDY_RUNS))
+def test_simulate_calls_the_study_patched_onto_cli(tmp_path, monkeypatch, study):
+    # The tracer replaces runoff.cli.<name> in place; a dispatch table that
+    # held the function objects would bypass the wrapper without an error.
+    name, argv = STUDY_RUNS[study]
+    original, calls = getattr(cli, name), []
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, wrapper)
+    assert cli.main(["simulate", "--study", study, *argv, "--seed", "3",
+                     "--out-dir", str(tmp_path)]) == 0
+    assert calls == [name]
 
 
 def test_wrapped_methods_are_defined_on_their_classes():

@@ -262,6 +262,38 @@ class TestSimulate:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        # These crashed inside numpy ("lam value too large").
+        ["conservatism", "--nu", "inf"],
+        ["correct", "--dgp", "count-hierarchy", "--kappa", "nan"],
+        ["correct", "--dgp", "count-hierarchy", "--mu", "inf"],
+        ["tweedie", "--phi-grid", "nan,1,1"],
+        # Every simulated remainder is 0: the true spread is zero.
+        ["conservatism", "--M", "2", "--F-values", "0.99", "--nu", "1000", "--phi", "100"],
+        # These wrote a bare NaN token into the JSON report.
+        ["sigma-c", "--c-values", "nan"],
+        ["nonstat", "--sigma-grid", "nan"],
+        ["grid", "--grid-c", "nan"],
+        # These wrote the config value as null.
+        ["correct", "--c-true", "nan"],
+        ["correct", "--c-true", "inf"],
+        ["correct", "--sigma-delta", "inf"],
+        ["correct", "--phi", "inf"],
+        ["correct", "--inclusion-threshold", "nan"],
+    ])
+    def test_non_finite_parameters_are_an_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        code = main(["simulate", "--study", *argv, "--seed", "2", "--out-dir", str(out)])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_grid_size_is_a_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--study", "grid", "--grid-i", "inf",
+                  "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+
     def test_sigma_c_study(self, tmp_path):
         code = main(["simulate", "--study", "sigma-c", "--c-values", "50",
                      "--I", "30", "--M", "40", "--seed", "4",

@@ -14,7 +14,6 @@ from scipy import stats
 
 from runoff.distributions import (
     RngStream,
-    beta_central_moments,
     beta_prime_moments,
     sample_tweedie,
 )
@@ -108,33 +107,6 @@ class TestTweedie:
             sample_tweedie(nu, 0.0, 1.5, RngStream(0))
         with pytest.raises(ValueError):
             sample_tweedie(np.array([-1.0]), 1.0, 1.5, RngStream(0))
-
-
-class TestBetaCentralMoments:
-    def test_uniform_case(self):
-        # Beta(1, 1) is uniform: mu2 = 1/12, mu3 = 0, mu4 - mu2^2 = 1/180.
-        m = beta_central_moments(0.5, 2.0)
-        assert m.mu2 == pytest.approx(1.0 / 12.0, abs=1e-15)
-        assert m.mu3 == pytest.approx(0.0, abs=1e-15)
-        assert m.mu4_minus_mu2sq == pytest.approx(1.0 / 180.0, abs=1e-15)
-
-    def test_against_monte_carlo(self):
-        pi, c, n = 0.3, 17.0, 1_000_000
-        m = beta_central_moments(pi, c)
-        w = RngStream(16).generator().beta(c * pi, c * (1 - pi), size=n)
-        d = w - w.mean()
-        mu2, mu3 = d.var(), np.mean(d**3)
-        mu4m = np.mean(d**4) - d.var() ** 2
-        # 4 standard errors of each empirical moment.
-        assert abs(mu2 - m.mu2) < 4 * np.sqrt(np.var((d**2)) / n)
-        assert abs(mu3 - m.mu3) < 4 * np.sqrt(np.var((d**3)) / n)
-        assert abs(mu4m - m.mu4_minus_mu2sq) < 4 * np.sqrt(np.var((d**4)) / n)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            beta_central_moments(0.0, 2.0)
-        with pytest.raises(ValueError):
-            beta_central_moments(0.5, -1.0)
 
 
 class TestBetaPrimeMoments:

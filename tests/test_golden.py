@@ -8,9 +8,9 @@ another numpy a mismatch may come from numpy rather than from runoff.
 B = 1000 draws the accident years one after another; B = 50 000 and
 above draws them on a thread pool, whose output must not differ. The
 `fit` digests pin every concentration cell (c_hat, pi_hat, n_k) and
-every dropped-cell reason, the `simulate` digests pin the interval
-scoring of the coverage studies (the count-hierarchy case is the only
-counts-kind path), and the `odp_bootstrap` digests pin the ODP residual bootstrap's draws
+every dropped-cell reason, the `simulate` digests pin every study's
+report and the interval scoring of the coverage studies (the
+count-hierarchy case is the only counts-kind path), and the `odp_bootstrap` digests pin the ODP residual bootstrap's draws
 bit for bit, redraws included.
 """
 from __future__ import annotations
@@ -76,6 +76,33 @@ STUDIES = {
     "compare-odp-threads2": ("compare-odp", ["--M", "4", "--threads", "2", "--seed", "24"], {
         "csv": "5b4ffb7b1e5ea8b2064cde8917b86b00565d5314f6c101bf74d0aacb8f61c1fd",
         "json": "e113640b007c0c8da152b1a760753204d3f84ff87db41d306e4961ab5de529b0",
+    }),
+    "nonstat": ("nonstat", ["--M", "6", "--B", "200", "--seed", "31"], {
+        "csv": "fcc5eec4f7d9b29bdbf6b3c47c46eb08f428ed4261edf2c409c2b72846169069",
+        "json": "6feccc15c07d92a984664c4f54eb67615ff2a6239267c3f2e9e5cb83f7d6edeb",
+    }),
+    "tweedie": ("tweedie", ["--M", "6", "--B", "200", "--seed", "32"], {
+        "csv": "5735f41babfd13966c326ab725706cbf77fed8349637d963f2b0c84b551c1f81",
+        "json": "c2d64448f9568ab1ff2ddeb8bee6d4dd17133fd772598a128968363b45f8caab",
+    }),
+    # J = 3 has no default pattern: those four cells are impossible rows.
+    "grid": ("grid", ["--M", "4", "--B", "100", "--grid-c", "20,50", "--grid-i", "7,10",
+                      "--grid-j", "3,5", "--seed", "33"], {
+        "csv": "1c40136d4df28f9967dc604693e44cc99aa83dffe57cf27466393a7f5f15eaf6",
+        "json": "4e1db2e211e632aae9dc61b9f7bc4234f81e1fe07c7dc03d34d489114b400856",
+    }),
+    "sigma-c": ("sigma-c", ["--M", "50", "--I", "30", "--seed", "34"], {
+        "csv": "8954320035fcf9e16ed0630bd75a51601e1b35ee5830316ee1b4e1c7f2d1c146",
+        "json": "e7aef06a812ddfe2f3fffcacc0eb9b941d71ecb6b515f37586a418907149c01d",
+    }),
+    "conservatism": ("conservatism", ["--M", "100", "--seed", "35"], {
+        "csv": "65272e4ad232997a9195492d936c0abe0a1a9c20236506bd8af304e1594e7099",
+        "json": "734f1bbf8ab8582a99810ec1b6456b13fe2bbd5d0cb83b987e293a88af5387ba",
+    }),
+    "correct-odp-threads2": ("correct", ["--method", "odp", "--M", "5", "--B", "100",
+                                         "--threads", "2", "--seed", "36"], {
+        "csv": "08265b8eb0583e6779d4f0e0a433eb1200ee82004ac960db771882cbb5c90112",
+        "json": "103f0075f94ed3025a9c6d469b1b14112a5dafc38bf611a9c3a33cb44db013c7",
     }),
 }
 

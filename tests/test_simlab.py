@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +77,11 @@ class TestSimConfig:
             SimConfig(threads=0)
         with pytest.raises(SimulationError, match="inclusion_threshold"):
             SimConfig(inclusion_threshold=-1.0)
+        with pytest.raises(SimulationError, match="sum to one"):
+            SimConfig(J=5, pi_true=(float("nan"), 0.25, 0.25, 0.25, 0.25))
+        for name in ("c_true", "kappa", "exposure_rate", "inclusion_threshold"):
+            with pytest.raises(SimulationError, match=f"{name} must be finite"):
+                SimConfig(**{name: float("inf")})
 
 
 class TestGenerateTriangle:
@@ -192,6 +198,18 @@ class TestRunCoverageStudy:
         a.pop("runtime_s"), b.pop("runtime_s")
         assert a == b
 
+    def test_runtime_s_is_the_scenario_wall_time(self):
+        # Each row times its scenario once, so rows cannot add up to more
+        # than the call: per-replication times summed over three threads did.
+        start = time.perf_counter()
+        row = run_coverage_study(SimConfig(M=60, B=200, seed=3, threads=3)).rows[0]
+        assert 0.0 < row["runtime_s"] <= time.perf_counter() - start
+        start = time.perf_counter()
+        rows = compare_odp(SimConfig(M=6, B=100, seed=3, threads=3)).rows
+        wall = time.perf_counter() - start
+        for method in _METHODS:
+            assert sum(r["runtime_s"] for r in rows if r["method"] == method) <= wall
+
 
 class TestReportWriters:
     def test_csv_json_and_text(self, tmp_path):
@@ -209,6 +227,11 @@ class TestReportWriters:
         assert payload["study"] == "coverage"
         assert payload["rows"] == report.rows
         assert payload["config"]["M"] == 2
+
+    def test_json_is_strict(self, tmp_path):
+        report = simlab.SimulationReport("x", rows=[{"ratio": float("nan")}])
+        with pytest.raises(ValueError, match="JSON compliant"):
+            report.write_json(tmp_path / "r.json")
 
 
 class TestSweeps:
@@ -300,7 +323,7 @@ class TestSweeps:
         monkeypatch.setattr(simlab, "estimate_c", failing_second)
         runs = _run_reps(SimConfig(M=3, B=30, seed=5), _METHODS)
         assert len(calls) == 3
-        multi, odp = runs["multinomial"][0], runs["odp"][0]
+        multi, odp = runs["multinomial"], runs["odp"]
         assert multi[1] == {"failure": f"ConcentrationError: {message}"}
         assert "failure" not in odp[1] and np.isnan(odp[1]["c_hat"])
         for r in (0, 2):
