@@ -10,7 +10,9 @@ byte for byte identically, regardless of --threads.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
+import inspect
 import json
 import os
 import sys
@@ -62,7 +64,13 @@ from .triangle import (
     load_triangle,
 )
 
+
+class ReportError(ValueError):
+    """A value bound for a report or manifest is not a finite number."""
+
+
 _ERRORS = (
+    ReportError,
     TriangleError,
     PatternError,
     ConcentrationError,
@@ -103,17 +111,20 @@ def _load_triangle_args(args) -> tuple[Triangle, dict[str, str]]:
     return t, digests
 
 
-def _jsonable(v):
-    """Recursively coerce report values into strict-JSON types."""
+def _jsonable(v, where: str = "report"):
+    """Recursively coerce report values into strict-JSON types; where
+    names the value in the error a non-finite float raises."""
     if isinstance(v, dict):
-        return {str(k): _jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
+        return {str(k): _jsonable(x, f"{where}.{k}") for k, x in v.items()}
     if isinstance(v, np.ndarray):
-        return [_jsonable(x) for x in v.tolist()]
+        v = v.tolist()
+    if isinstance(v, (list, tuple)):
+        return [_jsonable(x, f"{where}[{i}]") for i, x in enumerate(v)]
     if isinstance(v, (np.floating, float)):
         f = float(v)
-        return f if np.isfinite(f) else None
+        if not np.isfinite(f):
+            raise ReportError(f"{where} is not a finite number ({f})")
+        return f
     if isinstance(v, (np.integer,)):
         return int(v)
     if isinstance(v, (np.bool_,)):
@@ -122,28 +133,40 @@ def _jsonable(v):
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(_jsonable(payload), fh, indent=2, allow_nan=False)
-        fh.write("\n")
+    # Converted in full before the file is opened, so a rejected value
+    # leaves no partly written file behind.
+    text = json.dumps(_jsonable(payload), indent=2, allow_nan=False)
+    path.write_text(text + "\n")
 
 
-def _manifest(
-    command: str,
-    parameters: dict,
-    seed: int | None,
-    seed_generated: bool,
-    inputs: dict[str, str],
-    wall_clock_s: float,
-) -> dict:
-    return {
+def _parameters(args) -> dict:
+    """Every parsed flag in parser order, bar the dispatch keys and the
+    seed and output location, which the manifest keeps elsewhere or not
+    at all."""
+    skip = ("command", "func", "seed", "out_dir", "stem")
+    return {k: v for k, v in vars(args).items() if k not in skip}
+
+
+def _artifact(args, suffix: str) -> Path:
+    """<out-dir>/<stem><suffix>, creating out-dir. The default stem is
+    runoff_<study> for simulate and runoff_<command> otherwise."""
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir / f"{args.stem or 'runoff_' + getattr(args, 'study', args.command)}{suffix}"
+
+
+def _write_manifest(args, started: float, parameters: dict, inputs: dict[str, str],
+                    seed: int | None = None, seed_generated: bool = False) -> None:
+    command = args.command + (f" --study {args.study}" if args.command == "simulate" else "")
+    _write_json(_artifact(args, "_manifest.json"), {
         "command": command,
-        "parameters": _jsonable(parameters),
+        "parameters": parameters,
         "seed": seed,
         "seed_generated": seed_generated,
         "version": __version__,
         "inputs": inputs,
-        "wall_clock_s": wall_clock_s,
-    }
+        "wall_clock_s": time.perf_counter() - started,
+    })
 
 
 def _resolve_seed(seed: int | None) -> tuple[int, bool]:
@@ -222,52 +245,36 @@ def cmd_fit(args) -> int:
         report["concentration"] = {"error": str(exc)}
     reserves: dict = {}
     wanted = [m.strip().lower() for m in args.reserves.split(",") if m.strip()]
-    for method in wanted:
-        if method == "cl":
-            est_r = cl_ultimates(t, pattern)
-        elif method == "bf":
-            if t.exposures is None or args.q_bf is None:
-                raise PatternError("bf reserves need --exposures and --q-bf")
-            prior = np.asarray(t.exposures) * args.q_bf
-            est_r = bf_ultimates(t, pattern, prior)
-        elif method == "cc":
-            est_r = cape_cod_ultimates(t, pattern)
-        else:
-            raise PatternError(f"unknown reserve method {method!r}; expected cl, bf or cc")
-        block = {
-            "per_year": list(est_r.reserves),
-            "total": float(np.sum(est_r.reserves)),
-            "ultimates": list(est_r.ultimates),
-        }
-        if est_r.prior_q is not None:
-            block["prior_q"] = est_r.prior_q
-        if est_r.floored_rows:
-            block["floored_rows"] = list(est_r.floored_rows)
-        reserves[method] = block
+    # An overflow here leaves inf, which bf_ultimates or the report writer
+    # names as an error; numpy's warning would only precede it.
+    with np.errstate(over="ignore"):
+        for method in wanted:
+            if method == "cl":
+                est_r = cl_ultimates(t, pattern)
+            elif method == "bf":
+                if t.exposures is None or args.q_bf is None:
+                    raise PatternError("bf reserves need --exposures and --q-bf")
+                prior = np.asarray(t.exposures) * args.q_bf
+                est_r = bf_ultimates(t, pattern, prior)
+            elif method == "cc":
+                est_r = cape_cod_ultimates(t, pattern)
+            else:
+                raise PatternError(f"unknown reserve method {method!r}; expected cl, bf or cc")
+            block = {
+                "per_year": list(est_r.reserves),
+                "total": float(np.sum(est_r.reserves)),
+                "ultimates": list(est_r.ultimates),
+            }
+            if est_r.prior_q is not None:
+                block["prior_q"] = est_r.prior_q
+            if est_r.floored_rows:
+                block["floored_rows"] = list(est_r.floored_rows)
+            reserves[method] = block
     report["reserves"] = reserves
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stem = args.stem or "runoff_fit"
-    report_path = out_dir / f"{stem}.json"
+    report_path = _artifact(args, ".json")
     _write_json(report_path, report)
-    manifest = _manifest(
-        "fit",
-        {
-            "triangle": args.triangle,
-            "format": args.format,
-            "kind": args.kind,
-            "exposures": args.exposures,
-            "divisor": args.divisor,
-            "reserves": args.reserves,
-            "q_bf": args.q_bf,
-        },
-        seed=None,
-        seed_generated=False,
-        inputs=digests,
-        wall_clock_s=time.perf_counter() - started,
-    )
-    _write_json(out_dir / f"{stem}_manifest.json", manifest)
+    _write_manifest(args, started, _parameters(args), digests)
 
     conc = report["concentration"]
     if "error" in conc:
@@ -340,43 +347,15 @@ def cmd_bootstrap(args) -> int:
         "meta": dist.meta,
     }
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stem = args.stem or "runoff_bootstrap"
+    report_path = _artifact(args, f".{args.output_format}")
     if args.output_format == "json":
-        report_path = out_dir / f"{stem}.json"
         _write_json(report_path, report)
     else:
-        report_path = out_dir / f"{stem}.csv"
         _write_bootstrap_csv(report_path, report)
     if args.dump_draws:
         _dump_draws(Path(args.dump_draws), dist)
-        digests_note = str(args.dump_draws)
-    else:
-        digests_note = None
-    manifest = _manifest(
-        "bootstrap",
-        {
-            "triangle": args.triangle,
-            "format": args.format,
-            "kind": args.kind,
-            "anchor": args.anchor,
-            "B": args.B,
-            "q_bf": args.q_bf,
-            "exposures": args.exposures,
-            "exposures_source": exposures_source,
-            "c_hat": args.c_hat,
-            "divisor": args.divisor,
-            "inclusion_threshold": args.inclusion_threshold,
-            "output_format": args.output_format,
-            "dump_draws": digests_note,
-        },
-        seed=seed,
-        seed_generated=seed_generated,
-        inputs=digests,
-        wall_clock_s=time.perf_counter() - started,
-    )
-    _write_json(out_dir / f"{stem}_manifest.json", manifest)
+    _write_manifest(args, started, {**_parameters(args), "exposures_source": exposures_source},
+                    digests, seed, seed_generated)
 
     s = dist.summary
     mean_txt = "suppressed" if s["mean"] is None else f"{s['mean']:.1f}"
@@ -395,6 +374,7 @@ def cmd_bootstrap(args) -> int:
 def _write_bootstrap_csv(path: Path, report: dict) -> None:
     import csv as _csv
 
+    report = _jsonable(report)
     rows = report["per_year"]
     cols = ["accident", "F", "c_times_F", "point_reserve", "mean", "se",
             "q5", "q25", "q50", "q75", "q95", "excluded", "exclusion_reason",
@@ -434,9 +414,10 @@ def _dump_draws(path: Path, dist: ReserveDistribution) -> None:
 # study -> (the simlab function that runs it, the flags it takes as keyword
 # arguments, and for a coverage study the SimConfig fields it sets on top
 # of the defaults). A flag is passed only when set, so every default lives
-# in the function's signature. The function is looked up in this module
-# when the study runs, so a wrapper patched onto runoff.cli.<name> is the
-# one called.
+# in the function's signature; a coverage study also reads every SimConfig
+# field flag, and any other flag set is an error. The function is looked
+# up in this module when the study runs, so a wrapper patched onto
+# runoff.cli.<name> is the one called.
 _STUDIES: dict[str, tuple[str, tuple[str, ...], dict | None]] = {
     "correct": ("run_coverage_study", ("method",), {}),
     "nonstat": ("nonstationarity_sweep", ("sigma_values",), {"dgp": "nonstationary"}),
@@ -448,58 +429,48 @@ _STUDIES: dict[str, tuple[str, tuple[str, ...], dict | None]] = {
 }
 
 
-def _set_flags(args, names) -> dict:
-    return {k: getattr(args, k) for k in names if getattr(args, k, None) is not None}
-
-
-def _build_sim_config(args, base: dict, seed: int) -> SimConfig:
-    # Every SimConfig field the simulate parser defines is an override flag.
-    overrides = _set_flags(args, [f.name for f in fields(SimConfig)])
-    overrides["seed"] = seed
-    if args.config:
-        return load_sim_config(args.config, **overrides)
-    return SimConfig(**{**base, **overrides})
-
-
-def _strip_timing(report: SimulationReport) -> SimulationReport:
-    rows = [{k: v for k, v in row.items() if k != "runtime_s"} for row in report.rows]
-    return SimulationReport(study=report.study, rows=rows, config=_jsonable(report.config),
-                            runtime_s=0.0)
-
-
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, options: dict[str, str]) -> int:
+    """options maps each simulate flag's dest to its option string."""
     started = time.perf_counter()
-    seed, seed_generated = _resolve_seed(args.seed)
     name, flags, base = _STUDIES[args.study]
+    given = {k: v for k, v in _parameters(args).items()
+             if v is not None and k not in ("study", "config")}
+    read = {*flags, *(f.name for f in fields(SimConfig) if base is not None)}
+    unread = [options[k] for k in given if k not in read]
+    if unread:
+        raise SimulationError(f"study {args.study!r} does not take {', '.join(unread)}")
+    seed, seed_generated = _resolve_seed(args.seed)
+    kwargs = {k: v for k, v in given.items() if k in flags}
     digests: dict[str, str] = {}
-    if args.config:
-        if base is None:
-            raise SimulationError(f"--config applies to coverage studies, not {args.study!r}")
-        digests[str(args.config)] = _sha256(Path(args.config))
-
     study = globals()[name]
     if base is None:
-        report = study(seed=seed, **_set_flags(args, flags))
+        if args.config:
+            raise SimulationError(f"--config applies to coverage studies, not {args.study!r}")
+        kwargs["seed"] = seed
+        report = study(**kwargs)
     else:
-        report = study(_build_sim_config(args, base, seed), **_set_flags(args, flags))
+        # The remaining flags are SimConfig fields, set over the config file
+        # or the study's base.
+        overrides = {**{k: v for k, v in given.items() if k not in flags}, "seed": seed}
+        if args.config:
+            digests[str(args.config)] = _sha256(Path(args.config))
+            cfg = load_sim_config(args.config, **overrides)
+        else:
+            cfg = SimConfig(**{**base, **overrides})
+        report = study(cfg, **kwargs)
+    # The manifest records every argument the study ran with, defaults included.
+    call = inspect.signature(study).bind_partial(**kwargs)
+    call.apply_defaults()
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stem = args.stem or f"runoff_{args.study}"
-    artifact = _strip_timing(report)
-    csv_path = out_dir / f"{stem}.csv"
-    json_path = out_dir / f"{stem}.json"
+    # The artifacts carry no timing: runtime_s stays at 0.0.
+    rows = [{k: v for k, v in row.items() if k != "runtime_s"} for row in report.rows]
+    artifact = SimulationReport(report.study, _jsonable(rows, "rows"),
+                                _jsonable(report.config, "config"))
+    csv_path, json_path = _artifact(args, ".csv"), _artifact(args, ".json")
     artifact.write_csv(csv_path)
     artifact.write_json(json_path)
-    manifest = _manifest(
-        f"simulate --study {args.study}",
-        {**report.config, "study": args.study, "threads": args.threads},
-        seed=seed,
-        seed_generated=seed_generated,
-        inputs=digests,
-        wall_clock_s=time.perf_counter() - started,
-    )
-    _write_json(out_dir / f"{stem}_manifest.json", manifest)
+    _write_manifest(args, started, {**report.config, **call.arguments, "study": args.study},
+                    digests, seed, seed_generated)
 
     print(report.format_text())
     soft = sum(int(r.get("failures") or 0) for r in report.rows)
@@ -591,22 +562,20 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--phi-grid", type=_float_list, dest="phi_values", metavar="PHI_GRID",
                      help="tweedie study: per-power dispersions aligned with "
                           "--p-grid (default: calibrated table)")
-    sim.add_argument("--grid-c", type=_float_list, default=(10, 20, 30, 50, 100, 200),
-                     dest="c_list", metavar="GRID_C")
-    sim.add_argument("--grid-i", type=_int_list, default=(7, 10, 15), dest="I_list",
-                     metavar="GRID_I")
-    sim.add_argument("--grid-j", type=_int_list, default=(5, 10), dest="J_list",
-                     metavar="GRID_J")
-    sim.add_argument("--c-values", type=_float_list, default=(20.0, 50.0, 100.0),
-                     dest="c_values", help="sigma-c study: concentrations to verify")
-    sim.add_argument("--F-values", type=_float_list, default=(0.1, 0.5, 0.8),
-                     dest="F_values", help="conservatism study: development fractions")
+    sim.add_argument("--grid-c", type=_float_list, dest="c_list", metavar="GRID_C")
+    sim.add_argument("--grid-i", type=_int_list, dest="I_list", metavar="GRID_I")
+    sim.add_argument("--grid-j", type=_int_list, dest="J_list", metavar="GRID_J")
+    sim.add_argument("--c-values", type=_float_list, dest="c_values",
+                     help="sigma-c study: concentrations to verify")
+    sim.add_argument("--F-values", type=_float_list, dest="F_values",
+                     help="conservatism study: development fractions")
     sim.add_argument("--nu", type=float, default=None,
                      help="conservatism study: cell mean")
     sim.add_argument("--divisor", choices=("unbiased", "biased"), default=None)
     sim.add_argument("--out-dir", default=".", dest="out_dir")
     sim.add_argument("--stem", default=None)
-    sim.set_defaults(func=cmd_simulate)
+    options = {a.dest: a.option_strings[0] for a in sim._actions}
+    sim.set_defaults(func=functools.partial(cmd_simulate, options=options))
 
     return parser
 

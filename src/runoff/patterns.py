@@ -137,6 +137,10 @@ def bf_ultimates(t: Triangle, p: DevelopmentPattern, prior: np.ndarray) -> Ultim
     prior = np.asarray(prior, dtype=float)
     if prior.shape != (t.I,):
         raise PatternError(f"prior must have length I = {t.I}")
+    bad = np.flatnonzero(~(np.isfinite(prior) & (prior > 0.0)))
+    if bad.size:
+        raise PatternError(f"the prior ultimate of accident year {bad[0] + 1} must be "
+                           f"finite and positive, got {prior[bad[0]]}")
     obs, F = _diagonal_and_F(t, p)
     reserves = (1.0 - F) * prior
     return UltimateEstimates(ultimates=obs + reserves, reserves=reserves, method="BF")

@@ -530,9 +530,9 @@ def compare_odp(cfg: SimConfig) -> SimulationReport:
 
 
 def sensitivity_grid(
-    c_list,
-    I_list,
-    J_list,
+    c_list=(10, 20, 30, 50, 100, 200),
+    I_list=(7, 10, 15),
+    J_list=(5, 10),
     M: int = 500,
     B: int = 500,
     seed: int = 2026,
@@ -567,7 +567,7 @@ def sensitivity_grid(
 
 
 def verify_sigma_c(
-    c_values,
+    c_values=(20.0, 50.0, 100.0),
     I: int = 100,
     M: int = 10_000,
     seed: int = 2026,
@@ -618,7 +618,7 @@ def verify_sigma_c(
 
 
 def verify_conservatism(
-    F_values,
+    F_values=(0.1, 0.5, 0.8),
     nu: float = 1e6,
     phi: float = 100.0,
     M: int = 2000,

@@ -84,6 +84,34 @@ class TestFit:
         err = capsys.readouterr().err
         assert err.startswith("error: line 3:") and "integer" in err
 
+    # The suite turns warnings into errors, so the overflow must not warn first.
+    @pytest.mark.parametrize("exposure,q_bf", [
+        (1000.0, "-1"),  # gave a negative total reserve
+        (1000.0, "nan"),  # wrote "total": null
+        (1e300, "1e10"),  # the prior overflowed to inf, with a numpy warning
+    ])
+    def test_bf_prior_must_be_finite_and_positive(self, tmp_path, capsys, exposure, q_bf):
+        epath = tmp_path / "exposures.csv"
+        epath.write_text("accident,exposure\n" + "".join(f"{i},{exposure!r}\n"
+                                                         for i in range(1, 11)))
+        code = main(["fit", "taylor-ashe", "--reserves", "bf", "--exposures", str(epath),
+                     "--q-bf", q_bf, "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the prior ultimate of accident year 1 must be finite")
+        assert not (tmp_path / "out" / "runoff_fit.json").exists()
+
+    def test_non_finite_report_value_is_a_named_error(self, tmp_path, capsys):
+        # Each prior of 1e308 is finite, but the total reserve is not.
+        epath = tmp_path / "exposures.csv"
+        epath.write_text("accident,exposure\n" + "".join(f"{i},1e307\n" for i in range(1, 11)))
+        code = main(["fit", "taylor-ashe", "--reserves", "bf", "--exposures", str(epath),
+                     "--q-bf", "10", "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: report.reserves.bf.total is not a finite number (inf)\n")
+        assert not (tmp_path / "runoff_fit.json").exists()
+
     def test_exposure_row_with_one_field_is_a_named_error(self, tmp_path, capsys):
         epath = tmp_path / "exposures.csv"
         epath.write_text("accident,exposure\n1,1000\n2\n")
@@ -286,6 +314,22 @@ class TestSimulate:
         code = main(["simulate", "--study", *argv, "--seed", "2", "--out-dir", str(out)])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("study,flag,value", [
+        ("correct", "--divisor", "biased"),
+        ("grid", "--dgp", "tweedie"),
+        ("sigma-c", "--B", "7"),
+        ("conservatism", "--threads", "2"),
+        ("compare-odp", "--method", "odp"),
+    ])
+    def test_flag_the_study_does_not_take_is_an_error(self, tmp_path, capsys, study, flag,
+                                                       value):
+        out = tmp_path / "out"
+        code = main(["simulate", "--study", study, flag, value, "--M", "2", "--seed", "1",
+                     "--out-dir", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: study {study!r} does not take {flag}\n"
         assert not out.exists()
 
     def test_non_finite_grid_size_is_a_usage_error(self, tmp_path):

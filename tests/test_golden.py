@@ -106,6 +106,32 @@ STUDIES = {
     }),
 }
 
+# study -> (size flags, CSV and JSON digests) with every list and scalar
+# study flag left at its default, which the study's signature sets.
+STUDY_DEFAULTS = {
+    "correct": (["--M", "2", "--B", "10", "--seed", "41"], (
+        "3531e8d578031df6cd5da97bb0a8d837bea567e261c2178598f53bc2bbbfb3d6",
+        "745c1e6aeb4f03e944e599a01607c6ebdfc7ef0640f1b8ff26ea4fa7091d7794")),
+    "nonstat": (["--M", "2", "--B", "10", "--seed", "42"], (
+        "588e5c2e3fb1462ed9e18ff5ee372f1d5ec030474bdcc5e39104f0416d0277d4",
+        "6d82a971b699386daa446bc71aadd7614b1308962d138cd0054d24da8d449431")),
+    "tweedie": (["--M", "2", "--B", "10", "--seed", "43"], (
+        "61ecb0fcaa01a9b694ed3d031b8cec25ebb996e0a5616f12e8e5466f6af5adb4",
+        "0dad9f0429b2c7ca5d8395f8b40158bcbfaa36ea8393dafeb49be2d3083a6a1f")),
+    "compare-odp": (["--M", "1", "--B", "10", "--seed", "44"], (
+        "0d13625c3483e04d95e78959ec5b40ae2ddbd527921ff803580cadd9715748c9",
+        "8d52662bcfb1fe514cd616f2fca6b919d72532604257dee1a0ec96d5e7b1576f")),
+    "grid": (["--M", "1", "--B", "10", "--seed", "45"], (
+        "c6dd183f38ffbc63ded9f6f0856b8240eb4fcb5fc15a28d5439663b7e3d9b214",
+        "650fdf436a962b1f4a15f9bc3c98b2f331614da474492a8609b9c45a7ccb0a87")),
+    "sigma-c": (["--M", "3", "--seed", "46"], (
+        "533be596ef20d68dfa90072ba8fc41b0e0f8b9159a65e8bfdaef721d73d9ab2d",
+        "ba3fb439685ca76c3597175810ad13c4833e19ecffa5f076727703b274741c1a")),
+    "conservatism": (["--M", "10", "--seed", "47"], (
+        "8ef0a6a7ddf4f9cc28873f689f2765dafcb22284f279730361f5e1e0a600644c",
+        "14e9ae203a397c48557924f677bf0a89ba904bc4156226ab77640f14222366d9")),
+}
+
 # case -> (triangle, B, seed, redraws, SHA-256 of every year's draws, the
 # total and the redraw count). The redraw counts are asserted exactly, so
 # the mortgage cases keep covering the redraw branch: at B = 20 000 it
@@ -164,6 +190,14 @@ def test_simulate_report_digests(tmp_path, case):
     study, argv, digests = STUDIES[case]
     assert main(["simulate", "--study", study, *argv, "--out-dir", str(tmp_path)]) == 0
     for ext, digest in digests.items():
+        assert sha256(tmp_path / f"runoff_{study}.{ext}") == digest, ext
+
+
+@pytest.mark.parametrize("study", sorted(STUDY_DEFAULTS))
+def test_simulate_default_study_arguments_digests(tmp_path, study):
+    argv, digests = STUDY_DEFAULTS[study]
+    assert main(["simulate", "--study", study, *argv, "--out-dir", str(tmp_path)]) == 0
+    for ext, digest in zip(("csv", "json"), digests):
         assert sha256(tmp_path / f"runoff_{study}.{ext}") == digest, ext
 
 
