@@ -458,9 +458,11 @@ def cmd_simulate(args, options: dict[str, str]) -> int:
         else:
             cfg = SimConfig(**{**base, **overrides})
         report = study(cfg, **kwargs)
-    # The manifest records every argument the study ran with, defaults included.
+    # The manifest records every argument the study ran with, defaults and
+    # the values the study resolved itself included.
     call = inspect.signature(study).bind_partial(**kwargs)
     call.apply_defaults()
+    call.arguments.update(report.resolved)
 
     # The artifacts carry no timing: runtime_s stays at 0.0.
     rows = [{k: v for k, v in row.items() if k != "runtime_s"} for row in report.rows]

@@ -30,6 +30,13 @@ class ConcentrationError(ValueError):
     """Concentration estimation cannot proceed on the given input."""
 
 
+# What estimate_c raises where estimate_c_batch gives NaN.
+_NO_USABLE_CELLS = (
+    "no usable (j, k) cells: the triangle is too small or too irregular "
+    "for moment estimation of the concentration parameter"
+)
+
+
 class CellEstimate(NamedTuple):
     j: int
     k: int
@@ -189,10 +196,7 @@ def estimate_c_from_matrix(X: np.ndarray, divisor: str = "unbiased") -> Concentr
             else:
                 cells.append(CellEstimate(j=j, k=h.k, c_hat=c_jk, n_k=used, pi_hat=m))
     if not cells:
-        raise ConcentrationError(
-            "no usable (j, k) cells: the triangle is too small or too irregular "
-            "for moment estimation of the concentration parameter"
-        )
+        raise ConcentrationError(_NO_USABLE_CELLS)
     c_hat = float(_median(horizons)[0])
     if c_hat >= _DELTA_AT_OR_ABOVE:
         diagnostic = "delta-recommended"

@@ -123,12 +123,18 @@ def _diagonal_and_F(t: Triangle, p: DevelopmentPattern) -> tuple[np.ndarray, np.
     return np.asarray(diag.observed), np.array([p.F_at_lag(d) for d in diag.dev_lag])
 
 
-def cl_ultimates(t: Triangle, p: DevelopmentPattern) -> UltimateEstimates:
-    obs, F = _diagonal_and_F(t, p)
+def _cl_reserves(obs: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Chain-ladder ultimates and reserves of observed totals obs (..., I)
+    at cumulative proportions F (I,)."""
     if np.any(F <= 0.0):
         raise PatternError("cannot gross up a row with zero cumulative proportion")
     ultimates = obs / F
-    return UltimateEstimates(ultimates=ultimates, reserves=ultimates - obs, method="CL")
+    return ultimates, ultimates - obs
+
+
+def cl_ultimates(t: Triangle, p: DevelopmentPattern) -> UltimateEstimates:
+    ultimates, reserves = _cl_reserves(*_diagonal_and_F(t, p))
+    return UltimateEstimates(ultimates=ultimates, reserves=reserves, method="CL")
 
 
 def bf_ultimates(t: Triangle, p: DevelopmentPattern, prior: np.ndarray) -> UltimateEstimates:

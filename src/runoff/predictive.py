@@ -9,7 +9,6 @@ observed proportion W is resampled, from Beta(c F, c (1 - F)).
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -83,7 +82,9 @@ _SUMMARY_PROBS = np.array([0.05, 0.25, 0.50, 0.75, 0.95])  # == [5, 25, 50, 75, 
 
 def _quantiles(x: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Quantiles of x at probs by Hyndman & Fan's method 7, the same bits
-    np.quantile(x, probs) returns (numpy's "linear" method).
+    np.quantile(x, probs) returns (numpy's "linear" method). x may be a
+    (..., B) block: each row along the last axis gives its own quantiles,
+    shaped (..., len(probs)), with the bits the row alone would give.
 
     A sorted copy replaces numpy's multi-kth partition, which is about
     three times slower on 1e6 draws; x keeps its order, on which mean, std
@@ -95,10 +96,11 @@ def _quantiles(x: np.ndarray, probs: np.ndarray) -> np.ndarray:
     quantile that overflows (finite extremes of opposite sign near the
     float limit), where np.quantile would return inf.
     """
-    s = np.sort(x)
-    if not (np.isfinite(s[0]) and np.isfinite(s[-1])):  # NaN and inf sort to the ends
+    s = np.sort(x, axis=-1)
+    # NaN and inf sort to the ends.
+    if not (np.isfinite(s[..., 0]).all() and np.isfinite(s[..., -1]).all()):
         raise PredictiveError("quantiles of non-finite draws are undefined")
-    n = s.size
+    n = s.shape[-1]
     v = (n - 1) * probs
     lo = np.floor(v)
     hi = lo + 1
@@ -106,8 +108,8 @@ def _quantiles(x: np.ndarray, probs: np.ndarray) -> np.ndarray:
     lo[top] = -1
     hi[top] = -1
     g = v - lo
-    a = s[lo.astype(np.intp)]
-    b = s[hi.astype(np.intp)]
+    a = s[..., lo.astype(np.intp)]
+    b = s[..., hi.astype(np.intp)]
     # Overflow is reported by the check below, not by a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
         d = b - a
@@ -118,6 +120,25 @@ def _quantiles(x: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return out
 
 
+_MOMENTS_OVERFLOW = "the mean or standard error of the bootstrap draws overflows the float range"
+_TOTAL_OVERFLOW = "the total of the bootstrap draws overflows the float range"
+_ALL_EXCLUDED = "all accident years excluded by the inclusion rule"
+_BAD_OBSERVED = "observed row totals must be finite and non-negative"
+
+
+def _mean_se(draws: np.ndarray):
+    """Mean and standard error along the last axis (se is None for a single
+    draw), and whether both are finite."""
+    # Overflow is reported by the callers' checks, not by a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = draws.mean(axis=-1)
+        se = draws.std(axis=-1, ddof=1) if draws.shape[-1] > 1 else None
+    finite = np.isfinite(mean)
+    if se is not None:
+        finite &= np.isfinite(se)
+    return mean, se, finite
+
+
 def _summarise(draws: np.ndarray, mean_suppressed: bool) -> dict[str, float | None]:
     """Mean, se and quantiles of draws. A suppressed mean withholds se too:
     the mean is suppressed at c*F <= 2, where the ratio has no variance.
@@ -125,14 +146,10 @@ def _summarise(draws: np.ndarray, mean_suppressed: bool) -> dict[str, float | No
     q5, q25, q50, q75, q95 = _quantiles(draws, _SUMMARY_PROBS)
     mean = se = None
     if not mean_suppressed:
-        # Overflow is reported by the check below, not by a numpy warning.
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean = float(draws.mean())
-            se = float(draws.std(ddof=1)) if draws.size > 1 else None
-        if not (math.isfinite(mean) and (se is None or math.isfinite(se))):
-            raise PredictiveError(
-                "the mean or standard error of the bootstrap draws overflows the float range"
-            )
+        mean, se, finite = _mean_se(draws)
+        if not finite:
+            raise PredictiveError(_MOMENTS_OVERFLOW)
+        mean, se = float(mean), None if se is None else float(se)
     return {
         "mean": mean,
         "se": se,
@@ -149,13 +166,13 @@ def _assemble(
 ) -> ReserveDistribution:
     included = [y for y in years if not y.excluded]
     if not included:
-        raise PredictiveError("all accident years excluded by the inclusion rule")
+        raise PredictiveError(_ALL_EXCLUDED)
     total = np.zeros(B)
     with np.errstate(over="ignore"):
         for y in included:
             total += y.draws
     if not np.isfinite(total).all():
-        raise PredictiveError("the total of the bootstrap draws overflows the float range")
+        raise PredictiveError(_TOTAL_OVERFLOW)
     flags: dict[int, tuple[str, ...]] = {}
     for y in years:
         notes = []
@@ -200,8 +217,9 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _draw_years(block: np.ndarray, draws: list[_Draw], ratio: bool) -> None:
-    """Fill block[k] with the outstanding-amount draws of draws[k].
+def _draw_years(block: np.ndarray, draws: list[_Draw], ratio: bool) -> list[str | None]:
+    """Fill block[k] with the outstanding-amount draws of draws[k]; return
+    per row None, or the PredictiveError message of a row that overflows.
 
     With ratio the row is scale * (1 - W) / W, W floored at 1e-15 (CL);
     without it, scale * (1 - W) (BF). Each row is drawn in chunks of
@@ -210,12 +228,13 @@ def _draw_years(block: np.ndarray, draws: list[_Draw], ratio: bool) -> None:
     on the thread that fills it. From B = _PARALLEL_MIN_B on, the years
     are spread over a thread pool: numpy releases the GIL inside the draws
     and ufuncs, and a worker touches only numpy and its own row. A row
-    that overflows the float range is an error, not a silent inf or NaN.
+    that overflows the float range is left part drawn and named, never
+    passed on as a silent inf or NaN.
     """
     B = block.shape[1]
     scale_name = "observed total" if ratio else "prior ultimate"
 
-    def fill(k: int) -> None:
+    def fill(k: int) -> str | None:
         d = draws[k]
         row = block[k]
         # Overflow is reported by the check below, not by a numpy warning.
@@ -230,41 +249,55 @@ def _draw_years(block: np.ndarray, draws: list[_Draw], ratio: bool) -> None:
                 if ratio:
                     np.divide(seg, w, out=seg)
                 if not np.isfinite(seg).all():
-                    raise PredictiveError(
-                        f"accident year {d.accident}: bootstrap draws overflow the "
-                        f"float range ({scale_name} {d.scale:.6g})"
-                    )
+                    return (f"accident year {d.accident}: bootstrap draws overflow the "
+                            f"float range ({scale_name} {d.scale:.6g})")
+        return None
 
     workers = min(_usable_cores(), len(draws)) if B >= _PARALLEL_MIN_B else 1
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, range(len(draws))))
-    else:
-        list(map(fill, range(len(draws))))
+            return list(pool.map(fill, range(len(draws))))
+    return list(map(fill, range(len(draws))))
+
+
+def _cl_years(c_hat, F: np.ndarray, inclusion_threshold: float):
+    """The CL anchor's year rules at concentrations c_hat (a float or an
+    (M,) vector) and cumulative proportions F (I,), each (I,) or (M, I):
+    c*F; the years excluded, where c*F lies below inclusion_threshold (a
+    fully developed year never is); the years drawn, those neither
+    excluded nor fully developed; and the drawn years whose mean is
+    suppressed, where c*F <= 2 and the ratio's mean is unstable."""
+    cf = np.multiply.outer(c_hat, F)
+    open_ = F < _FULLY_DEVELOPED
+    excluded = open_ & (cf < inclusion_threshold)
+    drawn = open_ & ~excluded
+    return cf, excluded, drawn, drawn & (cf <= _SUPPRESS_AT_OR_BELOW)
 
 
 def _anchored_bootstrap(
-    rows: list[tuple[int, float, float, float, str | None]],
+    rows: list[tuple[int, float, float, float, str | None, bool]],
     c_hat: float,
     B: int,
     seed: int,
     anchor: str,
 ) -> ReserveDistribution:
     """Draw and assemble the years given as (accident, F, point reserve,
-    scale, exclusion reason or None); anchor "CL" selects the ratio
-    transform and its mean suppression, "BF" the linear one."""
+    scale, exclusion reason or None, mean suppressed); anchor "CL" selects
+    the ratio transform, "BF" the linear one."""
     ratio = anchor == "CL"
     root = RngStream(seed)
     draws = [
         _Draw(i, root.derive(_ROW_DOMAIN, i).generator(), c_hat * F, c_hat * (1.0 - F), scale)
-        for i, F, _, scale, reason in rows
+        for i, F, _, scale, reason, _ in rows
         if F < _FULLY_DEVELOPED and reason is None
     ]
     block = np.empty((len(draws), B))
-    _draw_years(block, draws, ratio)
+    fault = next((f for f in _draw_years(block, draws, ratio) if f is not None), None)
+    if fault is not None:
+        raise PredictiveError(fault)
     drawn = iter(block)
     years: list[YearPredictive] = []
-    for i, F, point, _, reason in rows:
+    for i, F, point, _, reason, suppressed in rows:
         cf = c_hat * F
         if F >= _FULLY_DEVELOPED:
             years.append(YearPredictive(i, F, cf, point_reserve=0.0, draws=np.zeros(B)))
@@ -279,10 +312,75 @@ def _anchored_bootstrap(
             years.append(
                 YearPredictive(
                     i, F, cf, point_reserve=point, draws=next(drawn),
-                    mean_suppressed=ratio and cf <= _SUPPRESS_AT_OR_BELOW,
+                    mean_suppressed=suppressed,
                 )
             )
     return _assemble(years, B, anchor=anchor)
+
+
+def _cl_totals(
+    obs: np.ndarray,
+    F: np.ndarray,
+    c_hat: np.ndarray,
+    B: int,
+    seeds: list[int],
+    inclusion_threshold: float,
+) -> tuple[np.ndarray, list[str | None]]:
+    """The totals multinomial_bootstrap draws for n diagonals at once.
+
+    obs (n, I) holds each diagonal's row totals, F (I,) the cumulative
+    proportion at each row's lag, c_hat (n,) and seeds (n,) each
+    diagonal's concentration and seed. Year by year, the draws of every
+    diagonal that draws the year come from the streams
+    multinomial_bootstrap keys by (seed, accident year), through
+    _draw_years, and fold into an (n, B) block of totals, so each total
+    adds its years in year order. Returns the totals and, per diagonal,
+    None or the message of the PredictiveError multinomial_bootstrap would
+    raise, found in the order it checks; a failed diagonal's total holds
+    anything.
+    """
+    n, I = obs.shape
+    faults: list[str | None] = [None] * n
+    obs_ok = np.isfinite(obs).all(axis=1) & (obs >= 0.0).all(axis=1)
+    _, excluded, drawn, suppressed = _cl_years(c_hat, F, inclusion_threshold)
+    c = c_hat.tolist()
+    for k in range(n):
+        try:
+            _validate_bootstrap_args(c[k], B)
+        except PredictiveError as exc:
+            faults[k] = str(exc)
+            continue
+        if not obs_ok[k]:
+            faults[k] = _BAD_OBSERVED
+        elif excluded[k].all():
+            faults[k] = _ALL_EXCLUDED
+    live = [k for k in range(n) if faults[k] is None]
+    roots = {k: RngStream(seeds[k]) for k in live}
+    Fs = F.tolist()
+    x = obs.tolist()
+    totals = np.zeros((n, B))
+    for i in range(I):
+        rows = [k for k in live if drawn[k, i]]
+        if not rows:
+            continue
+        draws = [_Draw(i + 1, roots[k].derive(_ROW_DOMAIN, i + 1).generator(),
+                       c[k] * Fs[i], c[k] * (1.0 - Fs[i]), x[k][i]) for k in rows]
+        block = np.empty((len(rows), B))
+        for k, fault in zip(rows, _draw_years(block, draws, ratio=True)):
+            if fault is not None and faults[k] is None:  # its first year at fault
+                faults[k] = fault
+        # A failed diagonal's row may hold anything; its total is not used.
+        with np.errstate(over="ignore", invalid="ignore"):
+            totals[rows] += block
+    finite = np.isfinite(totals).all(axis=1)
+    _, _, moments_ok = _mean_se(totals)
+    for k in live:
+        if faults[k] is None:
+            if not finite[k]:
+                faults[k] = _TOTAL_OVERFLOW
+            elif not (moments_ok[k] or suppressed[k].any()):
+                faults[k] = _MOMENTS_OVERFLOW
+    return totals, faults
 
 
 def multinomial_bootstrap(
@@ -308,16 +406,16 @@ def multinomial_bootstrap(
     _validate_bootstrap_args(c_hat, B)
     obs = np.asarray(diag.observed, dtype=float)
     if not np.all(np.isfinite(obs)) or np.any(obs < 0.0):
-        raise PredictiveError("observed row totals must be finite and non-negative")
+        raise PredictiveError(_BAD_OBSERVED)
+    F = [pattern.F_at_lag(dev) for dev in diag.dev_lag]
+    cf, excluded, _, suppressed = _cl_years(c_hat, np.array(F), inclusion_threshold)
     rows = []
-    for idx, (x_obs, dev) in enumerate(zip(obs, diag.dev_lag)):
-        F = pattern.F_at_lag(dev)
-        cf = c_hat * F
-        point = x_obs * (1.0 - F) / F
+    for idx, x_obs in enumerate(obs):
         reason = None
-        if F < _FULLY_DEVELOPED and cf < inclusion_threshold:
-            reason = f"c*F = {cf:.3g} below inclusion threshold {inclusion_threshold:g}"
-        rows.append((idx + 1, F, point, x_obs, reason))
+        if excluded[idx]:
+            reason = f"c*F = {cf[idx]:.3g} below inclusion threshold {inclusion_threshold:g}"
+        point = x_obs * (1.0 - F[idx]) / F[idx]
+        rows.append((idx + 1, F[idx], point, x_obs, reason, bool(suppressed[idx])))
     return _anchored_bootstrap(rows, c_hat, B, seed, anchor="CL")
 
 
@@ -348,7 +446,7 @@ def bf_bootstrap(
     for idx in range(I):
         F = pattern.F_at_lag(I - idx - 1)
         prior = E[idx] * q_bf
-        rows.append((idx + 1, F, prior * (1.0 - F), prior, None))
+        rows.append((idx + 1, F, prior * (1.0 - F), prior, None, False))
     return _anchored_bootstrap(rows, c_hat, B, seed, anchor="BF")
 
 

@@ -19,28 +19,69 @@ rate 0.01) and, where applicable, one ultimate-severity law (Gamma shape
 
 Coverage studies mask each simulated triangle on the usual diagonal,
 run a bootstrap on the observed part, and score the realised future sum
-against the interval. Replication draws are keyed by (seed, study
-domain, replication index) so any replication can be regenerated in
-isolation and thread counts never change results.
+against the interval. A study runs a contiguous block of replications
+through five stages at a time (_run_block):
+
+  1. generate   each replication's square from its own substreams into
+                an (M, I, J) block; the truth is the sum of its future
+                cells in row-major order, and the triangle checks run
+                once over the block
+  2. CL point   each row's latest-diagonal total, taken once, grossed up
+                by the generating pattern, built once per scenario
+  3. estimate   c-hat of every triangle by estimate_c_batch
+  4. draw       per replication and accident year, the Beta variates of
+                that year's stream, folded in year order into a block of
+                totals, one row per replication; the ODP method fits and
+                bootstraps each replication's triangle instead
+  5. score      the realised future amount against the 95% and 75%
+                intervals of each row of totals, from one sort
+
+Stages 4 and 5 take a block's replications in slices of at most
+_SLICE_DRAWS draws, which bounds the memory a block holds at any B.
+
+A replication that fails a stage records the message the single-triangle
+functions would raise and drops out of the later stages; the rest of the
+block moves on. Every draw is keyed by (seed, study domain, replication
+index) and then by a per-replication tag: _SUB_* for the square,
+_BOOT_MULTINOMIAL and the accident year (predictive._ROW_DOMAIN) for the
+Beta draws, _BOOT_ODP for the residual bootstrap. So any replication can
+be regenerated in isolation, and the block size never changes results.
+With threads > 1 the blocks hold at most M / threads replications each
+(rounded up) and run on a thread pool: numpy releases the GIL in the
+draws and the sorts, so the blocks overlap.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .concentration import ConcentrationError, estimate_c, estimate_c_batch, sigma_c_squared
+from .concentration import (
+    _NO_USABLE_CELLS,
+    ConcentrationError,
+    estimate_c_batch,
+    sigma_c_squared,
+)
 from .distributions import RngStream, beta_prime_moments, sample_tweedie
 from .odp import OdpError, odp_bootstrap, odp_fit
-from .patterns import DevelopmentPattern, PatternError, cl_ultimates
-from .predictive import PredictiveError, _quantiles, multinomial_bootstrap
-from .triangle import Triangle, TriangleError, _observed_mask, latest_diagonal
+from .patterns import DevelopmentPattern, PatternError, _cl_reserves
+from .predictive import PredictiveError, _cl_totals, _quantiles
+from .triangle import (
+    _NON_FINITE_EXPOSURE,
+    Triangle,
+    TriangleError,
+    _diagonal_totals,
+    _observed_mask,
+    _value_errors,
+)
 
 PATTERN_J5 = (0.45, 0.25, 0.15, 0.10, 0.05)
 # Ten-lag pattern: a slowly decaying body, then razor-thin final lags.
@@ -77,6 +118,13 @@ _BOOT_ODP = 5
 _DGPS = ("dirichlet-gamma", "nonstationary", "tweedie", "count-hierarchy")
 _METHODS = ("multinomial", "odp")
 _SCORE_PROBS = np.array([0.025, 0.125, 0.875, 0.975])  # 95% and 75% interval ends
+# Replications a block takes through the generate, CL point and estimate
+# stages at once: enough to spread those stages' numpy calls thin.
+_BLOCK_REPS = 64
+# Bootstrap draws held at once (128 KiB of float64): the draw and score
+# stages take a block's replications in slices of this many draws, so a
+# block's transient arrays stay about as small as one replication's.
+_SLICE_DRAWS = 1 << 14
 
 
 class SimulationError(ValueError):
@@ -162,13 +210,17 @@ class SimulationReport:
     rows is a list of plain dicts so that differently shaped studies
     (coverage tables, the variance verification, the conservatism
     check) share one report type and one pair of writers. Values are
-    Python scalars or None; None renders as an absent cell.
+    Python scalars or None; None renders as an absent cell. resolved
+    holds the study arguments a study works out itself when they are not
+    given (tweedie_sweep's dispersions); the CLI's manifest records them,
+    the report files do not.
     """
 
     study: str
     rows: list[dict] = field(default_factory=list)
     config: dict = field(default_factory=dict)
     runtime_s: float = 0.0
+    resolved: dict = field(default_factory=dict)
 
     def columns(self) -> list[str]:
         cols: list[str] = []
@@ -216,60 +268,88 @@ class SimulationReport:
         return "\n".join(lines)
 
 
-def generate_triangle(cfg: SimConfig, replication: int) -> tuple[Triangle, float]:
-    """Draw one complete run-off square, mask it, and report the truth.
+class _Squares(NamedTuple):
+    """Stage 1 output for a block of M replications."""
 
-    Returns the observed triangle (exposures attached) and the realised
-    future amount the masked cells sum to. Draws come from substreams of
-    (seed, study domain, replication), one per model component, so the
-    nonstationary process at sigma_delta = 0 consumes exactly the same
-    allocation draws as dirichlet-gamma and reproduces it bit for bit.
+    values: np.ndarray  # (M, I, J) increments, NaN in the future cells
+    exposures: np.ndarray  # (M, I)
+    truth: np.ndarray  # (M,) realised future amounts
+    kind: str
+
+
+def _generate(cfg: SimConfig, roots: list[RngStream]) -> _Squares:
+    """Draw the complete run-off square of each replication root, mask it,
+    and sum the truth.
+
+    Each replication draws from substreams of its root, one per model
+    component, so the nonstationary process at sigma_delta = 0 consumes
+    exactly the same allocation draws as dirichlet-gamma and reproduces it
+    bit for bit. The arithmetic between draws runs over the whole block,
+    element by element as for a lone square.
     """
-    if replication < 0 or int(replication) != replication:
-        raise SimulationError(f"replication must be a non-negative integer, got {replication}")
-    I, J = cfg.I, cfg.J
+    I, J, M = cfg.I, cfg.J, len(roots)
     pi = np.asarray(cfg.pi_true)
-    root = RngStream(cfg.seed).derive(_SIM_DOMAIN, replication)
-    E = root.derive(_SUB_EXPOSURE).generator().gamma(
-        cfg.exposure_shape, 1.0 / cfg.exposure_rate, size=I
-    )
+    E = np.empty((M, I))
+    for m, root in enumerate(roots):
+        E[m] = root.derive(_SUB_EXPOSURE).generator().gamma(
+            cfg.exposure_shape, 1.0 / cfg.exposure_rate, size=I
+        )
     kind = "amounts"
     if cfg.dgp in ("dirichlet-gamma", "nonstationary"):
-        S = root.derive(_SUB_ULTIMATE).generator().gamma(
-            cfg.ultimate_shape_factor * E, 1.0 / cfg.ultimate_rate
-        )
-        alphas = np.tile(cfg.c_true * pi, (I, 1))
+        S = np.empty((M, I))
+        for m, root in enumerate(roots):
+            S[m] = root.derive(_SUB_ULTIMATE).generator().gamma(
+                cfg.ultimate_shape_factor * E[m], 1.0 / cfg.ultimate_rate
+            )
+        alphas = np.broadcast_to(np.tile(cfg.c_true * pi, (I, 1)), (M, I, J))
         if cfg.dgp == "nonstationary" and cfg.sigma_delta > 0.0:
-            z = root.derive(_SUB_PERTURBATION).generator().standard_normal((I, J))
-            row_pi = np.exp(np.log(pi)[None, :] + np.sqrt(cfg.sigma_delta) * z)
-            row_pi /= row_pi.sum(axis=1, keepdims=True)
+            z = np.empty((M, I, J))
+            for m, root in enumerate(roots):
+                z[m] = root.derive(_SUB_PERTURBATION).generator().standard_normal((I, J))
+            row_pi = np.exp(np.log(pi) + np.sqrt(cfg.sigma_delta) * z)
+            row_pi /= row_pi.sum(axis=2, keepdims=True)
             alphas = cfg.c_true * row_pi
-        G = root.derive(_SUB_ALLOCATION).generator().gamma(alphas, 1.0)
-        W = G / G.sum(axis=1, keepdims=True)
-        X = S[:, None] * W
+        G = np.empty((M, I, J))
+        for m, root in enumerate(roots):
+            G[m] = root.derive(_SUB_ALLOCATION).generator().gamma(alphas[m], 1.0)
+        X = S[:, :, None] * (G / G.sum(axis=2, keepdims=True))
     elif cfg.dgp == "tweedie":
         mean_scale = cfg.ultimate_shape_factor / cfg.ultimate_rate
-        nu = (mean_scale * E)[:, None] * pi[None, :]
-        X = sample_tweedie(nu, cfg.phi, cfg.p, root.derive(_SUB_TWEEDIE))
+        nu = (mean_scale * E)[:, :, None] * pi
+        X = np.empty((M, I, J))
+        for m, root in enumerate(roots):
+            X[m] = sample_tweedie(nu[m], cfg.phi, cfg.p, root.derive(_SUB_TWEEDIE))
     else:
-        g = root.derive(_SUB_COUNTS).generator()
-        mu_i = cfg.mu * E * (cfg.exposure_rate / cfg.exposure_shape)
-        lam = g.gamma(cfg.kappa, mu_i / cfg.kappa)
-        N = g.poisson(lam)
-        X = np.empty((I, J))
-        for i in range(I):
-            X[i] = g.multinomial(N[i], pi)
+        X = np.empty((M, I, J))
+        for m, root in enumerate(roots):
+            g = root.derive(_SUB_COUNTS).generator()
+            mu_i = cfg.mu * E[m] * (cfg.exposure_rate / cfg.exposure_shape)
+            N = g.poisson(g.gamma(cfg.kappa, mu_i / cfg.kappa))
+            X[m] = g.multinomial(N, pi)  # row by row, as I single-row calls
         kind = "counts"
 
     observed = _observed_mask(I, J)
     # The future cells add one at a time in row-major order.
-    truth = np.cumsum(X[~observed])[-1]
-    t = Triangle(np.where(observed, X, np.nan), kind, exposures=E)
-    return t, float(truth)
+    truth = np.cumsum(X[:, ~observed], axis=1)[:, -1]
+    return _Squares(np.where(observed, X, np.nan), E, truth, kind)
 
 
-def _true_pattern(cfg: SimConfig) -> DevelopmentPattern:
-    """Generating development pattern as conditioning information.
+def generate_triangle(cfg: SimConfig, replication: int) -> tuple[Triangle, float]:
+    """Draw one complete run-off square, mask it, and report the truth.
+
+    Returns the observed triangle (exposures attached) and the realised
+    future amount the masked cells sum to: stage 1 of the coverage
+    studies for a block of one replication (see _generate).
+    """
+    if replication < 0 or int(replication) != replication:
+        raise SimulationError(f"replication must be a non-negative integer, got {replication}")
+    sq = _generate(cfg, [RngStream(cfg.seed).derive(_SIM_DOMAIN, replication)])
+    return Triangle(sq.values[0], sq.kind, exposures=sq.exposures[0]), float(sq.truth[0])
+
+
+def _true_F(cfg: SimConfig) -> np.ndarray | str:
+    """The generating pattern's F at each accident year's lag, or the
+    failure its pattern raises.
 
     Coverage studies hold the pattern at its generating value and let only
     the concentration estimate vary per triangle: the interval's coverage
@@ -279,83 +359,163 @@ def _true_pattern(cfg: SimConfig) -> DevelopmentPattern:
     pi = np.asarray(cfg.pi_true, dtype=float)
     F = np.cumsum(pi)
     F[-1] = 1.0
-    return DevelopmentPattern(pi=tuple(pi), F=tuple(F), method="true")
+    try:
+        pattern = DevelopmentPattern(pi=tuple(pi), F=tuple(F), method="true")
+    except PatternError as exc:
+        return f"PatternError: {exc}"
+    return np.array([pattern.F_at_lag(cfg.I - i) for i in range(1, cfg.I + 1)])
 
 
 _REP_ERRORS = (PatternError, ConcentrationError, PredictiveError, OdpError, TriangleError)
 
 
-def _replicate(cfg: SimConfig, rep: int, methods: tuple[str, ...]) -> dict[str, dict]:
-    """Score one replication's triangle under each of methods.
+def _multinomial_totals(
+    cfg: SimConfig, roots: list[RngStream], obs: np.ndarray, F: np.ndarray, c_hat: np.ndarray
+) -> tuple[np.ndarray, list[str | None]]:
+    """Stage 4 of the multinomial method: the (n, B) bootstrap totals of
+    the replications' diagonals, each drawn from its _BOOT_MULTINOMIAL
+    stream, and per replication None or the failure. A failed estimate
+    fails first."""
+    seeds = [root.derive(_BOOT_MULTINOMIAL).stream_id for root in roots]
+    totals, faults = _cl_totals(obs, F, c_hat, cfg.B, seeds, cfg.inclusion_threshold)
+    return totals, [
+        f"ConcentrationError: {_NO_USABLE_CELLS}" if np.isnan(c)
+        else None if fault is None else f"PredictiveError: {fault}"
+        for c, fault in zip(c_hat.tolist(), faults)
+    ]
 
-    The triangle is generated, and the CL point and c-hat estimated, once
-    for all methods. If the concentration estimator fails, the
-    multinomial result is that failure and the ODP result carries
-    c_hat = NaN.
-    """
 
-    def fail(reason: str) -> dict[str, dict]:
-        return {method: {"failure": reason} for method in methods}
-
-    try:
-        t, truth = generate_triangle(cfg, rep)
-    except (TriangleError, SimulationError) as exc:
-        return fail(f"generation: {exc}")
-    if truth <= 0.0:
-        return fail("non-positive realised future reserve")
-    try:
-        pattern = _true_pattern(cfg)
-        point = float(np.sum(cl_ultimates(t, pattern).reserves))
-    except _REP_ERRORS as exc:
-        return fail(f"{type(exc).__name__}: {exc}")
-    try:
-        c_hat, c_error = estimate_c(t).c_hat, None
-    except ConcentrationError as exc:
-        c_hat, c_error = float("nan"), exc
-    root = RngStream(cfg.seed).derive(_SIM_DOMAIN, rep)
-    results = {}
-    for method in methods:
+def _odp_totals(
+    cfg: SimConfig, roots: list[RngStream], values: np.ndarray, kind: str
+) -> tuple[np.ndarray, list[str | None]]:
+    """Stage 4 of the ODP method: each replication's triangle fitted and
+    bootstrapped on its own (_BOOT_ODP tag). Returns the (n, B) totals and
+    per replication None or the failure."""
+    totals = np.empty((len(roots), cfg.B))
+    faults: list[str | None] = [None] * len(roots)
+    for k, root in enumerate(roots):
         try:
-            if method == "multinomial":
-                if c_error is not None:
-                    raise c_error
-                dist = multinomial_bootstrap(
-                    latest_diagonal(t),
-                    pattern,
-                    c_hat,
-                    cfg.B,
-                    seed=root.derive(_BOOT_MULTINOMIAL).stream_id,
-                    inclusion_threshold=cfg.inclusion_threshold,
-                )
-            else:
-                fit = odp_fit(t)
-                dist = odp_bootstrap(fit, cfg.B, seed=root.derive(_BOOT_ODP).stream_id)
-            q025, q125, q875, q975 = _quantiles(dist.total, _SCORE_PROBS)
-            results[method] = {
-                "covered95": bool(q025 <= truth <= q975),
-                "covered75": bool(q125 <= truth <= q875),
-                "rel_bias": (point - truth) / truth,
-                "rel_width": (q975 - q025) / truth,
-                "c_hat": c_hat,
-            }
+            fit = odp_fit(Triangle(values[k], kind))
+            totals[k] = odp_bootstrap(fit, cfg.B, seed=root.derive(_BOOT_ODP).stream_id).total
         except _REP_ERRORS as exc:
-            results[method] = {"failure": f"{type(exc).__name__}: {exc}"}
+            faults[k] = f"{type(exc).__name__}: {exc}"
+    return totals, faults
+
+
+def _score(
+    totals: np.ndarray,
+    faults: list[str | None],
+    truth: np.ndarray,
+    points: np.ndarray,
+    c_hat: np.ndarray,
+) -> list[dict]:
+    """Stage 5: each replication's realised future amount against the
+    central 95% and 75% intervals of its row of totals, all rows from one
+    sort. A replication already failed keeps its failure; a row whose
+    quantiles cannot be taken fails its replication alone."""
+    out: list[dict] = [{"failure": f} for f in faults]
+    live = [k for k, f in enumerate(faults) if f is None]
+    try:
+        q = _quantiles(totals[live], _SCORE_PROBS)
+    except PredictiveError:
+        q = []
+        for k in list(live):
+            try:
+                q.append(_quantiles(totals[k], _SCORE_PROBS))
+            except PredictiveError as exc:
+                out[k] = {"failure": f"PredictiveError: {exc}"}
+                live.remove(k)
+        q = np.array(q).reshape(len(live), _SCORE_PROBS.size)
+    t = truth[live]
+    # The realised amount may be inf or NaN; the scores then read as the
+    # scalar arithmetic gives them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        covered95 = (q[:, 0] <= t) & (t <= q[:, 3])
+        covered75 = (q[:, 1] <= t) & (t <= q[:, 2])
+        rel_bias = (points[live] - t) / t
+        rel_width = (q[:, 3] - q[:, 0]) / t
+    rows = zip(live, covered95.tolist(), covered75.tolist(), rel_bias.tolist(),
+               rel_width.tolist())
+    for k, c95, c75, bias, width in rows:
+        out[k] = {"covered95": c95, "covered75": c75, "rel_bias": bias, "rel_width": width,
+                  "c_hat": float(c_hat[k])}
+    return out
+
+
+def _run_block(
+    cfg: SimConfig, reps: range, methods: tuple[str, ...], F: np.ndarray | str
+) -> dict[str, list[dict]]:
+    """Per method: the results of the contiguous replications reps, taken
+    through the five stages (see the module docstring), the last two in
+    slices of _SLICE_DRAWS draws. F is _true_F(cfg).
+
+    The triangle, the CL point and c-hat are computed once for all
+    methods. If the concentration estimator fails, the multinomial result
+    is that failure and the ODP result carries c_hat = NaN.
+    """
+    roots = [RngStream(cfg.seed).derive(_SIM_DOMAIN, r) for r in reps]
+    sq = _generate(cfg, roots)
+    # The triangle's checks, then the truth and the pattern, in the order a
+    # single replication meets them.
+    faults = [None if e is None else f"generation: {e}" for e in _value_errors(sq.values, sq.kind)]
+    exposures_ok = np.isfinite(sq.exposures).all(axis=1)
+    for m, fault in enumerate(faults):
+        if fault is not None:
+            continue
+        if not exposures_ok[m]:
+            faults[m] = f"generation: {_NON_FINITE_EXPOSURE}"
+        elif sq.truth[m] <= 0.0:
+            faults[m] = "non-positive realised future reserve"
+        elif isinstance(F, str):
+            faults[m] = F
+    results = {method: [{"failure": f} for f in faults] for method in methods}
+    live = [m for m, f in enumerate(faults) if f is None]
+    if not live:
+        return results
+    values, truth = sq.values[live], sq.truth[live]
+    live_roots = [roots[m] for m in live]
+    # Pattern validation keeps every F positive, so grossing up cannot fail.
+    obs = _diagonal_totals(values)
+    points = _cl_reserves(obs, F)[1].sum(axis=1)
+    try:
+        c_hat = estimate_c_batch(values)
+    except ConcentrationError:  # no horizon qualifies at this I and J
+        c_hat = np.full(len(live), np.nan)
+    # A replication draws at most min(I, J - 1) years, those not fully
+    # developed.
+    step = max(1, _SLICE_DRAWS // (min(cfg.I, cfg.J - 1) * cfg.B))
+    for a in range(0, len(live), step):
+        part = slice(a, a + step)
+        for method in methods:
+            if method == "multinomial":
+                totals, method_faults = _multinomial_totals(
+                    cfg, live_roots[part], obs[part], F, c_hat[part])
+            else:
+                totals, method_faults = _odp_totals(
+                    cfg, live_roots[part], values[part], sq.kind)
+            scored = _score(totals, method_faults, truth[part], points[part], c_hat[part])
+            for m, result in zip(live[part], scored):
+                results[method][m] = result
     return results
 
 
 def _run_reps(
     cfg: SimConfig, methods: tuple[str, ...] = ("multinomial",)
 ) -> dict[str, list[dict]]:
-    """Per method: the M replication results."""
+    """Per method: the M replication results, run in contiguous blocks of
+    at most _BLOCK_REPS replications, and at least one block per thread."""
     for method in methods:
         if method not in _METHODS:
             raise SimulationError(f"unknown method {method!r}; expected one of {_METHODS}")
+    size = min(-(-cfg.M // cfg.threads), _BLOCK_REPS)
+    blocks = [range(a, min(a + size, cfg.M)) for a in range(0, cfg.M, size)]
+    run = functools.partial(_run_block, cfg, methods=methods, F=_true_F(cfg))
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            reps = list(pool.map(lambda r: _replicate(cfg, r, methods), range(cfg.M)))
+            done = list(pool.map(run, blocks))
     else:
-        reps = [_replicate(cfg, r, methods) for r in range(cfg.M)]
-    return {method: [rep[method] for rep in reps] for method in methods}
+        done = list(map(run, blocks))
+    return {method: [r for block in done for r in block[method]] for method in methods}
 
 
 def _aggregate(results: list[dict], runtime: float, head: dict) -> dict:
@@ -485,11 +645,15 @@ def tweedie_sweep(
         raise SimulationError(
             f"phi_values has {len(phi_values)} entries for {len(p_values)} powers"
         )
+    resolved = {}
     if phi_values is None:
         phi_values = [_phi_for_power(p, cfg.phi) for p in p_values]
+        resolved["phi_values"] = phi_values
     heads = [{"p": float(p), "phi": float(phi)} for p, phi in zip(p_values, phi_values)]
     scenarios = [(head, replace(cfg, dgp="tweedie", **head)) for head in heads]
-    return _run_scenarios("tweedie", asdict(cfg), scenarios)
+    report = _run_scenarios("tweedie", asdict(cfg), scenarios)
+    report.resolved = resolved
+    return report
 
 
 def _paired_counts(multi: list[dict], odp: list[dict]) -> dict:
@@ -514,7 +678,7 @@ def compare_odp(cfg: SimConfig) -> SimulationReport:
     """Both bootstraps on identical triangles, five scenarios.
 
     Each replication's triangle is generated once and scored by both
-    procedures (see _replicate). Each multinomial row also carries its
+    procedures (see _run_block). Each multinomial row also carries its
     paired counts against the ODP row that follows it (see
     _paired_counts).
     """

@@ -64,6 +64,35 @@ def _check_dims(I: int, J: int) -> None:
         raise TriangleError(f"need I >= 2 and J >= 2, got I={I}, J={J}")
 
 
+_NON_FINITE_EXPOSURE = "non-finite exposure value"
+
+
+def _value_errors(values: np.ndarray, kind: str) -> list[str | None]:
+    """Per (I, J) slice of an (M, I, J) block: the TriangleError message its
+    values raise, or None. The first cell in row-major order that is a
+    non-finite observed value or a future cell other than NaN is named;
+    then, for counts, the first observed cell that is not a non-negative
+    integer."""
+    _, I, J = values.shape
+    observed = _observed_mask(I, J)
+    errors: list[str | None] = [None] * values.shape[0]
+    ok = np.where(observed, np.isfinite(values), np.isnan(values))
+    for m in np.flatnonzero(~ok.all(axis=(1, 2))):
+        r, j = np.argwhere(~ok[m])[0]
+        if observed[r, j]:
+            errors[m] = f"non-finite value at cell ({r + 1}, {j})"
+        else:
+            errors[m] = f"future cell ({r + 1}, {j}): i + j exceeds I = {I}"
+    if kind == "counts":
+        bad = observed & ((values < 0.0) | (values != np.floor(values)))
+        for m in np.flatnonzero(bad.any(axis=(1, 2))):
+            if errors[m] is None:
+                r, j = np.argwhere(bad[m])[0]
+                errors[m] = (f"count triangles need non-negative integers, "
+                             f"got {values[m, r, j]} at ({r + 1}, {j})")
+    return errors
+
+
 class _Cells(Mapping):
     """Read-only (i, j) -> value view of a triangle's observed cells, in
     accident-year then lag order."""
@@ -113,20 +142,9 @@ class Triangle:
         _check_dims(I, J)
         if self.kind not in ("amounts", "counts"):
             raise TriangleError(f"kind must be 'amounts' or 'counts', got {self.kind!r}")
-        observed = _observed_mask(I, J)
-        ok = np.where(observed, np.isfinite(X), np.isnan(X))
-        if not ok.all():
-            r, j = np.argwhere(~ok)[0]
-            if observed[r, j]:
-                raise TriangleError(f"non-finite value at cell ({r + 1}, {j})")
-            raise TriangleError(f"future cell ({r + 1}, {j}): i + j exceeds I = {I}")
-        if self.kind == "counts":
-            bad = observed & ((X < 0.0) | (X != np.floor(X)))
-            if bad.any():
-                r, j = np.argwhere(bad)[0]
-                raise TriangleError(
-                    f"count triangles need non-negative integers, got {X[r, j]} at ({r + 1}, {j})"
-                )
+        error = _value_errors(X[None], self.kind)[0]
+        if error is not None:
+            raise TriangleError(error)
         X.flags.writeable = False
         object.__setattr__(self, "values", X)
         if self.exposures is not None:
@@ -136,7 +154,7 @@ class Triangle:
                     f"exposures must have length I = {I}, got {len(exp)}"
                 )
             if any(not np.isfinite(e) for e in exp):
-                raise TriangleError("non-finite exposure value")
+                raise TriangleError(_NON_FINITE_EXPOSURE)
             object.__setattr__(self, "exposures", exp)
 
     @classmethod
@@ -203,11 +221,25 @@ class DiagonalSummary:
     dev_lag: tuple[int, ...]
 
 
+def _diagonal_totals(X: np.ndarray) -> np.ndarray:
+    """Each row's observed total over an (..., I, J) block of increments;
+    cells past a row's last observed lag are never read.
+
+    Each row's observed prefix is summed as one vector, the rows of one
+    length at once, so numpy's pairwise grouping is that of a lone row;
+    summing the NaN-padded row instead would regroup it.
+    """
+    I, J = X.shape[-2:]
+    out = np.empty(X.shape[:-1])
+    full = max(I - J + 1, 0)  # rows observing every lag
+    out[..., :full] = X[..., :full, :].sum(axis=-1)
+    for r in range(full, I):
+        out[..., r] = X[..., r, : I - r].sum(axis=-1)
+    return out
+
+
 def latest_diagonal(t: Triangle) -> DiagonalSummary:
-    # Each row's observed prefix is summed as one vector; summing the
-    # NaN-padded row instead would regroup numpy's pairwise sum.
-    X = t.values
-    observed = tuple(float(X[i - 1, : t.last_lag(i) + 1].sum()) for i in range(1, t.I + 1))
+    observed = tuple(_diagonal_totals(t.values).tolist())
     dev_lag = tuple(t.I - i for i in range(1, t.I + 1))
     return DiagonalSummary(observed=observed, dev_lag=dev_lag)
 

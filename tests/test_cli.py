@@ -257,16 +257,30 @@ class TestSimulate:
         assert manifest["seed"] == 77
 
     def test_reports_identical_across_threads(self, tmp_path):
-        for d, threads in (("t1", "1"), ("t3", "3")):
-            code = main(["simulate", "--study", "correct", "--M", "4",
-                         "--B", "30", "--seed", "77", "--threads", threads,
-                         "--out-dir", str(tmp_path / d)])
-            assert code == 0
-        j1 = read_json(tmp_path / "t1" / "runoff_correct.json")
-        j3 = read_json(tmp_path / "t3" / "runoff_correct.json")
-        j1["config"].pop("threads"), j3["config"].pop("threads")
-        assert j1["rows"] == j3["rows"]
-        assert j1["config"] == j3["config"]
+        # Each study that runs coverage replications, at an M that 2 and 3
+        # threads split into uneven contiguous chunks. The JSON differs only
+        # in the threads field of a coverage study's config.
+        studies = {
+            "correct": ["correct", "--M", "7"],
+            "nonstat": ["nonstat", "--M", "5", "--sigma-grid", "0,0.05"],
+            "tweedie": ["tweedie", "--M", "5"],
+            "count-hierarchy": ["correct", "--dgp", "count-hierarchy", "--M", "7"],
+            "grid": ["grid", "--M", "5", "--grid-c", "20,50", "--grid-i", "7,10",
+                     "--grid-j", "5"],
+            "compare-odp": ["compare-odp", "--M", "5"],
+        }
+        for name, (study, *argv) in studies.items():
+            reports = []
+            for threads in ("1", "2", "3"):
+                out = tmp_path / name / threads
+                assert main(["simulate", "--study", study, *argv, "--B", "40", "--seed", "77",
+                             "--threads", threads, "--out-dir", str(out)]) == 0
+                text = (out / f"runoff_{study}.json").read_text()
+                if study != "grid":
+                    assert text.count(f'"threads": {threads}\n') == 1
+                    text = text.replace(f'"threads": {threads}\n', '"threads": 1\n')
+                reports.append(((out / f"runoff_{study}.csv").read_bytes(), text.encode()))
+            assert reports[1] == reports[0] and reports[2] == reports[0], name
 
     def test_soft_failures_keep_exit_zero(self, tmp_path, capsys):
         code = main(["simulate", "--study", "correct", "--I", "5", "--J", "5",

@@ -129,6 +129,15 @@ class TestSimulate:
             **BASE_CONFIG, "seed": 8, "dgp": "tweedie",
             "p_values": [1.4], "phi_values": [30.0], "study": "tweedie"})
 
+    def test_tweedie_records_the_dispersions_it_resolved(self, tmp_path):
+        # Without --phi-grid each power takes its calibrated dispersion; the
+        # manifest names them, the report bytes stay as they were.
+        got = run(tmp_path, ["simulate", "--study", "tweedie", "--M", "2", "--B", "10",
+                             "--seed", "8"], "s")
+        assert got == simulate_manifest("tweedie", 8, {
+            **BASE_CONFIG, "seed": 8, "dgp": "tweedie",
+            "p_values": [1.3, 1.5, 1.8], "phi_values": [90.0, 43.0, 2.75], "study": "tweedie"})
+
     def test_grid_records_the_threads_it_used(self, tmp_path):
         got = run(tmp_path, ["simulate", "--study", "grid", "--grid-c", "50", "--grid-i", "7",
                              "--grid-j", "5", "--M", "2", "--B", "10", "--seed", "9"], "s")

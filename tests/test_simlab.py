@@ -9,14 +9,20 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import runoff
 from runoff import simlab
-from runoff.concentration import ConcentrationError
+from runoff.concentration import ConcentrationError, estimate_c
+from runoff.distributions import RngStream
+from runoff.patterns import DevelopmentPattern, PatternError, cl_ultimates
+from runoff.predictive import PredictiveError, _quantiles, multinomial_bootstrap
 from runoff.simlab import (
     PATTERN_J5,
     PATTERN_J10,
@@ -38,6 +44,7 @@ from runoff.simlab import (
     _paired_counts,
     _run_reps,
 )
+from runoff.triangle import TriangleError, latest_diagonal
 
 
 class TestSimConfig:
@@ -178,15 +185,16 @@ class TestRunCoverageStudy:
         assert "failure_reasons" in row
 
     def test_non_finite_draws_are_a_replication_failure(self, monkeypatch):
-        bootstrap = simlab.multinomial_bootstrap
+        # The last draw of every replication's total turns NaN between the
+        # draw stage and the scoring stage.
+        draw = simlab._multinomial_totals
 
-        def nan_total(*args, **kwargs):
-            dist = bootstrap(*args, **kwargs)
-            total = dist.total.copy()
-            total[-1] = np.nan
-            return dataclasses.replace(dist, total=total)
+        def nan_totals(*args, **kwargs):
+            totals, faults = draw(*args, **kwargs)
+            totals[:, -1] = np.nan
+            return totals, faults
 
-        monkeypatch.setattr(simlab, "multinomial_bootstrap", nan_total)
+        monkeypatch.setattr(simlab, "_multinomial_totals", nan_totals)
         row = run_coverage_study(SimConfig(M=3, B=20, seed=4)).rows[0]
         assert row["failures"] == 3
         assert "non-finite" in row["failure_reasons"]
@@ -299,35 +307,38 @@ class TestSweeps:
 
     def test_compare_odp_generates_each_triangle_once(self, monkeypatch):
         calls = []
-        generate = simlab.generate_triangle
+        generate = simlab._generate
 
-        def counting(cfg, rep):
-            calls.append((cfg.dgp, cfg.sigma_delta, cfg.p, rep))
-            return generate(cfg, rep)
+        def counting(cfg, roots):
+            calls.extend((cfg.dgp, cfg.sigma_delta, cfg.p, root.stream_id) for root in roots)
+            return generate(cfg, roots)
 
-        monkeypatch.setattr(simlab, "generate_triangle", counting)
+        monkeypatch.setattr(simlab, "_generate", counting)
         compare_odp(SimConfig(M=3, B=20, seed=8, threads=2))
         assert len(calls) == len(set(calls)) == 5 * 3
 
     def test_failed_estimate_fails_multinomial_and_leaves_odp_c_hat_nan(self, monkeypatch):
-        estimate = simlab.estimate_c
-        message = "no usable (j, k) cells: forced for one replication"
+        # The second replication's estimate fails: the batched estimator
+        # gives NaN where estimate_c raises.
+        estimate = simlab.estimate_c_batch
         calls = []
 
-        def failing_second(t):
-            calls.append(t)
-            if len(calls) == 2:
-                raise ConcentrationError(message)
-            return estimate(t)
+        def failing_second(X):
+            calls.append(len(X))
+            c_hat = estimate(X).copy()
+            c_hat[1] = np.nan
+            return c_hat
 
-        monkeypatch.setattr(simlab, "estimate_c", failing_second)
+        monkeypatch.setattr(simlab, "estimate_c_batch", failing_second)
         runs = _run_reps(SimConfig(M=3, B=30, seed=5), _METHODS)
-        assert len(calls) == 3
+        assert sum(calls) == 3  # each triangle estimated once for both methods
+        with pytest.raises(ConcentrationError) as raised:
+            estimate_c(generate_triangle(SimConfig(I=5, J=5), 0)[0])
         multi, odp = runs["multinomial"], runs["odp"]
-        assert multi[1] == {"failure": f"ConcentrationError: {message}"}
+        assert multi[1] == {"failure": f"ConcentrationError: {raised.value}"}
         assert "failure" not in odp[1] and np.isnan(odp[1]["c_hat"])
         for r in (0, 2):
-            assert multi[r]["c_hat"] == odp[r]["c_hat"] == estimate(
+            assert multi[r]["c_hat"] == odp[r]["c_hat"] == estimate_c(
                 generate_triangle(SimConfig(M=3, B=30, seed=5), r)[0]).c_hat
 
     def test_sensitivity_grid_reports_impossible_cells(self):
@@ -339,6 +350,89 @@ class TestSweeps:
         assert "no default pattern" in bad["failure_reasons"]
         assert good["J"] == 5 and good["n_effective"] > 0
         assert "coverage75" not in good
+
+
+def reference_replication(cfg: SimConfig, rep: int) -> dict:
+    """One replication of the multinomial study scored by the public
+    single-triangle functions, in the order the block runner checks."""
+    try:
+        t, truth = generate_triangle(cfg, rep)
+    except TriangleError as exc:
+        return {"failure": f"generation: {exc}"}
+    if truth <= 0.0:
+        return {"failure": "non-positive realised future reserve"}
+    pi = np.asarray(cfg.pi_true)
+    F = np.cumsum(pi)
+    F[-1] = 1.0
+    try:
+        pattern = DevelopmentPattern(pi=tuple(pi), F=tuple(F), method="true")
+        point = float(np.sum(cl_ultimates(t, pattern).reserves))
+    except PatternError as exc:
+        return {"failure": f"PatternError: {exc}"}
+    root = RngStream(cfg.seed).derive(simlab._SIM_DOMAIN, rep)
+    try:
+        c_hat = estimate_c(t).c_hat
+        dist = multinomial_bootstrap(
+            latest_diagonal(t), pattern, c_hat, cfg.B,
+            seed=root.derive(simlab._BOOT_MULTINOMIAL).stream_id,
+            inclusion_threshold=cfg.inclusion_threshold)
+        q025, q125, q875, q975 = _quantiles(dist.total, simlab._SCORE_PROBS)
+    except (ConcentrationError, PredictiveError) as exc:
+        return {"failure": f"{type(exc).__name__}: {exc}"}
+    return {"covered95": bool(q025 <= truth <= q975), "covered75": bool(q125 <= truth <= q875),
+            "rel_bias": (point - truth) / truth, "rel_width": (q975 - q025) / truth,
+            "c_hat": c_hat}
+
+
+def bits(result: dict) -> dict:
+    """A result with every float as its exact hex form, NaN included."""
+    return {k: float(v).hex() if isinstance(v, (float, np.floating)) else v
+            for k, v in result.items()}
+
+
+@st.composite
+def study_configs(draw):
+    """Small multinomial studies that reach every failure: I = 5 leaves no
+    estimable cell, I < J = 10 leaves no fully developed year for the
+    inclusion threshold to spare, c_true = 2 suppresses means, zeros in
+    Tweedie and count cells give non-positive truths, and the ultimate
+    scale drives draws, totals and their moments past the float range or
+    makes cells infinite."""
+    dgp = draw(st.sampled_from(["dirichlet-gamma", "nonstationary", "tweedie",
+                                "count-hierarchy"]))
+    kw = {"J": draw(st.sampled_from([5, 10])), "I": draw(st.integers(5, 13)), "dgp": dgp,
+          "c_true": draw(st.sampled_from([2.0, 50.0, 400.0])),
+          "inclusion_threshold": draw(st.sampled_from([0.0, 5.0, 1e4])),
+          "M": draw(st.integers(1, 6)), "B": draw(st.sampled_from([1, 2, 37, 400])),
+          "seed": draw(st.integers(0, 2**63)), "threads": draw(st.integers(1, 3))}
+    if dgp in ("dirichlet-gamma", "nonstationary"):
+        kw["ultimate_rate"] = draw(st.sampled_from([1e-3] * 3 + [1e-299, 1e-304, 1e-305]))
+    if dgp == "nonstationary":
+        kw["sigma_delta"] = draw(st.sampled_from([0.0, 0.05, 1.0]))
+    elif dgp == "tweedie":
+        kw["p"] = draw(st.sampled_from([1.2, 1.8]))
+        kw["phi"] = draw(st.sampled_from([2.75, 5000.0]))
+    elif dgp == "count-hierarchy":
+        kw["mu"] = draw(st.sampled_from([3.0, 400.0]))
+    return SimConfig(**kw)
+
+
+class TestBlockRunner:
+    @settings(max_examples=150, deadline=None)
+    @given(cfg=study_configs())
+    # One replication's total overflows while each year stays finite, and
+    # every year falls under the inclusion threshold.
+    @example(cfg=SimConfig(M=40, B=37, c_true=2.0, ultimate_rate=1e-304, seed=3))
+    @example(cfg=SimConfig(I=8, J=10, M=6, B=37, inclusion_threshold=1e4, seed=5))
+    def test_matches_the_single_triangle_functions_bit_for_bit(self, cfg):
+        # Extreme scales overflow numpy arithmetic on both paths alike, on
+        # the runner's worker threads too; the warnings are beside the point
+        # here, the results are compared.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = _run_reps(cfg)["multinomial"]
+            want = [reference_replication(cfg, rep) for rep in range(cfg.M)]
+        assert [bits(r) for r in got] == [bits(r) for r in want]
 
 
 class TestVerifySigmaC:
