@@ -10,14 +10,15 @@ rather than as fixed conditioning information.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import RngStream
-from .patterns import _cumulative_pattern, link_ratios
+from .patterns import PatternError, _cumulative_pattern, _link_ratio_block
 from .predictive import ReserveDistribution, YearPredictive, _assemble
-from .triangle import Triangle
+from .triangle import Triangle, _diagonal_totals, _n_observed, _observed_mask
 
 _ODP_DOMAIN = 2  # stream tag for the residual bootstrap
 _POOL_FLOOR = 1e-9  # fitted means at or below this leave the residual pool
@@ -55,6 +56,68 @@ class OdpFit:
         return _cumulative_pattern(self.link_ratios)
 
 
+def _odp_fits(X: np.ndarray) -> list[OdpFit | OdpError | PatternError]:
+    """odp_fit of each (I, J) slice of an (n, I, J) increments block: its
+    OdpFit, or the error odp_fit raises for it.
+
+    The arithmetic runs over the whole block, element by element as for a
+    lone triangle; the sums keep a lone triangle's order: each row's
+    latest total is its observed prefix summed as one vector, the link
+    ratios' column sums add the accident years one after another, and each
+    slice's Pearson sum runs over its own finite residuals alone.
+    """
+    n, I, J = X.shape
+    n_cells = _n_observed(I, J)
+    n_params = I + J - 1
+    dof = n_cells - n_params
+    if dof < 1:
+        return [OdpError(f"saturated triangle: {n_cells} cells for {n_params} "
+                         f"parameters leaves dof = {dof}")] * n
+    f, errors = _link_ratio_block(X)
+    observed = _observed_mask(I, J)
+    last = observed.sum(axis=1) - 1
+    latest = _diagonal_totals(X)
+    # Fitted cumulatives: each row's latest total divided backward through
+    # the link ratios, then walked forward into the future; differencing
+    # gives the fitted increments and the projected future cells. A faulty
+    # slice's ratios hold anything, so its arithmetic may not be finite.
+    cum = np.empty((n, I, J))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for j in range(J - 1, -1, -1):
+            cum[:, last == j, j] = latest[:, last == j]
+            if j < J - 1:
+                back = last > j
+                cum[:, back, j] = cum[:, back, j + 1] / f[:, j, None]
+        for j in range(1, J):
+            ahead = last < j
+            cum[:, ahead, j] = cum[:, ahead, j - 1] * f[:, j - 1, None]
+        increments = np.diff(cum, axis=-1, prepend=0.0)
+        fitted = np.where(observed, increments, np.nan)
+        residuals = np.where(fitted > _POOL_FLOOR, (X - fitted) / np.sqrt(fitted), np.nan)
+    future = np.where(observed, np.nan, increments)
+    negative = (fitted < 0.0).any(axis=(1, 2))
+    fits: list[OdpFit | OdpError | PatternError] = []
+    for k in range(n):
+        if errors[k] is not None:
+            fits.append(PatternError(errors[k]))
+        elif negative[k]:
+            fits.append(OdpError("negative fitted incrementals: data are too non-monotone for ODP"))
+        else:
+            r2 = residuals[k][np.isfinite(residuals[k])]
+            fits.append(OdpFit(
+                I=I,
+                J=J,
+                fitted_incrementals=fitted[k],
+                dispersion=float(np.sum(r2 * r2) / dof),
+                residuals=residuals[k],
+                dof=dof,
+                n_cells=n_cells,
+                link_ratios=f[k],
+                projected_future=future[k],
+            ))
+    return fits
+
+
 def odp_fit(t: Triangle) -> OdpFit:
     """Fit the ODP surface by the chain-ladder margin identity.
 
@@ -62,103 +125,52 @@ def odp_fit(t: Triangle) -> OdpFit:
     observed cumulative backward through the volume-weighted link
     ratios; differencing gives fitted incrementals whose row and column
     sums match the data. Dispersion is the Pearson chi-square over
-    degrees of freedom.
+    degrees of freedom. The one-triangle case of _odp_fits.
     """
-    I, J = t.I, t.J
-    n_cells = len(t.cells)
-    n_params = I + J - 1
-    dof = n_cells - n_params
-    if dof < 1:
-        raise OdpError(
-            f"saturated triangle: {n_cells} cells for {n_params} parameters leaves dof = {dof}"
-        )
-    f = link_ratios(t)
-    X = t.values
-    fitted = np.full((I, J), np.nan)
-    future = np.full((I, J), np.nan)
-    for i in range(1, I + 1):
-        last = t.last_lag(i)
-        cum_fit = np.empty(last + 1)
-        cum_fit[last] = X[i - 1, : last + 1].sum()
-        for j in range(last, 0, -1):
-            cum_fit[j - 1] = cum_fit[j] / f[j - 1]
-        fitted[i - 1, : last + 1] = np.diff(np.concatenate([[0.0], cum_fit]))
-        run = cum_fit[last]
-        for j in range(last + 1, J):
-            nxt = run * f[j - 1]
-            future[i - 1, j] = nxt - run
-            run = nxt
-    if np.nanmin(fitted) < 0.0:
-        raise OdpError("negative fitted incrementals: data are too non-monotone for ODP")
-    with np.errstate(invalid="ignore", divide="ignore"):
-        residuals = np.where(fitted > _POOL_FLOOR, (X - fitted) / np.sqrt(fitted), np.nan)
-    r2 = residuals[np.isfinite(residuals)]
-    dispersion = float(np.sum(r2 * r2) / dof)
-    return OdpFit(
-        I=I,
-        J=J,
-        fitted_incrementals=fitted,
-        dispersion=dispersion,
-        residuals=residuals,
-        dof=dof,
-        n_cells=n_cells,
-        link_ratios=f,
-        projected_future=future,
-    )
+    fit = _odp_fits(t.values[None])[0]
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
 
 
-def odp_bootstrap(fit: OdpFit, B: int, seed: int) -> ReserveDistribution:
-    """Residual-resampling bootstrap over the fitted ODP surface.
+def _work_array(work: dict, name: str, shape: tuple, dtype=float) -> np.ndarray:
+    """An array of shape and dtype over the bytes work keeps under name,
+    which are made anew when too few. Arrays taken under one name share
+    their memory."""
+    size = math.prod(shape) * np.dtype(dtype).itemsize
+    buf = work.get(name)
+    if buf is None or buf.size < size:
+        buf = work[name] = np.empty(size, np.uint8)
+    return buf[:size].view(dtype).reshape(shape)
 
-    Per replication: dof-adjusted Pearson residuals are resampled with
-    replacement, pseudo increments m + r sqrt(m) are refitted by chain
-    ladder, future means are projected from the pseudo diagonal, and
-    each future cell draws Gamma process error with variance dispersion
-    times mean. Replications whose refit degenerates (non-positive
-    column sums) are redrawn, up to 100 rounds, and counted.
 
-    The draws are fixed bit for bit by seed, and two things fix them.
-    First, RngStream(seed).derive(_ODP_DOMAIN) is drawn from only thus:
-      1. integers(0, pool size, size=(B, n_obs)), one residual per
-         observed cell in row-major cell order;
-      2. per redraw round, integers(0, pool size, size=(n_bad, n_obs))
-         for the still degenerate replications in increasing order;
-      3. gamma(shape=means / dispersion, scale=dispersion) over the
-         (B, n_future) means, future cells in year-then-lag order.
-    Second, the summation order. Pseudo cumulatives add lag by lag. Each
-    refitted factor's column sums add the accident years one after
-    another, except in a round that refits a single replication, where
-    the column is summed as one vector by numpy's pairwise sum. Future
-    means multiply the factors lag by lag, then scale by the latest
-    pseudo cumulative. Each year's process-error total is numpy's
-    pairwise sum over its future cells (8-way blocks from 8 cells on).
+def _odp_draws(fit: OdpFit, B: int, seed: int, work: dict) -> tuple[np.ndarray, int]:
+    """The draw kernel of odp_bootstrap: the B process-error totals of each
+    accident year with future cells, in year order, as an (open years, B)
+    array, and the number of redrawn replications. With dispersion <= 0
+    each of those years holds its point reserve instead.
+
+    work holds the kernel's large arrays between calls, the returned one
+    among them, so a caller that keeps work for many fits of one shape
+    allocates them once; it must not be shared between threads. The
+    resampled indices and the process error share one array's memory,
+    and the pseudo cumulatives and the future means another's.
     """
     if int(B) != B or B < 1:
         raise OdpError(f"B must be a positive integer, got {B}")
     I, J = fit.I, fit.J
     last = [min(J - 1, I - i) for i in range(1, I + 1)]
-    F = fit.pattern_F()
-    points = np.nansum(fit.projected_future, axis=1)
+    open_years = [i for i in range(I) if last[i] < J - 1]
+    sums = _work_array(work, "sums", (len(open_years), B))
     phi = fit.dispersion
-
-    def year(i, draws):
-        return YearPredictive(
-            accident=i,
-            F=float(F[min(last[i - 1], J - 1)]),
-            c_times_F=float("nan"),
-            point_reserve=float(points[i - 1]),
-            draws=draws,
-        )
-
     if phi <= 0.0:
-        years = [year(i, np.full(B, points[i - 1])) for i in range(1, I + 1)]
-        meta = {"rejected_replications": 0, "dispersion": phi, "dof": fit.dof}
-        return _assemble(years, B, anchor="ODP", meta=meta)
+        sums[:] = np.nansum(fit.projected_future, axis=1)[open_years, None]
+        return sums, 0
 
     # Flat layout: one row of B replications per observed cell, in
     # row-major cell order, so year i's cells are rows first[i]:first[i + 1].
     first = np.cumsum([0, *(L + 1 for L in last)])
-    m_obs = np.concatenate([fit.fitted_incrementals[i, : L + 1] for i, L in enumerate(last)])
+    m_obs = fit.fitted_incrementals[_observed_mask(I, J)]
     n_obs = m_obs.size
     sqrt_m = np.sqrt(m_obs)[:, None]
     m_obs = m_obs[:, None]
@@ -166,17 +178,20 @@ def odp_bootstrap(fit: OdpFit, B: int, seed: int) -> ReserveDistribution:
     if pool.size == 0:
         raise OdpError("empty residual pool: every fitted mean is degenerate")
     pool = pool * np.sqrt(fit.n_cells / fit.dof)
-    open_years = [i for i in range(I) if last[i] < J - 1]
     diagonal = [first[i] + last[i] for i in open_years]
     # Lag j is refitted from the first reach[j] years, those observing lag j + 1.
     reach = [sum(L > j for L in last) for j in range(J - 1)]
 
     g = RngStream(seed).derive(_ODP_DOMAIN).generator()
 
-    def build(idx: np.ndarray):
+    def build(idx: np.ndarray, arrays: dict):
         """Latest pseudo cumulatives of the open years, refitted factors
         (J - 1, nb) and a validity flag per replication."""
-        cum = pool[idx.T.copy()]  # C order: a cell's replications are one row
+        # C order: a cell's replications are one row.
+        it = _work_array(arrays, "a", idx.shape[::-1], idx.dtype)
+        np.copyto(it, idx.T)
+        cum = _work_array(arrays, "b", it.shape)
+        np.take(pool, it, out=cum, mode="clip")  # every index is in range
         cum *= sqrt_m
         cum += m_obs
         for a, b in zip(first[:-1], first[1:]):
@@ -200,8 +215,7 @@ def odp_bootstrap(fit: OdpFit, B: int, seed: int) -> ReserveDistribution:
         valid = np.all((num > 0.0) & (den > 0.0), axis=0)
         return cum[diagonal], factors, valid
 
-    idx = g.integers(0, pool.size, size=(B, n_obs))
-    latest, factors, valid = build(idx)
+    latest, factors, valid = build(g.integers(0, pool.size, size=(B, n_obs)), work)
     rejected = 0
     rounds = 0
     while not np.all(valid):
@@ -214,14 +228,15 @@ def odp_bootstrap(fit: OdpFit, B: int, seed: int) -> ReserveDistribution:
         bad = np.nonzero(~valid)[0]
         rejected += bad.size
         re_idx = g.integers(0, pool.size, size=(bad.size, n_obs))
-        latest[:, bad], factors[:, bad], valid[bad] = build(re_idx)
+        latest[:, bad], factors[:, bad], valid[bad] = build(re_idx, {})
 
     # Future means, one row per future cell in year-then-lag order: each
     # open year walks its latest pseudo cumulative forward through the
     # running product of its factors, and differences the walk.
     widths = [J - 1 - last[i] for i in open_years]
     lags = [j for i in open_years for j in range(last[i], J - 1)]
-    means = factors[lags]
+    means = _work_array(work, "b", (len(lags), B))
+    np.take(factors, lags, axis=0, out=means, mode="clip")
     offset = 0
     for k, width in enumerate(widths):
         walk = means[offset : offset + width]
@@ -234,13 +249,63 @@ def odp_bootstrap(fit: OdpFit, B: int, seed: int) -> ReserveDistribution:
         offset += width
     np.maximum(means, _MEAN_FLOOR, out=means)
     means /= phi
-    process = g.gamma(shape=means.T, scale=phi)
-
-    per_year_draws: dict[int, np.ndarray] = {}
+    process = _work_array(work, "a", (B, len(lags)))
+    g.standard_gamma(means.T, out=process)
+    # Overflow is numpy's gamma's inf, which the callers' checks report.
+    with np.errstate(over="ignore"):
+        process *= phi
     offset = 0
-    for i, width in zip(open_years, widths):
-        per_year_draws[i + 1] = process[:, offset : offset + width].sum(axis=1)
+    for k, width in enumerate(widths):
+        np.sum(process[:, offset : offset + width], axis=1, out=sums[k])
         offset += width
-    years = [year(i, per_year_draws.get(i, np.zeros(B))) for i in range(1, I + 1)]
-    meta = {"rejected_replications": rejected, "dispersion": phi, "dof": fit.dof}
+    return sums, rejected
+
+
+def odp_bootstrap(fit: OdpFit, B: int, seed: int) -> ReserveDistribution:
+    """Residual-resampling bootstrap over the fitted ODP surface.
+
+    Per replication: dof-adjusted Pearson residuals are resampled with
+    replacement, pseudo increments m + r sqrt(m) are refitted by chain
+    ladder, future means are projected from the pseudo diagonal, and
+    each future cell draws Gamma process error with variance dispersion
+    times mean. Replications whose refit degenerates (non-positive
+    column sums) are redrawn, up to 100 rounds, and counted.
+
+    The draws are fixed bit for bit by seed, and two things fix them.
+    First, RngStream(seed).derive(_ODP_DOMAIN) is drawn from only thus:
+      1. integers(0, pool size, size=(B, n_obs)), one residual per
+         observed cell in row-major cell order;
+      2. per redraw round, integers(0, pool size, size=(n_bad, n_obs))
+         for the still degenerate replications in increasing order;
+      3. standard_gamma(shape=means / dispersion) over the (B, n_future)
+         means, future cells in year-then-lag order, times dispersion:
+         the bits of gamma(shape, scale=dispersion), which numpy computes
+         as scale * standard_gamma(shape).
+    Second, the summation order. Pseudo cumulatives add lag by lag. Each
+    refitted factor's column sums add the accident years one after
+    another, except in a round that refits a single replication, where
+    the column is summed as one vector by numpy's pairwise sum. Future
+    means multiply the factors lag by lag, then scale by the latest
+    pseudo cumulative. Each year's process-error total is numpy's
+    pairwise sum over its future cells (8-way blocks from 8 cells on).
+
+    The draws come from _odp_draws, which the coverage studies call
+    directly; this function adds the per-year view and the summary.
+    """
+    sums, rejected = _odp_draws(fit, B, seed, {})
+    I, J = fit.I, fit.J
+    F = fit.pattern_F()
+    points = np.nansum(fit.projected_future, axis=1)
+    drawn = iter(sums)
+    years = []
+    for i in range(I):
+        last = min(J - 1, I - 1 - i)
+        years.append(YearPredictive(
+            accident=i + 1,
+            F=float(F[last]),
+            c_times_F=float("nan"),
+            point_reserve=float(points[i]),
+            draws=next(drawn) if last < J - 1 else np.zeros(B),
+        ))
+    meta = {"rejected_replications": rejected, "dispersion": fit.dispersion, "dof": fit.dof}
     return _assemble(years, B, anchor="ODP", meta=meta)

@@ -73,22 +73,35 @@ class UltimateEstimates:
     floored_rows: tuple[int, ...] = ()
 
 
+def _link_ratio_block(X: np.ndarray) -> tuple[np.ndarray, list[str | None]]:
+    """Volume-weighted link ratios f_j, j = 0..J-2, of each (I, J) slice of
+    an (n, I, J) increments block, shaped (n, J - 1), and per slice None or
+    the PatternError message link_ratios raises for it (a faulty slice's
+    ratios hold anything)."""
+    I, J = X.shape[-2:]
+    C = np.cumsum(X, axis=-1)
+    # pair[:, j]: the accident years observing both lags j and j + 1.
+    pair = _observed_mask(I, J)[:, 1:]
+    # Column sums add the accident years one after another: cumsum along
+    # the year axis is sequential, where a 1-D np.sum would be pairwise.
+    num = np.cumsum(np.where(pair, C[..., 1:], 0.0), axis=-2)[..., -1, :]
+    den = np.cumsum(np.where(pair, C[..., :-1], 0.0), axis=-2)[..., -1, :]
+    ok = pair.any(axis=0) & (num > 0.0) & (den > 0.0)
+    errors: list[str | None] = [None] * len(X)
+    for m in np.flatnonzero(~ok.all(axis=-1)):
+        j = int(np.flatnonzero(~ok[m])[0])
+        errors[m] = (f"no accident year observes both lags {j} and {j + 1}"
+                     if not pair[:, j].any() else f"non-positive cumulative column sum at lag {j}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return num / den, errors
+
+
 def link_ratios(t: Triangle) -> np.ndarray:
     """Volume-weighted link ratios f_j for j = 0..J-2."""
-    C = np.cumsum(t.values, axis=1)
-    # pair[:, j]: the accident years observing both lags j and j + 1.
-    pair = _observed_mask(t.I, t.J)[:, 1:]
-    # Column sums add the accident years one after another: cumsum along
-    # axis 0 is sequential, where a 1-D np.sum would be pairwise.
-    num = np.cumsum(np.where(pair, C[:, 1:], 0.0), axis=0)[-1]
-    den = np.cumsum(np.where(pair, C[:, :-1], 0.0), axis=0)[-1]
-    bad = np.nonzero(~(pair.any(axis=0) & (num > 0.0) & (den > 0.0)))[0]
-    if bad.size:
-        j = int(bad[0])
-        if not pair[:, j].any():
-            raise PatternError(f"no accident year observes both lags {j} and {j + 1}")
-        raise PatternError(f"non-positive cumulative column sum at lag {j}")
-    return num / den
+    f, errors = _link_ratio_block(t.values[None])
+    if errors[0] is not None:
+        raise PatternError(errors[0])
+    return f[0]
 
 
 def _cumulative_pattern(f: np.ndarray) -> np.ndarray:

@@ -31,13 +31,17 @@ through five stages at a time (_run_block):
   3. estimate   c-hat of every triangle by estimate_c_batch
   4. draw       per replication and accident year, the Beta variates of
                 that year's stream, folded in year order into a block of
-                totals, one row per replication; the ODP method fits and
-                bootstraps each replication's triangle instead
+                totals, one row per replication; the ODP method instead
+                fits every triangle of the block at once (odp._odp_fits)
+                and runs odp_bootstrap's draw kernel per replication on
+                arrays the block keeps, folding its years into the totals
   5. score      the realised future amount against the 95% and 75%
                 intervals of each row of totals, from one sort
 
 Stages 4 and 5 take a block's replications in slices of at most
-_SLICE_DRAWS draws, which bounds the memory a block holds at any B.
+_SLICE_DRAWS // B of them (at least one): a slice holds its (n, B) totals
+and one (n, B) block of draws at a time, which bounds the memory a block
+holds at any B.
 
 A replication that fails a stage records the message the single-triangle
 functions would raise and drops out of the later stages; the rest of the
@@ -71,13 +75,19 @@ from .concentration import (
     sigma_c_squared,
 )
 from .distributions import RngStream, beta_prime_moments, sample_tweedie
-from .odp import OdpError, odp_bootstrap, odp_fit
+from .odp import OdpError, _odp_draws, _odp_fits
 from .patterns import DevelopmentPattern, PatternError, _cl_reserves
-from .predictive import PredictiveError, _cl_totals, _quantiles
+from .predictive import (
+    _MOMENTS_OVERFLOW,
+    _TOTAL_OVERFLOW,
+    PredictiveError,
+    _cl_totals,
+    _mean_se,
+    _quantiles,
+)
 from .triangle import (
     _NON_FINITE_EXPOSURE,
     Triangle,
-    TriangleError,
     _diagonal_totals,
     _observed_mask,
     _value_errors,
@@ -121,8 +131,9 @@ _SCORE_PROBS = np.array([0.025, 0.125, 0.875, 0.975])  # 95% and 75% interval en
 # Replications a block takes through the generate, CL point and estimate
 # stages at once: enough to spread those stages' numpy calls thin.
 _BLOCK_REPS = 64
-# Bootstrap draws held at once (128 KiB of float64): the draw and score
-# stages take a block's replications in slices of this many draws, so a
+# Bootstrap totals held at once (128 KiB of float64): the draw and score
+# stages take a block's replications in slices of max(1, _SLICE_DRAWS // B),
+# each holding its totals and one block of that many rows of draws, so a
 # block's transient arrays stay about as small as one replication's.
 _SLICE_DRAWS = 1 << 14
 
@@ -366,9 +377,6 @@ def _true_F(cfg: SimConfig) -> np.ndarray | str:
     return np.array([pattern.F_at_lag(cfg.I - i) for i in range(1, cfg.I + 1)])
 
 
-_REP_ERRORS = (PatternError, ConcentrationError, PredictiveError, OdpError, TriangleError)
-
-
 def _multinomial_totals(
     cfg: SimConfig, roots: list[RngStream], obs: np.ndarray, F: np.ndarray, c_hat: np.ndarray
 ) -> tuple[np.ndarray, list[str | None]]:
@@ -386,19 +394,34 @@ def _multinomial_totals(
 
 
 def _odp_totals(
-    cfg: SimConfig, roots: list[RngStream], values: np.ndarray, kind: str
+    cfg: SimConfig, roots: list[RngStream], fits: list, work: dict
 ) -> tuple[np.ndarray, list[str | None]]:
-    """Stage 4 of the ODP method: each replication's triangle fitted and
-    bootstrapped on its own (_BOOT_ODP tag). Returns the (n, B) totals and
-    per replication None or the failure."""
-    totals = np.empty((len(roots), cfg.B))
+    """Stage 4 of the ODP method: the (n, B) totals odp_bootstrap draws for
+    each fit (_BOOT_ODP tag), from its draw kernel with years added in year
+    order, and per replication None or the failure: a failed fit, the
+    kernel's error, then odp_bootstrap's total and mean/se checks in its
+    order. work holds the kernel's arrays for the calling block."""
+    totals = np.zeros((len(roots), cfg.B))
     faults: list[str | None] = [None] * len(roots)
-    for k, root in enumerate(roots):
+    for k, (root, fit) in enumerate(zip(roots, fits)):
+        if isinstance(fit, Exception):
+            faults[k] = f"{type(fit).__name__}: {fit}"
+            continue
         try:
-            fit = odp_fit(Triangle(values[k], kind))
-            totals[k] = odp_bootstrap(fit, cfg.B, seed=root.derive(_BOOT_ODP).stream_id).total
-        except _REP_ERRORS as exc:
-            faults[k] = f"{type(exc).__name__}: {exc}"
+            years, _ = _odp_draws(fit, cfg.B, root.derive(_BOOT_ODP).stream_id, work)
+        except OdpError as exc:
+            faults[k] = f"OdpError: {exc}"
+            continue
+        with np.errstate(over="ignore"):
+            for year in years:
+                totals[k] += year
+    finite = np.isfinite(totals).all(axis=1)
+    _, _, moments_ok = _mean_se(totals)
+    for k, fault in enumerate(faults):
+        if fault is None and not finite[k]:
+            faults[k] = f"PredictiveError: {_TOTAL_OVERFLOW}"
+        elif fault is None and not moments_ok[k]:
+            faults[k] = f"PredictiveError: {_MOMENTS_OVERFLOW}"
     return totals, faults
 
 
@@ -447,7 +470,7 @@ def _run_block(
 ) -> dict[str, list[dict]]:
     """Per method: the results of the contiguous replications reps, taken
     through the five stages (see the module docstring), the last two in
-    slices of _SLICE_DRAWS draws. F is _true_F(cfg).
+    slices of max(1, _SLICE_DRAWS // B) replications. F is _true_F(cfg).
 
     The triangle, the CL point and c-hat are computed once for all
     methods. If the concentration estimator fails, the multinomial result
@@ -481,9 +504,9 @@ def _run_block(
         c_hat = estimate_c_batch(values)
     except ConcentrationError:  # no horizon qualifies at this I and J
         c_hat = np.full(len(live), np.nan)
-    # A replication draws at most min(I, J - 1) years, those not fully
-    # developed.
-    step = max(1, _SLICE_DRAWS // (min(cfg.I, cfg.J - 1) * cfg.B))
+    fits = _odp_fits(values) if "odp" in methods else []
+    work: dict = {}  # the ODP kernel's arrays, this block's alone
+    step = max(1, _SLICE_DRAWS // cfg.B)
     for a in range(0, len(live), step):
         part = slice(a, a + step)
         for method in methods:
@@ -491,8 +514,7 @@ def _run_block(
                 totals, method_faults = _multinomial_totals(
                     cfg, live_roots[part], obs[part], F, c_hat[part])
             else:
-                totals, method_faults = _odp_totals(
-                    cfg, live_roots[part], values[part], sq.kind)
+                totals, method_faults = _odp_totals(cfg, live_roots[part], fits[part], work)
             scored = _score(totals, method_faults, truth[part], points[part], c_hat[part])
             for m, result in zip(live[part], scored):
                 results[method][m] = result

@@ -314,3 +314,18 @@ class TestEstimatorProperties:
         X = t.values.copy()
         X[row % t.I] *= 2.0**k
         assert outcome(Triangle(X)) == outcome(t)
+
+    @settings(max_examples=100, deadline=None)
+    @given(cfg=sim_configs(), rep=st.integers(0, 50), row=st.integers(0, 14),
+           factor=st.floats(1e-30, 1e30))
+    def test_scaling_a_row_by_any_factor_keeps_c_hat_within_1e_12(self, cfg, rep, row, factor):
+        # Proportions are scale-free per row; a factor that is not a power
+        # of two may move each proportion by rounding, and no more.
+        t, _ = generate_triangle(cfg, rep)
+        X = t.values.copy()
+        X[row % t.I] *= factor
+        scaled, c_hat = c_hat_or_nan(Triangle(X)), c_hat_or_nan(t)
+        if np.isnan(c_hat):
+            assert np.isnan(scaled)
+        else:
+            assert scaled == pytest.approx(c_hat, rel=1e-12, abs=0.0)

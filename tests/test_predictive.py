@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -39,6 +39,45 @@ def four_year_diag():
     return DiagonalSummary(observed=(20.0, 32.0, 40.0, 50.0), dev_lag=(3, 2, 1, 0))
 
 
+@st.composite
+def interior_moves(draw):
+    """Two triangles of whole-number cells that differ inside the rows
+    but share every row total, their exposures, and a fixed pattern of
+    J lags. The second moves whole units between two cells of each row
+    observed at two lags or more, so both row totals are exact sums."""
+    J = draw(st.integers(2, 8))
+    I = draw(st.integers(max(J, 3), 12))
+    observed = np.add.outer(np.arange(1, I + 1), np.arange(J)) <= I
+    a = draw(hnp.arrays(np.float64, (I, J), elements=st.integers(0, 10**6).map(float)))
+    a[~observed] = np.nan
+    b = a.copy()
+    for r in range(I):
+        n = int(observed[r].sum())
+        if n < 2:
+            continue
+        j1, j2 = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        moved = draw(st.integers(0, int(a[r, j1])))
+        b[r, j1] -= moved
+        b[r, j2] += moved
+    assume(not np.array_equal(a, b, equal_nan=True))
+    weights = np.array(draw(st.lists(st.integers(1, 100), min_size=J, max_size=J)), float)
+    pi = weights / weights.sum()
+    F = np.cumsum(pi)
+    F[-1] = 1.0
+    E = draw(st.lists(st.floats(1.0, 1e6), min_size=I, max_size=I))
+    return (Triangle(a, exposures=E), Triangle(b, exposures=E),
+            DevelopmentPattern(pi=pi, F=F, method="fixed"))
+
+
+def same_distribution(x, y) -> bool:
+    """Bit-identical draws, totals, summaries and flags."""
+    years = all(
+        (u.draws is None and v.draws is None) or np.array_equal(u.draws, v.draws)
+        for u, v in zip(x.per_year, y.per_year))
+    return (years and np.array_equal(x.total, y.total) and x.summary == y.summary
+            and x.flags == y.flags)
+
+
 class TestConditioning:
     def test_only_the_diagonal_matters(self):
         # Two triangles with different interiors but the same row totals
@@ -61,6 +100,22 @@ class TestConditioning:
         assert np.array_equal(da.total, db.total)
         for ya, yb in zip(da.per_year, db.per_year):
             assert np.array_equal(ya.draws, yb.draws)
+
+    @settings(max_examples=60, deadline=None)
+    @given(pair=interior_moves(), c_hat=st.floats(0.5, 500.0), q=st.floats(0.1, 2.0),
+           B=st.sampled_from([1, 37, 400]), seed=st.integers(0, 2**63))
+    def test_interior_cells_never_move_the_draws(self, pair, c_hat, q, B, seed):
+        # The conditioning principle on generated triangles: with the
+        # pattern and c-hat held fixed, only the latest diagonal (and, for
+        # BF, the exposures) reaches the draws.
+        a, b, pattern = pair
+        assert latest_diagonal(a) == latest_diagonal(b)
+        assert same_distribution(
+            multinomial_bootstrap(latest_diagonal(a), pattern, c_hat, B, seed),
+            multinomial_bootstrap(latest_diagonal(b), pattern, c_hat, B, seed))
+        assert same_distribution(
+            bf_bootstrap(np.array(a.exposures), q, pattern, c_hat, B, seed),
+            bf_bootstrap(np.array(b.exposures), q, pattern, c_hat, B, seed))
 
 
 class TestMultinomialBootstrap:

@@ -21,8 +21,15 @@ import runoff
 from runoff import simlab
 from runoff.concentration import ConcentrationError, estimate_c
 from runoff.distributions import RngStream
+from runoff.odp import OdpError, odp_bootstrap, odp_fit
 from runoff.patterns import DevelopmentPattern, PatternError, cl_ultimates
-from runoff.predictive import PredictiveError, _quantiles, multinomial_bootstrap
+from runoff.predictive import (
+    _MOMENTS_OVERFLOW,
+    _TOTAL_OVERFLOW,
+    PredictiveError,
+    _quantiles,
+    multinomial_bootstrap,
+)
 from runoff.simlab import (
     PATTERN_J5,
     PATTERN_J10,
@@ -44,7 +51,7 @@ from runoff.simlab import (
     _paired_counts,
     _run_reps,
 )
-from runoff.triangle import TriangleError, latest_diagonal
+from runoff.triangle import Triangle, TriangleError, latest_diagonal
 
 
 class TestSimConfig:
@@ -352,9 +359,11 @@ class TestSweeps:
         assert "coverage75" not in good
 
 
-def reference_replication(cfg: SimConfig, rep: int) -> dict:
-    """One replication of the multinomial study scored by the public
-    single-triangle functions, in the order the block runner checks."""
+def reference_replication(cfg: SimConfig, rep: int, method: str = "multinomial") -> dict:
+    """One replication of a study scored by the public single-triangle
+    functions, in the order the block runner checks: the multinomial
+    bootstrap, or the ODP fit and bootstrap, whose c_hat is NaN where
+    estimate_c fails."""
     try:
         t, truth = generate_triangle(cfg, rep)
     except TriangleError as exc:
@@ -371,13 +380,21 @@ def reference_replication(cfg: SimConfig, rep: int) -> dict:
         return {"failure": f"PatternError: {exc}"}
     root = RngStream(cfg.seed).derive(simlab._SIM_DOMAIN, rep)
     try:
-        c_hat = estimate_c(t).c_hat
-        dist = multinomial_bootstrap(
-            latest_diagonal(t), pattern, c_hat, cfg.B,
-            seed=root.derive(simlab._BOOT_MULTINOMIAL).stream_id,
-            inclusion_threshold=cfg.inclusion_threshold)
-        q025, q125, q875, q975 = _quantiles(dist.total, simlab._SCORE_PROBS)
-    except (ConcentrationError, PredictiveError) as exc:
+        if method == "odp":
+            try:
+                c_hat = estimate_c(t).c_hat
+            except ConcentrationError:
+                c_hat = float("nan")
+            fit = odp_fit(Triangle(t.values, t.kind))
+            total = odp_bootstrap(fit, cfg.B, seed=root.derive(simlab._BOOT_ODP).stream_id).total
+        else:
+            c_hat = estimate_c(t).c_hat
+            total = multinomial_bootstrap(
+                latest_diagonal(t), pattern, c_hat, cfg.B,
+                seed=root.derive(simlab._BOOT_MULTINOMIAL).stream_id,
+                inclusion_threshold=cfg.inclusion_threshold).total
+        q025, q125, q875, q975 = _quantiles(total, simlab._SCORE_PROBS)
+    except (ConcentrationError, PredictiveError, PatternError, OdpError) as exc:
         return {"failure": f"{type(exc).__name__}: {exc}"}
     return {"covered95": bool(q025 <= truth <= q975), "covered75": bool(q125 <= truth <= q875),
             "rel_bias": (point - truth) / truth, "rel_width": (q975 - q025) / truth,
@@ -390,14 +407,32 @@ def bits(result: dict) -> dict:
             for k, v in result.items()}
 
 
+def assert_matches_reference(cfg: SimConfig, *method_sets: tuple[str, ...]) -> None:
+    """Run each set of methods through the block runner and compare every
+    result with reference_replication."""
+    want: dict[str, list[dict]] = {}
+    # Extreme scales overflow numpy arithmetic on both paths alike, on the
+    # runner's worker threads too; the warnings are beside the point here,
+    # the results are compared.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for methods in method_sets:
+            runs = _run_reps(cfg, methods)
+            for method in methods:
+                if method not in want:
+                    want[method] = [bits(reference_replication(cfg, rep, method))
+                                    for rep in range(cfg.M)]
+                assert [bits(r) for r in runs[method]] == want[method], (methods, method)
+
+
 @st.composite
-def study_configs(draw):
-    """Small multinomial studies that reach every failure: I = 5 leaves no
-    estimable cell, I < J = 10 leaves no fully developed year for the
-    inclusion threshold to spare, c_true = 2 suppresses means, zeros in
-    Tweedie and count cells give non-positive truths, and the ultimate
-    scale drives draws, totals and their moments past the float range or
-    makes cells infinite."""
+def study_configs(draw, rates=(1e-299, 1e-304, 1e-305)):
+    """Small studies that reach every failure: I = 5 leaves no estimable
+    cell, I < J = 10 leaves no fully developed year for the inclusion
+    threshold to spare and no link ratio for ODP, c_true = 2 suppresses
+    means, zeros in Tweedie and count cells give non-positive truths and
+    ODP redraws, and the ultimate scales in rates drive draws, totals and
+    their moments past the float range or make cells infinite."""
     dgp = draw(st.sampled_from(["dirichlet-gamma", "nonstationary", "tweedie",
                                 "count-hierarchy"]))
     kw = {"J": draw(st.sampled_from([5, 10])), "I": draw(st.integers(5, 13)), "dgp": dgp,
@@ -406,7 +441,7 @@ def study_configs(draw):
           "M": draw(st.integers(1, 6)), "B": draw(st.sampled_from([1, 2, 37, 400])),
           "seed": draw(st.integers(0, 2**63)), "threads": draw(st.integers(1, 3))}
     if dgp in ("dirichlet-gamma", "nonstationary"):
-        kw["ultimate_rate"] = draw(st.sampled_from([1e-3] * 3 + [1e-299, 1e-304, 1e-305]))
+        kw["ultimate_rate"] = draw(st.sampled_from([1e-3] * 3 + list(rates)))
     if dgp == "nonstationary":
         kw["sigma_delta"] = draw(st.sampled_from([0.0, 0.05, 1.0]))
     elif dgp == "tweedie":
@@ -417,6 +452,78 @@ def study_configs(draw):
     return SimConfig(**kw)
 
 
+# Studies whose ODP replications reach one branch each, checked by
+# TestBlockRunner.test_odp_examples_reach_their_branch.
+ODP_BRANCHES = {
+    # Count cells at mu = 3: a redraw round refits one replication alone.
+    "lone redraw": SimConfig(I=5, J=5, dgp="count-hierarchy", mu=3.0, M=4, B=37, seed=0,
+                             threads=2),
+    # Proportional count rows: a fit with zero dispersion.
+    "zero dispersion": SimConfig(I=3, J=2, pi_true=(0.5, 0.5), dgp="count-hierarchy",
+                                 mu=3.0, M=4, B=37, seed=0),
+    # Cumulatives near the float limit: pseudo triangles that stay
+    # degenerate, then totals and moments that overflow.
+    "redraws exhausted": SimConfig(I=10, J=10, M=6, B=37, seed=0, ultimate_rate=2e-305,
+                                   threads=3),
+    "total overflow": SimConfig(I=10, J=10, M=6, B=37, seed=0, ultimate_rate=5e-305),
+    "moments overflow": SimConfig(I=7, J=5, M=4, B=37, seed=0, ultimate_rate=1e-304,
+                                  threads=2),
+}
+
+
+def examples(configs):
+    """Hypothesis @example for each config."""
+    def decorate(test):
+        for cfg in configs:
+            test = example(cfg=cfg)(test)
+        return test
+    return decorate
+
+
+def odp_branches(cfg: SimConfig, monkeypatch) -> set[str]:
+    """The ODP_BRANCHES keys that cfg's replications reach through odp_fit
+    and odp_bootstrap."""
+    draws: list[int] = []
+    generator = RngStream.generator
+
+    class Recorder:  # notes how many replications each index draw covers
+        def __init__(self, g):
+            self._g = g
+
+        def __getattr__(self, name):
+            return getattr(self._g, name)
+
+        def integers(self, low, high, size):
+            draws.append(size[0])
+            return self._g.integers(low, high, size=size)
+
+    seen = set()
+    messages = {"total overflow": _TOTAL_OVERFLOW, "moments overflow": _MOMENTS_OVERFLOW}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for rep in range(cfg.M):
+            try:
+                fit = odp_fit(generate_triangle(cfg, rep)[0])
+            except (TriangleError, PatternError, OdpError):
+                continue
+            seed = RngStream(cfg.seed).derive(simlab._SIM_DOMAIN, rep).derive(
+                simlab._BOOT_ODP).stream_id
+            draws.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(RngStream, "generator", lambda self: Recorder(generator(self)))
+                try:
+                    odp_bootstrap(fit, cfg.B, seed)
+                except (OdpError, PredictiveError) as exc:
+                    seen.update(k for k, m in messages.items() if str(exc) == m)
+                    if "still degenerate after 100 redraw rounds" in str(exc):
+                        seen.add("redraws exhausted")
+            if fit.dispersion <= 0.0:
+                seen.add("zero dispersion")
+            if 1 in draws[1:]:
+                seen.add("lone redraw")
+    return seen
+
+
 class TestBlockRunner:
     @settings(max_examples=150, deadline=None)
     @given(cfg=study_configs())
@@ -425,14 +532,41 @@ class TestBlockRunner:
     @example(cfg=SimConfig(M=40, B=37, c_true=2.0, ultimate_rate=1e-304, seed=3))
     @example(cfg=SimConfig(I=8, J=10, M=6, B=37, inclusion_threshold=1e4, seed=5))
     def test_matches_the_single_triangle_functions_bit_for_bit(self, cfg):
-        # Extreme scales overflow numpy arithmetic on both paths alike, on
-        # the runner's worker threads too; the warnings are beside the point
-        # here, the results are compared.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            got = _run_reps(cfg)["multinomial"]
-            want = [reference_replication(cfg, rep) for rep in range(cfg.M)]
-        assert [bits(r) for r in got] == [bits(r) for r in want]
+        assert_matches_reference(cfg, ("multinomial",))
+
+    @settings(max_examples=100, deadline=None)
+    @given(cfg=study_configs(rates=(1e-304, 5e-305, 2e-305)))
+    @examples(ODP_BRANCHES.values())
+    def test_odp_matches_the_single_triangle_functions_bit_for_bit(self, cfg):
+        # The ODP method alone, and both methods as compare-odp runs them.
+        assert_matches_reference(cfg, ("odp",), _METHODS)
+
+    @pytest.mark.parametrize("branch", sorted(ODP_BRANCHES))
+    def test_odp_examples_reach_their_branch(self, monkeypatch, branch):
+        cfg = ODP_BRANCHES[branch]
+        assert branch in odp_branches(cfg, monkeypatch)
+
+    def test_odp_fit_errors_match_odp_fit(self, monkeypatch):
+        # Every other replication's lag 1 becomes -0.9 times its lag 0: the
+        # first link ratio falls to 0.1 and the fitted increments turn
+        # negative, which odp_fit rejects.
+        generate = simlab._generate
+
+        def negative_lag_one(cfg, roots):
+            sq = generate(cfg, roots)
+            for m, root in enumerate(roots):
+                if root.stream_id % 2:
+                    lag1 = sq.values[m, :, 1]
+                    sq.values[m, :, 1] = np.where(np.isnan(lag1), np.nan,
+                                                  -0.9 * sq.values[m, :, 0])
+            return sq
+
+        monkeypatch.setattr(simlab, "_generate", negative_lag_one)
+        cfg = SimConfig(M=6, B=37, seed=9, threads=2)
+        assert_matches_reference(cfg, ("odp",))
+        failures = [reference_replication(cfg, rep, "odp").get("failure", "")
+                    for rep in range(cfg.M)]
+        assert sum("negative fitted" in f for f in failures) >= 2
 
 
 class TestVerifySigmaC:

@@ -86,6 +86,21 @@ def summarise(parent: dict, change: dict, better: dict[str, str]) -> dict:
     return workloads
 
 
+def summary_lines(workloads: dict) -> list[str]:
+    """One line per workload and end-to-end metric; the change in the
+    median reads n/a where the parent's median is 0."""
+    lines = []
+    for name, w in workloads.items():
+        for metric, m in w.get("metrics", {}).items():
+            frac = m["median_change_frac"]
+            lines.append(f"{name:12s} {metric:12s} {m['parent']['median']:.6g} -> "
+                         f"{m['change']['median']:.6g} "
+                         f"({'n/a' if frac is None else format(frac, '+.1%')}), "
+                         f"won {m['change_won']}/{len(w['seeds'])}, "
+                         f"beyond parent IQR {m['beyond_parent_iqr']}")
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True, help="parent checkout")
@@ -115,12 +130,8 @@ def main(argv: list[str] | None = None) -> int:
                    "unit": a[name]["unit"]} for name in a}
     path = args.change / f"BENCH_{args.tag}.json"
     path.write_text(json.dumps(out, indent=2) + "\n")
-    for name, w in out["workloads"].items():
-        for metric, m in w.get("metrics", {}).items():
-            print(f"{name:12s} {metric:12s} {m['parent']['median']:.6g} -> "
-                  f"{m['change']['median']:.6g} ({m['median_change_frac']:+.1%}), "
-                  f"won {m['change_won']}/{len(w['seeds'])}, "
-                  f"beyond parent IQR {m['beyond_parent_iqr']}")
+    for line in summary_lines(out["workloads"]):
+        print(line)
     print(f"wrote {path}")
     return 0
 
