@@ -31,7 +31,6 @@ from .predictive import (
     PredictiveError,
     ReserveDistribution,
     bf_bootstrap,
-    delta_method_variance,
     ibnp_exact_moments,
     multinomial_bootstrap,
     negbin_ibnr,
@@ -78,7 +77,6 @@ __all__ = [
     "chain_ladder_pattern",
     "cl_ultimates",
     "compare_odp",
-    "delta_method_variance",
     "estimate_c",
     "estimate_c_batch",
     "generate_triangle",

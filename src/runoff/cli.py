@@ -199,6 +199,12 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _amount(v: float) -> str:
+    """An amount as printed to stdout: one decimal below 1e15 in
+    magnitude, seven significant digits from there up."""
+    return f"{v:.1f}" if abs(v) < 1e15 else f"{v:.6e}"
+
+
 # ---------------------------------------------------------------- fit
 
 
@@ -285,7 +291,7 @@ def cmd_fit(args) -> int:
             f"divisor {conc['divisor']}, diagnostic: {conc['diagnostic']})"
         )
     for method, block in reserves.items():
-        print(f"{method} total reserve = {block['total']:.1f}")
+        print(f"{method} total reserve = {_amount(block['total'])}")
     print(f"report: {report_path}")
     return 0
 
@@ -358,15 +364,15 @@ def cmd_bootstrap(args) -> int:
                     digests, seed, seed_generated)
 
     s = dist.summary
-    mean_txt = "suppressed" if s["mean"] is None else f"{s['mean']:.1f}"
-    se_txt = "n/a" if s["se"] is None else f"{s['se']:.1f}"
+    mean_txt = "suppressed" if s["mean"] is None else _amount(s["mean"])
+    se_txt = "n/a" if s["se"] is None else _amount(s["se"])
     print(f"{dist.anchor} bootstrap, B = {args.B}, seed = {seed}, c_hat = {c_hat:.4f}")
     print(f"total reserve: mean = {mean_txt}, se = {se_txt}, "
-          f"q5 = {s['q5']:.1f}, q50 = {s['q50']:.1f}, q95 = {s['q95']:.1f}")
+          f"q5 = {_amount(s['q5'])}, q50 = {_amount(s['q50'])}, q95 = {_amount(s['q95'])}")
     excluded = [y.accident for y in dist.per_year if y.excluded]
     if excluded:
         print(f"excluded accident years {excluded}; "
-              f"their point reserves total {dist.excluded_point_total():.1f}")
+              f"their point reserves total {_amount(dist.excluded_point_total())}")
     print(f"report: {report_path}")
     return 0
 
@@ -391,21 +397,168 @@ def _write_bootstrap_csv(path: Path, report: dict) -> None:
                     s["q5"], s["q25"], s["q50"], s["q75"], s["q95"], "", "", ""])
 
 
-_DUMP_ROWS = 4096  # draws converted to Python floats at a time
+_DUMP_ROWS = 2048  # draws formatted at a time
 
 
 def _dump_draws(path: Path, dist: ReserveDistribution) -> None:
-    """One CSV row per draw: the included years, then the total, each
-    float written with repr and every row ended by CRLF, as csv.writer
-    writes them. Rows are converted a block at a time, so a large B never
-    holds all draws as Python floats."""
+    """Write every draw to a CSV file, as csv.writer would.
+
+    The header names the included accident years (accident_<year>) and
+    then total. Each draw is one row: the included years' values, then
+    the total, joined by ',' and ended by CRLF. Each value is written as
+    Python's repr writes it. The rows are formatted and written a block
+    of _DUMP_ROWS at a time, so a large B never holds all the draws as
+    text or as Python floats. _repr_rows computes the digits itself for
+    values with 1e-4 <= |x| < 1e16 and calls repr for the rest.
+    """
     included = [y for y in dist.per_year if y.draws is not None]
     columns = [y.draws for y in included] + [dist.total]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join([f"accident_{y.accident}" for y in included] + ["total"]) + "\r\n")
+    header = ",".join([f"accident_{y.accident}" for y in included] + ["total"])
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\r\n")
         for k in range(0, dist.total.size, _DUMP_ROWS):
-            rows = np.column_stack([c[k : k + _DUMP_ROWS] for c in columns]).tolist()
-            fh.write("".join([",".join(map(repr, row)) + "\r\n" for row in rows]))
+            fh.write(_repr_rows(np.column_stack([c[k : k + _DUMP_ROWS] for c in columns])))
+
+
+def _digit_words() -> tuple[np.ndarray, np.ndarray]:
+    """The ASCII digits of 0000..9999 as one uint32 word each, and of
+    '.000'..'.999'; written through a uint32 view of a byte array, a word
+    lays its four bytes down in order."""
+    d = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    t = np.empty((10, 10, 10, 10, 4), np.uint8)
+    t[..., 0] = d[:, None, None, None]
+    t[..., 1] = d[:, None, None]
+    t[..., 2] = d[:, None]
+    t[..., 3] = d
+    four = t.reshape(10_000, 4)
+    dot = four[:1000].copy()
+    dot[:, 0] = ord(".")
+    return four.view(np.uint32).ravel(), dot.view(np.uint32).ravel()
+
+
+_POW10 = np.array([float(10**k) for k in range(23)])  # exact in binary64 up to 10**22
+_IPOW10 = np.array([10**k for k in range(19)], dtype=np.int64)
+_DIGITS4, _DOT_DIGITS3 = _digit_words()
+# _repr_rows lays each value out in a row of _WIDTH bytes: the integer
+# digits in bytes 4-19, '.' at 20, the fraction digits in 21-40, the
+# separator at 41 and, after a row's last value, the LF of its CRLF at 42;
+# text from repr goes in bytes 17-40. A value's bytes are start..end - 1 and
+# the separator, and _SHOWN[start * 42 + end] marks them.
+_WIDTH = 44
+_SHOWN = ((np.arange(_WIDTH) >= np.arange(20)[:, None, None])
+          & (np.arange(_WIDTH) < np.arange(42)[:, None])
+          | (np.arange(_WIDTH) == 41)).reshape(-1, _WIDTH)
+
+
+def _repr_rows(block: np.ndarray) -> bytes:
+    """The bytes ",".join(map(repr, row)) + "\\r\\n" gives, for every row
+    of a 2-D float64 block.
+
+    repr writes the shortest decimal that reads back as x and, of two that
+    short, the one nearer x; it uses fixed notation when 1e-4 <= |x| < 1e16.
+    There the digits are computed here, exactly. y = |x| 10**s, with 17
+    digits before the point, is held as hi + lo with no error (Dekker's
+    TwoProduct; 10**s is exact). The integers n for which n / 10**s reads
+    back as x are first..last; k counts the trailing zeros of the roundest
+    of them, and the value written is the multiple of 10**k in that range
+    nearest y. Each comparison is of exact floats or of integers.
+
+    Two finer points of repr's rule never change a value here. The ends of
+    x's rounding range read back as x only when its mantissa is even, but
+    an end is an integer at y's scale only for |x| >= 2**52. There y is a
+    multiple of 10 and the end is y -+ 5 or y -+ 10, no rounder than y and
+    farther from it. The range of a power of two is narrower below it, but
+    every power of two in the range is a short exact decimal, its own repr.
+
+    +-0.0 is written directly. The other values go through repr one at a
+    time: non-finite or outside that range (subnormals included), a value
+    for which log10 puts y outside [1e16, 1e17), and a tie between the two
+    multiples of 10**k nearest y.
+    """
+    x = np.ascontiguousarray(block, dtype=np.float64).ravel()
+    n, cols = x.size, block.shape[1]
+    ax = np.abs(x)
+    ok = (ax >= 1e-4) & (ax < 1e16)
+    a = np.where(ok, ax, 1.5)
+    s = 16 - np.floor(np.log10(a)).astype(np.int64)
+    p = _POW10[s]
+    hi = a * p
+    ok &= (hi >= 1e16) & (hi < 1e17)
+    t = a * 134217729.0  # 2**27 + 1 splits a into two 26-bit halves
+    a_hi = t - (t - a)
+    a_lo = a - a_hi
+    t = p * 134217729.0
+    p_hi = t - (t - p)
+    p_lo = p - p_hi
+    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+    # x's rounding range, scaled like y, is y -+ h with h = ulp(x) 10**s / 2.
+    # lo -+ h is exact: both terms are multiples of h / 5**s, under 2**52 of
+    # them.
+    h = np.spacing(a) * 0.5 * p
+    base = hi.astype(np.int64)
+    first = base + np.ceil(lo - h).astype(np.int64)
+    last = base + np.floor(lo + h).astype(np.int64)
+    # The range is wider than 1, so it holds an integer: k >= 0. The loop
+    # stops by 10**18, which no range reaches.
+    k = np.zeros(n, np.int64)
+    step = 1
+    while True:
+        step *= 10
+        hit = last // step * step >= first
+        if not hit.any():
+            break
+        k += hit
+    step = _IPOW10[k]
+    c = (base + np.floor(lo).astype(np.int64)) // step * step
+    down_in, up_in = c >= first, c + step <= last
+    # y's distance above the midpoint of c and c + 10**k is lo - mid, exact
+    # when both lie in the range, as they are then within 22 of y.
+    mid = (c - base).astype(np.float64) + 0.5 * _POW10[k]
+    c += (~down_in | (up_in & (lo > mid))) * step
+    ok &= ~(down_in & up_in & (lo == mid))
+
+    # The value is c / 10**s; c has exactly k trailing zeros and 16 to 18
+    # digits. Values going through repr are laid out as 0 here.
+    c[~ok] = 0
+    s[~ok] = 16
+    k[~ok] = 16
+    int_len = np.maximum(16 + (c >= 10**16) + (c >= 10**17) - s, 1)
+    frac_len = np.maximum(s - k, 1)
+    scale = _IPOW10[np.minimum(s, 18)]
+    whole = c // scale
+    frac = c - whole * scale
+    # The 20 fraction digits as 3 and 17.
+    cut = _IPOW10[np.maximum(s - 3, 0)]
+    frac3 = np.where(s >= 3, frac // cut, frac * _IPOW10[np.maximum(3 - s, 0)])
+    frac17 = np.where(s > 3, (frac - frac3 * cut) * _IPOW10[np.minimum(20 - s, 18)], 0)
+
+    grid = np.empty((n, _WIDTH), np.uint8)
+    words = grid.view(np.uint32)
+    q, r = np.divmod(whole, 10**8)
+    words[:, 1], words[:, 2] = _DIGITS4[q // 10**4], _DIGITS4[q % 10**4]
+    words[:, 3], words[:, 4] = _DIGITS4[r // 10**4], _DIGITS4[r % 10**4]
+    words[:, 5] = _DOT_DIGITS3[frac3]
+    q, r = np.divmod(frac17, 10**9)
+    words[:, 6], words[:, 7] = _DIGITS4[q // 10**4], _DIGITS4[q % 10**4]
+    q, r = np.divmod(r, 10**5)
+    words[:, 8], words[:, 9] = _DIGITS4[q], _DIGITS4[r // 10]
+    grid[:, 40] = r % 10 + ord("0")
+    start, end = 20 - int_len, 21 + frac_len
+    neg = np.flatnonzero(np.signbit(x))
+    grid[neg, start[neg] - 1] = ord("-")
+    start[neg] -= 1
+    other = np.flatnonzero(~ok & (ax != 0.0))
+    if other.size:
+        text = [repr(v) for v in x[other].tolist()]
+        grid[other, 17:41] = np.array(text, dtype="S24").view(np.uint8).reshape(-1, 24)
+        start[other] = 17
+        end[other] = 17 + np.array([len(t) for t in text])
+    rows = grid.reshape(-1, cols, _WIDTH)
+    rows[:, :, 41] = ord(",")
+    rows[:, -1, 41:43] = (ord("\r"), ord("\n"))
+    shown = _SHOWN.take(start * 42 + end, axis=0)
+    shown.reshape(rows.shape)[:, -1, 42] = True
+    return grid[shown].tobytes()
 
 
 # ----------------------------------------------------------- simulate

@@ -450,16 +450,6 @@ def bf_bootstrap(
     return _anchored_bootstrap(rows, c_hat, B, seed, anchor="BF")
 
 
-def delta_method_variance(X_obs: float, F: float, c: float) -> float:
-    """First-order reserve variance (X_obs)^2 (1 - F) / (F^3 (c + 1)),
-    the recommended shortcut once concentration estimates are large."""
-    if not 0.0 < F < 1.0:
-        raise PredictiveError(f"F must lie in (0, 1), got {F}")
-    if c <= 0.0:
-        raise PredictiveError(f"c must be positive, got {c}")
-    return X_obs * X_obs * (1.0 - F) / (F**3 * (c + 1.0))
-
-
 class IbnpMoments(NamedTuple):
     mean: float | None
     cv2: float

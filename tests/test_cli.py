@@ -241,6 +241,48 @@ class TestBootstrap:
         assert "--c-hat must be positive" in capsys.readouterr().err
 
 
+def assert_one_error_line(capsys, text: str) -> None:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert text in err and "Traceback" not in err
+
+
+class TestDegenerateInput:
+    @pytest.mark.parametrize("command", ["fit", "bootstrap"])
+    @pytest.mark.parametrize("rows", [
+        ["1,0,0,0", "2,0,5,", "3,7,,"],  # a zero first row
+        ["1,10,-30,5", "2,10,-30,", "3,7,,"],  # a negative column sum
+    ], ids=["zero-first-row", "negative-column-sum"])
+    def test_non_positive_column_sum_is_a_named_error(self, tmp_path, capsys, command, rows):
+        path = tmp_path / "wide.csv"
+        path.write_text("\n".join(["accident,lag0,lag1,lag2", *rows]) + "\n")
+        out = tmp_path / "out"
+        assert main([command, str(path), "--format", "wide", "--out-dir", str(out)]) == 1
+        assert_one_error_line(capsys, "non-positive cumulative column sum at lag 0")
+        assert not out.exists()
+
+    def test_two_by_two_bootstrap_without_c_hat_is_a_concentration_error(self, tmp_path,
+                                                                         capsys):
+        path = tmp_path / "wide.csv"
+        path.write_text("accident,lag0,lag1\n1,10,5\n2,20,\n")
+        out = tmp_path / "out"
+        assert main(["bootstrap", str(path), "--format", "wide", "--out-dir", str(out)]) == 1
+        assert_one_error_line(capsys, "no usable (j, k) cells")
+        assert not out.exists()
+
+    def test_extreme_scale_prints_short_lines(self, tmp_path, capsys):
+        path = tmp_path / "taylor-ashe.csv"
+        lines = ["accident,lag,value"]
+        for line in bundled_csv("taylor_ashe.csv").splitlines()[1:]:
+            i, j, v = line.split(",")
+            lines.append(f"{i},{j},{float(v) * 1e290!r}")
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["fit", str(path), "--out-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "cl total reserve = 1.868086e+297" in out
+        assert max(len(line) for line in out.splitlines()) < 120
+
+
 class TestSimulate:
     def test_correct_study_writes_all_artifacts(self, tmp_path, capsys):
         code = main(["simulate", "--study", "correct", "--M", "4", "--B", "30",

@@ -1,5 +1,5 @@
 """Predictive reserve distributions: Beta-resampling bootstrap, exact
-moments, delta-method shortcut, and claim-count laws."""
+moments and claim-count laws."""
 from __future__ import annotations
 
 import warnings
@@ -19,7 +19,6 @@ from runoff.predictive import (
     _quantiles,
     _summarise,
     bf_bootstrap,
-    delta_method_variance,
     ibnp_exact_moments,
     multinomial_bootstrap,
     negbin_ibnr,
@@ -455,21 +454,6 @@ class TestQuantileKernel:
         summary = _summarise(np.full(1000, 1e308), mean_suppressed=True)
         assert summary["mean"] is None and summary["se"] is None
         assert summary["q5"] == summary["q95"] == 1e308
-
-
-class TestDeltaMethod:
-    def test_hand_value(self):
-        # 1000^2 * 0.5 / (0.5^3 * 51)
-        assert delta_method_variance(1000.0, 0.5, 50.0) == pytest.approx(
-            500_000.0 / 6.375)
-
-    def test_domain(self):
-        with pytest.raises(PredictiveError):
-            delta_method_variance(1000.0, 1.0, 50.0)
-        with pytest.raises(PredictiveError):
-            delta_method_variance(1000.0, 0.0, 50.0)
-        with pytest.raises(PredictiveError):
-            delta_method_variance(1000.0, 0.5, -1.0)
 
 
 class TestIbnpExactMoments:
