@@ -4,7 +4,8 @@ Every run writes a manifest (command, parameters, seed, version, input
 digests, wall clock) next to its report so results can be reproduced
 from the artifact alone. Report files themselves carry no timing
 information; given the same inputs, flags and seed they are written
-byte for byte identically, regardless of --threads.
+byte for byte identically, regardless of --threads. main builds the
+argument parser once per process, on its first call, and then reuses it.
 """
 
 from __future__ import annotations
@@ -13,11 +14,12 @@ import argparse
 import functools
 import hashlib
 import inspect
-import json
+import math
 import os
 import sys
 import time
 from dataclasses import fields
+from json.encoder import encode_basestring_ascii as _ascii
 from pathlib import Path
 
 import numpy as np
@@ -132,11 +134,38 @@ def _jsonable(v, where: str = "report"):
     return v
 
 
+def _json_text(v, where: str = "report", pad: str = "\n") -> str:
+    """json.dumps(_jsonable(v), indent=2, allow_nan=False) in one pass, with
+    the same ReportError and TypeError; pad is the line break and indent
+    that v's closing bracket goes after."""
+    if isinstance(v, (float, np.floating)):
+        f = float(v)
+        if not math.isfinite(f):
+            raise ReportError(f"{where} is not a finite number ({f})")
+        return float.__repr__(f)
+    if isinstance(v, str):
+        return _ascii(v)
+    if v is None or isinstance(v, (bool, np.bool_)):
+        return "null" if v is None else "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return int.__repr__(int(v))
+    if isinstance(v, np.ndarray):
+        return _json_text(v.tolist(), where, pad)
+    inner = pad + "  "
+    if isinstance(v, dict):
+        # As in _jsonable, keys that str() makes equal keep the last value.
+        texts = {str(k): _json_text(x, f"{where}.{k}", inner) for k, x in v.items()}
+        items = [f"{_ascii(k)}: {x}" for k, x in texts.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    if isinstance(v, (list, tuple)):
+        items = [_json_text(x, f"{where}[{i}]", inner) for i, x in enumerate(v)]
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    # Converted in full before the file is opened, so a rejected value
-    # leaves no partly written file behind.
-    text = json.dumps(_jsonable(payload), indent=2, allow_nan=False)
-    path.write_text(text + "\n")
+    # Built in full before the file is opened: a rejected value leaves no file.
+    path.write_text(_json_text(payload) + "\n")
 
 
 def _parameters(args) -> dict:
@@ -238,6 +267,8 @@ def cmd_fit(args) -> int:
         "link_ratios": list(f),
         "pattern": {"pi": list(pattern.pi), "F": list(pattern.F), "method": pattern.method},
     }
+    if pattern.floored_lags:
+        report["pattern"]["floored_lags"] = list(pattern.floored_lags)
     try:
         est = estimate_c(t, divisor=args.divisor)
         report["concentration"] = {
@@ -290,6 +321,8 @@ def cmd_fit(args) -> int:
             f"c_hat = {conc['c_hat']:.4f}  ({len(conc['cells'])} cells, "
             f"divisor {conc['divisor']}, diagnostic: {conc['diagnostic']})"
         )
+    if pattern.floored_lags:
+        print(f"pattern: lags {list(pattern.floored_lags)} floored and renormalised")
     for method, block in reserves.items():
         print(f"{method} total reserve = {_amount(block['total'])}")
     print(f"report: {report_path}")
@@ -352,6 +385,8 @@ def cmd_bootstrap(args) -> int:
         "excluded_point_total": dist.excluded_point_total(),
         "meta": dist.meta,
     }
+    if pattern.floored_lags:
+        report["floored_lags"] = list(pattern.floored_lags)
 
     report_path = _artifact(args, f".{args.output_format}")
     if args.output_format == "json":
@@ -369,6 +404,8 @@ def cmd_bootstrap(args) -> int:
     print(f"{dist.anchor} bootstrap, B = {args.B}, seed = {seed}, c_hat = {c_hat:.4f}")
     print(f"total reserve: mean = {mean_txt}, se = {se_txt}, "
           f"q5 = {_amount(s['q5'])}, q50 = {_amount(s['q50'])}, q95 = {_amount(s['q95'])}")
+    if pattern.floored_lags:
+        print(f"pattern: lags {list(pattern.floored_lags)} floored and renormalised")
     excluded = [y.accident for y in dist.per_year if y.excluded]
     if excluded:
         print(f"excluded accident years {excluded}; "
@@ -735,9 +772,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # argparse lays out help and usage text when it prints them, not here.
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _ERRORS as exc:

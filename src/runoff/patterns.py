@@ -9,7 +9,6 @@ and blend in prior information.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,12 +28,13 @@ class DevelopmentPattern:
     """Incremental proportions pi on the simplex with cumulative F.
 
     Invariants: pi_j > 0, sum(pi) = 1 within 1e-12, F strictly
-    increasing with terminal value 1.
+    increasing with terminal value 1. floored_lags: the lags floored at 1e-10.
     """
 
     pi: np.ndarray
     F: np.ndarray
     method: str
+    floored_lags: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         pi = np.asarray(self.pi, dtype=float)
@@ -116,18 +116,15 @@ def _cumulative_pattern(f: np.ndarray) -> np.ndarray:
 def chain_ladder_pattern(t: Triangle) -> DevelopmentPattern:
     F = _cumulative_pattern(link_ratios(t))
     pi = np.diff(np.concatenate([[0.0], F]))
-    if np.any(pi <= 0.0):
-        # Link ratios below one produce non-positive proportions, which the
-        # Beta machinery cannot accept; floor and renormalise.
-        warnings.warn(
-            "non-positive development proportions floored and renormalised",
-            stacklevel=2,
-        )
+    floored = tuple(int(j) for j in np.flatnonzero(pi <= 0.0))
+    if floored:
+        # Link ratios of one or below produce non-positive proportions,
+        # which the Beta machinery cannot accept; floor and renormalise.
         pi = np.maximum(pi, _PI_FLOOR)
         pi = pi / pi.sum()
         F = np.cumsum(pi)
         F[-1] = 1.0
-    return DevelopmentPattern(pi=pi, F=F, method="CL")
+    return DevelopmentPattern(pi=pi, F=F, method="CL", floored_lags=floored)
 
 
 def _diagonal_and_F(t: Triangle, p: DevelopmentPattern) -> tuple[np.ndarray, np.ndarray]:

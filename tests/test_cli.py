@@ -282,6 +282,26 @@ class TestDegenerateInput:
         assert "cl total reserve = 1.868086e+297" in out
         assert max(len(line) for line in out.splitlines()) < 120
 
+    def test_floored_pattern_is_a_report_flag(self, tmp_path, capsys):
+        # A zero last column makes the last link ratio 1 and the last
+        # proportion 0, which the pattern floors; the suite makes any
+        # warning an error, so this also checks that none is raised.
+        path = tmp_path / "wide.csv"
+        path.write_text("accident,lag0,lag1,lag2,lag3,lag4\n1,100,50,20,10,0\n"
+                        "2,110,55,22,11,\n3,120,60,24,,\n4,130,65,,,\n5,140,,,,\n")
+        common = [str(path), "--format", "wide", "--out-dir", str(tmp_path)]
+        assert main(["fit", *common]) == 0
+        assert read_json(tmp_path / "runoff_fit.json")["pattern"]["floored_lags"] == [4]
+        assert main(["bootstrap", *common, "--c-hat", "50", "--seed", "1"]) == 0
+        assert read_json(tmp_path / "runoff_bootstrap.json")["floored_lags"] == [4]
+        assert capsys.readouterr().out.count("pattern: lags [4] floored and renormalised") == 2
+
+    def test_unfloored_reports_carry_no_flag(self, tmp_path):
+        common = ["taylor-ashe", "--out-dir", str(tmp_path)]
+        assert main(["fit", *common]) == main(["bootstrap", *common, "--B", "10"]) == 0
+        assert "floored_lags" not in read_json(tmp_path / "runoff_fit.json")["pattern"]
+        assert "floored_lags" not in read_json(tmp_path / "runoff_bootstrap.json")
+
 
 class TestSimulate:
     def test_correct_study_writes_all_artifacts(self, tmp_path, capsys):

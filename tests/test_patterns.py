@@ -75,6 +75,7 @@ class TestChainLadderPattern:
     @pytest.mark.parametrize("name", ["taylor-ashe", "raa", "mortgage"])
     def test_simplex_invariants_on_real_data(self, name):
         p = chain_ladder_pattern(bundled_triangle(name))
+        assert p.floored_lags == ()
         assert abs(p.pi.sum() - 1.0) < 1e-12
         assert np.all(p.pi > 0.0)
         assert np.all(np.diff(p.F) > 0.0)
@@ -82,15 +83,16 @@ class TestChainLadderPattern:
 
     def test_floors_non_positive_proportions(self):
         # A link ratio below one yields F[0] > F[1]; the pattern must be
-        # floored back onto the simplex with a warning, not rejected.
+        # floored back onto the simplex and say which lags were floored,
+        # not rejected and not warned about.
         cells = {
             (1, 0): 10.0, (1, 1): -5.0, (1, 2): 1.0,
             (2, 0): 20.0, (2, 1): -10.0,
             (3, 0): 30.0,
         }
         t = Triangle.from_cells(3, 3, "amounts", cells)
-        with pytest.warns(UserWarning, match="floored"):
-            p = chain_ladder_pattern(t)
+        p = chain_ladder_pattern(t)
+        assert p.floored_lags == (1,)
         assert abs(p.pi.sum() - 1.0) < 1e-12
         assert np.all(p.pi > 0.0)
         assert np.all(np.diff(p.F) > 0.0)
