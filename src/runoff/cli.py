@@ -432,6 +432,8 @@ def _write_bootstrap_csv(path: Path, report: dict) -> None:
         w.writerow(["total", "", "", "", s["mean"] if s["mean"] is not None else "",
                     s["se"] if s["se"] is not None else "",
                     s["q5"], s["q25"], s["q50"], s["q75"], s["q95"], "", "", ""])
+        if "floored_lags" in report:
+            w.writerow(["floored_lags", *report["floored_lags"]])
 
 
 _DUMP_ROWS = 2048  # draws formatted at a time

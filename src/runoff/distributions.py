@@ -12,8 +12,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 _MASK64 = (1 << 64) - 1
+_MASK32 = (1 << 32) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
@@ -25,6 +27,109 @@ def _splitmix64(x: int) -> int:
     return (x ^ (x >> 31)) & _MASK64
 
 
+def _splitmix64_array(x: np.ndarray) -> np.ndarray:
+    """_splitmix64 over a 1-d uint64 array; the products wrap modulo 2^64
+    (a 0-d operand would warn on that overflow instead)."""
+    x = x + np.uint64(_GOLDEN)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def _derive_ids(stream_ids, *indices) -> np.ndarray:
+    """RngStream.derive's fold over many streams: the (n,) uint64 ids of
+    RngStream(s, stream_ids[k]).derive(*indices) for k < n. Each index is
+    an int, shared by every stream, or an (n,) integer array."""
+    sid = np.array(stream_ids, dtype=np.uint64, ndmin=1)
+    for ix in indices:
+        if np.ndim(ix) == 0:
+            sid = _splitmix64_array(sid ^ np.uint64(_splitmix64(int(ix) & _MASK64)))
+        else:
+            sid = _splitmix64_array(sid ^ _splitmix64_array(np.asarray(ix).astype(np.uint64)))
+    return sid
+
+
+def _hash_constants(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (xor, multiplier) pairs of n successive steps of numpy's
+    SeedSequence hash, whose constant advances as h -> h * mult mod 2^32
+    whatever the data."""
+    xors, mults = [], []
+    h = init
+    for _ in range(n):
+        xors.append(h)
+        h = (h * mult) & _MASK32
+        mults.append(h)
+    return np.array(xors, dtype=np.uint32), np.array(mults, dtype=np.uint32)
+
+
+# numpy's SeedSequence (pool size 4) constants: the pool hash, which runs 4
+# steps on the entropy and then 3 on each pool word as it is mixed into
+# the other three, and the hash generate_state runs over the pool.
+_POOL_XOR, _POOL_MUL = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_STATE_XOR, _STATE_MUL = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_LEFT, _MIX_RIGHT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_OTHER_WORDS = [[d for d in range(4) if d != s] for s in range(4)]
+_STATE_WORDS = [0, 1, 2, 3, 0, 1, 2, 3]  # the pool, cycled to 8 uint32 words
+
+
+def _hashmix(v: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    v = (v ^ xor) * mult
+    return v ^ (v >> np.uint32(16))
+
+
+class _PoolState(ISeedSequence):
+    """A seed sequence whose state is already generated: PCG64 takes its
+    seed and increment from generate_state(4, uint64), which returns row."""
+
+    __slots__ = ("_row",)
+
+    def __init__(self, row: np.ndarray):
+        self._row = row
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self._row
+
+
+def _stream_generators(seeds, stream_ids) -> list[np.random.Generator]:
+    """[RngStream(s, i).generator() for s, i in zip(seeds, stream_ids)],
+    bit for bit, with numpy's SeedSequence hashing run once over all n
+    streams. seeds and stream_ids are (n,) arrays of integers in
+    [0, 2^64).
+
+    SeedSequence((s, i)) takes as entropy the 32-bit words of s and then
+    those of i, low word first, where a value below 2^32 (0 included) is
+    one word; its pool hash treats entropy short of 4 words as padded with
+    zeros. So the entropy is the (4, n) array s_lo, s_hi, i_lo, i_hi where
+    s_hi != 0, and s_lo, i_lo, i_hi, 0 elsewhere. The pool hash and
+    generate_state(4, uint64) then run on the columns at once in uint32
+    arithmetic, and each stream's four state words, built as lo | hi << 32,
+    seed its PCG64 through _PoolState.
+    """
+    seeds = np.array(seeds, dtype=np.uint64, ndmin=1)
+    ids = np.array(stream_ids, dtype=np.uint64, ndmin=1)
+    lo, hi = np.uint64(_MASK32), np.uint64(32)
+    s_hi = (seeds >> hi).astype(np.uint32)
+    i_lo = (ids & lo).astype(np.uint32)
+    i_hi = (ids >> hi).astype(np.uint32)
+    wide = s_hi != 0
+    pool = np.empty((4, seeds.size), dtype=np.uint32)
+    pool[0] = seeds & lo
+    pool[1] = np.where(wide, s_hi, i_lo)
+    pool[2] = np.where(wide, i_lo, i_hi)
+    pool[3] = np.where(wide, i_hi, 0)
+    pool = _hashmix(pool, _POOL_XOR[:4, None], _POOL_MUL[:4, None])
+    for src, dst in enumerate(_OTHER_WORDS):
+        at = slice(4 + 3 * src, 7 + 3 * src)
+        h = _hashmix(pool[src], _POOL_XOR[at, None], _POOL_MUL[at, None])
+        mixed = _MIX_LEFT * pool[dst] - _MIX_RIGHT * h
+        pool[dst] = mixed ^ (mixed >> np.uint32(16))
+    state = _hashmix(pool[_STATE_WORDS], _STATE_XOR[:, None], _STATE_MUL[:, None])
+    state = state.astype(np.uint64)
+    # One C-contiguous row of 4 words per stream: PCG64 reads the buffer raw.
+    rows = np.ascontiguousarray((state[0::2] | state[1::2] << hi).T)
+    return [np.random.Generator(np.random.PCG64(_PoolState(row))) for row in rows]
+
+
 @dataclass(frozen=True)
 class RngStream:
     """Splittable random stream identified by (seed, stream_id).
@@ -34,6 +139,14 @@ class RngStream:
     map to well-separated stream ids no matter how the work is
     scheduled. Folding is sequential: ``derive(a, b)`` equals
     ``derive(a).derive(b)``.
+
+    Code that opens many streams at once takes the batched form of the
+    same two steps: _derive_ids folds indices over an array of stream
+    ids, and _stream_generators(seeds, ids) returns the generators
+    ``[RngStream(s, i).generator() for s, i in zip(seeds, ids)]`` would,
+    bit for bit, with the seed hashing done once for all of them. These
+    two methods stay the single-stream path and the reference the
+    batched form is tested against.
     """
 
     seed: int

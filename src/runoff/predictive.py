@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import RngStream
+from .distributions import _MASK64, _derive_ids, _stream_generators
 from .patterns import DevelopmentPattern
 from .triangle import DiagonalSummary
 
@@ -122,7 +122,7 @@ def _quantiles(x: np.ndarray, probs: np.ndarray) -> np.ndarray:
 
 _MOMENTS_OVERFLOW = "the mean or standard error of the bootstrap draws overflows the float range"
 _TOTAL_OVERFLOW = "the total of the bootstrap draws overflows the float range"
-_ALL_EXCLUDED = "all accident years excluded by the inclusion rule"
+_ALL_EXCLUDED = "every open accident year is excluded by the inclusion rule"
 _BAD_OBSERVED = "observed row totals must be finite and non-negative"
 
 
@@ -165,8 +165,6 @@ def _assemble(
     years: list[YearPredictive], B: int, anchor: str, meta=None
 ) -> ReserveDistribution:
     included = [y for y in years if not y.excluded]
-    if not included:
-        raise PredictiveError(_ALL_EXCLUDED)
     total = np.zeros(B)
     with np.errstate(over="ignore"):
         for y in included:
@@ -283,14 +281,20 @@ def _anchored_bootstrap(
 ) -> ReserveDistribution:
     """Draw and assemble the years given as (accident, F, point reserve,
     scale, exclusion reason or None, mean suppressed); anchor "CL" selects
-    the ratio transform, "BF" the linear one."""
+    the ratio transform, "BF" the linear one. When an open year is
+    excluded and none is drawn, the total would be an exact zero that
+    reads like a reserve, so that is an error."""
     ratio = anchor == "CL"
-    root = RngStream(seed)
-    draws = [
-        _Draw(i, root.derive(_ROW_DOMAIN, i).generator(), c_hat * F, c_hat * (1.0 - F), scale)
-        for i, F, _, scale, reason, _ in rows
-        if F < _FULLY_DEVELOPED and reason is None
-    ]
+    open_ = [(i, F, scale, reason) for i, F, _, scale, reason, _ in rows if F < _FULLY_DEVELOPED]
+    drawn = [(i, F, scale) for i, F, scale, reason in open_ if reason is None]
+    if open_ and not drawn:
+        raise PredictiveError(_ALL_EXCLUDED)
+    accidents = [i for i, _, _ in drawn]
+    streams = _stream_generators(np.full(len(drawn), seed & _MASK64, dtype=np.uint64),
+                                 _derive_ids(np.zeros(len(drawn), dtype=np.uint64),
+                                             _ROW_DOMAIN, accidents))
+    draws = [_Draw(i, g, c_hat * F, c_hat * (1.0 - F), scale)
+             for (i, F, scale), g in zip(drawn, streams)]
     block = np.empty((len(draws), B))
     fault = next((f for f in _draw_years(block, draws, ratio) if f is not None), None)
     if fault is not None:
@@ -323,21 +327,21 @@ def _cl_totals(
     F: np.ndarray,
     c_hat: np.ndarray,
     B: int,
-    seeds: list[int],
+    seeds: np.ndarray,
     inclusion_threshold: float,
 ) -> tuple[np.ndarray, list[str | None]]:
     """The totals multinomial_bootstrap draws for n diagonals at once.
 
     obs (n, I) holds each diagonal's row totals, F (I,) the cumulative
     proportion at each row's lag, c_hat (n,) and seeds (n,) each
-    diagonal's concentration and seed. Year by year, the draws of every
-    diagonal that draws the year come from the streams
-    multinomial_bootstrap keys by (seed, accident year), through
-    _draw_years, and fold into an (n, B) block of totals, so each total
-    adds its years in year order. Returns the totals and, per diagonal,
-    None or the message of the PredictiveError multinomial_bootstrap would
-    raise, found in the order it checks; a failed diagonal's total holds
-    anything.
+    diagonal's concentration and seed (uint64). Year by year, the draws of
+    every diagonal that draws the year come from the streams
+    multinomial_bootstrap keys by (seed, accident year), all opened by one
+    _stream_generators call, through _draw_years, and fold into an (n, B)
+    block of totals, so each total adds its years in year order. Returns
+    the totals and, per diagonal, None or the message of the
+    PredictiveError multinomial_bootstrap would raise, found in the order
+    it checks; a failed diagonal's total holds anything.
     """
     n, I = obs.shape
     faults: list[str | None] = [None] * n
@@ -352,19 +356,21 @@ def _cl_totals(
             continue
         if not obs_ok[k]:
             faults[k] = _BAD_OBSERVED
-        elif excluded[k].all():
+        elif excluded[k].any() and not drawn[k].any():
             faults[k] = _ALL_EXCLUDED
-    live = [k for k in range(n) if faults[k] is None]
-    roots = {k: RngStream(seeds[k]) for k in live}
+    live = np.array([f is None for f in faults])
+    years, diags = np.nonzero((drawn & live[:, None]).T)  # year by year
+    year_ids = _derive_ids(np.zeros(I, dtype=np.uint64), _ROW_DOMAIN, np.arange(1, I + 1))
+    streams = iter(_stream_generators(seeds[diags], year_ids[years]))
     Fs = F.tolist()
     x = obs.tolist()
     totals = np.zeros((n, B))
     for i in range(I):
-        rows = [k for k in live if drawn[k, i]]
+        rows = diags[years == i].tolist()
         if not rows:
             continue
-        draws = [_Draw(i + 1, roots[k].derive(_ROW_DOMAIN, i + 1).generator(),
-                       c[k] * Fs[i], c[k] * (1.0 - Fs[i]), x[k][i]) for k in rows]
+        draws = [_Draw(i + 1, next(streams), c[k] * Fs[i], c[k] * (1.0 - Fs[i]), x[k][i])
+                 for k in rows]
         block = np.empty((len(rows), B))
         for k, fault in zip(rows, _draw_years(block, draws, ratio=True)):
             if fault is not None and faults[k] is None:  # its first year at fault
@@ -374,7 +380,7 @@ def _cl_totals(
             totals[rows] += block
     finite = np.isfinite(totals).all(axis=1)
     _, _, moments_ok = _mean_se(totals)
-    for k in live:
+    for k in np.flatnonzero(live).tolist():
         if faults[k] is None:
             if not finite[k]:
                 faults[k] = _TOTAL_OVERFLOW

@@ -50,6 +50,9 @@ index) and then by a per-replication tag: _SUB_* for the square,
 _BOOT_MULTINOMIAL and the accident year (predictive._ROW_DOMAIN) for the
 Beta draws, _BOOT_ODP for the residual bootstrap. So any replication can
 be regenerated in isolation, and the block size never changes results.
+A block derives its stream ids with distributions._derive_ids and opens
+each stage's generators in one distributions._stream_generators call,
+which gives the generators RngStream would, bit for bit.
 With threads > 1 the blocks hold at most M / threads replications each
 (rounded up) and run on a thread pool: numpy releases the GIL in the
 draws and the sorts, so the blocks overlap.
@@ -74,7 +77,14 @@ from .concentration import (
     estimate_c_batch,
     sigma_c_squared,
 )
-from .distributions import RngStream, beta_prime_moments, sample_tweedie
+from .distributions import (
+    _MASK64,
+    RngStream,
+    _derive_ids,
+    _stream_generators,
+    beta_prime_moments,
+    sample_tweedie,
+)
 from .odp import OdpError, _odp_draws, _odp_fits
 from .patterns import DevelopmentPattern, PatternError, _cl_reserves
 from .predictive import (
@@ -288,9 +298,27 @@ class _Squares(NamedTuple):
     kind: str
 
 
-def _generate(cfg: SimConfig, roots: list[RngStream]) -> _Squares:
+def _substreams(cfg: SimConfig, roots: np.ndarray) -> dict[int, list[np.random.Generator]]:
+    """Per _SUB_* tag cfg.dgp draws from, the generator of that substream
+    of each replication root (uint64 stream ids under cfg.seed), all
+    opened by one _stream_generators call."""
+    tags = [_SUB_EXPOSURE]
+    if cfg.dgp in ("dirichlet-gamma", "nonstationary"):
+        tags += [_SUB_ULTIMATE, _SUB_ALLOCATION]
+        if cfg.dgp == "nonstationary" and cfg.sigma_delta > 0.0:
+            tags.append(_SUB_PERTURBATION)
+    else:
+        tags.append(_SUB_TWEEDIE if cfg.dgp == "tweedie" else _SUB_COUNTS)
+    ids = np.concatenate([_derive_ids(roots, tag) for tag in tags])
+    streams = _stream_generators(np.full(ids.size, cfg.seed & _MASK64, dtype=np.uint64), ids)
+    M = len(roots)
+    return {tag: streams[k * M:(k + 1) * M] for k, tag in enumerate(tags)}
+
+
+def _generate(cfg: SimConfig, roots: np.ndarray) -> _Squares:
     """Draw the complete run-off square of each replication root, mask it,
-    and sum the truth.
+    and sum the truth. roots holds the replications' root stream ids
+    (uint64) under cfg.seed.
 
     Each replication draws from substreams of its root, one per model
     component, so the nonstationary process at sigma_delta = 0 consumes
@@ -300,40 +328,36 @@ def _generate(cfg: SimConfig, roots: list[RngStream]) -> _Squares:
     """
     I, J, M = cfg.I, cfg.J, len(roots)
     pi = np.asarray(cfg.pi_true)
+    sub = _substreams(cfg, roots)
     E = np.empty((M, I))
-    for m, root in enumerate(roots):
-        E[m] = root.derive(_SUB_EXPOSURE).generator().gamma(
-            cfg.exposure_shape, 1.0 / cfg.exposure_rate, size=I
-        )
+    for m, g in enumerate(sub[_SUB_EXPOSURE]):
+        E[m] = g.gamma(cfg.exposure_shape, 1.0 / cfg.exposure_rate, size=I)
     kind = "amounts"
     if cfg.dgp in ("dirichlet-gamma", "nonstationary"):
         S = np.empty((M, I))
-        for m, root in enumerate(roots):
-            S[m] = root.derive(_SUB_ULTIMATE).generator().gamma(
-                cfg.ultimate_shape_factor * E[m], 1.0 / cfg.ultimate_rate
-            )
+        for m, g in enumerate(sub[_SUB_ULTIMATE]):
+            S[m] = g.gamma(cfg.ultimate_shape_factor * E[m], 1.0 / cfg.ultimate_rate)
         alphas = np.broadcast_to(np.tile(cfg.c_true * pi, (I, 1)), (M, I, J))
-        if cfg.dgp == "nonstationary" and cfg.sigma_delta > 0.0:
+        if _SUB_PERTURBATION in sub:
             z = np.empty((M, I, J))
-            for m, root in enumerate(roots):
-                z[m] = root.derive(_SUB_PERTURBATION).generator().standard_normal((I, J))
+            for m, g in enumerate(sub[_SUB_PERTURBATION]):
+                z[m] = g.standard_normal((I, J))
             row_pi = np.exp(np.log(pi) + np.sqrt(cfg.sigma_delta) * z)
             row_pi /= row_pi.sum(axis=2, keepdims=True)
             alphas = cfg.c_true * row_pi
         G = np.empty((M, I, J))
-        for m, root in enumerate(roots):
-            G[m] = root.derive(_SUB_ALLOCATION).generator().gamma(alphas[m], 1.0)
+        for m, g in enumerate(sub[_SUB_ALLOCATION]):
+            G[m] = g.gamma(alphas[m], 1.0)
         X = S[:, :, None] * (G / G.sum(axis=2, keepdims=True))
     elif cfg.dgp == "tweedie":
         mean_scale = cfg.ultimate_shape_factor / cfg.ultimate_rate
         nu = (mean_scale * E)[:, :, None] * pi
         X = np.empty((M, I, J))
-        for m, root in enumerate(roots):
-            X[m] = sample_tweedie(nu[m], cfg.phi, cfg.p, root.derive(_SUB_TWEEDIE))
+        for m, g in enumerate(sub[_SUB_TWEEDIE]):
+            X[m] = sample_tweedie(nu[m], cfg.phi, cfg.p, g)
     else:
         X = np.empty((M, I, J))
-        for m, root in enumerate(roots):
-            g = root.derive(_SUB_COUNTS).generator()
+        for m, g in enumerate(sub[_SUB_COUNTS]):
             mu_i = cfg.mu * E[m] * (cfg.exposure_rate / cfg.exposure_shape)
             N = g.poisson(g.gamma(cfg.kappa, mu_i / cfg.kappa))
             X[m] = g.multinomial(N, pi)  # row by row, as I single-row calls
@@ -354,7 +378,7 @@ def generate_triangle(cfg: SimConfig, replication: int) -> tuple[Triangle, float
     """
     if replication < 0 or int(replication) != replication:
         raise SimulationError(f"replication must be a non-negative integer, got {replication}")
-    sq = _generate(cfg, [RngStream(cfg.seed).derive(_SIM_DOMAIN, replication)])
+    sq = _generate(cfg, _derive_ids(0, _SIM_DOMAIN, replication))
     return Triangle(sq.values[0], sq.kind, exposures=sq.exposures[0]), float(sq.truth[0])
 
 
@@ -378,13 +402,13 @@ def _true_F(cfg: SimConfig) -> np.ndarray | str:
 
 
 def _multinomial_totals(
-    cfg: SimConfig, roots: list[RngStream], obs: np.ndarray, F: np.ndarray, c_hat: np.ndarray
+    cfg: SimConfig, roots: np.ndarray, obs: np.ndarray, F: np.ndarray, c_hat: np.ndarray
 ) -> tuple[np.ndarray, list[str | None]]:
     """Stage 4 of the multinomial method: the (n, B) bootstrap totals of
     the replications' diagonals, each drawn from its _BOOT_MULTINOMIAL
     stream, and per replication None or the failure. A failed estimate
     fails first."""
-    seeds = [root.derive(_BOOT_MULTINOMIAL).stream_id for root in roots]
+    seeds = _derive_ids(roots, _BOOT_MULTINOMIAL)
     totals, faults = _cl_totals(obs, F, c_hat, cfg.B, seeds, cfg.inclusion_threshold)
     return totals, [
         f"ConcentrationError: {_NO_USABLE_CELLS}" if np.isnan(c)
@@ -394,7 +418,7 @@ def _multinomial_totals(
 
 
 def _odp_totals(
-    cfg: SimConfig, roots: list[RngStream], fits: list, work: dict
+    cfg: SimConfig, roots: np.ndarray, fits: list, work: dict
 ) -> tuple[np.ndarray, list[str | None]]:
     """Stage 4 of the ODP method: the (n, B) totals odp_bootstrap draws for
     each fit (_BOOT_ODP tag), from its draw kernel with years added in year
@@ -403,12 +427,13 @@ def _odp_totals(
     order. work holds the kernel's arrays for the calling block."""
     totals = np.zeros((len(roots), cfg.B))
     faults: list[str | None] = [None] * len(roots)
-    for k, (root, fit) in enumerate(zip(roots, fits)):
+    seeds = _derive_ids(roots, _BOOT_ODP).tolist()
+    for k, (seed, fit) in enumerate(zip(seeds, fits)):
         if isinstance(fit, Exception):
             faults[k] = f"{type(fit).__name__}: {fit}"
             continue
         try:
-            years, _ = _odp_draws(fit, cfg.B, root.derive(_BOOT_ODP).stream_id, work)
+            years, _ = _odp_draws(fit, cfg.B, seed, work)
         except OdpError as exc:
             faults[k] = f"OdpError: {exc}"
             continue
@@ -476,7 +501,7 @@ def _run_block(
     methods. If the concentration estimator fails, the multinomial result
     is that failure and the ODP result carries c_hat = NaN.
     """
-    roots = [RngStream(cfg.seed).derive(_SIM_DOMAIN, r) for r in reps]
+    roots = _derive_ids(np.zeros(len(reps), dtype=np.uint64), _SIM_DOMAIN, np.array(reps))
     sq = _generate(cfg, roots)
     # The triangle's checks, then the truth and the pattern, in the order a
     # single replication meets them.
@@ -496,7 +521,7 @@ def _run_block(
     if not live:
         return results
     values, truth = sq.values[live], sq.truth[live]
-    live_roots = [roots[m] for m in live]
+    live_roots = roots[live]
     # Pattern validation keeps every F positive, so grossing up cannot fail.
     obs = _diagonal_totals(values)
     points = _cl_reserves(obs, F)[1].sum(axis=1)

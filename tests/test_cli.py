@@ -296,11 +296,34 @@ class TestDegenerateInput:
         assert read_json(tmp_path / "runoff_bootstrap.json")["floored_lags"] == [4]
         assert capsys.readouterr().out.count("pattern: lags [4] floored and renormalised") == 2
 
+    def test_floored_pattern_is_a_csv_report_row(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("accident,lag0,lag1,lag2,lag3,lag4\n1,100,50,20,10,0\n"
+                        "2,110,55,22,11,\n3,120,60,24,,\n4,130,65,,,\n5,140,,,,\n")
+        assert main(["bootstrap", str(path), "--format", "wide", "--c-hat", "50",
+                     "--seed", "1", "--output-format", "csv", "--out-dir", str(tmp_path)]) == 0
+        rows = (tmp_path / "runoff_bootstrap.csv").read_text().splitlines()
+        assert rows[-2].startswith("total,") and rows[-1] == "floored_lags,4"
+
+    def test_every_open_year_excluded_is_a_named_error(self, tmp_path, capsys):
+        # At c = 0.5 every open year has c*F below the default threshold of
+        # 5; only the fully developed first row is not excluded.
+        path = tmp_path / "wide.csv"
+        path.write_text("accident,lag0,lag1,lag2,lag3,lag4\n1,100,50,20,10,5\n"
+                        "2,110,55,22,11,\n3,120,60,24,,\n4,130,65,,,\n5,140,,,,\n")
+        out = tmp_path / "out"
+        assert main(["bootstrap", str(path), "--format", "wide", "--c-hat", "0.5",
+                     "--out-dir", str(out)]) == 1
+        assert_one_error_line(capsys, "every open accident year is excluded by the inclusion rule")
+        assert not out.exists()
+
     def test_unfloored_reports_carry_no_flag(self, tmp_path):
         common = ["taylor-ashe", "--out-dir", str(tmp_path)]
         assert main(["fit", *common]) == main(["bootstrap", *common, "--B", "10"]) == 0
         assert "floored_lags" not in read_json(tmp_path / "runoff_fit.json")["pattern"]
         assert "floored_lags" not in read_json(tmp_path / "runoff_bootstrap.json")
+        assert main(["bootstrap", *common, "--B", "10", "--output-format", "csv"]) == 0
+        assert "floored_lags" not in (tmp_path / "runoff_bootstrap.csv").read_text()
 
 
 class TestSimulate:

@@ -10,13 +10,23 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from runoff.distributions import (
     RngStream,
+    _derive_ids,
+    _stream_generators,
     beta_prime_moments,
     sample_tweedie,
 )
+
+# 64-bit values from each class the seed hashing tells apart: 0, one
+# 32-bit word, two words, and the largest.
+WORDS64 = st.one_of(
+    st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**64 - 1), st.just(2**64 - 1))
+EDGES64 = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
 
 
 class TestRngStream:
@@ -51,6 +61,39 @@ class TestRngStream:
             )
         for a, b in zip(serial, threaded):
             np.testing.assert_array_equal(a, b)
+
+
+class TestBatchedStreams:
+    """The batched seeding kernel against RngStream's single-stream path."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=st.lists(st.tuples(WORDS64, WORDS64), min_size=1, max_size=40))
+    @example(pairs=[(s, i) for s in EDGES64 for i in EDGES64])
+    def test_generators_equal_the_single_stream_path(self, pairs):
+        seeds, ids = zip(*pairs)
+        batched = _stream_generators(np.array(seeds, dtype=np.uint64),
+                                     np.array(ids, dtype=np.uint64))
+        assert len(batched) == len(pairs)
+        for (seed, sid), g in zip(pairs, batched):
+            ref = RngStream(seed, sid).generator()
+            assert g.bit_generator.state == ref.bit_generator.state
+            np.testing.assert_array_equal(g.random(3), ref.random(3))
+            np.testing.assert_array_equal(g.beta(2.0, 3.0, size=3), ref.beta(2.0, 3.0, size=3))
+
+    def test_no_streams(self):
+        assert _stream_generators(np.zeros(0, np.uint64), np.zeros(0, np.uint64)) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(streams=st.lists(st.tuples(WORDS64, WORDS64), min_size=1, max_size=20),
+           shared=WORDS64)
+    @example(streams=list(zip(EDGES64, reversed(EDGES64))), shared=2**64 - 1)
+    def test_derive_ids_equals_derive(self, streams, shared):
+        ids, indices = (np.array(v, dtype=np.uint64) for v in zip(*streams))
+        want = [RngStream(0, sid).derive(shared, ix, 3).stream_id for sid, ix in streams]
+        assert _derive_ids(ids, shared, indices, 3).tolist() == want
+        # A lone stream id and int indices, as generate_triangle derives.
+        sid = streams[0][0]
+        assert _derive_ids(sid, shared).tolist() == [RngStream(0, sid).derive(shared).stream_id]
 
 
 class TestBetaAndDirichlet:

@@ -317,7 +317,7 @@ class TestSweeps:
         generate = simlab._generate
 
         def counting(cfg, roots):
-            calls.extend((cfg.dgp, cfg.sigma_delta, cfg.p, root.stream_id) for root in roots)
+            calls.extend((cfg.dgp, cfg.sigma_delta, cfg.p, int(root)) for root in roots)
             return generate(cfg, roots)
 
         monkeypatch.setattr(simlab, "_generate", counting)
@@ -555,7 +555,7 @@ class TestBlockRunner:
         def negative_lag_one(cfg, roots):
             sq = generate(cfg, roots)
             for m, root in enumerate(roots):
-                if root.stream_id % 2:
+                if int(root) % 2:
                     lag1 = sq.values[m, :, 1]
                     sq.values[m, :, 1] = np.where(np.isnan(lag1), np.nan,
                                                   -0.9 * sq.values[m, :, 0])
