@@ -62,17 +62,26 @@ def _hash_constants(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarra
     return np.array(xors, dtype=np.uint32), np.array(mults, dtype=np.uint32)
 
 
-# numpy's SeedSequence (pool size 4) constants: the pool hash, which runs 4
-# steps on the entropy and then 3 on each pool word as it is mixed into
-# the other three, and the hash generate_state runs over the pool.
+def _off_diagonal(steps: np.ndarray) -> np.ndarray:
+    """The 12 constants of the pool mixing, 3 per source word in turn, as a
+    (4, 4, 1) block: row src holds them at the three other words; the
+    diagonal is unused, since a word is not mixed into itself."""
+    out = np.zeros((4, 4, 1), dtype=np.uint32)
+    out[~np.eye(4, dtype=bool)] = steps[:, None]
+    return out
+
+
+# numpy's SeedSequence (pool size 4) constants: the pool hash runs 4 steps
+# on the entropy words, then 3 on each pool word in turn as it is mixed
+# into the other three; generate_state runs its own hash over the pool.
 _POOL_XOR, _POOL_MUL = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_MIX_XOR, _MIX_MUL = _off_diagonal(_POOL_XOR[4:]), _off_diagonal(_POOL_MUL[4:])
 _STATE_XOR, _STATE_MUL = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
 _MIX_LEFT, _MIX_RIGHT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_OTHER_WORDS = [[d for d in range(4) if d != s] for s in range(4)]
-_STATE_WORDS = [0, 1, 2, 3, 0, 1, 2, 3]  # the pool, cycled to 8 uint32 words
 
 
 def _hashmix(v: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of each word at the step constants given."""
     v = (v ^ xor) * mult
     return v ^ (v >> np.uint32(16))
 
@@ -101,29 +110,26 @@ def _stream_generators(seeds, stream_ids) -> list[np.random.Generator]:
     one word; its pool hash treats entropy short of 4 words as padded with
     zeros. So the entropy is the (4, n) array s_lo, s_hi, i_lo, i_hi where
     s_hi != 0, and s_lo, i_lo, i_hi, 0 elsewhere. The pool hash and
-    generate_state(4, uint64) then run on the columns at once in uint32
-    arithmetic, and each stream's four state words, built as lo | hi << 32,
-    seed its PCG64 through _PoolState.
+    generate_state(4, uint64), whose 8 uint32 words cycle the pool twice,
+    then run on the columns at once in uint32 arithmetic, and each
+    stream's four state words, built as lo | hi << 32, seed its PCG64
+    through _PoolState.
     """
     seeds = np.array(seeds, dtype=np.uint64, ndmin=1)
     ids = np.array(stream_ids, dtype=np.uint64, ndmin=1)
-    lo, hi = np.uint64(_MASK32), np.uint64(32)
-    s_hi = (seeds >> hi).astype(np.uint32)
-    i_lo = (ids & lo).astype(np.uint32)
-    i_hi = (ids >> hi).astype(np.uint32)
-    wide = s_hi != 0
-    pool = np.empty((4, seeds.size), dtype=np.uint32)
-    pool[0] = seeds & lo
-    pool[1] = np.where(wide, s_hi, i_lo)
-    pool[2] = np.where(wide, i_lo, i_hi)
-    pool[3] = np.where(wide, i_hi, 0)
+    hi = np.uint64(32)
+    # s_lo, s_hi, i_lo, i_hi (the uint32 cast keeps the low word); where
+    # s_hi is 0 the entropy is the same words in the order 0, 2, 3, 1.
+    words = np.array([seeds, seeds >> hi, ids, ids >> hi]).astype(np.uint32)
+    pool = np.where(words[1] == 0, words[[0, 2, 3, 1]], words)
     pool = _hashmix(pool, _POOL_XOR[:4, None], _POOL_MUL[:4, None])
-    for src, dst in enumerate(_OTHER_WORDS):
-        at = slice(4 + 3 * src, 7 + 3 * src)
-        h = _hashmix(pool[src], _POOL_XOR[at, None], _POOL_MUL[at, None])
-        mixed = _MIX_LEFT * pool[dst] - _MIX_RIGHT * h
-        pool[dst] = mixed ^ (mixed >> np.uint32(16))
-    state = _hashmix(pool[_STATE_WORDS], _STATE_XOR[:, None], _STATE_MUL[:, None])
+    for src in range(4):
+        h = _hashmix(pool[src], _MIX_XOR[src], _MIX_MUL[src])
+        mixed = _MIX_LEFT * pool - _MIX_RIGHT * h
+        mixed ^= mixed >> np.uint32(16)
+        mixed[src] = pool[src]
+        pool = mixed
+    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_XOR[:, None], _STATE_MUL[:, None])
     state = state.astype(np.uint64)
     # One C-contiguous row of 4 words per stream: PCG64 reads the buffer raw.
     rows = np.ascontiguousarray((state[0::2] | state[1::2] << hi).T)
