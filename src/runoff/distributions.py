@@ -8,11 +8,11 @@ thread. Other draws come straight from a stream's numpy generator.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
@@ -86,7 +86,7 @@ def _hashmix(v: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
     return v ^ (v >> np.uint32(16))
 
 
-class _PoolState(ISeedSequence):
+class _PoolState:
     """A seed sequence whose state is already generated: PCG64 takes its
     seed and increment from generate_state(4, uint64), which returns row."""
 
@@ -97,6 +97,16 @@ class _PoolState(ISeedSequence):
 
     def generate_state(self, n_words, dtype=np.uint32):
         return self._row
+
+
+@functools.cache
+def _register_pool_state() -> None:
+    """Make _PoolState a numpy ISeedSequence, which PCG64 requires. This
+    runs on first use: importing numpy.random adds about 15 ms and 2.7 MiB
+    to every command, and a fit never draws."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_PoolState)
 
 
 def _stream_generators(seeds, stream_ids) -> list[np.random.Generator]:
@@ -133,6 +143,7 @@ def _stream_generators(seeds, stream_ids) -> list[np.random.Generator]:
     state = state.astype(np.uint64)
     # One C-contiguous row of 4 words per stream: PCG64 reads the buffer raw.
     rows = np.ascontiguousarray((state[0::2] | state[1::2] << hi).T)
+    _register_pool_state()
     return [np.random.Generator(np.random.PCG64(_PoolState(row))) for row in rows]
 
 

@@ -6,6 +6,9 @@ chosen draw counts and then widened for safety margin.
 """
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -79,6 +82,17 @@ class TestBatchedStreams:
             assert g.bit_generator.state == ref.bit_generator.state
             np.testing.assert_array_equal(g.random(3), ref.random(3))
             np.testing.assert_array_equal(g.beta(2.0, 3.0, size=3), ref.beta(2.0, 3.0, size=3))
+
+    def test_numpy_random_loads_on_first_use(self):
+        # Importing the CLI leaves numpy.random unloaded (a fit never
+        # draws); the first batched call then registers its seed sequence.
+        code = ("import sys, numpy as np, runoff.cli; "
+                "from runoff.distributions import RngStream, _stream_generators; "
+                "assert 'numpy.random' not in sys.modules; "
+                "g, = _stream_generators(np.array([7], np.uint64), np.array([55], np.uint64)); "
+                "assert g.random() == RngStream(7, 55).generator().random()")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
 
     def test_no_streams(self):
         assert _stream_generators(np.zeros(0, np.uint64), np.zeros(0, np.uint64)) == []
