@@ -531,6 +531,8 @@ class TestBlockRunner:
     # every year falls under the inclusion threshold.
     @example(cfg=SimConfig(M=40, B=37, c_true=2.0, ultimate_rate=1e-304, seed=3))
     @example(cfg=SimConfig(I=8, J=10, M=6, B=37, inclusion_threshold=1e4, seed=5))
+    # Every open year excluded while the first year is fully developed.
+    @example(cfg=SimConfig(I=10, J=5, M=6, B=37, inclusion_threshold=1e4, seed=5))
     def test_matches_the_single_triangle_functions_bit_for_bit(self, cfg):
         assert_matches_reference(cfg, ("multinomial",))
 
