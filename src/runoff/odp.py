@@ -17,7 +17,7 @@ import numpy as np
 
 from .distributions import RngStream
 from .patterns import PatternError, _cumulative_pattern, _link_ratio_block
-from .predictive import ReserveDistribution, YearPredictive, _assemble
+from .predictive import ReserveDistribution, YearPredictive, _b_fault, _fold_and_check, _summarise
 from .triangle import Triangle, _diagonal_totals, _n_observed, _observed_mask
 
 _ODP_DOMAIN = 2  # stream tag for the residual bootstrap
@@ -156,9 +156,10 @@ def _odp_draws(fit: OdpFit, B: int, seed: int, work: dict) -> tuple[np.ndarray, 
     resampled indices and the process error share one array's memory,
     and the pseudo cumulatives and the future means another's.
     """
-    if int(B) != B or B < 1:
-        raise OdpError(f"B must be a positive integer, got {B}")
-    I, J = fit.I, fit.J
+    fault = _b_fault(B)
+    if fault is not None:
+        raise OdpError(fault)
+    B, I, J = int(B), fit.I, fit.J
     last = [min(J - 1, I - i) for i in range(1, I + 1)]
     open_years = [i for i in range(I) if last[i] < J - 1]
     sums = _work_array(work, "sums", (len(open_years), B))
@@ -289,10 +290,13 @@ def odp_bootstrap(fit: OdpFit, B: int, seed: int) -> ReserveDistribution:
     pseudo cumulative. Each year's process-error total is numpy's
     pairwise sum over its future cells (8-way blocks from 8 cells on).
 
-    The draws come from _odp_draws, which the coverage studies call
+    The draws come from _odp_draws and the checked total from
+    predictive._fold_and_check, both of which the coverage studies call
     directly; this function adds the per-year view and the summary.
     """
     sums, rejected = _odp_draws(fit, B, seed, {})
+    total = np.zeros((1, sums.shape[1]))
+    moments = _fold_and_check(total, ((0, year) for year in sums))
     I, J = fit.I, fit.J
     F = fit.pattern_F()
     points = np.nansum(fit.projected_future, axis=1)
@@ -305,7 +309,8 @@ def odp_bootstrap(fit: OdpFit, B: int, seed: int) -> ReserveDistribution:
             F=float(F[last]),
             c_times_F=float("nan"),
             point_reserve=float(points[i]),
-            draws=next(drawn) if last < J - 1 else np.zeros(B),
+            draws=next(drawn) if last < J - 1 else np.zeros(total.shape[1]),
         ))
     meta = {"rejected_replications": rejected, "dispersion": fit.dispersion, "dof": fit.dof}
-    return _assemble(years, B, anchor="ODP", meta=meta)
+    return ReserveDistribution(tuple(years), total[0], _summarise(total[0], False, moments),
+                               flags={}, anchor="ODP", meta=meta)

@@ -126,30 +126,48 @@ _ALL_EXCLUDED = "every open accident year is excluded by the inclusion rule"
 _BAD_OBSERVED = "observed row totals must be finite and non-negative"
 
 
-def _mean_se(draws: np.ndarray):
-    """Mean and standard error along the last axis (se is None for a single
-    draw), and whether both are finite."""
-    # Overflow is reported by the callers' checks, not by a numpy warning.
+def _fold_and_check(totals: np.ndarray, years, faults: list[str | None] | None = None,
+                    suppressed: np.ndarray | None = None):
+    """Checks 5 and 6 of the fault ladder, after the fold: each (row,
+    draws) of years, in the order given, is added into totals[row]; then a
+    row still without a fault gets _TOTAL_OVERFLOW if its total is not
+    finite, else _MOMENTS_OVERFLOW if its mean or se is not, unless
+    suppressed[row] (a drawn year's mean is suppressed). Without faults, a
+    one-row fault is raised as a PredictiveError. Returns each row's mean
+    and se (se None at B = 1), meaningless for a failed row. years is
+    consumed a pair at a time, so its draws may reuse one array.
+    """
+    raise_fault = faults is None
+    faults = [None] * len(totals) if faults is None else faults
+    # A failed row may hold anything; overflow is reported by the checks.
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = draws.mean(axis=-1)
-        se = draws.std(axis=-1, ddof=1) if draws.shape[-1] > 1 else None
-    finite = np.isfinite(mean)
-    if se is not None:
-        finite &= np.isfinite(se)
-    return mean, se, finite
+        for row, draws in years:
+            totals[row] += draws
+        mean = totals.mean(axis=-1)
+        se = totals.std(axis=-1, ddof=1) if totals.shape[-1] > 1 else None
+    finite = np.isfinite(totals).all(axis=-1)
+    moments_ok = np.isfinite(mean) if se is None else np.isfinite(mean) & np.isfinite(se)
+    for k, fault in enumerate(faults):
+        if fault is None and not finite[k]:
+            faults[k] = _TOTAL_OVERFLOW
+        elif fault is None and not (moments_ok[k] or (suppressed is not None and suppressed[k])):
+            faults[k] = _MOMENTS_OVERFLOW
+    if raise_fault and faults[0] is not None:
+        raise PredictiveError(faults[0])
+    return mean, se
 
 
-def _summarise(draws: np.ndarray, mean_suppressed: bool) -> dict[str, float | None]:
+def _summarise(draws: np.ndarray, mean_suppressed: bool, moments=None) -> dict[str, float | None]:
     """Mean, se and quantiles of draws. A suppressed mean withholds se too:
     the mean is suppressed at c*F <= 2, where the ratio has no variance.
-    A mean or se that overflows the float range is an error."""
+    moments, what _fold_and_check returned for draws[None], spares
+    computing mean and se again; a mean or se that overflows the float
+    range is an error."""
     q5, q25, q50, q75, q95 = _quantiles(draws, _SUMMARY_PROBS)
     mean = se = None
     if not mean_suppressed:
-        mean, se, finite = _mean_se(draws)
-        if not finite:
-            raise PredictiveError(_MOMENTS_OVERFLOW)
-        mean, se = float(mean), None if se is None else float(se)
+        mean, se = _fold_and_check(draws[None], ()) if moments is None else moments
+        mean, se = float(mean[0]), None if se is None else float(se[0])
     return {
         "mean": mean,
         "se": se,
@@ -161,51 +179,20 @@ def _summarise(draws: np.ndarray, mean_suppressed: bool) -> dict[str, float | No
     }
 
 
-def _assemble(
-    years: list[YearPredictive], B: int, anchor: str, meta=None
-) -> ReserveDistribution:
-    included = [y for y in years if not y.excluded]
-    total = np.zeros(B)
-    with np.errstate(over="ignore"):
-        for y in included:
-            total += y.draws
-    if not np.isfinite(total).all():
-        raise PredictiveError(_TOTAL_OVERFLOW)
-    flags: dict[int, tuple[str, ...]] = {}
-    for y in years:
-        notes = []
-        if y.excluded:
-            notes.append(f"excluded: {y.exclusion_reason}")
-        if y.mean_suppressed:
-            notes.append(f"mean-suppressed: c*F = {y.c_times_F:.3g} <= {_SUPPRESS_AT_OR_BELOW}")
-        if notes:
-            flags[y.accident] = tuple(notes)
-    suppress_total = any(y.mean_suppressed for y in included)
-    return ReserveDistribution(
-        per_year=tuple(years),
-        total=total,
-        summary=_summarise(total, suppress_total),
-        flags=flags,
-        anchor=anchor,
-        meta=meta,
-    )
+def _b_fault(B) -> str | None:
+    """The message of a B that is not a positive integer, NaN and inf
+    included, or None."""
+    if B >= 1 and B != np.inf and int(B) == B:  # NaN fails the first test
+        return None
+    return f"B must be a positive integer, got {B}"
 
 
-def _validate_bootstrap_args(c_hat: float, B: int) -> None:
+def _args_fault(c_hat: float, B) -> str | None:
+    """Check 1 of the fault ladder: the message of a concentration, then
+    of a B, that cannot be used, or None."""
     if not np.isfinite(c_hat) or c_hat <= 0.0:
-        raise PredictiveError(f"concentration must be positive and finite, got {c_hat}")
-    if int(B) != B or B < 1:
-        raise PredictiveError(f"B must be a positive integer, got {B}")
-
-
-class _Draw(NamedTuple):
-    """One accident year to resample: its stream, Beta parameters and scale."""
-
-    accident: int
-    generator: np.random.Generator
-    a: float
-    b: float
-    scale: float  # observed total (CL) or prior ultimate (BF)
+        return f"concentration must be positive and finite, got {c_hat}"
+    return _b_fault(B)
 
 
 def _usable_cores() -> int:
@@ -215,15 +202,16 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _draw_years(block: np.ndarray, draws: list[_Draw], ratio: bool) -> list[str | None]:
-    """Fill block[k] with the outstanding-amount draws of draws[k]; return
-    per row None, or the PredictiveError message of a row that overflows.
+def _draw_years(block: np.ndarray, draws: list[tuple], ratio: bool) -> list[str | None]:
+    """Fill block[k] with the draws of draws[k], an (accident year,
+    generator, a, b, scale) tuple with W ~ Beta(a, b); return per row None,
+    or the PredictiveError message of a row that overflows.
 
     With ratio the row is scale * (1 - W) / W, W floored at 1e-15 (CL);
     without it, scale * (1 - W) (BF). Each row is drawn in chunks of
     _CHUNK variates, which consume the year's stream exactly as one
     beta(size=B) call does, so a row depends neither on the chunk size nor
-    on the thread that fills it. From B = _PARALLEL_MIN_B on, the years
+    on the thread that fills it. From B = _PARALLEL_MIN_B on, the rows
     are spread over a thread pool: numpy releases the GIL inside the draws
     and ufuncs, and a worker touches only numpy and its own row. A row
     that overflows the float range is left part drawn and named, never
@@ -233,22 +221,22 @@ def _draw_years(block: np.ndarray, draws: list[_Draw], ratio: bool) -> list[str 
     scale_name = "observed total" if ratio else "prior ultimate"
 
     def fill(k: int) -> str | None:
-        d = draws[k]
+        accident, generator, a, b, scale = draws[k]
         row = block[k]
         # Overflow is reported by the check below, not by a numpy warning.
         with np.errstate(over="ignore"):
             for start in range(0, B, _CHUNK):
                 seg = row[start : start + _CHUNK]
-                w = d.generator.beta(d.a, d.b, size=seg.size)
+                w = generator.beta(a, b, size=seg.size)
                 if ratio:
                     np.maximum(w, _W_FLOOR, out=w)
                 np.subtract(1.0, w, out=seg)
-                np.multiply(d.scale, seg, out=seg)
+                np.multiply(scale, seg, out=seg)
                 if ratio:
                     np.divide(seg, w, out=seg)
                 if not np.isfinite(seg).all():
-                    return (f"accident year {d.accident}: bootstrap draws overflow the "
-                            f"float range ({scale_name} {d.scale:.6g})")
+                    return (f"accident year {accident}: bootstrap draws overflow the "
+                            f"float range ({scale_name} {scale:.6g})")
         return None
 
     workers = min(_usable_cores(), len(draws)) if B >= _PARALLEL_MIN_B else 1
@@ -258,135 +246,100 @@ def _draw_years(block: np.ndarray, draws: list[_Draw], ratio: bool) -> list[str 
     return list(map(fill, range(len(draws))))
 
 
-def _cl_years(c_hat, F: np.ndarray, inclusion_threshold: float):
-    """The CL anchor's year rules at concentrations c_hat (a float or an
-    (M,) vector) and cumulative proportions F (I,), each (I,) or (M, I):
-    c*F; the years excluded, where c*F lies below inclusion_threshold (a
-    fully developed year never is); the years drawn, those neither
-    excluded nor fully developed; and the drawn years whose mean is
-    suppressed, where c*F <= 2 and the ratio's mean is unstable."""
+def _year_rules(c_hat, F: np.ndarray, inclusion_threshold: float, ratio: bool):
+    """The year rules at concentrations c_hat (a float or an (n,) vector)
+    and cumulative proportions F (I,), each (I,) or (n, I): c*F; the years
+    excluded, where c*F lies below inclusion_threshold (a fully developed
+    year never is); the years drawn, those neither excluded nor fully
+    developed; and, with ratio (the CL anchor), the drawn years whose mean
+    is suppressed, where c*F <= 2 and the ratio's mean is unstable."""
     cf = np.multiply.outer(c_hat, F)
     open_ = F < _FULLY_DEVELOPED
     excluded = open_ & (cf < inclusion_threshold)
     drawn = open_ & ~excluded
-    return cf, excluded, drawn, drawn & (cf <= _SUPPRESS_AT_OR_BELOW)
+    return cf, excluded, drawn, drawn & (cf <= _SUPPRESS_AT_OR_BELOW) & ratio
 
 
-def _anchored_bootstrap(
-    rows: list[tuple[int, float, float, float, str | None, bool]],
-    c_hat: float,
-    B: int,
-    seed: int,
-    anchor: str,
-) -> ReserveDistribution:
-    """Draw and assemble the years given as (accident, F, point reserve,
-    scale, exclusion reason or None, mean suppressed); anchor "CL" selects
-    the ratio transform, "BF" the linear one. When an open year is
-    excluded and none is drawn, the total would be an exact zero that
-    reads like a reserve, so that is an error."""
+def _anchored_draws(scales: np.ndarray, F: np.ndarray, c_hat: np.ndarray, seeds: np.ndarray,
+                    B: int, inclusion_threshold: float, ratio: bool):
+    """The one draw kernel of the Beta bootstraps, over n rows at once;
+    multinomial_bootstrap and bf_bootstrap are its n = 1 case.
+
+    scales (n, I) holds each row's observed totals with ratio (the CL
+    anchor) or its prior ultimates without (BF), F (I,) the cumulative
+    proportion at each accident year's lag, c_hat (n,) and seeds (n,)
+    each row's concentration and seed (uint64). Row k's accident year i
+    draws from RngStream(seeds[k]).derive(_ROW_DOMAIN, i), so excluding a
+    year never shifts another's draws. All streams open in one
+    _stream_generators call and all rows' years are drawn in one
+    _draw_years call, so a lone row's years share its thread pool.
+
+    Per row the checks run in order: concentration and B; observed totals
+    (CL only); every open year excluded; each drawn year's overflow, in
+    year order; the total, its years folded in year order, and its moments
+    (_fold_and_check). Returns the (n, B) totals, per row None or the first
+    fault's PredictiveError message (a failed row's total holds anything),
+    the block of draws, a row per drawn (row, year) year by year, and the
+    totals' mean and se.
+    """
+    n, I = scales.shape
+    faults = [_args_fault(c, B) for c in c_hat.tolist()]
+    if _b_fault(B) is not None:  # every row is at fault, and B sizes nothing
+        return np.empty((n, 0)), faults, np.empty((0, 0)), (None, None)
+    _, excluded, drawn, suppressed = _year_rules(c_hat, F, inclusion_threshold, ratio)
+    scales_ok = np.isfinite(scales).all(axis=1) & (scales >= 0.0).all(axis=1)
+    for k in range(n):
+        if faults[k] is None and ratio and not scales_ok[k]:
+            faults[k] = _BAD_OBSERVED
+        elif faults[k] is None and excluded[k].any() and not drawn[k].any():
+            faults[k] = _ALL_EXCLUDED
+    live = np.array([f is None for f in faults], dtype=bool)
+    years, rows = np.nonzero((drawn & live[:, None]).T)  # year by year
+    year_ids = _derive_ids(np.zeros(I, dtype=np.uint64), _ROW_DOMAIN, np.arange(1, I + 1))
+    a, b = c_hat[rows] * F[years], c_hat[rows] * (1.0 - F[years])
+    draws = list(zip((years + 1).tolist(), _stream_generators(seeds[rows], year_ids[years]),
+                     a.tolist(), b.tolist(), scales[rows, years].tolist()))
+    block = np.empty((rows.size, int(B)))
+    rows = rows.tolist()
+    for k, fault in zip(rows, _draw_years(block, draws, ratio)):
+        if fault is not None and faults[k] is None:  # its first year at fault
+            faults[k] = fault
+    totals = np.zeros((n, int(B)))
+    moments = _fold_and_check(totals, zip(rows, block), faults, suppressed.any(axis=1))
+    return totals, faults, block, moments
+
+
+def _year_view(scales: np.ndarray, F: np.ndarray, points: np.ndarray, c_hat: float, B: int,
+               seed: int, inclusion_threshold: float, anchor: str) -> ReserveDistribution:
+    """_anchored_draws at n = 1 and its per-year view: the distribution of
+    one row of scales with point reserves points, anchor "CL" (the ratio
+    transform) or "BF". A fault is raised as a PredictiveError."""
     ratio = anchor == "CL"
-    open_ = [(i, F, scale, reason) for i, F, _, scale, reason, _ in rows if F < _FULLY_DEVELOPED]
-    drawn = [(i, F, scale) for i, F, scale, reason in open_ if reason is None]
-    if open_ and not drawn:
-        raise PredictiveError(_ALL_EXCLUDED)
-    accidents = [i for i, _, _ in drawn]
-    streams = _stream_generators(np.full(len(drawn), seed & _MASK64, dtype=np.uint64),
-                                 _derive_ids(np.zeros(len(drawn), dtype=np.uint64),
-                                             _ROW_DOMAIN, accidents))
-    draws = [_Draw(i, g, c_hat * F, c_hat * (1.0 - F), scale)
-             for (i, F, scale), g in zip(drawn, streams)]
-    block = np.empty((len(draws), B))
-    fault = next((f for f in _draw_years(block, draws, ratio) if f is not None), None)
-    if fault is not None:
-        raise PredictiveError(fault)
+    totals, faults, block, moments = _anchored_draws(
+        scales[None], F, np.array([c_hat], dtype=float),
+        np.array([seed & _MASK64], dtype=np.uint64), B, inclusion_threshold, ratio)
+    if faults[0] is not None:
+        raise PredictiveError(faults[0])
+    cf, excluded, _, suppressed = _year_rules(c_hat, F, inclusion_threshold, ratio)
     drawn = iter(block)
     years: list[YearPredictive] = []
-    for i, F, point, _, reason, suppressed in rows:
-        cf = c_hat * F
-        if F >= _FULLY_DEVELOPED:
-            years.append(YearPredictive(i, F, cf, point_reserve=0.0, draws=np.zeros(B)))
-        elif reason is not None:
-            years.append(
-                YearPredictive(
-                    i, F, cf, point_reserve=point, draws=None, excluded=True,
-                    exclusion_reason=reason,
-                )
-            )
+    flags: dict[int, tuple[str, ...]] = {}
+    for i, (f, c_f, point) in enumerate(zip(F.tolist(), cf.tolist(), points.tolist())):
+        if f >= _FULLY_DEVELOPED:
+            years.append(YearPredictive(i + 1, f, c_f, point_reserve=0.0,
+                                        draws=np.zeros(totals.shape[1])))
+        elif excluded[i]:
+            reason = f"c*F = {c_f:.3g} below inclusion threshold {inclusion_threshold:g}"
+            years.append(YearPredictive(i + 1, f, c_f, point_reserve=point, draws=None,
+                                        excluded=True, exclusion_reason=reason))
+            flags[i + 1] = (f"excluded: {reason}",)
         else:
-            years.append(
-                YearPredictive(
-                    i, F, cf, point_reserve=point, draws=next(drawn),
-                    mean_suppressed=suppressed,
-                )
-            )
-    return _assemble(years, B, anchor=anchor)
-
-
-def _cl_totals(
-    obs: np.ndarray,
-    F: np.ndarray,
-    c_hat: np.ndarray,
-    B: int,
-    seeds: np.ndarray,
-    inclusion_threshold: float,
-) -> tuple[np.ndarray, list[str | None]]:
-    """The totals multinomial_bootstrap draws for n diagonals at once.
-
-    obs (n, I) holds each diagonal's row totals, F (I,) the cumulative
-    proportion at each row's lag, c_hat (n,) and seeds (n,) each
-    diagonal's concentration and seed (uint64). Year by year, the draws of
-    every diagonal that draws the year come from the streams
-    multinomial_bootstrap keys by (seed, accident year), all opened by one
-    _stream_generators call, through _draw_years, and fold into an (n, B)
-    block of totals, so each total adds its years in year order. Returns
-    the totals and, per diagonal, None or the message of the
-    PredictiveError multinomial_bootstrap would raise, found in the order
-    it checks; a failed diagonal's total holds anything.
-    """
-    n, I = obs.shape
-    faults: list[str | None] = [None] * n
-    obs_ok = np.isfinite(obs).all(axis=1) & (obs >= 0.0).all(axis=1)
-    _, excluded, drawn, suppressed = _cl_years(c_hat, F, inclusion_threshold)
-    c = c_hat.tolist()
-    for k in range(n):
-        try:
-            _validate_bootstrap_args(c[k], B)
-        except PredictiveError as exc:
-            faults[k] = str(exc)
-            continue
-        if not obs_ok[k]:
-            faults[k] = _BAD_OBSERVED
-        elif excluded[k].any() and not drawn[k].any():
-            faults[k] = _ALL_EXCLUDED
-    live = np.array([f is None for f in faults])
-    years, diags = np.nonzero((drawn & live[:, None]).T)  # year by year
-    year_ids = _derive_ids(np.zeros(I, dtype=np.uint64), _ROW_DOMAIN, np.arange(1, I + 1))
-    streams = iter(_stream_generators(seeds[diags], year_ids[years]))
-    Fs = F.tolist()
-    x = obs.tolist()
-    totals = np.zeros((n, B))
-    for i in range(I):
-        rows = diags[years == i].tolist()
-        if not rows:
-            continue
-        draws = [_Draw(i + 1, next(streams), c[k] * Fs[i], c[k] * (1.0 - Fs[i]), x[k][i])
-                 for k in rows]
-        block = np.empty((len(rows), B))
-        for k, fault in zip(rows, _draw_years(block, draws, ratio=True)):
-            if fault is not None and faults[k] is None:  # its first year at fault
-                faults[k] = fault
-        # A failed diagonal's row may hold anything; its total is not used.
-        with np.errstate(over="ignore", invalid="ignore"):
-            totals[rows] += block
-    finite = np.isfinite(totals).all(axis=1)
-    _, _, moments_ok = _mean_se(totals)
-    for k in np.flatnonzero(live).tolist():
-        if faults[k] is None:
-            if not finite[k]:
-                faults[k] = _TOTAL_OVERFLOW
-            elif not (moments_ok[k] or suppressed[k].any()):
-                faults[k] = _MOMENTS_OVERFLOW
-    return totals, faults
+            years.append(YearPredictive(i + 1, f, c_f, point_reserve=point, draws=next(drawn),
+                                        mean_suppressed=bool(suppressed[i])))
+            if suppressed[i]:
+                flags[i + 1] = (f"mean-suppressed: c*F = {c_f:.3g} <= {_SUPPRESS_AT_OR_BELOW}",)
+    summary = _summarise(totals[0], bool(suppressed.any()), moments)
+    return ReserveDistribution(tuple(years), totals[0], summary, flags, anchor)
 
 
 def multinomial_bootstrap(
@@ -409,20 +362,14 @@ def multinomial_bootstrap(
     Draw streams are keyed (seed, accident year), so excluding a year
     never shifts any other year's draws.
     """
-    _validate_bootstrap_args(c_hat, B)
+    fault = _args_fault(c_hat, B)
+    if fault is not None:
+        raise PredictiveError(fault)
     obs = np.asarray(diag.observed, dtype=float)
     if not np.all(np.isfinite(obs)) or np.any(obs < 0.0):
         raise PredictiveError(_BAD_OBSERVED)
-    F = [pattern.F_at_lag(dev) for dev in diag.dev_lag]
-    cf, excluded, _, suppressed = _cl_years(c_hat, np.array(F), inclusion_threshold)
-    rows = []
-    for idx, x_obs in enumerate(obs):
-        reason = None
-        if excluded[idx]:
-            reason = f"c*F = {cf[idx]:.3g} below inclusion threshold {inclusion_threshold:g}"
-        point = x_obs * (1.0 - F[idx]) / F[idx]
-        rows.append((idx + 1, F[idx], point, x_obs, reason, bool(suppressed[idx])))
-    return _anchored_bootstrap(rows, c_hat, B, seed, anchor="CL")
+    F = np.array([pattern.F_at_lag(dev) for dev in diag.dev_lag])
+    return _year_view(obs, F, obs * (1.0 - F) / F, c_hat, B, seed, inclusion_threshold, "CL")
 
 
 def bf_bootstrap(
@@ -439,7 +386,9 @@ def bf_bootstrap(
     appears, so every year with F < 1 participates and no mean
     suppression is needed.
     """
-    _validate_bootstrap_args(c_hat, B)
+    fault = _args_fault(c_hat, B)
+    if fault is not None:
+        raise PredictiveError(fault)
     E = np.asarray(exposures, dtype=float)
     if E.ndim != 1 or E.size < 1:
         raise PredictiveError("exposures must be a non-empty vector")
@@ -448,12 +397,9 @@ def bf_bootstrap(
     if not np.isfinite(q_bf) or q_bf <= 0.0:
         raise PredictiveError(f"prior loss ratio must be positive, got {q_bf}")
     I = E.size
-    rows = []
-    for idx in range(I):
-        F = pattern.F_at_lag(I - idx - 1)
-        prior = E[idx] * q_bf
-        rows.append((idx + 1, F, prior * (1.0 - F), prior, None, False))
-    return _anchored_bootstrap(rows, c_hat, B, seed, anchor="BF")
+    F = np.array([pattern.F_at_lag(I - idx - 1) for idx in range(I)])
+    prior = E * q_bf
+    return _year_view(prior, F, prior * (1.0 - F), c_hat, B, seed, -np.inf, "BF")
 
 
 class IbnpMoments(NamedTuple):

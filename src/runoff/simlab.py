@@ -29,19 +29,19 @@ through five stages at a time (_run_block):
   2. CL point   each row's latest-diagonal total, taken once, grossed up
                 by the generating pattern, built once per scenario
   3. estimate   c-hat of every triangle by estimate_c_batch
-  4. draw       per replication and accident year, the Beta variates of
-                that year's stream, folded in year order into a block of
-                totals, one row per replication; the ODP method instead
-                fits every triangle of the block at once (odp._odp_fits)
-                and runs odp_bootstrap's draw kernel per replication on
-                arrays the block keeps, folding its years into the totals
+  4. draw       the multinomial totals from one predictive._anchored_draws
+                call, the kernel whose n = 1 case is multinomial_bootstrap;
+                the ODP method instead fits every triangle of the block at
+                once (odp._odp_fits) and runs odp_bootstrap's draw kernel
+                per replication on arrays the block keeps. Both fold and
+                check each total by predictive._fold_and_check
   5. score      the realised future amount against the 95% and 75%
                 intervals of each row of totals, from one sort
 
 Stages 4 and 5 take a block's replications in slices of at most
 _SLICE_DRAWS // B of them (at least one): a slice holds its (n, B) totals
-and one (n, B) block of draws at a time, which bounds the memory a block
-holds at any B.
+and one block of draws, a row per drawn (replication, year), at a time,
+which bounds the memory a block holds at any B.
 
 A replication that fails a stage records the message the single-triangle
 functions would raise and drops out of the later stages; the rest of the
@@ -87,14 +87,7 @@ from .distributions import (
 )
 from .odp import OdpError, _odp_draws, _odp_fits
 from .patterns import DevelopmentPattern, PatternError, _cl_reserves
-from .predictive import (
-    _MOMENTS_OVERFLOW,
-    _TOTAL_OVERFLOW,
-    PredictiveError,
-    _cl_totals,
-    _mean_se,
-    _quantiles,
-)
+from .predictive import PredictiveError, _anchored_draws, _fold_and_check, _quantiles
 from .triangle import (
     _NON_FINITE_EXPOSURE,
     Triangle,
@@ -409,7 +402,8 @@ def _multinomial_totals(
     stream, and per replication None or the failure. A failed estimate
     fails first."""
     seeds = _derive_ids(roots, _BOOT_MULTINOMIAL)
-    totals, faults = _cl_totals(obs, F, c_hat, cfg.B, seeds, cfg.inclusion_threshold)
+    totals, faults, _, _ = _anchored_draws(obs, F, c_hat, seeds, cfg.B,
+                                           cfg.inclusion_threshold, ratio=True)
     return totals, [
         f"ConcentrationError: {_NO_USABLE_CELLS}" if np.isnan(c)
         else None if fault is None else f"PredictiveError: {fault}"
@@ -420,34 +414,29 @@ def _multinomial_totals(
 def _odp_totals(
     cfg: SimConfig, roots: np.ndarray, fits: list, work: dict
 ) -> tuple[np.ndarray, list[str | None]]:
-    """Stage 4 of the ODP method: the (n, B) totals odp_bootstrap draws for
-    each fit (_BOOT_ODP tag), from its draw kernel with years added in year
-    order, and per replication None or the failure: a failed fit, the
-    kernel's error, then odp_bootstrap's total and mean/se checks in its
-    order. work holds the kernel's arrays for the calling block."""
-    totals = np.zeros((len(roots), cfg.B))
-    faults: list[str | None] = [None] * len(roots)
+    """Stage 4 of the ODP method: per fit (_BOOT_ODP tag), odp_bootstrap's
+    total and None or the failure: a failed fit, the draw kernel's error,
+    then predictive._fold_and_check's (an earlier failure leaves a zero
+    total, which passes). The fold takes each replication's years before
+    the next is drawn into work, the kernel's arrays for the calling block."""
+    errors: list[str | None] = [None] * len(roots)
     seeds = _derive_ids(roots, _BOOT_ODP).tolist()
-    for k, (seed, fit) in enumerate(zip(seeds, fits)):
-        if isinstance(fit, Exception):
-            faults[k] = f"{type(fit).__name__}: {fit}"
-            continue
-        try:
-            years, _ = _odp_draws(fit, cfg.B, seed, work)
-        except OdpError as exc:
-            faults[k] = f"OdpError: {exc}"
-            continue
-        with np.errstate(over="ignore"):
-            for year in years:
-                totals[k] += year
-    finite = np.isfinite(totals).all(axis=1)
-    _, _, moments_ok = _mean_se(totals)
-    for k, fault in enumerate(faults):
-        if fault is None and not finite[k]:
-            faults[k] = f"PredictiveError: {_TOTAL_OVERFLOW}"
-        elif fault is None and not moments_ok[k]:
-            faults[k] = f"PredictiveError: {_MOMENTS_OVERFLOW}"
-    return totals, faults
+
+    def years():
+        for k, (seed, fit) in enumerate(zip(seeds, fits)):
+            if isinstance(fit, Exception):
+                errors[k] = f"{type(fit).__name__}: {fit}"
+                continue
+            try:
+                sums, _ = _odp_draws(fit, cfg.B, seed, work)
+            except OdpError as exc:
+                errors[k] = f"OdpError: {exc}"
+                continue
+            yield from ((k, year) for year in sums)
+
+    totals, checks = np.zeros((len(roots), cfg.B)), [None] * len(roots)
+    _fold_and_check(totals, years(), checks)
+    return totals, [e or (c and f"PredictiveError: {c}") for e, c in zip(errors, checks)]
 
 
 def _score(

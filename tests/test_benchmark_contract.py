@@ -11,6 +11,7 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +19,10 @@ import pytest
 
 from runoff import cli, simlab
 from runoff.concentration import ConcentrationError, estimate_c_from_matrix
+from runoff.odp import odp_bootstrap, odp_fit
 from runoff.patterns import chain_ladder_pattern, cl_ultimates
-from runoff.triangle import bundled_triangle, load_exposures, load_triangle
+from runoff.predictive import bf_bootstrap, multinomial_bootstrap
+from runoff.triangle import bundled_triangle, latest_diagonal, load_exposures, load_triangle
 
 LAYERS = ("cli", "triangle", "patterns", "concentration", "predictive",
           "distributions", "odp", "simlab")
@@ -127,3 +130,29 @@ def test_loaders_take_paths_and_a_sidecar(tmp_path):
     side.write_text("accident,exposure\n1,100\n2,200\n")
     t = load_triangle(path, format="wide", exposures=load_exposures(side))
     assert t.exposures == (100.0, 200.0)
+
+
+def test_bootstrap_results_carry_what_the_tracer_counts():
+    # The tracer's draw counters read per_year[].draws (None exactly for an
+    # excluded year), total.size, excluded_years and an integer
+    # meta["rejected_replications"]. A result that moved any of them would
+    # leave the per-layer counters silently at 0.
+    t = bundled_triangle("raa")
+    pattern, B = chain_ladder_pattern(t), 50
+    cl = multinomial_bootstrap(latest_diagonal(t), pattern, 13.4, B, seed=5)
+    bf = bf_bootstrap(t.values[:, 0], 1.3, pattern, 13.4, B, seed=6)
+    odp = odp_bootstrap(odp_fit(t), B, seed=7)
+    for dist in (cl, bf, odp):
+        assert [y.draws is None for y in dist.per_year] == [y.excluded for y in dist.per_year]
+        assert dist.total.size == B
+        assert dist.excluded_years == tuple(y.accident for y in dist.per_year if y.excluded)
+    assert (cl.excluded_years, bf.excluded_years, odp.excluded_years) == ((9, 10), (), ())
+    rejected = odp.meta["rejected_replications"]
+    assert isinstance(rejected, int) and rejected >= 0
+    hooks, counts = _tracer_module()._HOOKS, Counter()
+    hooks["predictive.multinomial_bootstrap"](counts, (), cl)
+    hooks["predictive.bf_bootstrap"](counts, (), bf)
+    hooks["odp.odp_bootstrap"](counts, (), odp)
+    # CL draws years 1-8 (year 1 as exact zeros), BF all ten years.
+    assert counts == {"predictive.draws": 18 * B, "predictive.excluded_years": 2,
+                      "odp.draws": B, "odp.redraws": rejected}

@@ -131,6 +131,13 @@ class TestBootstrap:
             odp_bootstrap(fit, 0, seed=1)
         with pytest.raises(OdpError, match="B must be"):
             odp_bootstrap(fit, 2.5, seed=1)
+        # Non-finite B is named too, not a bare OverflowError or ValueError.
+        for B in (float("inf"), float("nan")):
+            with pytest.raises(OdpError, match=f"^B must be a positive integer, got {B}$"):
+                odp_bootstrap(fit, B, seed=1)
+        # An integral float passes the check and draws as that integer.
+        assert np.array_equal(odp_bootstrap(fit, 5.0, seed=1).total,
+                              odp_bootstrap(fit, 5, seed=1).total)
 
 
 class TestContrastWithConditionalBootstrap:

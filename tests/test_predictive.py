@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -236,6 +236,13 @@ class TestMultinomialBootstrap:
             multinomial_bootstrap(diag, pat, 40.0, 0, seed=0)
         with pytest.raises(PredictiveError, match="B must be"):
             multinomial_bootstrap(diag, pat, 40.0, 1.5, seed=0)
+        # Non-finite B is named too, not a bare OverflowError or ValueError.
+        for B in (float("inf"), float("nan")):
+            with pytest.raises(PredictiveError, match=f"^B must be a positive integer, got {B}$"):
+                multinomial_bootstrap(diag, pat, 40.0, B, seed=0)
+        # An integral float passes the check and draws as that integer.
+        assert np.array_equal(multinomial_bootstrap(diag, pat, 40.0, 100.0, seed=0).total,
+                              multinomial_bootstrap(diag, pat, 40.0, 100, seed=0).total)
         bad = DiagonalSummary(observed=(20.0, -1.0, 40.0, 50.0), dev_lag=(3, 2, 1, 0))
         with pytest.raises(PredictiveError, match="non-negative"):
             multinomial_bootstrap(bad, pat, 40.0, 100, seed=0)
@@ -290,6 +297,9 @@ class TestBfBootstrap:
             bf_bootstrap(np.array([100.0, 200.0]), 0.0, pat, 30.0, 100, seed=0)
         with pytest.raises(PredictiveError, match="vector"):
             bf_bootstrap(np.ones((2, 2)), 0.9, pat, 30.0, 100, seed=0)
+        for B in (0, 2.5, float("inf"), float("nan")):
+            with pytest.raises(PredictiveError, match=f"^B must be a positive integer, got {B}$"):
+                bf_bootstrap(np.array([100.0, 200.0]), 0.9, pat, 30.0, B, seed=0)
 
 
 def raa_inputs():
@@ -368,6 +378,262 @@ class TestParallelDraws:
             F=np.array([0.1, 0.2, 0.3, 0.4, 1.0]), method="fixed")
         with pytest.raises(PredictiveError, match="total .* overflows"):
             bf_bootstrap(np.full(5, 1.7e308), 1.0, pat, 50.0, 1000, seed=2)
+
+
+_TOTAL_OVERFLOW = "the total of the bootstrap draws overflows the float range"
+_MOMENTS_OVERFLOW = "the mean or standard error of the bootstrap draws overflows the float range"
+
+
+def reference_row(scales, F, c, B, seed, threshold, ratio):
+    """A slow, plain reference for one row of the anchored draw kernel: one
+    beta(size=B) call per drawn accident year on its own stream, with the
+    six checks in order. Returns the draws by accident year (empty when a
+    check before the draws fails), the total of the drawn years, and None
+    or the first fault's message."""
+    if not np.isfinite(c) or c <= 0.0:
+        return {}, None, f"concentration must be positive and finite, got {c}"
+    if not (np.isfinite(B) and B >= 1 and int(B) == B):
+        return {}, None, f"B must be a positive integer, got {B}"
+    if ratio and not all(np.isfinite(x) and x >= 0.0 for x in scales):
+        return {}, None, "observed row totals must be finite and non-negative"
+    open_ = [f < 1.0 - 1e-12 for f in F]
+    drawn = [o and not c * f < threshold for o, f in zip(open_, F)]
+    if any(open_) and not any(drawn):
+        return {}, None, "every open accident year is excluded by the inclusion rule"
+    draws, total, fault = {}, np.zeros(B), None
+    with np.errstate(all="ignore"):
+        for year, (f, x, d) in enumerate(zip(F, scales, drawn), start=1):
+            if not d:
+                continue
+            g = RngStream(seed).derive(predictive._ROW_DOMAIN, year).generator()
+            w = g.beta(c * f, c * (1.0 - f), size=B)
+            if ratio:
+                w = np.maximum(w, 1e-15)
+                draws[year] = x * (1.0 - w) / w
+            else:
+                draws[year] = x * (1.0 - w)
+            if fault is None and not np.isfinite(draws[year]).all():
+                name = "observed total" if ratio else "prior ultimate"
+                fault = (f"accident year {year}: bootstrap draws overflow the float range "
+                         f"({name} {x:.6g})")
+            total += draws[year]
+        suppressed = ratio and any(d and c * f <= 2.0 for d, f in zip(drawn, F))
+        if fault is None and not np.isfinite(total).all():
+            fault = _TOTAL_OVERFLOW
+        elif fault is None and not suppressed:
+            se = total.std(ddof=1) if B > 1 else 0.0
+            if not (np.isfinite(total.mean()) and np.isfinite(se)):
+                fault = _MOMENTS_OVERFLOW
+    return draws, total, fault
+
+
+def same_as_reference(dist, ref, B) -> None:
+    """dist (a ReserveDistribution, or the message of the PredictiveError
+    raised instead) equals the reference_row result ref bit for bit."""
+    draws, total, fault = ref
+    if fault is not None:
+        assert dist == fault
+        return
+    assert not isinstance(dist, str), dist
+    for y in dist.per_year:
+        if y.accident in draws:
+            assert y.draws.tobytes() == draws[y.accident].tobytes()
+        elif not y.excluded:  # fully developed
+            assert y.F >= 1.0 - 1e-12 and y.draws.tobytes() == np.zeros(B).tobytes()
+    assert dist.total.tobytes() == total.tobytes()
+    if dist.summary["mean"] is not None:
+        assert dist.summary["mean"] == float(total.mean())
+        assert dist.summary["se"] == (float(total.std(ddof=1)) if B > 1 else None)
+
+
+def kernel_rows(refs) -> list[tuple[int, int]]:
+    """The (accident year, row) of each row of the kernel's block of draws:
+    year by year, the drawn years of every row past checks 1-3."""
+    return sorted((year, k) for k, (draws, _, _) in enumerate(refs) for year in draws)
+
+
+def fixed_pattern_of(weights) -> DevelopmentPattern:
+    pi = np.array(weights, dtype=float) / sum(weights)
+    F = np.cumsum(pi)
+    F[-1] = 1.0
+    return DevelopmentPattern(pi=pi, F=F, method="fixed")
+
+
+@st.composite
+def kernel_inputs(draw, n_min=2):
+    """A pattern of 2-6 lags; I accident years' development lags (J and
+    above are fully developed) and the F there; n rows of scales from 0 to
+    1e300, now and then spoiled by a negative or non-finite one, with
+    concentrations from 0.5 up (and now and then 0 or NaN) and seeds over
+    the whole uint64 range; a threshold, 1e300 excluding every open year;
+    and B from 1."""
+    pattern = fixed_pattern_of(draw(st.lists(st.integers(1, 100), min_size=2, max_size=6)))
+    I = draw(st.integers(1, 7))
+    lags = draw(st.lists(st.integers(0, pattern.J), min_size=I, max_size=I))
+    n = draw(st.integers(n_min, 4))
+    scale = st.one_of(st.floats(0.0, 1e6), st.floats(0.0, 1e300), st.sampled_from([0.0, 1e300]))
+    scales = np.array(draw(st.lists(st.lists(scale, min_size=I, max_size=I),
+                                    min_size=n, max_size=n)), dtype=float)
+    for k in range(n):
+        spoil = draw(st.sampled_from([None] * 5 + [-1.0, np.inf, np.nan]))
+        if spoil is not None:
+            scales[k, draw(st.integers(0, I - 1))] = spoil
+    c = draw(st.lists(st.one_of(st.floats(0.5, 1e4),
+                                st.sampled_from([0.5, 0.5, 1.0, 2.0, 0.0, np.nan])),
+                      min_size=n, max_size=n))
+    seeds = draw(st.lists(st.integers(0, 2**64 - 1), min_size=n, max_size=n))
+    threshold = draw(st.sampled_from([0.0, 0.0, 1.0, 5.0, 50.0, 1e300]))
+    B = draw(st.sampled_from([1, 2, 3, 37, 300]))
+    F = np.array([pattern.F_at_lag(lag) for lag in lags])
+    return pattern, lags, F, scales, c, seeds, threshold, B
+
+
+def run_kernel(scales, F, c, seeds, B, threshold, ratio):
+    return predictive._anchored_draws(scales, F, np.array(c, dtype=float),
+                                      np.array(seeds, dtype=np.uint64), B, threshold, ratio)
+
+
+# One row per check of the ladder, and one that passes with its mean
+# suppressed: (anchor, scales, c, inclusion threshold, the fault's start).
+# CL rows sit at F = (0.5, 0.5, 1), BF rows at F = (1, 0.4, 0.3, 0.2, 0.1).
+LADDER = [
+    ("CL", [10.0, 20.0, 5.0], 0.0, 0.0, "concentration must be positive and finite"),
+    ("CL", [10.0, -1.0, 5.0], 40.0, 0.0, "observed row totals"),
+    ("CL", [10.0, 20.0, 5.0], 40.0, 1e4, "every open accident year is excluded"),
+    ("CL", [1e307, 1e307, 1.0], 0.5, 0.0, "accident year 1: bootstrap draws overflow"),
+    ("BF", [1.7e308] * 5, 50.0, -np.inf, "the total of the bootstrap draws overflows"),
+    ("BF", [1.0, 1e308, 1.0, 1.0, 1.0], 50.0, -np.inf, "the mean or standard error"),
+    ("CL", [10.0, 20.0, 5.0], 3.0, 0.0, None),
+]
+
+
+class TestAnchoredKernel:
+    """The one anchored draw kernel against reference_row, bit for bit: at
+    n = 1 through multinomial_bootstrap and bf_bootstrap, and at n > 1."""
+
+    @pytest.mark.parametrize("anchor, scales, c, threshold, fault", LADDER)
+    def test_every_check_of_the_ladder_is_reached(self, anchor, scales, c, threshold, fault):
+        B, seed, ratio = 50, 2**63 + 5, anchor == "CL"
+        if ratio:
+            pattern, lags = fixed_pattern_of([1, 1]), (0, 0, 1)
+            F = [pattern.F_at_lag(lag) for lag in lags]
+            got = outcome(multinomial_bootstrap, DiagonalSummary(tuple(scales), lags), pattern,
+                          c, B, seed, threshold)
+        else:
+            pattern, I = fixed_pattern_of([1, 1, 1, 1, 6]), len(scales)
+            F = [pattern.F_at_lag(I - 1 - i) for i in range(I)]
+            got = outcome(bf_bootstrap, np.array(scales), 1.0, pattern, c, B, seed)
+        ref = reference_row(scales, F, c, B, seed, threshold, ratio)
+        assert ref[2] is None if fault is None else ref[2].startswith(fault)
+        same_as_reference(got, ref, B)
+        if fault is None:
+            assert got.summary["mean"] is None and got.per_year[0].mean_suppressed
+        _, faults, _, _ = run_kernel(np.array([scales, scales]), np.array(F), [c, 40.0],
+                                     [seed, 1], B, threshold, ratio)
+        assert faults[0] == ref[2]
+
+    @settings(max_examples=80, deadline=None)
+    @given(inputs=kernel_inputs(n_min=1), q=st.sampled_from([0.5, 1.0, 1.7]))
+    def test_single_triangle_functions_match_the_reference(self, inputs, q):
+        pattern, lags, F, scales, c, seeds, threshold, B = inputs
+        diag = DiagonalSummary(observed=tuple(scales[0]), dev_lag=tuple(lags))
+        ref = reference_row(scales[0].tolist(), F.tolist(), c[0], B, seeds[0], threshold, True)
+        same_as_reference(outcome(multinomial_bootstrap, diag, pattern, c[0], B, seeds[0],
+                                  threshold), ref, B)
+        I = len(lags)
+        E = np.where(np.isfinite(scales[0]) & (scales[0] > 0.0), scales[0], 1.0)
+        F_bf = np.array([pattern.F_at_lag(I - 1 - i) for i in range(I)])
+        ref = reference_row((E * q).tolist(), F_bf.tolist(), c[0], B, seeds[0], -np.inf, False)
+        same_as_reference(outcome(bf_bootstrap, E, q, pattern, c[0], B, seeds[0]), ref, B)
+
+    @settings(max_examples=80, deadline=None)
+    @given(inputs=kernel_inputs(), ratio=st.booleans())
+    # CL rows that fail at a year's draws, fail at their total, and pass.
+    @example(inputs=(None, None, np.array([0.5, 0.5, 1.0]),
+                     np.array([[1e307, 1e307, 1.0], [1e308, 1e308, 1.0], [10.0, 20.0, 5.0]]),
+                     [0.5, 400.0, 40.0], [1, 2**64 - 1, 3], 0.0, 37), ratio=True)
+    def test_kernel_over_many_rows_matches_the_reference(self, inputs, ratio):
+        _, _, F, scales, c, seeds, threshold, B = inputs
+        totals, faults, block, _ = run_kernel(scales, F, c, seeds, B, threshold, ratio)
+        refs = [reference_row(scales[k].tolist(), F.tolist(), c[k], B, seeds[k], threshold, ratio)
+                for k in range(len(c))]
+        assert faults == [fault for _, _, fault in refs]
+        order = kernel_rows(refs)
+        assert block.shape == (len(order), B)
+        for (year, k), row in zip(order, block):
+            assert row.tobytes() == refs[k][0][year].tobytes()
+        for k, (_, total, fault) in enumerate(refs):
+            if fault is None:
+                assert totals[k].tobytes() == total.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(inputs=kernel_inputs(),
+           thresholds=st.lists(st.sampled_from([0.0, 1.0, 2.5, 5.0, 20.0, 100.0, 1e4]),
+                               min_size=2, max_size=2))
+    def test_exclusions_never_shift_other_years(self, inputs, thresholds):
+        # Per-year streams are keyed by accident year: a year drawn under
+        # both thresholds draws the same bits, whichever years the other
+        # threshold adds or drops, at n = 1 and at n > 1.
+        pattern, lags, F, scales, c, seeds, _, B = inputs
+        diag = DiagonalSummary(observed=tuple(scales[0]), dev_lag=tuple(lags))
+        single = [outcome(multinomial_bootstrap, diag, pattern, c[0], B, seeds[0], t)
+                  for t in thresholds]
+        if not any(isinstance(d, str) for d in single):
+            for a, b in zip(*(d.per_year for d in single)):
+                if a.draws is not None and b.draws is not None:
+                    assert a.draws.tobytes() == b.draws.tobytes()
+        drawn = []
+        for t in thresholds:
+            _, _, block, _ = run_kernel(scales, F, c, seeds, B, t, True)
+            refs = [reference_row(scales[k].tolist(), F.tolist(), c[k], B, seeds[k], t, True)
+                    for k in range(len(c))]
+            drawn.append(dict(zip(kernel_rows(refs), block)))
+        for key in drawn[0].keys() & drawn[1].keys():
+            assert drawn[0][key].tobytes() == drawn[1][key].tobytes()
+
+
+class TestAnchorProperties:
+    """The paper's anchors as properties: a bootstrap mean lies within 4
+    Monte Carlo standard errors (se / sqrt(B)) of the anchor's mean. The
+    examples are derandomized, so a 4-SE bound cannot flake, and every
+    open year has c*F >= 10, so the variance exists."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(weights=st.lists(st.integers(1, 100), min_size=2, max_size=6),
+           E=st.lists(st.floats(1.0, 1e6), min_size=1, max_size=8), q=st.floats(0.1, 2.0),
+           stretch=st.floats(1.0, 100.0), seed=st.integers(0, 2**64 - 1))
+    def test_bf_mean_is_the_bf_point_reserve(self, weights, E, q, stretch, seed):
+        # The mean of prior * (1 - W) is prior * (1 - F), per year and in total.
+        pattern, I, B = fixed_pattern_of(weights), len(E), 4000
+        F = np.array([pattern.F_at_lag(I - 1 - i) for i in range(I)])
+        c = 10.0 / F.min() * stretch
+        dist = bf_bootstrap(np.array(E), q, pattern, c, B, seed)
+        points = [e * q * (1.0 - f) for e, f in zip(E, F) if f < 1.0 - 1e-12]
+        draws = [y.draws for y in dist.per_year if y.F < 1.0 - 1e-12]
+        for d, point in zip(draws, points, strict=True):
+            assert abs(d.mean() - point) <= 4.0 * d.std(ddof=1) / np.sqrt(B)
+        s = dist.summary
+        assert abs(s["mean"] - sum(points)) <= 4.0 * s["se"] / np.sqrt(B)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(weights=st.lists(st.integers(1, 100), min_size=2, max_size=6),
+           obs=st.lists(st.floats(1.0, 1e6), min_size=1, max_size=8),
+           stretch=st.floats(1.0, 100.0), seed=st.integers(0, 2**64 - 1), data=st.data())
+    def test_cl_year_means_are_the_exact_predictive_mean(self, weights, obs, stretch, seed,
+                                                         data):
+        # The mean of X (1 - W) / W is X (1 - F) / (F - 1/c), the exact
+        # predictive mean ibnp_exact_moments gives.
+        pattern, B = fixed_pattern_of(weights), 4000
+        lags = data.draw(st.lists(st.integers(0, pattern.J - 1), min_size=len(obs),
+                                  max_size=len(obs)))
+        F = np.array([pattern.F_at_lag(lag) for lag in lags])
+        c = 10.0 / F.min() * stretch
+        dist = multinomial_bootstrap(DiagonalSummary(tuple(obs), tuple(lags)), pattern, c, B,
+                                     seed, inclusion_threshold=0.0)
+        for y, x in zip(dist.per_year, obs):
+            if y.F < 1.0 - 1e-12:
+                exact = ibnp_exact_moments(x, y.F, c).mean
+                assert abs(y.draws.mean() - exact) <= 4.0 * y.draws.std(ddof=1) / np.sqrt(B)
 
 
 def float_vectors():
