@@ -14,12 +14,10 @@ import argparse
 import functools
 import hashlib
 import inspect
-import math
 import os
 import sys
 import time
 from dataclasses import fields
-from json.encoder import encode_basestring_ascii as _ascii
 from pathlib import Path
 
 import numpy as np
@@ -44,9 +42,12 @@ from .predictive import (
     multinomial_bootstrap,
 )
 from .simlab import (
+    ReportError,
     SimConfig,
     SimulationError,
     SimulationReport,
+    _json_text,
+    _write_json,
     compare_odp,
     load_sim_config,
     nonstationarity_sweep,
@@ -65,10 +66,6 @@ from .triangle import (
     load_exposures,
     load_triangle,
 )
-
-
-class ReportError(ValueError):
-    """A value bound for a report or manifest is not a finite number."""
 
 
 _ERRORS = (
@@ -111,61 +108,6 @@ def _load_triangle_args(args) -> tuple[Triangle, dict[str, str]]:
         digests[str(epath)] = _sha256(epath)
     t = load_triangle(path, format=args.format, kind=args.kind, exposures=exposures)
     return t, digests
-
-
-def _jsonable(v, where: str = "report"):
-    """Recursively coerce report values into strict-JSON types; where
-    names the value in the error a non-finite float raises."""
-    if isinstance(v, dict):
-        return {str(k): _jsonable(x, f"{where}.{k}") for k, x in v.items()}
-    if isinstance(v, np.ndarray):
-        v = v.tolist()
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x, f"{where}[{i}]") for i, x in enumerate(v)]
-    if isinstance(v, (np.floating, float)):
-        f = float(v)
-        if not np.isfinite(f):
-            raise ReportError(f"{where} is not a finite number ({f})")
-        return f
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.bool_,)):
-        return bool(v)
-    return v
-
-
-def _json_text(v, where: str = "report", pad: str = "\n") -> str:
-    """json.dumps(_jsonable(v), indent=2, allow_nan=False) in one pass, with
-    the same ReportError and TypeError; pad is the line break and indent
-    that v's closing bracket goes after."""
-    if isinstance(v, (float, np.floating)):
-        f = float(v)
-        if not math.isfinite(f):
-            raise ReportError(f"{where} is not a finite number ({f})")
-        return float.__repr__(f)
-    if isinstance(v, str):
-        return _ascii(v)
-    if v is None or isinstance(v, (bool, np.bool_)):
-        return "null" if v is None else "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return int.__repr__(int(v))
-    if isinstance(v, np.ndarray):
-        return _json_text(v.tolist(), where, pad)
-    inner = pad + "  "
-    if isinstance(v, dict):
-        # As in _jsonable, keys that str() makes equal keep the last value.
-        texts = {str(k): _json_text(x, f"{where}.{k}", inner) for k, x in v.items()}
-        items = [f"{_ascii(k)}: {x}" for k, x in texts.items()]
-        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
-    if isinstance(v, (list, tuple)):
-        items = [_json_text(x, f"{where}[{i}]", inner) for i, x in enumerate(v)]
-        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
-    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    # Built in full before the file is opened: a rejected value leaves no file.
-    path.write_text(_json_text(payload) + "\n")
 
 
 def _parameters(args) -> dict:
@@ -417,21 +359,16 @@ def cmd_bootstrap(args) -> int:
 def _write_bootstrap_csv(path: Path, report: dict) -> None:
     import csv as _csv
 
-    report = _jsonable(report)
-    rows = report["per_year"]
+    _json_text(report)  # a non-finite value raises before the file opens
     cols = ["accident", "F", "c_times_F", "point_reserve", "mean", "se",
             "q5", "q25", "q50", "q75", "q95", "excluded", "exclusion_reason",
             "mean_suppressed"]
+    # Each year's row, then the total's, None and absent values left blank.
+    *years, total = [["" if r.get(c) is None else r[c] for c in cols]
+                     for r in (*report["per_year"], {"accident": "total", **report["summary"]})]
     with open(path, "w", newline="") as fh:
         w = _csv.writer(fh)
-        w.writerow(cols)
-        for r in rows:
-            w.writerow([r.get(c, "") if r.get(c) is not None else "" for c in cols])
-        s = report["summary"]
-        w.writerow([])
-        w.writerow(["total", "", "", "", s["mean"] if s["mean"] is not None else "",
-                    s["se"] if s["se"] is not None else "",
-                    s["q5"], s["q25"], s["q50"], s["q75"], s["q95"], "", "", ""])
+        w.writerows([cols, *years, [], total])
         if "floored_lags" in report:
             w.writerow(["floored_lags", *report["floored_lags"]])
 
@@ -658,11 +595,11 @@ def cmd_simulate(args, options: dict[str, str]) -> int:
 
     # The artifacts carry no timing: runtime_s stays at 0.0.
     rows = [{k: v for k, v in row.items() if k != "runtime_s"} for row in report.rows]
-    artifact = SimulationReport(report.study, _jsonable(rows, "rows"),
-                                _jsonable(report.config, "config"))
+    artifact = SimulationReport(report.study, rows, report.config)
     csv_path, json_path = _artifact(args, ".csv"), _artifact(args, ".json")
-    artifact.write_csv(csv_path)
+    # JSON first: its check covers the config too, so a rejection leaves no file.
     artifact.write_json(json_path)
+    artifact.write_csv(csv_path)
     _write_manifest(args, started, {**report.config, **call.arguments, "study": args.study},
                     digests, seed, seed_generated)
 

@@ -156,7 +156,7 @@ def _odp_draws(fit: OdpFit, B: int, seed: int, work: dict) -> tuple[np.ndarray, 
     resampled indices and the process error share one array's memory,
     and the pseudo cumulatives and the future means another's.
     """
-    fault = _b_fault(B)
+    fault = _b_fault(B, fit.I * fit.J)  # no array here has more rows than cells
     if fault is not None:
         raise OdpError(fault)
     B, I, J = int(B), fit.I, fit.J

@@ -179,12 +179,14 @@ def _summarise(draws: np.ndarray, mean_suppressed: bool, moments=None) -> dict[s
     }
 
 
-def _b_fault(B) -> str | None:
+def _b_fault(B, rows: int = 1) -> str | None:
     """The message of a B that is not a positive integer, NaN and inf
-    included, or None."""
-    if B >= 1 and B != np.inf and int(B) == B:  # NaN fails the first test
-        return None
-    return f"B must be a positive integer, got {B}"
+    included, or whose (rows, B) float64 array numpy cannot describe, or None."""
+    if not (B >= 1 and B != np.inf and int(B) == B):  # NaN fails the first test
+        return f"B must be a positive integer, got {B}"
+    if max(rows, 1) * int(B) * 8 > np.iinfo(np.intp).max:  # B alone sizes a vector
+        return f"B = {int(B)} is too large: a ({rows}, B) array of floats exceeds numpy's limit"
+    return None
 
 
 def _args_fault(c_hat: float, B) -> str | None:
@@ -224,7 +226,7 @@ def _draw_years(block: np.ndarray, draws: list[tuple], ratio: bool) -> list[str 
         accident, generator, a, b, scale = draws[k]
         row = block[k]
         # Overflow is reported by the check below, not by a numpy warning.
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, B, _CHUNK):
                 seg = row[start : start + _CHUNK]
                 w = generator.beta(a, b, size=seg.size)
@@ -283,8 +285,9 @@ def _anchored_draws(scales: np.ndarray, F: np.ndarray, c_hat: np.ndarray, seeds:
     totals' mean and se.
     """
     n, I = scales.shape
-    faults = [_args_fault(c, B) for c in c_hat.tolist()]
-    if _b_fault(B) is not None:  # every row is at fault, and B sizes nothing
+    b_fault = _b_fault(B, n * I)  # no array here has more than n * I rows of B draws
+    faults = [_args_fault(c, B) or b_fault for c in c_hat.tolist()]
+    if b_fault is not None:  # every row is at fault, and B sizes nothing
         return np.empty((n, 0)), faults, np.empty((0, 0)), (None, None)
     _, excluded, drawn, suppressed = _year_rules(c_hat, F, inclusion_threshold, ratio)
     scales_ok = np.isfinite(scales).all(axis=1) & (scales >= 0.0).all(axis=1)
@@ -369,7 +372,9 @@ def multinomial_bootstrap(
     if not np.all(np.isfinite(obs)) or np.any(obs < 0.0):
         raise PredictiveError(_BAD_OBSERVED)
     F = np.array([pattern.F_at_lag(dev) for dev in diag.dev_lag])
-    return _year_view(obs, F, obs * (1.0 - F) / F, c_hat, B, seed, inclusion_threshold, "CL")
+    with np.errstate(over="ignore"):  # the kernel names a year that overflows
+        points = obs * (1.0 - F) / F
+    return _year_view(obs, F, points, c_hat, B, seed, inclusion_threshold, "CL")
 
 
 def bf_bootstrap(
@@ -398,8 +403,11 @@ def bf_bootstrap(
         raise PredictiveError(f"prior loss ratio must be positive, got {q_bf}")
     I = E.size
     F = np.array([pattern.F_at_lag(I - idx - 1) for idx in range(I)])
-    prior = E * q_bf
-    return _year_view(prior, F, prior * (1.0 - F), c_hat, B, seed, -np.inf, "BF")
+    # The kernel names a year that overflows; an inf prior's point at F = 1 is unread.
+    with np.errstate(over="ignore", invalid="ignore"):
+        prior = E * q_bf
+        points = prior * (1.0 - F)
+    return _year_view(prior, F, points, c_hat, B, seed, -np.inf, "BF")
 
 
 class IbnpMoments(NamedTuple):

@@ -50,9 +50,9 @@ index) and then by a per-replication tag: _SUB_* for the square,
 _BOOT_MULTINOMIAL and the accident year (predictive._ROW_DOMAIN) for the
 Beta draws, _BOOT_ODP for the residual bootstrap. So any replication can
 be regenerated in isolation, and the block size never changes results.
-A block derives its stream ids with distributions._derive_ids and opens
-each stage's generators in one distributions._stream_generators call,
-which gives the generators RngStream would, bit for bit.
+Stream ids come from distributions._derive_ids. A block's squares, and a
+slice's Beta draws, open their generators in one _stream_generators call
+(RngStream's, bit for bit); the ODP draws open one RngStream per replication.
 With threads > 1 the blocks hold at most M / threads replications each
 (rounded up) and run on a thread pool: numpy releases the GIL in the
 draws and the sorts, so the blocks overlap.
@@ -62,11 +62,12 @@ from __future__ import annotations
 
 import csv
 import functools
-import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
+from json.encoder import encode_basestring_ascii as _ascii
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -87,7 +88,13 @@ from .distributions import (
 )
 from .odp import OdpError, _odp_draws, _odp_fits
 from .patterns import DevelopmentPattern, PatternError, _cl_reserves
-from .predictive import PredictiveError, _anchored_draws, _fold_and_check, _quantiles
+from .predictive import (
+    PredictiveError,
+    _anchored_draws,
+    _b_fault,
+    _fold_and_check,
+    _quantiles,
+)
 from .triangle import (
     _NON_FINITE_EXPOSURE,
     Triangle,
@@ -145,6 +152,47 @@ class SimulationError(ValueError):
     """A study configuration is invalid or a study cannot proceed."""
 
 
+class ReportError(ValueError):
+    """A value bound for a report or manifest is not a finite number."""
+
+
+def _json_text(v, where: str = "report", pad: str = "\n") -> str:
+    """v as strict JSON in json.dumps's indent=2 layout: numpy values as the
+    Python ones they hold, tuples as lists, keys as str(k), the last of equal
+    keys winning. A non-finite float raises ReportError naming its path, where
+    then .key and [index] steps (an empty where starts at the first key); an
+    unknown type raises json's TypeError. pad is the line break and indent
+    that v's closing bracket goes after."""
+    if isinstance(v, (float, np.floating)):
+        f = float(v)
+        if not math.isfinite(f):
+            raise ReportError(f"{where} is not a finite number ({f})")
+        return float.__repr__(f)
+    if isinstance(v, str):
+        return _ascii(v)
+    if v is None or isinstance(v, (bool, np.bool_)):
+        return "null" if v is None else "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return int.__repr__(int(v))
+    if isinstance(v, np.ndarray):
+        return _json_text(v.tolist(), where, pad)
+    inner = pad + "  "
+    if isinstance(v, dict):
+        texts = {str(k): _json_text(x, f"{where}.{k}" if where else str(k), inner)
+                 for k, x in v.items()}
+        items = [f"{_ascii(k)}: {x}" for k, x in texts.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    if isinstance(v, (list, tuple)):
+        items = [_json_text(x, f"{where}[{i}]", inner) for i, x in enumerate(v)]
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+def _write_json(path, payload, where: str = "report") -> None:
+    # Built in full before the file is opened: a rejected value leaves no file.
+    Path(path).write_text(_json_text(payload, where) + "\n")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """One simulation scenario.
@@ -200,6 +248,9 @@ class SimConfig:
             raise SimulationError(f"c_true must be positive, got {self.c_true}")
         if self.M < 1 or self.B < 1:
             raise SimulationError("M and B must be at least 1")
+        fault = _b_fault(self.B, self.I * self.J)  # ODP draws take a row per cell
+        if fault is not None:
+            raise SimulationError(fault)
         if self.dgp not in _DGPS:
             raise SimulationError(f"unknown dgp {self.dgp!r}; expected one of {_DGPS}")
         if self.sigma_delta < 0.0:
@@ -245,6 +296,7 @@ class SimulationReport:
         return cols
 
     def write_csv(self, path) -> None:
+        _json_text(self.rows, "rows")  # a non-finite cell raises before the file opens
         cols = self.columns()
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -253,15 +305,8 @@ class SimulationReport:
                 w.writerow(["" if row.get(k) is None else row.get(k) for k in cols])
 
     def write_json(self, path) -> None:
-        payload = {
-            "study": self.study,
-            "config": self.config,
-            "runtime_s": self.runtime_s,
-            "rows": self.rows,
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, allow_nan=False)
-            fh.write("\n")
+        _write_json(path, {"study": self.study, "config": self.config,
+                           "runtime_s": self.runtime_s, "rows": self.rows}, where="")
 
     def format_text(self) -> str:
         cols = self.columns()
@@ -555,43 +600,38 @@ def _run_reps(
 
 
 def _aggregate(results: list[dict], runtime: float, head: dict) -> dict:
+    """One study row: the head, the replication counts, and the means over
+    the scored replications, each None when none was scored, in which case
+    up to three distinct failures are named."""
     failures = [r["failure"] for r in results if "failure" in r]
     ok = [r for r in results if "failure" not in r]
     n = len(ok)
-    row = dict(head)
-    row.update({"n_reps": len(results), "n_effective": n, "failures": len(failures)})
-    if n == 0:
-        row.update(
-            {
-                "coverage95": None,
-                "mc_se95": None,
-                "coverage75": None,
-                "mc_se75": None,
-                "rel_bias": None,
-                "rel_width": None,
-                "mean_c_hat": None,
-                "runtime_s": runtime,
-            }
-        )
-        if failures:
-            row["failure_reasons"] = "; ".join(sorted(set(failures))[:3])
-        return row
-    cov95 = float(np.mean([r["covered95"] for r in ok]))
-    cov75 = float(np.mean([r["covered75"] for r in ok]))
+
+    def mean(key: str) -> float | None:
+        return float(np.mean([r[key] for r in ok])) if n else None
+
+    def mc_se(p: float | None) -> float | None:
+        return None if p is None else float(np.sqrt(p * (1.0 - p) / n))
+
+    cov95, cov75 = mean("covered95"), mean("covered75")
     chats = np.array([r["c_hat"] for r in ok])
     finite = np.isfinite(chats)
-    row.update(
-        {
-            "coverage95": cov95,
-            "mc_se95": float(np.sqrt(cov95 * (1.0 - cov95) / n)),
-            "coverage75": cov75,
-            "mc_se75": float(np.sqrt(cov75 * (1.0 - cov75) / n)),
-            "rel_bias": float(np.mean([r["rel_bias"] for r in ok])),
-            "rel_width": float(np.mean([r["rel_width"] for r in ok])),
-            "mean_c_hat": float(chats[finite].mean()) if finite.any() else None,
-            "runtime_s": runtime,
-        }
-    )
+    row = {
+        **head,
+        "n_reps": len(results),
+        "n_effective": n,
+        "failures": len(failures),
+        "coverage95": cov95,
+        "mc_se95": mc_se(cov95),
+        "coverage75": cov75,
+        "mc_se75": mc_se(cov75),
+        "rel_bias": mean("rel_bias"),
+        "rel_width": mean("rel_width"),
+        "mean_c_hat": float(chats[finite].mean()) if finite.any() else None,
+        "runtime_s": runtime,
+    }
+    if n == 0 and failures:
+        row["failure_reasons"] = "; ".join(sorted(set(failures))[:3])
     return row
 
 

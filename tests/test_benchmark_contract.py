@@ -96,6 +96,25 @@ def test_simulate_calls_the_study_patched_onto_cli(tmp_path, monkeypatch, study)
     assert calls == [name]
 
 
+def test_simulate_writes_through_both_wrapped_report_writers(tmp_path, monkeypatch):
+    # The tracer reads simlab.write_self_s from these two methods; a study
+    # report written around either would leave that counter blind.
+    calls = Counter()
+    for meth in ("write_csv", "write_json"):
+        original = getattr(simlab.SimulationReport, meth)
+
+        def wrapper(self, path, meth=meth, original=original):
+            calls[meth] += 1
+            return original(self, path)
+
+        monkeypatch.setattr(simlab.SimulationReport, meth, wrapper)
+    assert cli.main(["simulate", "--study", "correct", "--M", "2", "--B", "20", "--seed", "3",
+                     "--out-dir", str(tmp_path)]) == 0
+    assert calls == {"write_csv": 1, "write_json": 1}
+    assert sorted(p.name for p in tmp_path.glob("runoff_correct.*")) == [
+        "runoff_correct.csv", "runoff_correct.json"]
+
+
 def test_wrapped_methods_are_defined_on_their_classes():
     for layer, classes in WRAPPED_METHODS.items():
         mod = importlib.import_module(f"runoff.{layer}")

@@ -8,14 +8,19 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import re
 import warnings
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from runoff.cli import _per_year_block, main
+from runoff import cli
+from runoff.cli import _per_year_block, _write_bootstrap_csv, main
 from runoff.predictive import PredictiveError, ReserveDistribution, YearPredictive
+from runoff.simlab import ReportError, SimulationReport, _write_json
 
 TA_EXPOSURES = "accident,exposure\n" + "".join(
     f"{i},{1000 + 10 * i}\n" for i in range(1, 11)
@@ -245,6 +250,20 @@ def assert_one_error_line(capsys, text: str) -> None:
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert text in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--study", "correct", "--M", "1"],
+    ["simulate", "--study", "compare-odp", "--M", "1"],
+    ["bootstrap", "raa", "--seed", "1"],
+])
+@pytest.mark.parametrize("B", [10**30, 2**62])
+def test_a_b_numpy_cannot_size_is_one_error_line(tmp_path, capsys, argv, B):
+    # numpy rejects these sizes before it allocates anything.
+    out = tmp_path / "out"
+    assert main([*argv, "--B", str(B), "--out-dir", str(out)]) == 1
+    assert_one_error_line(capsys, f"B = {B} is too large")
+    assert not out.exists()
 
 
 class TestDegenerateInput:
@@ -506,3 +525,75 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+NAN_ROWS = [{"a": 1.0}, {"a": 2.0, "ratio": math.nan}]
+SUMMARY = {"mean": 1.0, "se": 0.5, "q5": 0.1, "q25": 0.5, "q50": 1.0, "q75": 1.5,
+           "q95": -math.inf}
+# Each writer with a payload holding a non-finite value, and the error it raises.
+LIBRARY_WRITERS = {
+    "study-json": (lambda p: SimulationReport("x", NAN_ROWS, {"M": 2}).write_json(p),
+                   "rows[1].ratio is not a finite number (nan)"),
+    "study-csv": (lambda p: SimulationReport("x", NAN_ROWS).write_csv(p),
+                  "rows[1].ratio is not a finite number (nan)"),
+    "bootstrap-csv": (lambda p: _write_bootstrap_csv(p, {"per_year": [], "summary": SUMMARY}),
+                      "report.summary.q95 is not a finite number (-inf)"),
+    "fit-json": (lambda p: _write_json(p, {"reserves": {"cl": {"total": math.inf}}}),
+                 "report.reserves.cl.total is not a finite number (inf)"),
+}
+
+
+# Each command with a report holding a non-finite value, its artifacts, the
+# error it prints, and for a study the report the patched study returns.
+CLI_WRITERS = {
+    "study-rows": (["simulate", "--study", "correct", "--M", "1", "--seed", "1"],
+                   ["runoff_correct.json", "runoff_correct.csv"],
+                   "rows[1].ratio is not a finite number (nan)",
+                   SimulationReport("coverage", NAN_ROWS, {"M": 1})),
+    # The config is only in the JSON report, which is written first.
+    "study-config": (["simulate", "--study", "correct", "--M", "1", "--seed", "1"],
+                     ["runoff_correct.json", "runoff_correct.csv"],
+                     "config.c_true is not a finite number (inf)",
+                     SimulationReport("coverage", NAN_ROWS[:1], {"c_true": math.inf})),
+    "bootstrap-csv": (["bootstrap", "raa", "--seed", "1", "--inclusion-threshold", "nan",
+                       "--output-format", "csv"], ["runoff_bootstrap.csv"],
+                      "report.inclusion_threshold is not a finite number (nan)", None),
+    "fit-json": (["fit", "taylor-ashe", "--reserves", "bf", "--q-bf", "10", "--exposures",
+                  "exposures.csv"], ["runoff_fit.json"],
+                 "report.reserves.bf.total is not a finite number (inf)", None),
+}
+
+
+class TestStrictWriters:
+    """Every report writer checks its values before it opens its file: a
+    non-finite value is a ReportError naming it, and the path is left as it
+    was, absent or holding an earlier file."""
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["absent", "existing"])
+    @pytest.mark.parametrize("writer", sorted(LIBRARY_WRITERS))
+    def test_library_writer(self, tmp_path, writer, existing):
+        write, message = LIBRARY_WRITERS[writer]
+        path = tmp_path / "report"
+        if existing:
+            path.write_text("earlier\n")
+        with pytest.raises(ReportError, match=f"^{re.escape(message)}$"):
+            write(path)
+        assert path.read_text() == "earlier\n" if existing else not path.exists()
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["absent", "existing"])
+    @pytest.mark.parametrize("case", sorted(CLI_WRITERS))
+    def test_cli_writer(self, tmp_path, capsys, monkeypatch, case, existing):
+        argv, artifacts, message, report = CLI_WRITERS[case]
+        monkeypatch.setattr(cli, "run_coverage_study", lambda *args, **kwargs: report)
+        monkeypatch.chdir(tmp_path)
+        Path("exposures.csv").write_text(
+            "accident,exposure\n" + "".join(f"{i},1e307\n" for i in range(1, 11)))
+        out = tmp_path / "out"
+        out.mkdir()
+        if existing:
+            for name in artifacts:
+                (out / name).write_text("earlier\n")
+        assert main([*argv, "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        expected = {name: "earlier\n" for name in artifacts} if existing else {}
+        assert {p.name: p.read_text() for p in out.iterdir()} == expected

@@ -6,6 +6,8 @@ reshuffling interior cells moves its answers.
 """
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,13 @@ class TestBootstrap:
         # An integral float passes the check and draws as that integer.
         assert np.array_equal(odp_bootstrap(fit, 5.0, seed=1).total,
                               odp_bootstrap(fit, 5, seed=1).total)
+
+    @pytest.mark.parametrize("B", [10**30, 2**62])
+    def test_a_b_numpy_cannot_size_is_a_named_error(self, B):
+        # numpy rejects these sizes before it allocates anything; the check
+        # sizes the (cells, B) arrays of the kernel.
+        with pytest.raises(OdpError, match=re.escape(f"B = {B} is too large: a (100, B)")):
+            odp_bootstrap(odp_fit(bundled_triangle("raa")), B, seed=1)
 
 
 class TestContrastWithConditionalBootstrap:

@@ -247,6 +247,28 @@ class TestMultinomialBootstrap:
         with pytest.raises(PredictiveError, match="non-negative"):
             multinomial_bootstrap(bad, pat, 40.0, 100, seed=0)
 
+    def test_a_point_that_overflows_is_named_by_the_kernel(self):
+        # obs (1 - F) / F overflows; under the suite's warnings-as-errors
+        # filter a numpy warning would surface here instead of the error.
+        pattern = DevelopmentPattern(pi=(0.001, 0.999), F=(0.001, 1.0), method="x")
+        with pytest.raises(PredictiveError, match="^accident year 1: bootstrap draws overflow"):
+            multinomial_bootstrap(DiagonalSummary((1e306,), (0,)), pattern, 1e5, 10, 1)
+
+
+@pytest.mark.parametrize("B", [10**30, 2**62])
+def test_a_b_numpy_cannot_size_is_a_named_error(B):
+    # numpy rejects these sizes before it allocates anything.
+    t = bundled_triangle("raa")
+    pattern = chain_ladder_pattern(t)
+    message = f"^B = {B} is too large"
+    with pytest.raises(PredictiveError, match=message):
+        multinomial_bootstrap(latest_diagonal(t), pattern, 50.0, B, 1)
+    with pytest.raises(PredictiveError, match=message):
+        bf_bootstrap(np.full(t.I, 1000.0), 1.0, pattern, 50.0, B, 1)
+    # The check sizes the (rows, B) arrays, not B alone.
+    assert predictive._b_fault(2**59) is None
+    assert predictive._b_fault(2**59, 9).startswith(f"B = {2**59} is too large: a (9, B)")
+
 
 class TestConservatism:
     @pytest.mark.parametrize("F", [0.2, 0.5, 0.8])
@@ -300,6 +322,14 @@ class TestBfBootstrap:
         for B in (0, 2.5, float("inf"), float("nan")):
             with pytest.raises(PredictiveError, match=f"^B must be a positive integer, got {B}$"):
                 bf_bootstrap(np.array([100.0, 200.0]), 0.9, pat, 30.0, B, seed=0)
+
+    def test_a_prior_that_overflows_is_named_by_the_kernel(self):
+        # E * q_bf overflows; under the suite's warnings-as-errors filter a
+        # numpy warning would surface here instead of the error.
+        pattern = DevelopmentPattern(pi=(0.5, 0.5), F=(0.5, 1.0), method="x")
+        with pytest.raises(PredictiveError, match=r"^accident year 2: bootstrap draws overflow"
+                                                  r" the float range \(prior ultimate inf\)$"):
+            bf_bootstrap(np.array([1e300, 1e300]), 1e10, pattern, 50.0, 10, 1)
 
 
 def raa_inputs():
@@ -748,6 +778,39 @@ class TestIbnpExactMoments:
         mom = ibnp_exact_moments(1000.0, 0.4, 2.0)
         assert mom.mean is None
         assert mom.cv2 > 0.0
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(X=st.floats(1.0, 1e9), F=st.floats(0.01, 0.99), cf=st.floats(1.001, 10.0),
+           steps=st.lists(st.floats(1.5, 100.0), min_size=1, max_size=5))
+    def test_mean_tends_to_the_cl_point_as_c_grows(self, X, F, cf, steps):
+        # Over the CL point X (1 - F) / F the exact mean is 1 + 1 / (cF - 1):
+        # above 1, falling as c grows, and within about 1e-4 of 1 from
+        # cF = 1e4 on.
+        point = X * (1.0 - F) / F
+        cfs = np.cumprod([cf, *steps])
+        ratios = [ibnp_exact_moments(X, F, v / F).mean / point for v in cfs]
+        for v, r in zip(cfs, ratios):
+            assert r == pytest.approx(1.0 + 1.0 / (v - 1.0), rel=1e-9)
+            assert v < 1e4 or r - 1.0 <= 1.0001e-4
+        assert all(a > b > 1.0 for a, b in zip(ratios, ratios[1:]))
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(obs=st.lists(st.floats(1.0, 1e6), min_size=1, max_size=5),
+           cf=st.floats(1e4, 1e7), seed=st.integers(0, 2**64 - 1), data=st.data())
+    def test_bootstrap_mean_is_the_cl_point_at_large_c(self, obs, cf, seed, data):
+        # At c*F >= 1e4 on every open year the exact mean exceeds the CL
+        # point by a share 1 / (cF - 1), at most sqrt((1 - F) B / (F cF)),
+        # under 0.7, MC SE at F >= 0.2 and B = 1000: each year's bootstrap
+        # mean lies within 4 MC SE of the CL point.
+        pattern, B = fixed_pattern_of([2, 1, 1, 1, 5]), 1000
+        lags = data.draw(st.lists(st.integers(0, pattern.J - 2), min_size=len(obs),
+                                  max_size=len(obs)))
+        F = np.array([pattern.F_at_lag(lag) for lag in lags])
+        dist = multinomial_bootstrap(DiagonalSummary(tuple(obs), tuple(lags)), pattern,
+                                     cf / F.min(), B, seed, inclusion_threshold=0.0)
+        for y, x in zip(dist.per_year, obs, strict=True):
+            assert abs(y.draws.mean() - x * (1.0 - y.F) / y.F) <= (
+                4.0 * y.draws.std(ddof=1) / np.sqrt(B))
 
     def test_domain(self):
         with pytest.raises(PredictiveError):

@@ -1,8 +1,9 @@
-"""The one-pass report encoder against the writer it replaced.
+"""The one-pass report encoder against a two-pass reference.
 
-cli._json_text must give the text of json.dumps(_jsonable(v), indent=2,
-allow_nan=False) for every payload _jsonable accepts, and raise the same
-ReportError, naming the same path, for a non-finite float.
+simlab._json_text must give the text of json.dumps(plain(v), indent=2,
+allow_nan=False), where plain coerces numpy values, tuples and keys into
+the types the stdlib encoder takes, for every payload plain accepts, and
+raise the same ReportError, naming the same path, for a non-finite float.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from runoff.cli import ReportError, _json_text, _jsonable
+from runoff.simlab import ReportError, _json_text
 
 INT64 = st.integers(-2**63, 2**63 - 1)
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -47,14 +48,35 @@ def payloads(leaves):
     ), max_leaves=25)
 
 
-def old_writer(v) -> str:
-    return json.dumps(_jsonable(v), indent=2, allow_nan=False)
+def plain(v, where: str = "report"):
+    """v as plain strict-JSON types; where names the value in the error a
+    non-finite float raises."""
+    if isinstance(v, dict):
+        return {str(k): plain(x, f"{where}.{k}") for k, x in v.items()}
+    if isinstance(v, np.ndarray):
+        v = v.tolist()
+    if isinstance(v, (list, tuple)):
+        return [plain(x, f"{where}[{i}]") for i, x in enumerate(v)]
+    if isinstance(v, (np.floating, float)):
+        f = float(v)
+        if not np.isfinite(f):
+            raise ReportError(f"{where} is not a finite number ({f})")
+        return f
+    if isinstance(v, np.integer):
+        return int(v)
+    if isinstance(v, np.bool_):
+        return bool(v)
+    return v
+
+
+def reference(v) -> str:
+    return json.dumps(plain(v), indent=2, allow_nan=False)
 
 
 @settings(max_examples=250, deadline=None)
 @given(payloads(SCALARS))
 def test_matches_the_old_writer(v):
-    assert _json_text(v) == old_writer(v)
+    assert _json_text(v) == reference(v)
 
 
 @settings(max_examples=200, deadline=None)
@@ -62,7 +84,7 @@ def test_matches_the_old_writer(v):
                           st.lists(st.one_of(FINITE, NON_FINITE), max_size=4).map(np.array))))
 def test_non_finite_value_is_the_same_named_error(v):
     try:
-        expected = old_writer(v)
+        expected = reference(v)
     except ReportError as exc:
         with pytest.raises(ReportError) as got:
             _json_text(v)
@@ -81,10 +103,16 @@ def test_non_finite_value_names_its_path(payload, message):
         _json_text(payload)
 
 
+def test_an_empty_where_starts_the_path_at_the_first_key():
+    # How the study writer names rows[k].<key> and config.<key>.
+    with pytest.raises(ReportError, match=re.escape("rows[1].ratio is not a finite number")):
+        _json_text({"config": {"M": 2}, "rows": [{}, {"ratio": math.nan}]}, "")
+
+
 @pytest.mark.parametrize("value", [{1, 2}, object(), b"bytes", 1j])
 def test_unknown_type_is_a_type_error(value):
     with pytest.raises(TypeError) as old:
-        old_writer({"a": [value]})
+        reference({"a": [value]})
     with pytest.raises(TypeError) as new:
         _json_text({"a": [value]})
     assert str(new.value) == str(old.value)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import time
 import warnings
 from pathlib import Path
@@ -81,6 +82,11 @@ class TestSimConfig:
             SimConfig(M=0)
         with pytest.raises(SimulationError, match="at least 1"):
             SimConfig(B=0)
+        # A B whose (cells, B) draws numpy cannot size.
+        for B in (10**30, 2**62):
+            message = f"B = {B} is too large: a (50, B)"
+            with pytest.raises(SimulationError, match=re.escape(message)):
+                SimConfig(B=B)
         with pytest.raises(SimulationError, match="unknown dgp"):
             SimConfig(dgp="lognormal")
         with pytest.raises(SimulationError, match="variance"):
@@ -243,10 +249,25 @@ class TestReportWriters:
         assert payload["rows"] == report.rows
         assert payload["config"]["M"] == 2
 
+    def test_aggregate_of_no_scored_replication(self):
+        # Every value is None, in the key order of a scored row, and up to
+        # three distinct failures are named.
+        results = [{"failure": f} for f in ("d", "a", "c", "b", "a")]
+        row = simlab._aggregate(results, 0.5, {"dgp": "x"})
+        scored = simlab._aggregate([{"covered95": True, "covered75": False, "rel_bias": 0.1,
+                                     "rel_width": 2.0, "c_hat": 40.0}], 0.5, {"dgp": "x"})
+        assert list(row) == [*scored, "failure_reasons"]
+        assert row == {"dgp": "x", "n_reps": 5, "n_effective": 0, "failures": 5,
+                       **{k: None for k in list(scored)[4:-1]}, "runtime_s": 0.5,
+                       "failure_reasons": "a; b; c"}
+        assert scored["coverage95"] == 1.0 and scored["mc_se95"] == 0.0
+
     def test_json_is_strict(self, tmp_path):
         report = simlab.SimulationReport("x", rows=[{"ratio": float("nan")}])
-        with pytest.raises(ValueError, match="JSON compliant"):
+        with pytest.raises(simlab.ReportError,
+                           match=re.escape("rows[0].ratio is not a finite number (nan)")):
             report.write_json(tmp_path / "r.json")
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestSweeps:
