@@ -38,6 +38,7 @@ from .predictive import (
     PredictiveError,
     ReserveDistribution,
     _summarise,
+    _threshold_fault,
     bf_bootstrap,
     multinomial_bootstrap,
 )
@@ -49,8 +50,8 @@ from .simlab import (
     _json_text,
     _write_json,
     compare_odp,
-    load_sim_config,
     nonstationarity_sweep,
+    parse_config_text,
     run_coverage_study,
     sensitivity_grid,
     tweedie_sweep,
@@ -278,6 +279,10 @@ def cmd_bootstrap(args) -> int:
     started = time.perf_counter()
     t, digests = _load_triangle_args(args)
     seed, seed_generated = _resolve_seed(args.seed)
+    # Checked under either anchor before any draw: the report records it.
+    fault = _threshold_fault(args.inclusion_threshold)
+    if fault is not None:
+        raise PredictiveError(fault)
     pattern = chain_ladder_pattern(t)
     if args.c_hat is not None:
         if args.c_hat <= 0.0 or not np.isfinite(args.c_hat):
@@ -568,24 +573,24 @@ def cmd_simulate(args, options: dict[str, str]) -> int:
     unread = [options[k] for k in given if k not in read]
     if unread:
         raise SimulationError(f"study {args.study!r} does not take {', '.join(unread)}")
-    seed, seed_generated = _resolve_seed(args.seed)
     kwargs = {k: v for k, v in given.items() if k in flags}
     digests: dict[str, str] = {}
     study = globals()[name]
     if base is None:
         if args.config:
             raise SimulationError(f"--config applies to coverage studies, not {args.study!r}")
+        seed, seed_generated = _resolve_seed(args.seed)
         kwargs["seed"] = seed
         report = study(**kwargs)
     else:
         # The remaining flags are SimConfig fields, set over the config file
-        # or the study's base.
-        overrides = {**{k: v for k, v in given.items() if k not in flags}, "seed": seed}
+        # or the study's base; the seed is --seed's, else the file's, else random.
         if args.config:
             digests[str(args.config)] = _sha256(Path(args.config))
-            cfg = load_sim_config(args.config, **overrides)
-        else:
-            cfg = SimConfig(**{**base, **overrides})
+            base = parse_config_text(Path(args.config).read_text())
+        seed, seed_generated = _resolve_seed(base.get("seed") if args.seed is None else args.seed)
+        overrides = {k: v for k, v in given.items() if k not in flags}
+        cfg = SimConfig(**{**base, **overrides, "seed": seed})
         report = study(cfg, **kwargs)
     # The manifest records every argument the study ran with, defaults and
     # the values the study resolved itself included.

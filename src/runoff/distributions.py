@@ -213,7 +213,7 @@ def sample_tweedie(
     nu: np.ndarray,
     phi: float,
     p: float,
-    rng: RngStream | np.random.Generator,
+    g: np.random.Generator,
 ) -> np.ndarray:
     """Compound Poisson-Gamma draws with mean nu and variance phi * nu^p.
 
@@ -228,7 +228,6 @@ def sample_tweedie(
     nu = np.asarray(nu, dtype=float)
     if np.any(nu < 0.0):
         raise ValueError("tweedie mean must be non-negative")
-    g = rng.generator() if isinstance(rng, RngStream) else rng
     lam = nu ** (2.0 - p) / (phi * (2.0 - p))
     alpha = (2.0 - p) / (p - 1.0)
     scale = phi * (p - 1.0) * nu ** (p - 1.0)

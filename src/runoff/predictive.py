@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import _MASK64, _derive_ids, _stream_generators
+from .distributions import _MASK64, _derive_ids, _stream_generators, beta_prime_moments
 from .patterns import DevelopmentPattern
 from .triangle import DiagonalSummary
 
@@ -197,6 +197,14 @@ def _args_fault(c_hat: float, B) -> str | None:
     return _b_fault(B)
 
 
+def _threshold_fault(threshold: float) -> str | None:
+    """The inclusion-threshold rule: the message of a threshold that is
+    not finite and non-negative, or None."""
+    if not np.isfinite(threshold):
+        return f"inclusion_threshold must be finite, got {threshold}"
+    return "inclusion_threshold cannot be negative" if threshold < 0.0 else None
+
+
 def _usable_cores() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -365,7 +373,7 @@ def multinomial_bootstrap(
     Draw streams are keyed (seed, accident year), so excluding a year
     never shifts any other year's draws.
     """
-    fault = _args_fault(c_hat, B)
+    fault = _args_fault(c_hat, B) or _threshold_fault(inclusion_threshold)
     if fault is not None:
         raise PredictiveError(fault)
     obs = np.asarray(diag.observed, dtype=float)
@@ -419,18 +427,19 @@ class IbnpMoments(NamedTuple):
 def ibnp_exact_moments(X_obs: float, F: float, c: float) -> IbnpMoments:
     """Exact predictive mean and squared coefficient of variation.
 
-    The mean X_obs (1 - F) / (F - 1/c) exists only for c F > 1 and is
-    returned as None otherwise. cv2_large_c = 1 / (c (1 - F)) is the
-    large-c simplification reported alongside.
+    The mean is X_obs times the ratio law's mean (beta_prime_moments); it
+    exists only for c F > 1 and is None otherwise. cv2_large_c =
+    1 / (c (1 - F)) is the large-c simplification reported alongside.
     """
     if not 0.0 < F < 1.0:
         raise PredictiveError(f"F must lie in (0, 1), got {F}")
     if c <= 0.0:
         raise PredictiveError(f"c must be positive, got {c}")
+    mean = beta_prime_moments(c, F).mean
     cf = c * F
-    mean = X_obs * (1.0 - F) / (F - 1.0 / c) if cf > 1.0 else None
     cv2 = (cf + 1.0) / (cf * (1.0 - F) * (c + 2.0))
-    return IbnpMoments(mean=mean, cv2=cv2, cv2_large_c=1.0 / (c * (1.0 - F)))
+    return IbnpMoments(mean=None if mean is None else X_obs * mean, cv2=cv2,
+                       cv2_large_c=1.0 / (c * (1.0 - F)))
 
 
 @dataclass(frozen=True)

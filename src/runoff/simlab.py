@@ -94,6 +94,7 @@ from .predictive import (
     _b_fault,
     _fold_and_check,
     _quantiles,
+    _threshold_fault,
 )
 from .triangle import (
     _NON_FINITE_EXPOSURE,
@@ -121,6 +122,9 @@ TWEEDIE_PHI_DEFAULT = 43.0
 # the mean concentration estimate lands near its reference (about 460 /
 # 70 / 21 for p = 1.3 / 1.5 / 1.8 at the default scale).
 TWEEDIE_PHI_BY_POWER = {1.3: 90.0, 1.5: TWEEDIE_PHI_DEFAULT, 1.8: 2.75}
+
+# Half the largest rate numpy's Poisson sampler takes, int64 max - 10 sqrt(int64 max).
+_NU_PHI_MAX = (2**63 - 1 - 10 * math.sqrt(2**63 - 1)) / 2
 
 _SIM_DOMAIN = 3
 _TAG_SIGMA = 1
@@ -262,8 +266,9 @@ class SimConfig:
         for name in ("exposure_shape", "exposure_rate", "ultimate_shape_factor", "ultimate_rate"):
             if getattr(self, name) <= 0.0:
                 raise SimulationError(f"{name} must be positive")
-        if self.inclusion_threshold < 0.0:
-            raise SimulationError("inclusion_threshold cannot be negative")
+        fault = _threshold_fault(self.inclusion_threshold)
+        if fault is not None:
+            raise SimulationError(fault)
         if self.threads < 1:
             raise SimulationError("threads must be at least 1")
 
@@ -370,36 +375,39 @@ def _generate(cfg: SimConfig, roots: np.ndarray) -> _Squares:
     E = np.empty((M, I))
     for m, g in enumerate(sub[_SUB_EXPOSURE]):
         E[m] = g.gamma(cfg.exposure_shape, 1.0 / cfg.exposure_rate, size=I)
-    kind = "amounts"
-    if cfg.dgp in ("dirichlet-gamma", "nonstationary"):
-        S = np.empty((M, I))
-        for m, g in enumerate(sub[_SUB_ULTIMATE]):
-            S[m] = g.gamma(cfg.ultimate_shape_factor * E[m], 1.0 / cfg.ultimate_rate)
-        alphas = np.broadcast_to(np.tile(cfg.c_true * pi, (I, 1)), (M, I, J))
-        if _SUB_PERTURBATION in sub:
-            z = np.empty((M, I, J))
-            for m, g in enumerate(sub[_SUB_PERTURBATION]):
-                z[m] = g.standard_normal((I, J))
-            row_pi = np.exp(np.log(pi) + np.sqrt(cfg.sigma_delta) * z)
-            row_pi /= row_pi.sum(axis=2, keepdims=True)
-            alphas = cfg.c_true * row_pi
-        G = np.empty((M, I, J))
-        for m, g in enumerate(sub[_SUB_ALLOCATION]):
-            G[m] = g.gamma(alphas[m], 1.0)
-        X = S[:, :, None] * (G / G.sum(axis=2, keepdims=True))
-    elif cfg.dgp == "tweedie":
-        mean_scale = cfg.ultimate_shape_factor / cfg.ultimate_rate
-        nu = (mean_scale * E)[:, :, None] * pi
-        X = np.empty((M, I, J))
-        for m, g in enumerate(sub[_SUB_TWEEDIE]):
-            X[m] = sample_tweedie(nu[m], cfg.phi, cfg.p, g)
-    else:
-        X = np.empty((M, I, J))
-        for m, g in enumerate(sub[_SUB_COUNTS]):
-            mu_i = cfg.mu * E[m] * (cfg.exposure_rate / cfg.exposure_shape)
-            N = g.poisson(g.gamma(cfg.kappa, mu_i / cfg.kappa))
-            X[m] = g.multinomial(N, pi)  # row by row, as I single-row calls
-        kind = "counts"
+    # A square made non-finite (c_true near 0, a huge sigma_delta) fails its
+    # replication by _value_errors, which names the cell: no warning first.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        kind = "amounts"
+        if cfg.dgp in ("dirichlet-gamma", "nonstationary"):
+            S = np.empty((M, I))
+            for m, g in enumerate(sub[_SUB_ULTIMATE]):
+                S[m] = g.gamma(cfg.ultimate_shape_factor * E[m], 1.0 / cfg.ultimate_rate)
+            alphas = np.broadcast_to(np.tile(cfg.c_true * pi, (I, 1)), (M, I, J))
+            if _SUB_PERTURBATION in sub:
+                z = np.empty((M, I, J))
+                for m, g in enumerate(sub[_SUB_PERTURBATION]):
+                    z[m] = g.standard_normal((I, J))
+                row_pi = np.exp(np.log(pi) + np.sqrt(cfg.sigma_delta) * z)
+                row_pi /= row_pi.sum(axis=2, keepdims=True)
+                alphas = cfg.c_true * row_pi
+            G = np.empty((M, I, J))
+            for m, g in enumerate(sub[_SUB_ALLOCATION]):
+                G[m] = g.gamma(alphas[m], 1.0)
+            X = S[:, :, None] * (G / G.sum(axis=2, keepdims=True))
+        elif cfg.dgp == "tweedie":
+            mean_scale = cfg.ultimate_shape_factor / cfg.ultimate_rate
+            nu = (mean_scale * E)[:, :, None] * pi
+            X = np.empty((M, I, J))
+            for m, g in enumerate(sub[_SUB_TWEEDIE]):
+                X[m] = sample_tweedie(nu[m], cfg.phi, cfg.p, g)
+        else:
+            X = np.empty((M, I, J))
+            for m, g in enumerate(sub[_SUB_COUNTS]):
+                mu_i = cfg.mu * E[m] * (cfg.exposure_rate / cfg.exposure_shape)
+                N = g.poisson(g.gamma(cfg.kappa, mu_i / cfg.kappa))
+                X[m] = g.multinomial(N, pi)  # row by row, as I single-row calls
+            kind = "counts"
 
     observed = _observed_mask(I, J)
     # The future cells add one at a time in row-major order.
@@ -874,8 +882,12 @@ def verify_conservatism(
     compared with the true standard deviation of the remainder; the
     ratio approaches 1/sqrt(F) as nu grows.
     """
-    if not (0.0 < nu < math.inf and 0.0 < phi < math.inf):
-        raise SimulationError("nu and phi must be positive and finite")
+    # The concentration nu/phi - 1 must be positive, and the claim rate
+    # 2 nu/phi one numpy's Poisson sampler takes.
+    if not (0.0 < nu < math.inf and 0.0 < phi < math.inf and 1.0 < nu / phi <= _NU_PHI_MAX):
+        raise SimulationError(f"nu and phi must be positive and finite with nu/phi in "
+                              f"(1, {_NU_PHI_MAX:.6g}], got nu/phi = {nu / phi:g}")
+    lam = 2.0 * (nu / phi)  # claim rate making the cell variance phi * nu
     if M < 2:
         raise SimulationError("need at least two replications")
     c_used = nu / phi - 1.0
@@ -890,7 +902,6 @@ def verify_conservatism(
                 f"bootstrap variance does not exist at c={c_used:g}, F={F:g}; increase nu/phi"
             )
         g = RngStream(seed).derive(_SIM_DOMAIN, _TAG_CONSERVATISM, idx).generator()
-        lam = 2.0 * nu / phi  # claim rate making the cell variance phi * nu
         scale = phi / 2.0  # exponential severity mean
         n_obs = g.poisson(lam * F, size=M)
         n_fut = g.poisson(lam * (1.0 - F), size=M)
@@ -957,14 +968,3 @@ def parse_config_text(text: str) -> dict:
         except ValueError as exc:
             raise SimulationError(f"config line {lineno}: bad value for {key!r}: {exc}") from exc
     return values
-
-
-def load_sim_config(path, **overrides) -> SimConfig:
-    """Build a SimConfig from a key-value file plus keyword overrides."""
-    with open(path) as fh:
-        values = parse_config_text(fh.read())
-    values.update({k: v for k, v in overrides.items() if v is not None})
-    unknown = set(values) - set(_CONFIG_CASTS)
-    if unknown:
-        raise SimulationError(f"unknown config fields: {sorted(unknown)}")
-    return SimConfig(**values)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -33,11 +34,6 @@ _BUNDLED = {
 }
 
 
-def _observed_lags(I: int, J: int, i: int) -> int:
-    """Largest observed lag of accident year i (inclusive)."""
-    return min(J - 1, I - i)
-
-
 def _n_observed(I: int, J: int) -> int:
     """Number of observed cells: year i observes min(J, I - i + 1) lags."""
     m = min(I, J)
@@ -45,9 +41,10 @@ def _n_observed(I: int, J: int) -> int:
 
 
 def _observed_cells(I: int, J: int):
-    """(i, j) of every observed cell, in accident-year then lag order."""
+    """(i, j) of every observed cell, in accident-year then lag order;
+    year i observes lags 0..min(J - 1, I - i)."""
     for i in range(1, I + 1):
-        for j in range(_observed_lags(I, J, i) + 1):
+        for j in range(min(J, I - i + 1)):
             yield (i, j)
 
 
@@ -91,29 +88,6 @@ def _value_errors(values: np.ndarray, kind: str) -> list[str | None]:
                 errors[m] = (f"count triangles need non-negative integers, "
                              f"got {values[m, r, j]} at ({r + 1}, {j})")
     return errors
-
-
-class _Cells(Mapping):
-    """Read-only (i, j) -> value view of a triangle's observed cells, in
-    accident-year then lag order."""
-
-    __slots__ = ("_values",)
-
-    def __init__(self, values: np.ndarray) -> None:
-        self._values = values
-
-    def __getitem__(self, key: tuple[int, int]) -> float:
-        i, j = key
-        I, J = self._values.shape
-        if not (1 <= i <= I and 0 <= j <= _observed_lags(I, J, i)):
-            raise KeyError(key)
-        return float(self._values[i - 1, j])
-
-    def __iter__(self):
-        return _observed_cells(*self._values.shape)
-
-    def __len__(self) -> int:
-        return _n_observed(*self._values.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,23 +168,14 @@ class Triangle:
 
     @property
     def cells(self) -> Mapping[tuple[int, int], float]:
-        """Read-only (i, j) -> value view of the observed cells."""
-        return _Cells(self.values)
-
-    def row(self, i: int) -> np.ndarray:
-        """Observed values of accident year i in lag order (a read-only view)."""
-        return self.values[i - 1, : self.last_lag(i) + 1]
-
-    def last_lag(self, i: int) -> int:
-        return _observed_lags(self.I, self.J, i)
+        """Read-only (i, j) -> value mapping of the observed cells, in
+        accident-year then lag order."""
+        I, J = self.values.shape
+        return MappingProxyType(dict(zip(_observed_cells(I, J),
+                                         self.values[_observed_mask(I, J)].tolist())))
 
     def with_exposures(self, exposures) -> Triangle:
         return replace(self, exposures=tuple(float(e) for e in exposures))
-
-    def to_matrix(self) -> np.ndarray:
-        """(I, J) array of observed values with NaN in the future region:
-        values itself, read-only."""
-        return self.values
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ argparse's own 2 for malformed invocations.
 """
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -17,9 +18,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from runoff import cli
+from runoff import cli, predictive
 from runoff.cli import _per_year_block, _write_bootstrap_csv, main
-from runoff.predictive import PredictiveError, ReserveDistribution, YearPredictive
+from runoff.predictive import (
+    PredictiveError,
+    ReserveDistribution,
+    YearPredictive,
+    multinomial_bootstrap,
+)
 from runoff.simlab import ReportError, SimulationReport, _write_json
 
 TA_EXPOSURES = "accident,exposure\n" + "".join(
@@ -266,6 +272,50 @@ def test_a_b_numpy_cannot_size_is_one_error_line(tmp_path, capsys, argv, B):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("anchor", [[], ["--anchor", "bf", "--q-bf", "2"]], ids=["cl", "bf"])
+@pytest.mark.parametrize("value,message", [
+    ("nan", "inclusion_threshold must be finite, got nan"),
+    ("inf", "inclusion_threshold must be finite, got inf"),
+    ("-1", "inclusion_threshold cannot be negative"),
+])
+def test_bad_inclusion_threshold_is_an_error_before_any_draw(tmp_path, capsys, monkeypatch,
+                                                             anchor, value, message):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("the bootstrap drew before checking its threshold")
+
+    monkeypatch.setattr(predictive, "_anchored_draws", no_draws)
+    out = tmp_path / "out"
+    assert main(["bootstrap", "raa", "--seed", "1", *anchor, "--inclusion-threshold", value,
+                 "--out-dir", str(out)]) == 1
+    assert_one_error_line(capsys, message)
+    assert not out.exists()
+
+
+# At the default phi = 100: nu/phi <= 1 leaves no positive concentration
+# nu/phi - 1, and nu/phi above 4.6e18 a claim rate 2 nu/phi that numpy's
+# Poisson sampler rejects.
+@pytest.mark.parametrize("nu", ["3", "0.5", "1e-300", "1e21", "1e300"])
+def test_conservatism_outside_its_domain_is_one_error_line(tmp_path, capsys, nu):
+    out = tmp_path / "out"
+    assert main(["simulate", "--study", "conservatism", "--nu", nu, "--M", "2", "--seed", "1",
+                 "--out-dir", str(out)]) == 1
+    assert_one_error_line(capsys, "nu and phi must be positive and finite with nu/phi in "
+                                  f"(1, 4.61169e+18], got nu/phi = {float(nu) / 100:g}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("study,flags", [("correct", ["--c-true", "1e-300"]),
+                                         ("nonstat", ["--sigma-grid", "1e300"])])
+def test_a_non_finite_square_fails_its_replication_without_a_warning(tmp_path, study, flags):
+    # Every warning is an error in this suite: generation stays silent and
+    # the row names the cell.
+    assert main(["simulate", "--study", study, *flags, "--M", "3", "--B", "20", "--seed", "1",
+                 "--out-dir", str(tmp_path)]) == 0
+    (row,) = read_json(tmp_path / f"runoff_{study}.json")["rows"]
+    assert (row["n_reps"], row["n_effective"], row["failures"]) == (3, 0, 3)
+    assert row["failure_reasons"] == "generation: non-finite value at cell (1, 0)"
+
+
 class TestDegenerateInput:
     @pytest.mark.parametrize("command", ["fit", "bootstrap"])
     @pytest.mark.parametrize("rows", [
@@ -497,6 +547,29 @@ class TestSimulate:
         assert str(cfg) in manifest["inputs"]
         assert manifest["parameters"]["c_true"] == 40.0
 
+    def test_flags_win_over_the_config_file(self, tmp_path):
+        # A flag set replaces the file's value; a flag left out keeps it. The
+        # seed is --seed's, else the file's, else a random one.
+        seeded, unseeded = tmp_path / "seeded.cfg", tmp_path / "unseeded.cfg"
+        seeded.write_text("I = 7\nc_true = 80\nM = 2\nB = 10\nseed = 5\n")
+        unseeded.write_text("M = 2\nB = 10\n")
+        runs = {"a": (seeded, []), "b": (seeded, []),
+                "c": (seeded, ["--seed", "9", "--c-true", "90"]), "d": (unseeded, [])}
+        for run, (cfg, flags) in runs.items():
+            assert main(["simulate", "--study", "correct", "--config", str(cfg), *flags,
+                         "--out-dir", str(tmp_path / run)]) == 0
+        config = {run: read_json(tmp_path / run / "runoff_correct.json")["config"]
+                  for run in runs}
+        manifest = {run: read_json(tmp_path / run / "runoff_correct_manifest.json")
+                    for run in runs}
+        for run, want in (("a", (7, 80.0, 2, 5)), ("b", (7, 80.0, 2, 5)), ("c", (7, 90.0, 2, 9))):
+            assert (config[run]["I"], config[run]["c_true"], config[run]["M"],
+                    manifest[run]["seed"]) == want
+            assert manifest[run]["seed_generated"] is False
+        assert manifest["d"]["seed_generated"] is True
+        assert ((tmp_path / "a" / "runoff_correct.csv").read_bytes()
+                == (tmp_path / "b" / "runoff_correct.csv").read_bytes())
+
     def test_bad_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text("volatility = 3\n")
@@ -543,8 +616,16 @@ LIBRARY_WRITERS = {
 }
 
 
+def _infinite_q95(*args, **kwargs) -> ReserveDistribution:
+    """multinomial_bootstrap with -inf for its summary's q95."""
+    dist = multinomial_bootstrap(*args, **kwargs)
+    return dataclasses.replace(dist, summary={**dist.summary, "q95": -math.inf})
+
+
 # Each command with a report holding a non-finite value, its artifacts, the
-# error it prints, and for a study the report the patched study returns.
+# error it prints, and for a study the report the patched study returns. The
+# bootstrap's value comes from _infinite_q95, patched in for
+# multinomial_bootstrap.
 CLI_WRITERS = {
     "study-rows": (["simulate", "--study", "correct", "--M", "1", "--seed", "1"],
                    ["runoff_correct.json", "runoff_correct.csv"],
@@ -555,9 +636,9 @@ CLI_WRITERS = {
                      ["runoff_correct.json", "runoff_correct.csv"],
                      "config.c_true is not a finite number (inf)",
                      SimulationReport("coverage", NAN_ROWS[:1], {"c_true": math.inf})),
-    "bootstrap-csv": (["bootstrap", "raa", "--seed", "1", "--inclusion-threshold", "nan",
-                       "--output-format", "csv"], ["runoff_bootstrap.csv"],
-                      "report.inclusion_threshold is not a finite number (nan)", None),
+    "bootstrap-csv": (["bootstrap", "raa", "--seed", "1", "--output-format", "csv"],
+                      ["runoff_bootstrap.csv"],
+                      "report.summary.q95 is not a finite number (-inf)", None),
     "fit-json": (["fit", "taylor-ashe", "--reserves", "bf", "--q-bf", "10", "--exposures",
                   "exposures.csv"], ["runoff_fit.json"],
                  "report.reserves.bf.total is not a finite number (inf)", None),
@@ -585,6 +666,7 @@ class TestStrictWriters:
     def test_cli_writer(self, tmp_path, capsys, monkeypatch, case, existing):
         argv, artifacts, message, report = CLI_WRITERS[case]
         monkeypatch.setattr(cli, "run_coverage_study", lambda *args, **kwargs: report)
+        monkeypatch.setattr(cli, "multinomial_bootstrap", _infinite_q95)
         monkeypatch.chdir(tmp_path)
         Path("exposures.csv").write_text(
             "accident,exposure\n" + "".join(f"{i},1e307\n" for i in range(1, 11)))

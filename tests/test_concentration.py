@@ -176,7 +176,7 @@ class TestEstimateOnBundledTriangles:
 
     def test_matrix_entrypoint_matches(self):
         t = bundled_triangle("mortgage")
-        est_m = estimate_c_from_matrix(t.to_matrix())
+        est_m = estimate_c_from_matrix(t.values)
         assert est_m.c_hat == estimate_c(t).c_hat
 
     def test_matrix_must_be_two_dimensional(self):

@@ -137,7 +137,7 @@ class TestTweedie:
     def test_mean_and_power_variance(self):
         nu = np.full(200_000, 2000.0)
         phi, p = 43.0, 1.5
-        x = sample_tweedie(nu, phi, p, RngStream(9))
+        x = sample_tweedie(nu, phi, p, RngStream(9).generator())
         assert x.mean() == pytest.approx(2000.0, rel=0.01)
         assert x.var(ddof=1) == pytest.approx(phi * 2000.0**p, rel=0.05)
 
@@ -146,24 +146,24 @@ class TestTweedie:
         nu = np.full(100_000, 2000.0)
         phi, p = 43.0, 1.5
         lam = 2000.0 ** (2.0 - p) / (phi * (2.0 - p))
-        x = sample_tweedie(nu, phi, p, RngStream(10))
+        x = sample_tweedie(nu, phi, p, RngStream(10).generator())
         assert np.mean(x == 0.0) == pytest.approx(np.exp(-lam), abs=0.01)
         assert np.all(x >= 0.0)
 
     def test_zero_mean_is_exact_zero(self):
-        x = sample_tweedie(np.array([0.0, 5.0]), 1.0, 1.5, RngStream(0))
+        x = sample_tweedie(np.array([0.0, 5.0]), 1.0, 1.5, RngStream(0).generator())
         assert x[0] == 0.0
 
     def test_validation(self):
         nu = np.array([1.0])
         with pytest.raises(ValueError):
-            sample_tweedie(nu, 1.0, 1.0, RngStream(0))
+            sample_tweedie(nu, 1.0, 1.0, RngStream(0).generator())
         with pytest.raises(ValueError):
-            sample_tweedie(nu, 1.0, 2.0, RngStream(0))
+            sample_tweedie(nu, 1.0, 2.0, RngStream(0).generator())
         with pytest.raises(ValueError):
-            sample_tweedie(nu, 0.0, 1.5, RngStream(0))
+            sample_tweedie(nu, 0.0, 1.5, RngStream(0).generator())
         with pytest.raises(ValueError):
-            sample_tweedie(np.array([-1.0]), 1.0, 1.5, RngStream(0))
+            sample_tweedie(np.array([-1.0]), 1.0, 1.5, RngStream(0).generator())
 
 
 class TestBetaPrimeMoments:

@@ -40,7 +40,7 @@ class TestFit:
     def test_margins_reproduced(self):
         t = bundled_triangle("taylor-ashe")
         fit = odp_fit(t)
-        X = t.to_matrix()
+        X = t.values
         obs = np.isfinite(X)
         # Row and column sums of the fitted surface match the data.
         np.testing.assert_allclose(

@@ -243,6 +243,13 @@ class TestMultinomialBootstrap:
         # An integral float passes the check and draws as that integer.
         assert np.array_equal(multinomial_bootstrap(diag, pat, 40.0, 100.0, seed=0).total,
                               multinomial_bootstrap(diag, pat, 40.0, 100, seed=0).total)
+        # The inclusion threshold follows SimConfig's rule: finite and >= 0.
+        for threshold, message in ((float("nan"), "must be finite, got nan"),
+                                   (float("inf"), "must be finite, got inf"),
+                                   (-1.0, "cannot be negative")):
+            with pytest.raises(PredictiveError, match=f"^inclusion_threshold {message}$"):
+                multinomial_bootstrap(diag, pat, 40.0, 100, seed=0,
+                                      inclusion_threshold=threshold)
         bad = DiagonalSummary(observed=(20.0, -1.0, 40.0, 50.0), dev_lag=(3, 2, 1, 0))
         with pytest.raises(PredictiveError, match="non-negative"):
             multinomial_bootstrap(bad, pat, 40.0, 100, seed=0)

@@ -11,14 +11,12 @@ import json
 import re
 import time
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import runoff
 from runoff import simlab
 from runoff.concentration import ConcentrationError, estimate_c
 from runoff.distributions import RngStream
@@ -40,7 +38,6 @@ from runoff.simlab import (
     SimulationError,
     compare_odp,
     generate_triangle,
-    load_sim_config,
     nonstationarity_sweep,
     parse_config_text,
     run_coverage_study,
@@ -157,7 +154,7 @@ class TestGenerateTriangle:
         for rep in range(200):
             t, _ = generate_triangle(cfg, rep)
             for i in range(1, t.I - t.J + 2):
-                ratios.append(t.row(i).sum() / (scale * t.exposures[i - 1]))
+                ratios.append(t.values[i - 1].sum() / (scale * t.exposures[i - 1]))
         assert abs(np.mean(ratios) - 1.0) < 0.005
 
 
@@ -671,20 +668,3 @@ class TestConfigFiles:
             parse_config_text("I = ten")
         with pytest.raises(SimulationError, match="expected key = value"):
             parse_config_text("just words")
-
-    def test_load_with_overrides(self, tmp_path):
-        path = tmp_path / "s.cfg"
-        path.write_text("I = 12\nc_true = 80\nseed = 5\n")
-        cfg = load_sim_config(path, M=None, c_true=90.0)
-        # None overrides are "not given" and must not clobber the file.
-        assert (cfg.I, cfg.c_true, cfg.seed, cfg.M) == (12, 90.0, 5, 500)
-
-    def test_bundled_scenario_files_load(self):
-        cfg_dir = Path(runoff.__file__).parent / "configs"
-        names = sorted(p.name for p in cfg_dir.glob("*.cfg"))
-        assert names == ["compare_odp.cfg", "correct.cfg", "nonstat.cfg",
-                         "tweedie.cfg"]
-        for name in names:
-            cfg = load_sim_config(cfg_dir / name)
-            assert cfg.M >= 1 and cfg.B >= 1
-        assert load_sim_config(cfg_dir / "compare_odp.cfg").J == 10

@@ -103,15 +103,13 @@ class TestConstruction:
 
 
 class TestAccessors:
-    def test_row_and_last_lag(self):
+    def test_values_rows_in_lag_order(self):
         t = small_triangle()
-        np.testing.assert_array_equal(t.row(1), [10.0, 6.0, 4.0])
-        np.testing.assert_array_equal(t.row(3), [30.0])
-        assert t.last_lag(1) == 2
-        assert t.last_lag(3) == 0
+        np.testing.assert_array_equal(t.values[0], [10.0, 6.0, 4.0])
+        np.testing.assert_array_equal(t.values[2, :1], [30.0])
 
-    def test_to_matrix_future_is_nan(self):
-        m = small_triangle().to_matrix()
+    def test_values_future_is_nan(self):
+        m = small_triangle().values
         assert m.shape == (3, 3)
         assert np.isnan(m[2, 1]) and np.isnan(m[1, 2])
         assert m[0, 2] == 4.0
@@ -128,8 +126,7 @@ class TestAccessors:
         pi = tuple(np.full(20, 0.05))
         for rep in range(3):
             t, _ = generate_triangle(SimConfig(I=20, J=20, pi_true=pi, seed=41), rep)
-            want = tuple(float(np.array([t.cells[(i, j)] for j in range(t.last_lag(i) + 1)]).sum())
-                         for i in range(1, t.I + 1))
+            want = tuple(float(t.values[r, : t.I - r].sum()) for r in range(t.I))
             assert latest_diagonal(t).observed == want
 
     def test_observed_region_closure(self):
@@ -338,7 +335,8 @@ class TestArrayProperties:
         long = "accident,lag,value\n" + "".join(
             f"{i},{j},{v!r}\n" for (i, j), v in t.cells.items())
         wide = "accident," + ",".join(f"lag{j}" for j in range(t.J)) + "\n" + "".join(
-            f"{i}," + ",".join(repr(float(v)) for v in t.row(i)) + "\n" for i in range(1, t.I + 1))
+            f"{i}," + ",".join(repr(v) for v in t.values[i - 1, : t.I - i + 1].tolist()) + "\n"
+            for i in range(1, t.I + 1))
         for text, fmt in ((long, "long"), (wide, "wide")):
             back = load_triangle(io.StringIO(text), format=fmt)
             assert np.array_equal(back.values, t.values, equal_nan=True)
@@ -364,11 +362,11 @@ class TestArrayProperties:
         assert np.all(np.abs(back.values - t.values)[observed] <= np.broadcast_to(tol, t.values.shape)[observed])
 
     def test_values_are_read_only_and_copied(self):
-        X = small_triangle().to_matrix().copy()
+        X = small_triangle().values.copy()
         t = Triangle(X)
         X[0, 0] = 99.0
         assert t.values[0, 0] == 10.0
         with pytest.raises(ValueError):
             t.values[0, 0] = 1.0
-        with pytest.raises(ValueError):
-            t.row(1)[0] = 1.0
+        with pytest.raises(TypeError):
+            t.cells[(1, 0)] = 1.0
