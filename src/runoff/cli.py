@@ -37,7 +37,6 @@ from .predictive import (
     DEFAULT_INCLUSION_THRESHOLD,
     PredictiveError,
     ReserveDistribution,
-    _summarise,
     _threshold_fault,
     bf_bootstrap,
     multinomial_bootstrap,
@@ -192,10 +191,9 @@ def _per_year_block(dist: ReserveDistribution) -> list[dict]:
             "exclusion_reason": y.exclusion_reason,
             "mean_suppressed": y.mean_suppressed,
         }
-        if y.draws is None:
-            entry.update({"mean": None, "se": None})
-        else:
-            entry.update(_summarise(y.draws, y.mean_suppressed))
+        if isinstance(y.summary, str):  # the year's summary failed
+            raise PredictiveError(y.summary)
+        entry.update({"mean": None, "se": None} if y.summary is None else y.summary)
         out.append(entry)
     return out
 
@@ -583,11 +581,11 @@ def cmd_simulate(args, options: dict[str, str]) -> int:
         kwargs["seed"] = seed
         report = study(**kwargs)
     else:
-        # The remaining flags are SimConfig fields, set over the config file
-        # or the study's base; the seed is --seed's, else the file's, else random.
+        # The remaining flags are SimConfig fields, set over the config file laid
+        # over the study's base; the seed is --seed's, else the file's, else random.
         if args.config:
             digests[str(args.config)] = _sha256(Path(args.config))
-            base = parse_config_text(Path(args.config).read_text())
+            base = {**base, **parse_config_text(Path(args.config).read_text())}
         seed, seed_generated = _resolve_seed(base.get("seed") if args.seed is None else args.seed)
         overrides = {k: v for k, v in given.items() if k not in flags}
         cfg = SimConfig(**{**base, **overrides, "seed": seed})

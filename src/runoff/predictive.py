@@ -10,6 +10,7 @@ observed proportion W is resampled, from Beta(c F, c (1 - F)).
 from __future__ import annotations
 
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -40,7 +41,8 @@ class YearPredictive:
 
     draws is None exactly when the year was excluded by the inclusion
     rule; the deterministic point reserve is reported either way so
-    totals stay interpretable.
+    totals stay interpretable. summary is _summarise's dict, the
+    PredictiveError message of a summary that failed, or None (excluded).
     """
 
     accident: int
@@ -51,6 +53,7 @@ class YearPredictive:
     excluded: bool = False
     exclusion_reason: str | None = None
     mean_suppressed: bool = False
+    summary: dict[str, float | None] | str | None = None
 
 
 @dataclass(frozen=True)
@@ -80,7 +83,7 @@ class ReserveDistribution:
 _SUMMARY_PROBS = np.array([0.05, 0.25, 0.50, 0.75, 0.95])  # == [5, 25, 50, 75, 95] / 100
 
 
-def _quantiles(x: np.ndarray, probs: np.ndarray) -> np.ndarray:
+def _quantiles(x: np.ndarray, probs: np.ndarray, presorted: bool = False) -> np.ndarray:
     """Quantiles of x at probs by Hyndman & Fan's method 7, the same bits
     np.quantile(x, probs) returns (numpy's "linear" method). x may be a
     (..., B) block: each row along the last axis gives its own quantiles,
@@ -94,9 +97,10 @@ def _quantiles(x: np.ndarray, probs: np.ndarray) -> np.ndarray:
     a zero quantile of a vector holding both may differ in sign. Non-finite
     input is an error, where np.quantile would return NaN, and so is a
     quantile that overflows (finite extremes of opposite sign near the
-    float limit), where np.quantile would return inf.
+    float limit), where np.quantile would return inf. With presorted, x is
+    already sorted along its last axis and is read as it is.
     """
-    s = np.sort(x, axis=-1)
+    s = x if presorted else np.sort(x, axis=-1)
     # NaN and inf sort to the ends.
     if not (np.isfinite(s[..., 0]).all() and np.isfinite(s[..., -1]).all()):
         raise PredictiveError("quantiles of non-finite draws are undefined")
@@ -157,17 +161,33 @@ def _fold_and_check(totals: np.ndarray, years, faults: list[str | None] | None =
     return mean, se
 
 
-def _summarise(draws: np.ndarray, mean_suppressed: bool, moments=None) -> dict[str, float | None]:
+def _summarise(draws: np.ndarray, mean_suppressed: bool, moments=None,
+               scratch: np.ndarray | None = None) -> dict[str, float | None]:
     """Mean, se and quantiles of draws. A suppressed mean withholds se too:
     the mean is suppressed at c*F <= 2, where the ratio has no variance.
     moments, what _fold_and_check returned for draws[None], spares
-    computing mean and se again; a mean or se that overflows the float
-    range is an error."""
-    q5, q25, q50, q75, q95 = _quantiles(draws, _SUMMARY_PROBS)
+    computing mean and se again; a quantile, then a mean or se, that
+    overflows the float range is an error. scratch, a row like draws that
+    a caller reuses, takes the sorted copy and the squared deviations. The
+    bits are those of np.quantile, ndarray.mean and std(ddof=1)."""
+    s = np.empty_like(draws) if scratch is None else scratch
+    np.copyto(s, draws)
+    s.sort()
+    q5, q25, q50, q75, q95 = _quantiles(s, _SUMMARY_PROBS, presorted=True)
     mean = se = None
-    if not mean_suppressed:
-        mean, se = _fold_and_check(draws[None], ()) if moments is None else moments
-        mean, se = float(mean[0]), None if se is None else float(se[0])
+    if not mean_suppressed and moments is None:
+        n = draws.size
+        # numpy's _mean and _var, step by step; overflow is reported below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = np.add.reduce(draws) / n
+            if n > 1:
+                np.multiply(np.subtract(draws, mean, out=s), s, out=s)
+                se = np.sqrt(np.add.reduce(s) / (n - 1))
+        if not (np.isfinite(mean) and (se is None or np.isfinite(se))):
+            raise PredictiveError(_MOMENTS_OVERFLOW)
+        mean, se = float(mean), None if se is None else float(se)
+    elif not mean_suppressed:
+        mean, se = float(moments[0][0]), None if moments[1] is None else float(moments[1][0])
     return {
         "mean": mean,
         "se": se,
@@ -177,6 +197,14 @@ def _summarise(draws: np.ndarray, mean_suppressed: bool, moments=None) -> dict[s
         "q75": float(q75),
         "q95": float(q95),
     }
+
+
+def _year_summary(draws: np.ndarray, mean_suppressed: bool, scratch=None) -> dict | str:
+    """_summarise, or the PredictiveError message of a summary that fails."""
+    try:
+        return _summarise(draws, mean_suppressed, scratch=scratch)
+    except PredictiveError as exc:
+        return str(exc)
 
 
 def _b_fault(B, rows: int = 1) -> str | None:
@@ -212,10 +240,11 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _draw_years(block: np.ndarray, draws: list[tuple], ratio: bool) -> list[str | None]:
+def _draw_years(block: np.ndarray, draws: list[tuple], ratio: bool, suppressed=None) -> list:
     """Fill block[k] with the draws of draws[k], an (accident year,
-    generator, a, b, scale) tuple with W ~ Beta(a, b); return per row None,
-    or the PredictiveError message of a row that overflows.
+    generator, a, b, scale) tuple with W ~ Beta(a, b); return per row a
+    (fault, summary) pair, fault None or the PredictiveError message of a
+    row that overflows.
 
     With ratio the row is scale * (1 - W) / W, W floored at 1e-15 (CL);
     without it, scale * (1 - W) (BF). Each row is drawn in chunks of
@@ -226,11 +255,20 @@ def _draw_years(block: np.ndarray, draws: list[tuple], ratio: bool) -> list[str 
     and ufuncs, and a worker touches only numpy and its own row. A row
     that overflows the float range is left part drawn and named, never
     passed on as a silent inf or NaN.
+
+    With suppressed (each row's mean-suppression flag) the worker that drew
+    a row summarises it (_year_summary), else summary is None, in one of
+    `workers` scratch rows allocated here, so that no worker's allocator
+    arena keeps B floats, and passed between tasks by a queue.
     """
     B = block.shape[1]
     scale_name = "observed total" if ratio else "prior ultimate"
+    workers = min(_usable_cores() if B >= _PARALLEL_MIN_B else 1, len(draws))
+    scratch = None if suppressed is None else queue.SimpleQueue()
+    for _ in range(0 if scratch is None else workers):
+        scratch.put(np.empty(B))
 
-    def fill(k: int) -> str | None:
+    def fill(k: int) -> tuple:
         accident, generator, a, b, scale = draws[k]
         row = block[k]
         # Overflow is reported by the check below, not by a numpy warning.
@@ -246,10 +284,15 @@ def _draw_years(block: np.ndarray, draws: list[tuple], ratio: bool) -> list[str 
                     np.divide(seg, w, out=seg)
                 if not np.isfinite(seg).all():
                     return (f"accident year {accident}: bootstrap draws overflow the "
-                            f"float range ({scale_name} {scale:.6g})")
-        return None
+                            f"float range ({scale_name} {scale:.6g})"), None
+        if scratch is None:
+            return None, None
+        s = scratch.get()
+        try:
+            return None, _year_summary(row, suppressed[k], s)
+        finally:
+            scratch.put(s)
 
-    workers = min(_usable_cores(), len(draws)) if B >= _PARALLEL_MIN_B else 1
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fill, range(len(draws))))
@@ -271,7 +314,7 @@ def _year_rules(c_hat, F: np.ndarray, inclusion_threshold: float, ratio: bool):
 
 
 def _anchored_draws(scales: np.ndarray, F: np.ndarray, c_hat: np.ndarray, seeds: np.ndarray,
-                    B: int, inclusion_threshold: float, ratio: bool):
+                    B: int, inclusion_threshold: float, ratio: bool, summaries=None):
     """The one draw kernel of the Beta bootstraps, over n rows at once;
     multinomial_bootstrap and bf_bootstrap are its n = 1 case.
 
@@ -290,7 +333,7 @@ def _anchored_draws(scales: np.ndarray, F: np.ndarray, c_hat: np.ndarray, seeds:
     (_fold_and_check). Returns the (n, B) totals, per row None or the first
     fault's PredictiveError message (a failed row's total holds anything),
     the block of draws, a row per drawn (row, year) year by year, and the
-    totals' mean and se.
+    totals' mean and se. A summaries list receives each block row's summary.
     """
     n, I = scales.shape
     b_fault = _b_fault(B, n * I)  # no array here has more than n * I rows of B draws
@@ -312,9 +355,12 @@ def _anchored_draws(scales: np.ndarray, F: np.ndarray, c_hat: np.ndarray, seeds:
                      a.tolist(), b.tolist(), scales[rows, years].tolist()))
     block = np.empty((rows.size, int(B)))
     rows = rows.tolist()
-    for k, fault in zip(rows, _draw_years(block, draws, ratio)):
+    drawn = _draw_years(block, draws, ratio, None if summaries is None else suppressed[rows, years])
+    for k, (fault, _) in zip(rows, drawn):
         if fault is not None and faults[k] is None:  # its first year at fault
             faults[k] = fault
+    if summaries is not None:
+        summaries.extend(summary for _, summary in drawn)
     totals = np.zeros((n, int(B)))
     moments = _fold_and_check(totals, zip(rows, block), faults, suppressed.any(axis=1))
     return totals, faults, block, moments
@@ -324,32 +370,36 @@ def _year_view(scales: np.ndarray, F: np.ndarray, points: np.ndarray, c_hat: flo
                seed: int, inclusion_threshold: float, anchor: str) -> ReserveDistribution:
     """_anchored_draws at n = 1 and its per-year view: the distribution of
     one row of scales with point reserves points, anchor "CL" (the ratio
-    transform) or "BF". A fault is raised as a PredictiveError."""
+    transform) or "BF". A fault of the draws or the total is raised as a
+    PredictiveError; the kernel's pool summarises each drawn year."""
     ratio = anchor == "CL"
+    summaries: list = []
     totals, faults, block, moments = _anchored_draws(
         scales[None], F, np.array([c_hat], dtype=float),
-        np.array([seed & _MASK64], dtype=np.uint64), B, inclusion_threshold, ratio)
+        np.array([seed & _MASK64], dtype=np.uint64), B, inclusion_threshold, ratio, summaries)
     if faults[0] is not None:
         raise PredictiveError(faults[0])
     cf, excluded, _, suppressed = _year_rules(c_hat, F, inclusion_threshold, ratio)
-    drawn = iter(block)
+    summary = _summarise(totals[0], bool(suppressed.any()), moments)
+    drawn = zip(block, summaries)
     years: list[YearPredictive] = []
     flags: dict[int, tuple[str, ...]] = {}
     for i, (f, c_f, point) in enumerate(zip(F.tolist(), cf.tolist(), points.tolist())):
         if f >= _FULLY_DEVELOPED:
-            years.append(YearPredictive(i + 1, f, c_f, point_reserve=0.0,
-                                        draws=np.zeros(totals.shape[1])))
+            row = np.zeros(totals.shape[1])
+            years.append(YearPredictive(i + 1, f, c_f, point_reserve=0.0, draws=row,
+                                        summary=_summarise(row, False)))
         elif excluded[i]:
             reason = f"c*F = {c_f:.3g} below inclusion threshold {inclusion_threshold:g}"
             years.append(YearPredictive(i + 1, f, c_f, point_reserve=point, draws=None,
                                         excluded=True, exclusion_reason=reason))
             flags[i + 1] = (f"excluded: {reason}",)
         else:
-            years.append(YearPredictive(i + 1, f, c_f, point_reserve=point, draws=next(drawn),
-                                        mean_suppressed=bool(suppressed[i])))
+            row, year_summary = next(drawn)
+            years.append(YearPredictive(i + 1, f, c_f, point_reserve=point, draws=row,
+                                        mean_suppressed=bool(suppressed[i]), summary=year_summary))
             if suppressed[i]:
                 flags[i + 1] = (f"mean-suppressed: c*F = {c_f:.3g} <= {_SUPPRESS_AT_OR_BELOW}",)
-    summary = _summarise(totals[0], bool(suppressed.any()), moments)
     return ReserveDistribution(tuple(years), totals[0], summary, flags, anchor)
 
 

@@ -54,8 +54,9 @@ def taylor_ashe():
 @pytest.fixture(scope="module")
 def odp_comparison():
     """One full two-method comparison at I = J = 10; shared by the two
-    criterion-9 tests because it is the slowest study in the gate."""
-    cfg = SimConfig(I=10, J=10, c_true=50.0, M=500, B=1000, seed=2026)
+    criterion-9 tests because it is the slowest study in the gate. Its
+    rows do not depend on the thread count, so it runs on two threads."""
+    cfg = SimConfig(I=10, J=10, c_true=50.0, M=500, B=1000, seed=2026, threads=2)
     report = compare_odp(cfg)
     return {(row["dgp"], row["method"]): row for row in report.rows}
 

@@ -11,7 +11,6 @@ import hashlib
 import json
 import math
 import re
-import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -19,11 +18,10 @@ import numpy as np
 import pytest
 
 from runoff import cli, predictive
-from runoff.cli import _per_year_block, _write_bootstrap_csv, main
+from runoff.cli import _write_bootstrap_csv, main
 from runoff.predictive import (
     PredictiveError,
     ReserveDistribution,
-    YearPredictive,
     multinomial_bootstrap,
 )
 from runoff.simlab import ReportError, SimulationReport, _write_json
@@ -231,16 +229,6 @@ class TestBootstrap:
         err = capsys.readouterr().err
         assert "error: accident year" in err and "overflow" in err
         assert not (tmp_path / "runoff_bootstrap.json").exists()
-
-    def test_per_year_mean_overflow_is_an_error(self):
-        # Draws of about 1e308 are finite, but their mean's sum is not.
-        year = YearPredictive(1, 0.5, 25.0, point_reserve=1e308, draws=np.full(1000, 1e308))
-        dist = ReserveDistribution(per_year=(year,), total=year.draws, summary={}, flags={},
-                                   anchor="BF")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(PredictiveError, match="overflows"):
-                _per_year_block(dist)
 
     def test_flag_validation(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -569,6 +557,20 @@ class TestSimulate:
         assert manifest["d"]["seed_generated"] is True
         assert ((tmp_path / "a" / "runoff_correct.csv").read_bytes()
                 == (tmp_path / "b" / "runoff_correct.csv").read_bytes())
+
+    def test_config_file_is_laid_over_the_study_base(self, tmp_path):
+        # compare-odp's base sets J = 10; a file without J keeps it.
+        cfg = tmp_path / "odp.cfg"
+        cfg.write_text("M = 1\nB = 10\n")
+        by_file, by_flags = tmp_path / "file", tmp_path / "flags"
+        assert main(["simulate", "--study", "compare-odp", "--config", str(cfg), "--seed", "3",
+                     "--out-dir", str(by_file)]) == 0
+        assert main(["simulate", "--study", "compare-odp", "--M", "1", "--B", "10", "--seed", "3",
+                     "--out-dir", str(by_flags)]) == 0
+        file_report, flags_report = (read_json(d / "runoff_compare-odp.json")
+                                     for d in (by_file, by_flags))
+        assert file_report["config"]["J"] == flags_report["config"]["J"] == 10
+        assert file_report["rows"] == flags_report["rows"]
 
     def test_bad_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.cfg"

@@ -2,6 +2,7 @@
 moments and claim-count laws."""
 from __future__ import annotations
 
+import sys
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from runoff import predictive
+from runoff.cli import _per_year_block
 from runoff.distributions import RngStream, beta_prime_moments
 from runoff.patterns import DevelopmentPattern, chain_ladder_pattern, cl_ultimates
 from runoff.predictive import (
@@ -370,13 +372,26 @@ class TestParallelDraws:
 
     @pytest.mark.parametrize("B, chunk", [(2000, 1 << 15), (2000, 300), (2001, 512)])
     def test_pool_matches_serial(self, monkeypatch, pool_calls, B, chunk):
+        # Each year is summarised on the pool, through scratch rows the
+        # workers pass around; a row two workers shared would show here.
+        # The interpreter switches threads often, and 4 workers may exceed
+        # the cores.
         serial = self.run_both(B)
         assert pool_calls == []
         monkeypatch.setattr(predictive, "_PARALLEL_MIN_B", 1)
         monkeypatch.setattr(predictive, "_CHUNK", chunk)
-        monkeypatch.setattr(predictive, "_usable_cores", lambda: 4)
-        pooled = self.run_both(B)
-        assert pool_calls == [4, 4]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 4):
+                monkeypatch.setattr(predictive, "_usable_cores", lambda: workers)
+                self.assert_same(serial, self.run_both(B))
+        finally:
+            sys.setswitchinterval(interval)
+        assert pool_calls == [2, 2, 4, 4]
+
+    @staticmethod
+    def assert_same(serial, pooled):
         cl = pooled[0]
         assert cl.excluded_years == (9, 10)
         assert np.all(cl.per_year[0].draws == 0.0)
@@ -385,7 +400,12 @@ class TestParallelDraws:
             assert np.array_equal(a.total, b.total)
             assert a.summary == b.summary
             for ya, yb in zip(a.per_year, b.per_year):
-                assert ya == yb if ya.draws is None else np.array_equal(ya.draws, yb.draws)
+                assert ya.summary == yb.summary
+                if ya.draws is None:
+                    assert ya == yb and ya.summary is None
+                else:
+                    assert np.array_equal(ya.draws, yb.draws)
+                    assert ya.summary == _summarise(ya.draws, ya.mean_suppressed)
 
     def test_pool_is_capped_at_drawn_years(self, monkeypatch, pool_calls):
         monkeypatch.setattr(predictive, "_PARALLEL_MIN_B", 1)
@@ -765,10 +785,98 @@ class TestQuantileKernel:
             with pytest.raises(PredictiveError, match="mean or standard error .* overflows"):
                 bf_bootstrap(np.array([1e308, 1e308]), 1.0, pat, 50.0, 1000, 1)
 
+    def test_per_year_mean_overflow_is_an_error(self, monkeypatch):
+        # Year 2's draws (about 1e307) and the total are finite, and year
+        # 3's suppressed mean (c*F = 2) spares the total's moments; year
+        # 2's mean's sum overflows, off the draw pool and on it. The year
+        # carries the error, and its report raises it.
+        pat = DevelopmentPattern(pi=(0.04, 0.46, 0.5), F=(0.04, 0.5, 1.0), method="x")
+        diag = DiagonalSummary(observed=(1.0, 1e307, 1.0), dev_lag=(2, 1, 0))
+        for threshold in (10**9, 1):
+            monkeypatch.setattr(predictive, "_PARALLEL_MIN_B", threshold)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                dist = multinomial_bootstrap(diag, pat, 50.0, 1000, seed=1,
+                                             inclusion_threshold=0.0)
+                assert dist.summary["q95"] < np.inf
+                assert dist.per_year[1].summary == predictive._MOMENTS_OVERFLOW
+                assert isinstance(dist.per_year[2].summary, dict)
+                with pytest.raises(PredictiveError, match="mean or standard error .* overflows"):
+                    _per_year_block(dist)
+
     def test_suppressed_summary_skips_the_overflow_check(self):
         summary = _summarise(np.full(1000, 1e308), mean_suppressed=True)
         assert summary["mean"] is None and summary["se"] is None
         assert summary["q5"] == summary["q95"] == 1e308
+
+
+SUMMARY_SIZES = [1, 2, 3, 7, 49_999, 50_000, 65_537]
+EDGE_VALUES = [0.0, -0.0, 1e308, -1e308, 1.0, 5e-324, 7.25e5]
+
+
+@st.composite
+def summary_rows(draw):
+    """Rows at the summary's edge sizes: constant rows, rows mixing the
+    edge values ±0.0 and ±1e308, and dense random rows, each of either
+    sign, with or without their mean suppressed."""
+    n = draw(st.sampled_from(SUMMARY_SIZES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["constant", "edges", "dense"]))
+    if kind == "constant":
+        x = np.full(n, draw(st.one_of(st.sampled_from(EDGE_VALUES),
+                                      st.floats(allow_nan=False, allow_infinity=False))))
+    elif kind == "edges":
+        x = rng.choice(np.array(draw(st.lists(st.sampled_from(EDGE_VALUES), min_size=1,
+                                              max_size=4))), n)
+    else:
+        x = rng.lognormal(0, draw(st.sampled_from([1.0, 5.0, 300.0])), n)
+    if draw(st.booleans()):
+        x = -x
+    return x, draw(st.booleans())
+
+
+def copying_summary(x: np.ndarray, mean_suppressed: bool):
+    """The summary from numpy's own copies: _quantiles' sorted copy, then
+    _fold_and_check's mean and se of x[None]."""
+    q = _quantiles(x, predictive._SUMMARY_PROBS)
+    if mean_suppressed:
+        return q, None, None
+    mean, se = predictive._fold_and_check(x[None], ())
+    return q, mean[0], None if se is None else se[0]
+
+
+class TestScratchSummary:
+    """_summarise through a scratch row gives the bits of np.quantile,
+    ndarray.mean and std(ddof=1), and the copying path's errors."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(case=summary_rows())
+    def test_scratch_summary_is_the_copying_summary(self, case):
+        x, suppressed = case
+        before = x.tobytes()
+        scratch = np.full(x.size, np.nan)
+        try:
+            q, mean, se = copying_summary(x, suppressed)
+        except PredictiveError as exc:
+            with pytest.raises(PredictiveError) as got:
+                _summarise(x, suppressed, scratch=scratch)
+            assert str(got.value) == str(exc)
+            return
+        got = _summarise(x, suppressed, scratch=scratch)
+        assert x.tobytes() == before
+
+        def bits(v):
+            return None if v is None else np.float64(v).tobytes()
+
+        names = ["q5", "q25", "q50", "q75", "q95"]
+        assert [bits(got[k]) for k in names] == [bits(v) for v in q]
+        # +0.0 and -0.0 tie; np.quantile's partition may pick either.
+        assert [bits(got[k] + 0.0) for k in names] == [
+            bits(v + 0.0) for v in np.quantile(x, predictive._SUMMARY_PROBS)]
+        assert (bits(got["mean"]), bits(got["se"])) == (bits(mean), bits(se))
+        if not suppressed:
+            assert bits(got["mean"]) == bits(x.mean())
+            assert bits(got["se"]) == (None if x.size == 1 else bits(x.std(ddof=1)))
 
 
 class TestIbnpExactMoments:
