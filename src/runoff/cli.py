@@ -182,19 +182,11 @@ def _amount(v: float) -> str:
 def _per_year_block(dist: ReserveDistribution) -> list[dict]:
     out = []
     for y in dist.per_year:
-        entry = {
-            "accident": y.accident,
-            "F": y.F,
-            "c_times_F": y.c_times_F,
-            "point_reserve": y.point_reserve,
-            "excluded": y.excluded,
-            "exclusion_reason": y.exclusion_reason,
-            "mean_suppressed": y.mean_suppressed,
-        }
         if isinstance(y.summary, str):  # the year's summary failed
             raise PredictiveError(y.summary)
-        entry.update({"mean": None, "se": None} if y.summary is None else y.summary)
-        out.append(entry)
+        # Every field but the draws and the summary, in declaration order, then the summary.
+        out.append({**{k: v for k, v in vars(y).items() if k not in ("draws", "summary")},
+                    **({"mean": None, "se": None} if y.summary is None else y.summary)})
     return out
 
 
@@ -351,9 +343,8 @@ def cmd_bootstrap(args) -> int:
           f"q5 = {_amount(s['q5'])}, q50 = {_amount(s['q50'])}, q95 = {_amount(s['q95'])}")
     if pattern.floored_lags:
         print(f"pattern: lags {list(pattern.floored_lags)} floored and renormalised")
-    excluded = [y.accident for y in dist.per_year if y.excluded]
-    if excluded:
-        print(f"excluded accident years {excluded}; "
+    if dist.excluded_years:
+        print(f"excluded accident years {list(dist.excluded_years)}; "
               f"their point reserves total {_amount(dist.excluded_point_total())}")
     print(f"report: {report_path}")
     return 0

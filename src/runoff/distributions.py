@@ -17,6 +17,8 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# The largest rate numpy's Poisson sampler takes, int64 max - 10 sqrt(int64 max).
+_POISSON_LAM_MAX = float(2**63 - 1 - 10 * np.sqrt(2**63 - 1))
 
 
 def _splitmix64(x: int) -> int:
@@ -209,6 +211,13 @@ def beta_prime_moments(c: float, F: float) -> BetaPrimeMoments:
     return BetaPrimeMoments(mean, variance)
 
 
+def _rate_fault(lam: np.ndarray) -> str | None:
+    """Why numpy's Poisson sampler rejects rates lam (one NaN or too large), or None."""
+    top = np.max(lam)  # NaN if any rate is
+    if not top <= _POISSON_LAM_MAX:
+        return f"Poisson rate {top:g} is not finite or exceeds numpy's limit {_POISSON_LAM_MAX:.6g}"
+
+
 def sample_tweedie(
     nu: np.ndarray,
     phi: float,
@@ -219,7 +228,8 @@ def sample_tweedie(
 
     Each entry draws N ~ Poisson(nu^(2-p) / (phi (2-p))) claims and sums
     N Gamma(shape (2-p)/(p-1), scale phi (p-1) nu^(p-1)) severities;
-    N = 0 (and nu = 0) yield an exact zero.
+    N = 0 (and nu = 0) yield an exact zero. A Poisson rate numpy's sampler
+    rejects is a ValueError that names it.
     """
     if not 1.0 < p < 2.0:
         raise ValueError(f"tweedie power must lie in (1, 2), got {p}")
@@ -231,6 +241,8 @@ def sample_tweedie(
     lam = nu ** (2.0 - p) / (phi * (2.0 - p))
     alpha = (2.0 - p) / (p - 1.0)
     scale = phi * (p - 1.0) * nu ** (p - 1.0)
+    if (fault := _rate_fault(lam)) is not None:
+        raise ValueError(fault)
     claims = g.poisson(lam=lam)
     # Gamma with shape 0 is an exact point mass at 0, so zero-claim cells
     # need no special casing.

@@ -17,8 +17,7 @@ import numpy as np
 
 from .distributions import RngStream
 from .patterns import PatternError, _cumulative_pattern, _link_ratio_block
-from .predictive import (ReserveDistribution, YearPredictive, _b_fault, _fold_and_check,
-                         _summarise, _year_summary)
+from .predictive import ReserveDistribution, _b_fault, _distribution, _fold_and_check
 from .triangle import Triangle, _diagonal_totals, _n_observed, _observed_mask
 
 _ODP_DOMAIN = 2  # stream tag for the residual bootstrap
@@ -293,27 +292,15 @@ def odp_bootstrap(fit: OdpFit, B: int, seed: int) -> ReserveDistribution:
 
     The draws come from _odp_draws and the checked total from
     predictive._fold_and_check, both of which the coverage studies call
-    directly; this function adds the per-year view and the summaries.
+    directly; this function adds the per-year view, predictive._distribution.
     """
     sums, rejected = _odp_draws(fit, B, seed, {})
     total = np.zeros((1, sums.shape[1]))
     moments = _fold_and_check(total, ((0, year) for year in sums))
-    I, J = fit.I, fit.J
-    F = fit.pattern_F()
-    points = np.nansum(fit.projected_future, axis=1)
-    summary = _summarise(total[0], False, moments)
-    drawn = iter(sums)
-    years = []
-    for i in range(I):
-        last = min(J - 1, I - 1 - i)
-        draws = next(drawn) if last < J - 1 else np.zeros(total.shape[1])
-        years.append(YearPredictive(
-            accident=i + 1,
-            F=float(F[last]),
-            c_times_F=float("nan"),
-            point_reserve=float(points[i]),
-            draws=draws,
-            summary=_year_summary(draws, False),
-        ))
+    last = np.minimum(fit.J - 1, fit.I - 1 - np.arange(fit.I))
+    none = np.zeros(fit.I, dtype=bool)
+    rules = (np.full(fit.I, np.nan), none, last < fit.J - 1, none)
     meta = {"rejected_replications": rejected, "dispersion": fit.dispersion, "dof": fit.dof}
-    return ReserveDistribution(tuple(years), total[0], summary, {}, "ODP", meta)
+    return _distribution(total[0], moments, fit.pattern_F()[last],
+                         np.nansum(fit.projected_future, axis=1), rules, sums, None, "ODP",
+                         meta=meta)

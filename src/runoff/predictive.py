@@ -368,10 +368,8 @@ def _anchored_draws(scales: np.ndarray, F: np.ndarray, c_hat: np.ndarray, seeds:
 
 def _year_view(scales: np.ndarray, F: np.ndarray, points: np.ndarray, c_hat: float, B: int,
                seed: int, inclusion_threshold: float, anchor: str) -> ReserveDistribution:
-    """_anchored_draws at n = 1 and its per-year view: the distribution of
-    one row of scales with point reserves points, anchor "CL" (the ratio
-    transform) or "BF". A fault of the draws or the total is raised as a
-    PredictiveError; the kernel's pool summarises each drawn year."""
+    """_anchored_draws at n = 1 through the per-year view: one row of scales
+    with point reserves points, anchor "CL" (ratio) or "BF"; a fault raises."""
     ratio = anchor == "CL"
     summaries: list = []
     totals, faults, block, moments = _anchored_draws(
@@ -379,28 +377,38 @@ def _year_view(scales: np.ndarray, F: np.ndarray, points: np.ndarray, c_hat: flo
         np.array([seed & _MASK64], dtype=np.uint64), B, inclusion_threshold, ratio, summaries)
     if faults[0] is not None:
         raise PredictiveError(faults[0])
-    cf, excluded, _, suppressed = _year_rules(c_hat, F, inclusion_threshold, ratio)
-    summary = _summarise(totals[0], bool(suppressed.any()), moments)
-    drawn = zip(block, summaries)
-    years: list[YearPredictive] = []
-    flags: dict[int, tuple[str, ...]] = {}
+    rules = _year_rules(c_hat, F, inclusion_threshold, ratio)
+    return _distribution(totals[0], moments, F, points, rules, block, summaries, anchor,
+                         inclusion_threshold)
+
+
+def _distribution(total, moments, F, points, rules, block, summaries, anchor: str,
+                  inclusion_threshold: float = -np.inf, meta=None) -> ReserveDistribution:
+    """The one per-year view: each year's YearPredictive, the flags and the
+    ReserveDistribution. rules is _year_rules' (c*F, excluded, drawn,
+    suppressed); block and summaries (None: summarised here) are the drawn
+    years'. The total is summarised before any fully developed year gets
+    its zero row, whose summary is that of min(B, 2) zeros."""
+    cf, excluded, drawn, suppressed = rules
+    summary = _summarise(total, bool(suppressed.any()), moments)
+    drawn_years = zip(block, summaries or [None] * len(block))
+    years, flags = [], {}
     for i, (f, c_f, point) in enumerate(zip(F.tolist(), cf.tolist(), points.tolist())):
-        if f >= _FULLY_DEVELOPED:
-            row = np.zeros(totals.shape[1])
-            years.append(YearPredictive(i + 1, f, c_f, point_reserve=0.0, draws=row,
-                                        summary=_summarise(row, False)))
-        elif excluded[i]:
+        row = reason = year_summary = None
+        if excluded[i]:
             reason = f"c*F = {c_f:.3g} below inclusion threshold {inclusion_threshold:g}"
-            years.append(YearPredictive(i + 1, f, c_f, point_reserve=point, draws=None,
-                                        excluded=True, exclusion_reason=reason))
             flags[i + 1] = (f"excluded: {reason}",)
-        else:
-            row, year_summary = next(drawn)
-            years.append(YearPredictive(i + 1, f, c_f, point_reserve=point, draws=row,
-                                        mean_suppressed=bool(suppressed[i]), summary=year_summary))
+        elif drawn[i]:
+            row, year_summary = next(drawn_years)
+            year_summary = year_summary or _year_summary(row, bool(suppressed[i]))
             if suppressed[i]:
                 flags[i + 1] = (f"mean-suppressed: c*F = {c_f:.3g} <= {_SUPPRESS_AT_OR_BELOW}",)
-    return ReserveDistribution(tuple(years), totals[0], summary, flags, anchor)
+        else:  # fully developed: exact zeros
+            row, point = np.zeros(total.size), 0.0
+            year_summary = _summarise(np.zeros(min(total.size, 2)), False)
+        years.append(YearPredictive(i + 1, f, c_f, point, row, bool(excluded[i]), reason,
+                                    bool(suppressed[i]), year_summary))
+    return ReserveDistribution(tuple(years), total, summary, flags, anchor, meta)
 
 
 def multinomial_bootstrap(

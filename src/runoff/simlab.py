@@ -80,8 +80,10 @@ from .concentration import (
 )
 from .distributions import (
     _MASK64,
+    _POISSON_LAM_MAX,
     RngStream,
     _derive_ids,
+    _rate_fault,
     _stream_generators,
     beta_prime_moments,
     sample_tweedie,
@@ -123,8 +125,7 @@ TWEEDIE_PHI_DEFAULT = 43.0
 # 70 / 21 for p = 1.3 / 1.5 / 1.8 at the default scale).
 TWEEDIE_PHI_BY_POWER = {1.3: 90.0, 1.5: TWEEDIE_PHI_DEFAULT, 1.8: 2.75}
 
-# Half the largest rate numpy's Poisson sampler takes, int64 max - 10 sqrt(int64 max).
-_NU_PHI_MAX = (2**63 - 1 - 10 * math.sqrt(2**63 - 1)) / 2
+_NU_PHI_MAX = _POISSON_LAM_MAX / 2  # half the largest rate numpy's Poisson sampler takes
 
 _SIM_DOMAIN = 3
 _TAG_SIGMA = 1
@@ -293,12 +294,7 @@ class SimulationReport:
     resolved: dict = field(default_factory=dict)
 
     def columns(self) -> list[str]:
-        cols: list[str] = []
-        for row in self.rows:
-            for key in row:
-                if key not in cols:
-                    cols.append(key)
-        return cols
+        return list(dict.fromkeys(key for row in self.rows for key in row))
 
     def write_csv(self, path) -> None:
         _json_text(self.rows, "rows")  # a non-finite cell raises before the file opens
@@ -306,8 +302,7 @@ class SimulationReport:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(cols)
-            for row in self.rows:
-                w.writerow(["" if row.get(k) is None else row.get(k) for k in cols])
+            w.writerows([row.get(k) for k in cols] for row in self.rows)  # None: an empty cell
 
     def write_json(self, path) -> None:
         _write_json(path, {"study": self.study, "config": self.config,
@@ -326,10 +321,7 @@ class SimulationReport:
         table = [[fmt(row.get(k)) for k in cols] for row in self.rows]
         widths = [max(len(c), *(len(r[i]) for r in table)) if table else len(c)
                   for i, c in enumerate(cols)]
-        lines = ["  ".join(c.ljust(w) for c, w in zip(cols, widths))]
-        for r in table:
-            lines.append("  ".join(v.ljust(w) for v, w in zip(r, widths)))
-        return "\n".join(lines)
+        return "\n".join("  ".join(map(str.ljust, r, widths)) for r in [cols, *table])
 
 
 class _Squares(NamedTuple):
@@ -339,6 +331,7 @@ class _Squares(NamedTuple):
     exposures: np.ndarray  # (M, I)
     truth: np.ndarray  # (M,) realised future amounts
     kind: str
+    faults: list[str | None]  # per replication, a Poisson rate numpy rejects (values NaN)
 
 
 def _substreams(cfg: SimConfig, roots: np.ndarray) -> dict[int, list[np.random.Generator]]:
@@ -372,6 +365,7 @@ def _generate(cfg: SimConfig, roots: np.ndarray) -> _Squares:
     I, J, M = cfg.I, cfg.J, len(roots)
     pi = np.asarray(cfg.pi_true)
     sub = _substreams(cfg, roots)
+    faults: list[str | None] = [None] * M
     E = np.empty((M, I))
     for m, g in enumerate(sub[_SUB_EXPOSURE]):
         E[m] = g.gamma(cfg.exposure_shape, 1.0 / cfg.exposure_rate, size=I)
@@ -400,19 +394,23 @@ def _generate(cfg: SimConfig, roots: np.ndarray) -> _Squares:
             nu = (mean_scale * E)[:, :, None] * pi
             X = np.empty((M, I, J))
             for m, g in enumerate(sub[_SUB_TWEEDIE]):
-                X[m] = sample_tweedie(nu[m], cfg.phi, cfg.p, g)
+                try:
+                    X[m] = sample_tweedie(nu[m], cfg.phi, cfg.p, g)
+                except ValueError as exc:  # a validated cfg leaves only a rate numpy rejects
+                    X[m], faults[m] = np.nan, str(exc)
         else:
             X = np.empty((M, I, J))
             for m, g in enumerate(sub[_SUB_COUNTS]):
                 mu_i = cfg.mu * E[m] * (cfg.exposure_rate / cfg.exposure_shape)
-                N = g.poisson(g.gamma(cfg.kappa, mu_i / cfg.kappa))
-                X[m] = g.multinomial(N, pi)  # row by row, as I single-row calls
+                faults[m] = _rate_fault(rate := g.gamma(cfg.kappa, mu_i / cfg.kappa))
+                # Row by row, as I single-row calls.
+                X[m] = np.nan if faults[m] else g.multinomial(g.poisson(rate), pi)
             kind = "counts"
 
     observed = _observed_mask(I, J)
     # The future cells add one at a time in row-major order.
     truth = np.cumsum(X[:, ~observed], axis=1)[:, -1]
-    return _Squares(np.where(observed, X, np.nan), E, truth, kind)
+    return _Squares(np.where(observed, X, np.nan), E, truth, kind, faults)
 
 
 def generate_triangle(cfg: SimConfig, replication: int) -> tuple[Triangle, float]:
@@ -425,6 +423,8 @@ def generate_triangle(cfg: SimConfig, replication: int) -> tuple[Triangle, float
     if replication < 0 or int(replication) != replication:
         raise SimulationError(f"replication must be a non-negative integer, got {replication}")
     sq = _generate(cfg, _derive_ids(0, _SIM_DOMAIN, replication))
+    if sq.faults[0] is not None:
+        raise SimulationError(f"generation: {sq.faults[0]}")
     return Triangle(sq.values[0], sq.kind, exposures=sq.exposures[0]), float(sq.truth[0])
 
 
@@ -545,9 +545,10 @@ def _run_block(
     """
     roots = _derive_ids(np.zeros(len(reps), dtype=np.uint64), _SIM_DOMAIN, np.array(reps))
     sq = _generate(cfg, roots)
-    # The triangle's checks, then the truth and the pattern, in the order a
-    # single replication meets them.
-    faults = [None if e is None else f"generation: {e}" for e in _value_errors(sq.values, sq.kind)]
+    # A Poisson rate numpy rejected, the triangle's checks, then the truth and
+    # the pattern, in the order a single replication meets them.
+    faults = [None if f is None and e is None else f"generation: {f or e}"
+              for f, e in zip(sq.faults, _value_errors(sq.values, sq.kind))]
     exposures_ok = np.isfinite(sq.exposures).all(axis=1)
     for m, fault in enumerate(faults):
         if fault is not None:

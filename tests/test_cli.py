@@ -19,12 +19,15 @@ import pytest
 
 from runoff import cli, predictive
 from runoff.cli import _write_bootstrap_csv, main
+from runoff.patterns import chain_ladder_pattern
 from runoff.predictive import (
     PredictiveError,
     ReserveDistribution,
+    bf_bootstrap,
     multinomial_bootstrap,
 )
 from runoff.simlab import ReportError, SimulationReport, _write_json
+from runoff.triangle import bundled_triangle
 
 TA_EXPOSURES = "accident,exposure\n" + "".join(
     f"{i},{1000 + 10 * i}\n" for i in range(1, 11)
@@ -76,6 +79,16 @@ class TestFit:
         assert report["reserves"]["cc"]["prior_q"] > 0.0
         manifest = read_json(tmp_path / "runoff_fit_manifest.json")
         assert str(epath) in manifest["inputs"]
+
+    @pytest.mark.parametrize("reserves, message", [
+        ("cl,xx", "unknown reserve method 'xx'; expected cl, bf or cc"),
+        ("bf", "bf reserves need --exposures and --q-bf"),
+    ])
+    def test_bad_reserve_request_is_a_named_error(self, tmp_path, capsys, reserves, message):
+        out = tmp_path / "out"
+        assert main(["fit", "taylor-ashe", "--reserves", reserves, "--out-dir", str(out)]) == 1
+        assert_one_error_line(capsys, message)
+        assert not (out / "runoff_fit.json").exists()
 
     def test_unknown_triangle(self, tmp_path, capsys):
         assert main(["fit", "atlantis", "--out-dir", str(tmp_path)]) == 1
@@ -141,6 +154,11 @@ class TestBootstrap:
         assert report["anchor"] == "CL"
         assert report["c_hat"]["source"] == "estimated"
         assert report["exposures_source"] is None
+        # Each year's fields bar its draws, in declaration order, then its summary.
+        for entry in report["per_year"]:
+            assert list(entry) == ["accident", "F", "c_times_F", "point_reserve", "excluded",
+                                   "exclusion_reason", "mean_suppressed", "mean", "se",
+                                   "q5", "q25", "q50", "q75", "q95"]
         manifest = read_json(tmp_path / "runoff_bootstrap_manifest.json")
         assert manifest["seed"] == 11
         assert manifest["seed_generated"] is False
@@ -177,6 +195,32 @@ class TestBootstrap:
         assert report["exposures_source"] == "lag0-claims"
         manifest = read_json(tmp_path / "runoff_bootstrap_manifest.json")
         assert manifest["parameters"]["exposures_source"] == "lag0-claims"
+
+    def test_bf_anchor_with_an_exposure_file(self, tmp_path):
+        epath, dump = tmp_path / "exposures.csv", tmp_path / "draws.csv"
+        epath.write_text(TA_EXPOSURES)
+        assert main(["bootstrap", "taylor-ashe", "--anchor", "bf", "--q-bf", "1.2",
+                     "--exposures", str(epath), "--B", "100", "--seed", "2",
+                     "--dump-draws", str(dump), "--out-dir", str(tmp_path)]) == 0
+        report = read_json(tmp_path / "runoff_bootstrap.json")
+        manifest = read_json(tmp_path / "runoff_bootstrap_manifest.json")
+        assert report["exposures_source"] == "provided"
+        assert manifest["parameters"]["exposures_source"] == "provided"
+        t = bundled_triangle("taylor-ashe")
+        E = np.array([1000.0 + 10 * i for i in range(1, 11)])
+        dist = bf_bootstrap(E, 1.2, chain_ladder_pattern(t), report["c_hat"]["value"], 100,
+                            seed=2)
+        want = np.column_stack([y.draws for y in dist.per_year] + [dist.total])
+        assert np.loadtxt(dump, delimiter=",", skiprows=1).tobytes() == want.tobytes()
+
+    def test_bf_fallback_to_non_positive_first_lag_claims_is_an_error(self, tmp_path, capsys):
+        path, out = tmp_path / "wide.csv", tmp_path / "out"
+        path.write_text("accident,lag0,lag1,lag2\n1,10,5,2\n2,0,6,\n3,7,,\n")
+        assert main(["bootstrap", str(path), "--format", "wide", "--anchor", "bf",
+                     "--q-bf", "1", "--c-hat", "10", "--out-dir", str(out)]) == 1
+        assert_one_error_line(capsys, "bf anchor fell back to lag-0 claims as exposures, "
+                                      "but some first-lag values are non-positive")
+        assert not out.exists()
 
     def test_csv_output_and_draw_dump(self, tmp_path):
         draws = tmp_path / "draws.csv"
@@ -302,6 +346,27 @@ def test_a_non_finite_square_fails_its_replication_without_a_warning(tmp_path, s
     (row,) = read_json(tmp_path / f"runoff_{study}.json")["rows"]
     assert (row["n_reps"], row["n_effective"], row["failures"]) == (3, 0, 3)
     assert row["failure_reasons"] == "generation: non-finite value at cell (1, 0)"
+
+
+# numpy's Poisson sampler rejects a rate above 9.22337e+18 or a NaN one;
+# each such replication fails by name and the study goes on.
+@pytest.mark.parametrize("flags", [
+    ["--study", "tweedie", "--p-grid", "1.5", "--phi-grid", "1e-300"],
+    ["--study", "tweedie", "--p-grid", "1.5", "--phi-grid", "1e-320"],
+    *(["--study", "correct", "--dgp", "tweedie", "--phi", phi, *method]
+      for phi in ("1e-20", "1e-300", "1e-320") for method in ([], ["--method", "odp"])),
+    ["--study", "correct", "--dgp", "count-hierarchy", "--mu", "1e300"],
+    ["--study", "correct", "--dgp", "count-hierarchy", "--kappa", "1e-320"],
+], ids=lambda flags: " ".join(flags[1:]))
+def test_a_poisson_rate_numpy_rejects_fails_its_replication(tmp_path, capsys, flags):
+    assert main(["simulate", *flags, "--seed", "1", "--M", "2", "--B", "20",
+                 "--out-dir", str(tmp_path)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    (row,) = read_json(tmp_path / f"runoff_{flags[1]}.json")["rows"]
+    assert (row["n_reps"], row["n_effective"], row["failures"]) == (2, 0, 2)
+    for reason in row["failure_reasons"].split("; "):
+        assert re.fullmatch(r"generation: Poisson rate (\S+) is not finite or exceeds "
+                            r"numpy's limit 9\.22337e\+18", reason), reason
 
 
 class TestDegenerateInput:
@@ -571,6 +636,17 @@ class TestSimulate:
                                      for d in (by_file, by_flags))
         assert file_report["config"]["J"] == flags_report["config"]["J"] == 10
         assert file_report["rows"] == flags_report["rows"]
+
+    def test_a_pattern_f_cannot_hold_fails_every_replication(self, tmp_path):
+        # F = cumsum(pi) rounds 0.5 + 1e-17 to 0.5: not strictly increasing.
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("pi_true = 0.5, 1e-17, 0.3, 0.1, 0.1\nM = 2\nB = 10\n")
+        assert main(["simulate", "--study", "correct", "--config", str(cfg), "--seed", "1",
+                     "--out-dir", str(tmp_path)]) == 0
+        (row,) = read_json(tmp_path / "runoff_correct.json")["rows"]
+        assert (row["n_reps"], row["n_effective"], row["failures"]) == (2, 0, 2)
+        assert row["failure_reasons"] == ("PatternError: F must be strictly increasing "
+                                          "with F[J-1] = 1")
 
     def test_bad_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.cfg"

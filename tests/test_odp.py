@@ -6,14 +6,15 @@ reshuffling interior cells moves its answers.
 """
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
 import pytest
 
-from runoff.odp import OdpError, OdpFit, odp_bootstrap, odp_fit
+from runoff.odp import OdpError, OdpFit, _odp_draws, odp_bootstrap, odp_fit
 from runoff.patterns import chain_ladder_pattern, cl_ultimates, link_ratios
-from runoff.predictive import multinomial_bootstrap
+from runoff.predictive import YearPredictive, _year_summary, multinomial_bootstrap
 from runoff.triangle import Triangle, bundled_triangle, latest_diagonal
 
 TA_CL_TOTAL = 18_680_855.6
@@ -84,6 +85,23 @@ class TestFit:
             odp_fit(t)
 
 
+def reference_years(fit: OdpFit, B: int, seed: int) -> list[YearPredictive]:
+    """Each accident year as odp_bootstrap built it in a loop of its own:
+    F at the year's last lag, no c*F, the projected future summed as the
+    point, the kernel's draws (B zeros for a fully developed year) and
+    their summary."""
+    sums, _ = _odp_draws(fit, B, seed, {})
+    F, points, drawn = fit.pattern_F(), np.nansum(fit.projected_future, axis=1), iter(sums)
+    years = []
+    for i in range(fit.I):
+        last = min(fit.J - 1, fit.I - 1 - i)
+        draws = next(drawn) if last < fit.J - 1 else np.zeros(B)
+        years.append(YearPredictive(accident=i + 1, F=float(F[last]), c_times_F=float("nan"),
+                                    point_reserve=float(points[i]), draws=draws,
+                                    summary=_year_summary(draws, False)))
+    return years
+
+
 class TestBootstrap:
     def test_reproducible_by_seed(self):
         fit = odp_fit(bundled_triangle("raa"))
@@ -92,6 +110,17 @@ class TestBootstrap:
         d3 = odp_bootstrap(fit, 300, seed=9)
         assert np.array_equal(d1.total, d2.total)
         assert not np.array_equal(d1.total, d3.total)
+        # The shared per-year view reproduces the years field by field.
+        for name, B in (("taylor-ashe", 200), ("raa", 1)):
+            fit = odp_fit(bundled_triangle(name))
+            dist = odp_bootstrap(fit, B, seed=8)
+            ref = reference_years(fit, B, seed=8)
+            assert len(dist.per_year) == len(ref) == fit.I
+            for y, r in zip(dist.per_year, ref):
+                assert math.isnan(y.c_times_F) and math.isnan(r.c_times_F)
+                assert y.draws.tobytes() == r.draws.tobytes()
+                assert {**vars(y), "c_times_F": 0, "draws": 0} == {**vars(r), "c_times_F": 0,
+                                                                     "draws": 0}
 
     def test_taylor_ashe_bands(self):
         fit = odp_fit(bundled_triangle("taylor-ashe"))

@@ -370,7 +370,8 @@ class TestParallelDraws:
         return (multinomial_bootstrap(diag, pattern, 13.4, B, seed=5),
                 bf_bootstrap(E, 1.3, pattern, 13.4, B, seed=6))
 
-    @pytest.mark.parametrize("B, chunk", [(2000, 1 << 15), (2000, 300), (2001, 512)])
+    @pytest.mark.parametrize("B, chunk", [(2000, 1 << 15), (2000, 300), (2001, 512), (1, 512),
+                                          (2, 512), (3, 1)])
     def test_pool_matches_serial(self, monkeypatch, pool_calls, B, chunk):
         # Each year is summarised on the pool, through scratch rows the
         # workers pass around; a row two workers shared would show here.
@@ -399,6 +400,8 @@ class TestParallelDraws:
             assert a.anchor == b.anchor
             assert np.array_equal(a.total, b.total)
             assert a.summary == b.summary
+            # Year 1 is fully developed: B zeros, summarised as B zeros are.
+            assert a.per_year[0].summary == _summarise(np.zeros(a.total.size), False)
             for ya, yb in zip(a.per_year, b.per_year):
                 assert ya.summary == yb.summary
                 if ya.draws is None:
@@ -497,6 +500,10 @@ def same_as_reference(dist, ref, B) -> None:
             assert y.draws.tobytes() == draws[y.accident].tobytes()
         elif not y.excluded:  # fully developed
             assert y.F >= 1.0 - 1e-12 and y.draws.tobytes() == np.zeros(B).tobytes()
+        # Every year's summary, a fully developed year's included, is the
+        # summary of its own draws (or the message of one that fails).
+        assert y.summary == (None if y.excluded
+                             else predictive._year_summary(y.draws, y.mean_suppressed))
     assert dist.total.tobytes() == total.tobytes()
     if dist.summary["mean"] is not None:
         assert dist.summary["mean"] == float(total.mean())

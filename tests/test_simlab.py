@@ -135,6 +135,28 @@ class TestGenerateTriangle:
         assert all(float(v).is_integer() for v in t.cells.values())
         assert truth >= 0.0
 
+    @pytest.mark.parametrize("cfg", [SimConfig(dgp="tweedie", phi=2.4e-16, seed=1),
+                                     SimConfig(dgp="count-hierarchy", mu=6.4e18, seed=1)],
+                             ids=["tweedie", "count-hierarchy"])
+    def test_a_poisson_rate_numpy_rejects_fails_its_replication_alone(self, cfg):
+        # Replications 0 and 1 draw Poisson rates just under numpy's limit
+        # (9.22337e18), 2 and 3 just over it. The two over it fail by name
+        # with NaN values; the two under it draw what they draw alone.
+        roots = simlab._derive_ids(np.zeros(4, dtype=np.uint64), simlab._SIM_DOMAIN,
+                                   np.arange(4))
+        sq = simlab._generate(cfg, roots)
+        message = r"Poisson rate \S+ is not finite or exceeds numpy's limit 9\.22337e\+18"
+        for rep in (0, 1):
+            assert sq.faults[rep] is None
+            t, truth = generate_triangle(cfg, rep)
+            assert t.values.tobytes() == sq.values[rep].tobytes()
+            assert truth == sq.truth[rep]
+        for rep in (2, 3):
+            assert re.fullmatch(message, sq.faults[rep])
+            assert np.isnan(sq.values[rep]).all()
+            with pytest.raises(SimulationError, match=f"^generation: {message}$"):
+                generate_triangle(cfg, rep)
+
     def test_nonstationary_at_zero_variance_reproduces_base_model(self):
         base = SimConfig(dgp="dirichlet-gamma", seed=21)
         pert = SimConfig(dgp="nonstationary", sigma_delta=0.0, seed=21)
