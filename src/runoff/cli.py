@@ -2,10 +2,11 @@
 
 Every run writes a manifest (command, parameters, seed, version, input
 digests, wall clock) next to its report so results can be reproduced
-from the artifact alone. Report files themselves carry no timing
-information; given the same inputs, flags and seed they are written
-byte for byte identically, regardless of --threads. main builds the
-argument parser once per process, on its first call, and then reuses it.
+from the artifact alone. Given the same inputs, flags and seed, a report
+is written byte for byte identically. Across --threads a study's CSV is
+identical and its JSON differs only in the config's "threads" field;
+every study JSON carries "runtime_s": 0.0. main builds the argument
+parser once per process, on its first call, and then reuses it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import numpy as np
 
 from . import __version__
 from .concentration import ConcentrationError, estimate_c
-from .odp import OdpError
 from .patterns import (
     PatternError,
     bf_ultimates,
@@ -42,11 +42,10 @@ from .predictive import (
     multinomial_bootstrap,
 )
 from .simlab import (
-    ReportError,
     SimConfig,
     SimulationError,
     SimulationReport,
-    _json_text,
+    _write_csv,
     _write_json,
     compare_odp,
     nonstationarity_sweep,
@@ -59,6 +58,7 @@ from .simlab import (
 )
 from .triangle import (
     _BUNDLED,
+    RunoffError,
     Triangle,
     TriangleError,
     _bundled_file,
@@ -68,16 +68,7 @@ from .triangle import (
 )
 
 
-_ERRORS = (
-    ReportError,
-    TriangleError,
-    PatternError,
-    ConcentrationError,
-    PredictiveError,
-    OdpError,
-    SimulationError,
-    OSError,
-)
+_ERRORS = (RunoffError, OSError)
 
 
 def _sha256(path: Path) -> str:
@@ -351,20 +342,14 @@ def cmd_bootstrap(args) -> int:
 
 
 def _write_bootstrap_csv(path: Path, report: dict) -> None:
-    import csv as _csv
-
-    _json_text(report)  # a non-finite value raises before the file opens
     cols = ["accident", "F", "c_times_F", "point_reserve", "mean", "se",
             "q5", "q25", "q50", "q75", "q95", "excluded", "exclusion_reason",
             "mean_suppressed"]
     # Each year's row, then the total's, None and absent values left blank.
-    *years, total = [["" if r.get(c) is None else r[c] for c in cols]
+    *years, total = [[r.get(c) for c in cols]
                      for r in (*report["per_year"], {"accident": "total", **report["summary"]})]
-    with open(path, "w", newline="") as fh:
-        w = _csv.writer(fh)
-        w.writerows([cols, *years, [], total])
-        if "floored_lags" in report:
-            w.writerow(["floored_lags", *report["floored_lags"]])
+    floored = [["floored_lags", *report["floored_lags"]]] if "floored_lags" in report else []
+    _write_csv(path, [cols, *years, [], total, *floored], report)
 
 
 _DUMP_ROWS = 2048  # draws formatted at a time

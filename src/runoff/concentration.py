@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .triangle import Triangle
+from .triangle import RunoffError, Triangle
 
 _MIN_ROWS = 3
 _HETEROGENEOUS_BELOW = 30.0
@@ -26,7 +26,7 @@ _DELTA_AT_OR_ABOVE = 100.0
 _AGGREGATE_KMIN = 2
 
 
-class ConcentrationError(ValueError):
+class ConcentrationError(RunoffError):
     """Concentration estimation cannot proceed on the given input."""
 
 

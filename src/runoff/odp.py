@@ -18,7 +18,7 @@ import numpy as np
 from .distributions import RngStream
 from .patterns import PatternError, _cumulative_pattern, _link_ratio_block
 from .predictive import ReserveDistribution, _b_fault, _distribution, _fold_and_check
-from .triangle import Triangle, _diagonal_totals, _n_observed, _observed_mask
+from .triangle import RunoffError, Triangle, _diagonal_totals, _n_observed, _observed_mask
 
 _ODP_DOMAIN = 2  # stream tag for the residual bootstrap
 _POOL_FLOOR = 1e-9  # fitted means at or below this leave the residual pool
@@ -26,7 +26,7 @@ _MEAN_FLOOR = 1e-12
 _MAX_REDRAWS = 100
 
 
-class OdpError(ValueError):
+class OdpError(RunoffError):
     """The ODP fit or bootstrap cannot proceed on the given input."""
 
 
@@ -180,8 +180,6 @@ def _odp_draws(fit: OdpFit, B: int, seed: int, work: dict) -> tuple[np.ndarray, 
         raise OdpError("empty residual pool: every fitted mean is degenerate")
     pool = pool * np.sqrt(fit.n_cells / fit.dof)
     diagonal = [first[i] + last[i] for i in open_years]
-    # Lag j is refitted from the first reach[j] years, those observing lag j + 1.
-    reach = [sum(L > j for L in last) for j in range(J - 1)]
 
     g = RngStream(seed).derive(_ODP_DOMAIN).generator()
 
@@ -198,19 +196,11 @@ def _odp_draws(fit: OdpFit, B: int, seed: int, work: dict) -> tuple[np.ndarray, 
         for a, b in zip(first[:-1], first[1:]):
             for k in range(a + 1, b):
                 cum[k] += cum[k - 1]
-        if idx.shape[0] > 1:
-            # Column sums added one year after another; year 1 observes
-            # every lag.
-            num, den = cum[1 : first[1]].copy(), cum[: first[1] - 1].copy()
-            for a, L in zip(first[1:], last[1:]):
-                num[:L] += cum[a + 1 : a + L + 1]
-                den[:L] += cum[a : a + L]
-        else:
-            # A lone replication's column is one contiguous vector, which
-            # numpy sums pairwise.
-            col = cum[:, 0]
-            num = np.array([[col[first[:n] + j + 1].sum()] for j, n in enumerate(reach)])
-            den = np.array([[col[first[:n] + j].sum()] for j, n in enumerate(reach)])
+        # Column sums added one year after another; year 1 observes every lag.
+        num, den = cum[1 : first[1]].copy(), cum[: first[1] - 1].copy()
+        for a, L in zip(first[1:], last[1:]):
+            num[:L] += cum[a + 1 : a + L + 1]
+            den[:L] += cum[a : a + L]
         with np.errstate(invalid="ignore", divide="ignore"):
             factors = num / den
         valid = np.all((num > 0.0) & (den > 0.0), axis=0)
@@ -284,11 +274,10 @@ def odp_bootstrap(fit: OdpFit, B: int, seed: int) -> ReserveDistribution:
          as scale * standard_gamma(shape).
     Second, the summation order. Pseudo cumulatives add lag by lag. Each
     refitted factor's column sums add the accident years one after
-    another, except in a round that refits a single replication, where
-    the column is summed as one vector by numpy's pairwise sum. Future
-    means multiply the factors lag by lag, then scale by the latest
-    pseudo cumulative. Each year's process-error total is numpy's
-    pairwise sum over its future cells (8-way blocks from 8 cells on).
+    another, in every round and at any B. Future means multiply the
+    factors lag by lag, then scale by the latest pseudo cumulative. Each
+    year's process-error total is numpy's pairwise sum over its future
+    cells (8-way blocks from 8 cells on).
 
     The draws come from _odp_draws and the checked total from
     predictive._fold_and_check, both of which the coverage studies call

@@ -13,13 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .triangle import Triangle, _observed_mask, latest_diagonal
+from .triangle import RunoffError, Triangle, _observed_mask, latest_diagonal
 
 _SIMPLEX_TOL = 1e-12
 _PI_FLOOR = 1e-10
 
 
-class PatternError(ValueError):
+class PatternError(RunoffError):
     """A development pattern cannot be produced from the given input."""
 
 
@@ -28,7 +28,8 @@ class DevelopmentPattern:
     """Incremental proportions pi on the simplex with cumulative F.
 
     Invariants: pi_j > 0, sum(pi) = 1 within 1e-12, F strictly
-    increasing with terminal value 1. floored_lags: the lags floored at 1e-10.
+    increasing from F[0] > 0 to terminal value 1. floored_lags: the lags
+    floored at 1e-10.
     """
 
     pi: np.ndarray
@@ -49,6 +50,8 @@ class DevelopmentPattern:
             raise PatternError("F must be strictly increasing with F[J-1] = 1")
         if np.max(np.abs(np.cumsum(pi) - F)) > 1e-9:
             raise PatternError("F must be the cumulative sum of pi")
+        if F[0] <= 0.0:
+            raise PatternError(f"F[0] must be positive, got {F[0]}")
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "F", F)
 
@@ -135,9 +138,7 @@ def _diagonal_and_F(t: Triangle, p: DevelopmentPattern) -> tuple[np.ndarray, np.
 
 def _cl_reserves(obs: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Chain-ladder ultimates and reserves of observed totals obs (..., I)
-    at cumulative proportions F (I,)."""
-    if np.any(F <= 0.0):
-        raise PatternError("cannot gross up a row with zero cumulative proportion")
+    at cumulative proportions F (I,), each positive as a pattern's are."""
     ultimates = obs / F
     return ultimates, ultimates - obs
 

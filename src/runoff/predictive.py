@@ -19,7 +19,7 @@ import numpy as np
 
 from .distributions import _MASK64, _derive_ids, _stream_generators, beta_prime_moments
 from .patterns import DevelopmentPattern
-from .triangle import DiagonalSummary
+from .triangle import DiagonalSummary, RunoffError
 
 _ROW_DOMAIN = 1  # stream tag for per-accident-year draws
 _SUPPRESS_AT_OR_BELOW = 2.0  # c*F at or below this keeps draws but hides the mean
@@ -31,7 +31,7 @@ _PARALLEL_MIN_B = 50_000  # from this B on, accident years are drawn on a thread
 DEFAULT_INCLUSION_THRESHOLD = 5.0
 
 
-class PredictiveError(ValueError):
+class PredictiveError(RunoffError):
     """The predictive distribution cannot be formed from the given input."""
 
 

@@ -100,6 +100,7 @@ from .predictive import (
 )
 from .triangle import (
     _NON_FINITE_EXPOSURE,
+    RunoffError,
     Triangle,
     _diagonal_totals,
     _observed_mask,
@@ -153,11 +154,11 @@ _BLOCK_REPS = 64
 _SLICE_DRAWS = 1 << 14
 
 
-class SimulationError(ValueError):
+class SimulationError(RunoffError):
     """A study configuration is invalid or a study cannot proceed."""
 
 
-class ReportError(ValueError):
+class ReportError(RunoffError):
     """A value bound for a report or manifest is not a finite number."""
 
 
@@ -196,6 +197,14 @@ def _json_text(v, where: str = "report", pad: str = "\n") -> str:
 def _write_json(path, payload, where: str = "report") -> None:
     # Built in full before the file is opened: a rejected value leaves no file.
     Path(path).write_text(_json_text(payload, where) + "\n")
+
+
+def _write_csv(path, rows, payload, where: str = "report") -> None:
+    """rows written by csv.writer, None as an empty cell, once payload has
+    passed _json_text: a rejected value leaves no file."""
+    _json_text(payload, where)
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
 
 
 @dataclass(frozen=True)
@@ -297,12 +306,9 @@ class SimulationReport:
         return list(dict.fromkeys(key for row in self.rows for key in row))
 
     def write_csv(self, path) -> None:
-        _json_text(self.rows, "rows")  # a non-finite cell raises before the file opens
         cols = self.columns()
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(cols)
-            w.writerows([row.get(k) for k in cols] for row in self.rows)  # None: an empty cell
+        _write_csv(path, [cols, *([row.get(k) for k in cols] for row in self.rows)],
+                   self.rows, "rows")
 
     def write_json(self, path) -> None:
         _write_json(path, {"study": self.study, "config": self.config,

@@ -23,7 +23,12 @@ from types import MappingProxyType
 import numpy as np
 
 
-class TriangleError(ValueError):
+class RunoffError(ValueError):
+    """The base of every error class the package defines; the CLI reports
+    any of them as one error line."""
+
+
+class TriangleError(RunoffError):
     """Input data cannot form a valid run-off triangle."""
 
 

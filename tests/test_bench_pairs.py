@@ -81,3 +81,13 @@ def test_summary_lines_read_n_a_where_the_parent_median_is_zero():
     draws, ms = bench_pairs.summary_lines(w)
     assert "0 -> 5 (n/a), won 2/2" in draws
     assert "2 -> 1 (-50.0%), won 2/2" in ms
+
+
+def test_code_facts_count_lines_statements_and_exports(tmp_path):
+    src = tmp_path / "src" / "runoff"
+    src.mkdir(parents=True)
+    (src / "__init__.py").write_text('"""Doc."""\n\n__all__ = ["f", "g"]\n')
+    # Two statements over five lines: a def holding one return.
+    (src / "m.py").write_text("def f(x):\n    return (\n        x\n        + 1)\n\n")
+    assert bench_pairs.code_facts(tmp_path) == {
+        "src_runoff_lines": 8, "src_runoff_statements": 4, "all_size": 2}

@@ -295,9 +295,10 @@ def assert_one_error_line(capsys, text: str) -> None:
     ["simulate", "--study", "compare-odp", "--M", "1"],
     ["bootstrap", "raa", "--seed", "1"],
 ])
-@pytest.mark.parametrize("B", [10**30, 2**62])
+@pytest.mark.parametrize("B", [10**30, 2**62, 2**59])
 def test_a_b_numpy_cannot_size_is_one_error_line(tmp_path, capsys, argv, B):
-    # numpy rejects these sizes before it allocates anything.
+    # numpy rejects these sizes before it allocates anything; 2**59 only at
+    # a (rows, B) array of ten rows or more.
     out = tmp_path / "out"
     assert main([*argv, "--B", str(B), "--out-dir", str(out)]) == 1
     assert_one_error_line(capsys, f"B = {B} is too large")
@@ -558,6 +559,30 @@ class TestSimulate:
             main(["simulate", "--study", "grid", "--grid-i", "inf",
                   "--out-dir", str(tmp_path)])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("grid,message", [
+        ("x", "could not convert string to float: 'x'"),
+        (",", "expected a comma-separated list of numbers"),
+    ], ids=["word", "comma"])
+    def test_unreadable_grid_is_a_usage_error(self, tmp_path, capsys, grid, message):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--study", "nonstat", "--sigma-grid", grid, "--out-dir", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --sigma-grid: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["correct", "--phi", "0"], "phi, kappa and mu must be positive"),
+        (["conservatism", "--M", "1"], "need at least two replications"),
+    ], ids=["phi-0", "conservatism-M-1"])
+    def test_out_of_range_parameter_is_one_error_line(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        code = main(["simulate", "--study", *argv, "--seed", "2", "--out-dir", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_sigma_c_study(self, tmp_path):
         code = main(["simulate", "--study", "sigma-c", "--c-values", "50",

@@ -136,16 +136,18 @@ STUDY_DEFAULTS = {
 # total and the redraw count). The redraw counts are asserted exactly, so
 # the mortgage cases keep covering the redraw branch: at B = 20 000 it
 # redraws hundreds of replications, and at B = 20, seed 14, one redraw
-# round refits a single replication, as does every fit at B = 1.
+# round refits a single replication, as does every fit at B = 1. Both
+# one-replication cases are summed like any other round: each factor's
+# column sums add the accident years one after another.
 ODP_DRAWS = {
     "taylor-ashe": ("taylor-ashe", 2000, 1, 0,
                     "f6aa1454c055d24bd98570e56fda9f010b9e68b5d9a930f4aebc6edc2cd03c61"),
     "mortgage": ("mortgage", 20_000, 1, 568,
                  "4ee1ead650bd398f9e8d6e4e8b1283d3e062267df5c28fe7d209d28bf8f4e431"),
     "mortgage-lone-redraw": ("mortgage", 20, 14, 1,
-                             "1121a1c66a5a390f3461408c5a9323f2898b70e6e77a3aaef6f2177dbaefbde8"),
+                             "98188621a845bb44ef802e2509ea2c91fa5f919bc17cdd54f8d4980fb245df1d"),
     "raa-b1": ("raa", 1, 3, 0,
-               "b5f2425b923c8ef547524336daf7a319ed2d4e9de096738eda75fcae4fac409b"),
+               "c879acc22b2d730b07bf0912e4afce91675ceec2886aebeb012d01cbb3860022"),
 }
 
 

@@ -18,7 +18,8 @@ from runoff.patterns import (
     cl_ultimates,
     link_ratios,
 )
-from runoff.triangle import Triangle, bundled_triangle, cumulate
+from runoff.predictive import bf_bootstrap, multinomial_bootstrap
+from runoff.triangle import DiagonalSummary, Triangle, bundled_triangle, cumulate
 
 
 def hand_triangle():
@@ -111,6 +112,18 @@ class TestDevelopmentPattern:
                                method="x")  # F is not cumsum(pi)
         with pytest.raises(PatternError):
             DevelopmentPattern(pi=np.array([1.0]), F=np.array([1.0]), method="x")
+
+    # F matches cumsum(pi) to within 1e-9 here, so only the F[0] check stops
+    # these patterns; past it, the Beta draws failed inside numpy.
+    @pytest.mark.parametrize("F0", [0.0, -1e-10])
+    @pytest.mark.parametrize("bootstrap", [
+        lambda p: multinomial_bootstrap(DiagonalSummary((100.0, 50.0), (1, 0)), p, 50.0, 10, 1,
+                                        inclusion_threshold=0.0),
+        lambda p: bf_bootstrap(np.array([100.0, 50.0]), 1.0, p, 50.0, 10, 1),
+    ], ids=["multinomial", "bf"])
+    def test_non_positive_first_F_never_reaches_a_bootstrap(self, F0, bootstrap):
+        with pytest.raises(PatternError, match=r"F\[0\] must be positive"):
+            bootstrap(DevelopmentPattern(pi=(1e-12, 1 - 1e-12), F=(F0, 1.0), method="x"))
 
     def test_F_at_lag(self):
         p = chain_ladder_pattern(hand_triangle())

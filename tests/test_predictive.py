@@ -264,9 +264,10 @@ class TestMultinomialBootstrap:
             multinomial_bootstrap(DiagonalSummary((1e306,), (0,)), pattern, 1e5, 10, 1)
 
 
-@pytest.mark.parametrize("B", [10**30, 2**62])
+@pytest.mark.parametrize("B", [10**30, 2**62, 2**59])
 def test_a_b_numpy_cannot_size_is_a_named_error(B):
-    # numpy rejects these sizes before it allocates anything.
+    # numpy rejects these sizes before it allocates anything. 2**59 passes
+    # the one-row check of B and fails only the kernel's (n * I, B) one.
     t = bundled_triangle("raa")
     pattern = chain_ladder_pattern(t)
     message = f"^B = {B} is too large"

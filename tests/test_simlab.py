@@ -92,6 +92,10 @@ class TestSimConfig:
             SimConfig(p=2.0)
         with pytest.raises(SimulationError, match="threads"):
             SimConfig(threads=0)
+        with pytest.raises(SimulationError, match="^phi, kappa and mu must be positive$"):
+            SimConfig(phi=0.0)
+        with pytest.raises(SimulationError, match="^exposure_rate must be positive$"):
+            SimConfig(exposure_rate=0.0)
         with pytest.raises(SimulationError, match="inclusion_threshold"):
             SimConfig(inclusion_threshold=-1.0)
         with pytest.raises(SimulationError, match="sum to one"):

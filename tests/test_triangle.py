@@ -55,6 +55,14 @@ class TestConstruction:
         cells[(3, 1)] = 5.0
         with pytest.raises(TriangleError, match="future cell"):
             Triangle.from_cells(3, 3, "amounts", cells)
+        values = small_triangle().values.copy()
+        values[2, 1] = 5.0
+        with pytest.raises(TriangleError, match=r"^future cell \(3, 1\): i \+ j exceeds I = 3$"):
+            Triangle(values)
+
+    def test_values_must_be_2d(self):
+        with pytest.raises(TriangleError, match="must be a 2-D array, got 1 dimensions"):
+            Triangle(np.ones(3))
 
     def test_index_outside_grid(self):
         cells = dict(small_triangle().cells)
@@ -96,6 +104,9 @@ class TestConstruction:
     def test_exposures_length_checked(self):
         with pytest.raises(TriangleError, match="exposures"):
             Triangle.from_cells(3, 3, "amounts", dict(small_triangle().cells), (1.0, 2.0))
+        with pytest.raises(TriangleError, match="^non-finite exposure value$"):
+            Triangle.from_cells(3, 3, "amounts", dict(small_triangle().cells),
+                                (1.0, float("nan"), 2.0))
 
     def test_with_exposures(self):
         t = small_triangle().with_exposures([1, 2, 3])
@@ -187,6 +198,10 @@ class TestLongFormat:
         assert t.cells[(2, 1)] == 12.0
         assert t.exposures == (100.0, 200.0, 300.0)
 
+    def test_bytes_source(self):
+        t = load_triangle(io.BytesIO(LONG_CSV.encode()))
+        assert dict(t.cells) == dict(load_triangle(io.StringIO(LONG_CSV)).cells)
+
     def test_explicit_exposures_win_over_column(self):
         t = load_triangle(io.StringIO(LONG_CSV), exposures=(7, 8, 9))
         assert t.exposures == (7.0, 8.0, 9.0)
@@ -252,6 +267,19 @@ class TestWideFormat:
     def test_unknown_format(self):
         with pytest.raises(TriangleError, match="unknown format"):
             load_triangle(io.StringIO(LONG_CSV), format="square")
+
+
+@pytest.mark.parametrize("format,text,message", [
+    ("long", "accident,lag,value,notes\n1,0,10,x\n", "unexpected columns in long header"),
+    ("long", "accident,lag,value\n1,0\n", "line 2: expected at least 3 fields"),
+    ("long", "accident,lag,value\n", "no data rows"),
+    ("wide", "", "empty input"),
+    ("wide", "year,lag0,lag1\n1,10,6\n", "wide format needs header accident,lag0"),
+    ("wide", WIDE_CSV + "1,10,6,4\n", r"duplicate cell \(1, 0\) at line 5"),
+])
+def test_malformed_file_is_named(format, text, message):
+    with pytest.raises(TriangleError, match=message):
+        load_triangle(io.StringIO(text), format=format)
 
 
 class TestLoaderDeterminism:

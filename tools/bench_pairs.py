@@ -12,8 +12,8 @@ that change exceeds the parent's interquartile range; it also gives the
 seeds and whether the two sides' report digests were equal in every pair.
 A workload and seed run with --trace 1 on both sides adds its per-layer
 metrics, parent and change side by side. Per checkout it records the
-lines under src/runoff and the size of runoff.__all__. The JSON goes to
-BENCH_<n>.json in the change checkout.
+lines and the AST statements under src/runoff and the size of
+runoff.__all__. The JSON goes to BENCH_<n>.json in the change checkout.
 """
 
 from __future__ import annotations
@@ -36,13 +36,18 @@ def records(root: Path, trace: int) -> dict[tuple[str, int], dict]:
 
 
 def code_facts(root: Path) -> dict:
+    """The physical lines and the AST statements of the modules under
+    src/runoff, and the size of runoff.__all__."""
     src = root / "src" / "runoff"
-    lines = sum(len(p.read_text().splitlines()) for p in sorted(src.glob("*.py")))
+    texts = [p.read_text() for p in sorted(src.glob("*.py"))]
+    statements = sum(isinstance(node, ast.stmt)
+                     for text in texts for node in ast.walk(ast.parse(text)))
     tree = ast.parse((src / "__init__.py").read_text())
     exported = next(ast.literal_eval(node.value) for node in tree.body
                     if isinstance(node, ast.Assign)
                     and any(getattr(t, "id", None) == "__all__" for t in node.targets))
-    return {"src_runoff_lines": lines, "all_size": len(exported)}
+    return {"src_runoff_lines": sum(len(text.splitlines()) for text in texts),
+            "src_runoff_statements": statements, "all_size": len(exported)}
 
 
 def spread(values: list[float]) -> dict:
