@@ -21,17 +21,18 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _POISSON_LAM_MAX = float(2**63 - 1 - 10 * np.sqrt(2**63 - 1))
 
 
-def _splitmix64(x: int) -> int:
-    """One splitmix64 round: a full-avalanche permutation of 64-bit ints."""
-    x = (x + _GOLDEN) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (x ^ (x >> 31)) & _MASK64
+def _words64(x) -> np.ndarray:
+    """x mod 2^64 as a 1-d uint64 array: an int of any sign as one word,
+    an integer array word by word."""
+    if np.ndim(x) == 0:
+        return np.array([int(x) & _MASK64], dtype=np.uint64)
+    return np.asarray(x).astype(np.uint64)
 
 
-def _splitmix64_array(x: np.ndarray) -> np.ndarray:
-    """_splitmix64 over a 1-d uint64 array; the products wrap modulo 2^64
-    (a 0-d operand would warn on that overflow instead)."""
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """One splitmix64 round, a full-avalanche permutation of 64-bit words,
+    over a 1-d uint64 array; the products wrap modulo 2^64 (a 0-d operand
+    would warn on that overflow instead)."""
     x = x + np.uint64(_GOLDEN)
     x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
@@ -39,15 +40,16 @@ def _splitmix64_array(x: np.ndarray) -> np.ndarray:
 
 
 def _derive_ids(stream_ids, *indices) -> np.ndarray:
-    """RngStream.derive's fold over many streams: the (n,) uint64 ids of
-    RngStream(s, stream_ids[k]).derive(*indices) for k < n. Each index is
-    an int, shared by every stream, or an (n,) integer array."""
-    sid = np.array(stream_ids, dtype=np.uint64, ndmin=1)
+    """The (n,) uint64 ids of n child streams: each index in turn is
+    folded into the stream id through splitmix64, id -> splitmix64(id ^
+    splitmix64(index)), so structured keys such as (replication, accident
+    year) map to well-separated ids however the work is scheduled.
+    stream_ids and each index are an int shared by every stream (any
+    sign, taken mod 2^64) or an (n,) integer array. Folding is
+    sequential: folding (a, b) folds a, then b."""
+    sid = _words64(stream_ids)
     for ix in indices:
-        if np.ndim(ix) == 0:
-            sid = _splitmix64_array(sid ^ np.uint64(_splitmix64(int(ix) & _MASK64)))
-        else:
-            sid = _splitmix64_array(sid ^ _splitmix64_array(np.asarray(ix).astype(np.uint64)))
+        sid = _splitmix64(sid ^ _splitmix64(_words64(ix)))
     return sid
 
 
@@ -112,10 +114,13 @@ def _register_pool_state() -> None:
 
 
 def _stream_generators(seeds, stream_ids) -> list[np.random.Generator]:
-    """[RngStream(s, i).generator() for s, i in zip(seeds, stream_ids)],
-    bit for bit, with numpy's SeedSequence hashing run once over all n
-    streams. seeds and stream_ids are (n,) arrays of integers in
-    [0, 2^64).
+    """The generators of n streams, stream k seeded by (seeds[k],
+    stream_ids[k]): the generator
+    np.random.Generator(np.random.PCG64(np.random.SeedSequence((s, i))))
+    gives, bit for bit, with SeedSequence's hashing run once over all n.
+    seeds and stream_ids are each an int shared by every stream (any sign,
+    taken mod 2^64) or an (n,) integer array. The tests hold that numpy
+    construction as the reference.
 
     SeedSequence((s, i)) takes as entropy the 32-bit words of s and then
     those of i, low word first, where a value below 2^32 (0 included) is
@@ -127,8 +132,7 @@ def _stream_generators(seeds, stream_ids) -> list[np.random.Generator]:
     stream's four state words, built as lo | hi << 32, seed its PCG64
     through _PoolState.
     """
-    seeds = np.array(seeds, dtype=np.uint64, ndmin=1)
-    ids = np.array(stream_ids, dtype=np.uint64, ndmin=1)
+    seeds, ids = np.broadcast_arrays(_words64(seeds), _words64(stream_ids))
     hi = np.uint64(32)
     # s_lo, s_hi, i_lo, i_hi (the uint32 cast keeps the low word); where
     # s_hi is 0 the entropy is the same words in the order 0, 2, 3, 1.
@@ -151,39 +155,20 @@ def _stream_generators(seeds, stream_ids) -> list[np.random.Generator]:
 
 @dataclass(frozen=True)
 class RngStream:
-    """Splittable random stream identified by (seed, stream_id).
-
-    Child streams are derived by folding integer indices through
-    splitmix64, so structured keys such as (replication, accident year)
-    map to well-separated stream ids no matter how the work is
-    scheduled. Folding is sequential: ``derive(a, b)`` equals
+    """Splittable random stream identified by (seed, stream_id): the one
+    stream case of _derive_ids and _stream_generators, which define the
+    streams and open many at once. ``derive(a, b)`` equals
     ``derive(a).derive(b)``.
-
-    Code that opens many streams at once takes the batched form of the
-    same two steps: _derive_ids folds indices over an array of stream
-    ids, and _stream_generators(seeds, ids) returns the generators
-    ``[RngStream(s, i).generator() for s, i in zip(seeds, ids)]`` would,
-    bit for bit, with the seed hashing done once for all of them. These
-    two methods stay the single-stream path and the reference the
-    batched form is tested against.
     """
 
     seed: int
     stream_id: int = 0
 
     def derive(self, *indices: int) -> RngStream:
-        sid = self.stream_id & _MASK64
-        for ix in indices:
-            sid = _splitmix64(sid ^ _splitmix64(ix & _MASK64))
-        return RngStream(self.seed, sid)
+        return RngStream(self.seed, int(_derive_ids(self.stream_id, *indices)[0]))
 
     def generator(self) -> np.random.Generator:
-        # The generator default_rng builds from a SeedSequence, built
-        # directly: default_rng's dispatch costs about a quarter of
-        # the call.
-        return np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence((self.seed & _MASK64, self.stream_id & _MASK64))
-        ))
+        return _stream_generators(self.seed, self.stream_id)[0]
 
 
 class BetaPrimeMoments(NamedTuple):

@@ -144,11 +144,12 @@ def _work_array(work: dict, name: str, shape: tuple, dtype=float) -> np.ndarray:
     return buf[:size].view(dtype).reshape(shape)
 
 
-def _odp_draws(fit: OdpFit, B: int, seed: int, work: dict) -> tuple[np.ndarray, int]:
+def _odp_draws(fit: OdpFit, B: int, g: np.random.Generator, work: dict) -> tuple[np.ndarray, int]:
     """The draw kernel of odp_bootstrap: the B process-error totals of each
     accident year with future cells, in year order, as an (open years, B)
-    array, and the number of redrawn replications. With dispersion <= 0
-    each of those years holds its point reserve instead.
+    array, and the number of redrawn replications, all drawn from g as
+    odp_bootstrap's docstring fixes. With dispersion <= 0 each of those
+    years holds its point reserve instead.
 
     work holds the kernel's large arrays between calls, the returned one
     among them, so a caller that keeps work for many fits of one shape
@@ -180,8 +181,6 @@ def _odp_draws(fit: OdpFit, B: int, seed: int, work: dict) -> tuple[np.ndarray, 
         raise OdpError("empty residual pool: every fitted mean is degenerate")
     pool = pool * np.sqrt(fit.n_cells / fit.dof)
     diagonal = [first[i] + last[i] for i in open_years]
-
-    g = RngStream(seed).derive(_ODP_DOMAIN).generator()
 
     def build(idx: np.ndarray, arrays: dict):
         """Latest pseudo cumulatives of the open years, refitted factors
@@ -283,7 +282,7 @@ def odp_bootstrap(fit: OdpFit, B: int, seed: int) -> ReserveDistribution:
     predictive._fold_and_check, both of which the coverage studies call
     directly; this function adds the per-year view, predictive._distribution.
     """
-    sums, rejected = _odp_draws(fit, B, seed, {})
+    sums, rejected = _odp_draws(fit, B, RngStream(seed).derive(_ODP_DOMAIN).generator(), {})
     total = np.zeros((1, sums.shape[1]))
     moments = _fold_and_check(total, ((0, year) for year in sums))
     last = np.minimum(fit.J - 1, fit.I - 1 - np.arange(fit.I))

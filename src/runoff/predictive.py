@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import _MASK64, _derive_ids, _stream_generators, beta_prime_moments
+from .distributions import _derive_ids, _stream_generators, _words64, beta_prime_moments
 from .patterns import DevelopmentPattern
 from .triangle import DiagonalSummary, RunoffError
 
@@ -349,7 +349,7 @@ def _anchored_draws(scales: np.ndarray, F: np.ndarray, c_hat: np.ndarray, seeds:
             faults[k] = _ALL_EXCLUDED
     live = np.array([f is None for f in faults], dtype=bool)
     years, rows = np.nonzero((drawn & live[:, None]).T)  # year by year
-    year_ids = _derive_ids(np.zeros(I, dtype=np.uint64), _ROW_DOMAIN, np.arange(1, I + 1))
+    year_ids = _derive_ids(0, _ROW_DOMAIN, np.arange(1, I + 1))
     a, b = c_hat[rows] * F[years], c_hat[rows] * (1.0 - F[years])
     draws = list(zip((years + 1).tolist(), _stream_generators(seeds[rows], year_ids[years]),
                      a.tolist(), b.tolist(), scales[rows, years].tolist()))
@@ -374,7 +374,7 @@ def _year_view(scales: np.ndarray, F: np.ndarray, points: np.ndarray, c_hat: flo
     summaries: list = []
     totals, faults, block, moments = _anchored_draws(
         scales[None], F, np.array([c_hat], dtype=float),
-        np.array([seed & _MASK64], dtype=np.uint64), B, inclusion_threshold, ratio, summaries)
+        _words64(seed), B, inclusion_threshold, ratio, summaries)
     if faults[0] is not None:
         raise PredictiveError(faults[0])
     rules = _year_rules(c_hat, F, inclusion_threshold, ratio)

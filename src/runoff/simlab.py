@@ -51,8 +51,8 @@ _BOOT_MULTINOMIAL and the accident year (predictive._ROW_DOMAIN) for the
 Beta draws, _BOOT_ODP for the residual bootstrap. So any replication can
 be regenerated in isolation, and the block size never changes results.
 Stream ids come from distributions._derive_ids. A block's squares, and a
-slice's Beta draws, open their generators in one _stream_generators call
-(RngStream's, bit for bit); the ODP draws open one RngStream per replication.
+slice's Beta and ODP draws, open their generators in one _stream_generators
+call (RngStream's, bit for bit).
 With threads > 1 the blocks hold at most M / threads replications each
 (rounded up) and run on a thread pool: numpy releases the GIL in the
 draws and the sorts, so the blocks overlap.
@@ -79,7 +79,6 @@ from .concentration import (
     sigma_c_squared,
 )
 from .distributions import (
-    _MASK64,
     _POISSON_LAM_MAX,
     RngStream,
     _derive_ids,
@@ -88,7 +87,7 @@ from .distributions import (
     beta_prime_moments,
     sample_tweedie,
 )
-from .odp import OdpError, _odp_draws, _odp_fits
+from .odp import _ODP_DOMAIN, OdpError, _odp_draws, _odp_fits
 from .patterns import DevelopmentPattern, PatternError, _cl_reserves
 from .predictive import (
     PredictiveError,
@@ -352,7 +351,7 @@ def _substreams(cfg: SimConfig, roots: np.ndarray) -> dict[int, list[np.random.G
     else:
         tags.append(_SUB_TWEEDIE if cfg.dgp == "tweedie" else _SUB_COUNTS)
     ids = np.concatenate([_derive_ids(roots, tag) for tag in tags])
-    streams = _stream_generators(np.full(ids.size, cfg.seed & _MASK64, dtype=np.uint64), ids)
+    streams = _stream_generators(cfg.seed, ids)
     M = len(roots)
     return {tag: streams[k * M:(k + 1) * M] for k, tag in enumerate(tags)}
 
@@ -479,15 +478,15 @@ def _odp_totals(
     total, which passes). The fold takes each replication's years before
     the next is drawn into work, the kernel's arrays for the calling block."""
     errors: list[str | None] = [None] * len(roots)
-    seeds = _derive_ids(roots, _BOOT_ODP).tolist()
+    streams = _stream_generators(_derive_ids(roots, _BOOT_ODP), _derive_ids(0, _ODP_DOMAIN))
 
     def years():
-        for k, (seed, fit) in enumerate(zip(seeds, fits)):
+        for k, (g, fit) in enumerate(zip(streams, fits)):
             if isinstance(fit, Exception):
                 errors[k] = f"{type(fit).__name__}: {fit}"
                 continue
             try:
-                sums, _ = _odp_draws(fit, cfg.B, seed, work)
+                sums, _ = _odp_draws(fit, cfg.B, g, work)
             except OdpError as exc:
                 errors[k] = f"OdpError: {exc}"
                 continue
@@ -549,7 +548,7 @@ def _run_block(
     methods. If the concentration estimator fails, the multinomial result
     is that failure and the ODP result carries c_hat = NaN.
     """
-    roots = _derive_ids(np.zeros(len(reps), dtype=np.uint64), _SIM_DOMAIN, np.array(reps))
+    roots = _derive_ids(0, _SIM_DOMAIN, np.array(reps))
     sq = _generate(cfg, roots)
     # A Poisson rate numpy rejected, the triangle's checks, then the truth and
     # the pattern, in the order a single replication meets them.
@@ -892,8 +891,9 @@ def verify_conservatism(
     # The concentration nu/phi - 1 must be positive, and the claim rate
     # 2 nu/phi one numpy's Poisson sampler takes.
     if not (0.0 < nu < math.inf and 0.0 < phi < math.inf and 1.0 < nu / phi <= _NU_PHI_MAX):
+        got = f"phi = {phi:g}" if phi == 0.0 else f"nu/phi = {nu / phi:g}"
         raise SimulationError(f"nu and phi must be positive and finite with nu/phi in "
-                              f"(1, {_NU_PHI_MAX:.6g}], got nu/phi = {nu / phi:g}")
+                              f"(1, {_NU_PHI_MAX:.6g}], got {got}")
     lam = 2.0 * (nu / phi)  # claim rate making the cell variance phi * nu
     if M < 2:
         raise SimulationError("need at least two replications")

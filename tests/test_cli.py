@@ -337,6 +337,17 @@ def test_conservatism_outside_its_domain_is_one_error_line(tmp_path, capsys, nu)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("phi", ["0", "-0.0"])
+def test_conservatism_at_zero_phi_is_one_error_line(tmp_path, capsys, phi):
+    # The message names phi instead of dividing by it.
+    out = tmp_path / "out"
+    assert main(["simulate", "--study", "conservatism", "--phi", phi, "--M", "2", "--seed", "1",
+                 "--out-dir", str(out)]) == 1
+    assert_one_error_line(capsys, "nu and phi must be positive and finite with nu/phi in "
+                                  f"(1, 4.61169e+18], got phi = {float(phi):g}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("study,flags", [("correct", ["--c-true", "1e-300"]),
                                          ("nonstat", ["--sigma-grid", "1e300"])])
 def test_a_non_finite_square_fails_its_replication_without_a_warning(tmp_path, study, flags):

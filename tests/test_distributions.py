@@ -30,6 +30,30 @@ from runoff.distributions import (
 WORDS64 = st.one_of(
     st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**64 - 1), st.just(2**64 - 1))
 EDGES64 = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+# Multiples of 2^64 that move a 64-bit word below 0 or to 2^64 and past.
+WRAPS = st.sampled_from([-(2**128), -3 * 2**64, -(2**64), 2**64, 5 * 2**64, 2**128])
+MASK64 = 2**64 - 1
+
+
+def splitmix64(x: int) -> int:
+    """One splitmix64 round on a 64-bit int: the reference for the fold."""
+    x = (x + 0x9E3779B97F4A7C15) & MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
+    return x ^ (x >> 31)
+
+
+def derived(stream_id: int, *indices: int) -> int:
+    """The reference stream-id fold, one index at a time."""
+    for ix in indices:
+        stream_id = splitmix64(stream_id ^ splitmix64(ix))
+    return stream_id
+
+
+def seeded(seed: int, stream_id: int) -> np.random.Generator:
+    """The reference generator of stream (seed, stream_id): numpy's own
+    SeedSequence over the two words."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, stream_id))))
 
 
 class TestRngStream:
@@ -65,21 +89,33 @@ class TestRngStream:
         for a, b in zip(serial, threaded):
             np.testing.assert_array_equal(a, b)
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=WORDS64, sid=WORDS64, ix=WORDS64, wraps=st.tuples(WRAPS, WRAPS, WRAPS))
+    def test_every_word_is_taken_mod_2_64(self, seed, sid, ix, wraps):
+        # CLI seeds such as --seed -1 reach RngStream as they are.
+        a, b, c = wraps
+        moved = RngStream(seed + a, sid + b)
+        assert moved.derive(ix + c).stream_id == derived(sid, ix)
+        assert moved.derive().stream_id == sid
+        assert moved.generator().bit_generator.state == seeded(seed, sid).bit_generator.state
+
 
 class TestBatchedStreams:
-    """The batched seeding kernel against RngStream's single-stream path."""
+    """The batched seeding pair against the reference fold and numpy's own
+    SeedSequence; RngStream is their one-stream case."""
 
     @settings(max_examples=200, deadline=None)
     @given(pairs=st.lists(st.tuples(WORDS64, WORDS64), min_size=1, max_size=40))
     @example(pairs=[(s, i) for s in EDGES64 for i in EDGES64])
-    def test_generators_equal_the_single_stream_path(self, pairs):
+    def test_generators_equal_numpy_seed_sequence(self, pairs):
         seeds, ids = zip(*pairs)
         batched = _stream_generators(np.array(seeds, dtype=np.uint64),
                                      np.array(ids, dtype=np.uint64))
         assert len(batched) == len(pairs)
         for (seed, sid), g in zip(pairs, batched):
-            ref = RngStream(seed, sid).generator()
+            ref = seeded(seed, sid)
             assert g.bit_generator.state == ref.bit_generator.state
+            assert RngStream(seed, sid).generator().bit_generator.state == ref.bit_generator.state
             np.testing.assert_array_equal(g.random(3), ref.random(3))
             np.testing.assert_array_equal(g.beta(2.0, 3.0, size=3), ref.beta(2.0, 3.0, size=3))
 
@@ -87,10 +123,11 @@ class TestBatchedStreams:
         # Importing the CLI leaves numpy.random unloaded (a fit never
         # draws); the first batched call then registers its seed sequence.
         code = ("import sys, numpy as np, runoff.cli; "
-                "from runoff.distributions import RngStream, _stream_generators; "
+                "from runoff.distributions import _stream_generators; "
                 "assert 'numpy.random' not in sys.modules; "
                 "g, = _stream_generators(np.array([7], np.uint64), np.array([55], np.uint64)); "
-                "assert g.random() == RngStream(7, 55).generator().random()")
+                "ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence((7, 55)))); "
+                "assert g.random() == ref.random()")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
 
@@ -101,13 +138,25 @@ class TestBatchedStreams:
     @given(streams=st.lists(st.tuples(WORDS64, WORDS64), min_size=1, max_size=20),
            shared=WORDS64)
     @example(streams=list(zip(EDGES64, reversed(EDGES64))), shared=2**64 - 1)
-    def test_derive_ids_equals_derive(self, streams, shared):
+    def test_derive_ids_equals_the_reference_fold(self, streams, shared):
         ids, indices = (np.array(v, dtype=np.uint64) for v in zip(*streams))
-        want = [RngStream(0, sid).derive(shared, ix, 3).stream_id for sid, ix in streams]
+        want = [derived(sid, shared, ix, 3) for sid, ix in streams]
         assert _derive_ids(ids, shared, indices, 3).tolist() == want
         # A lone stream id and int indices, as generate_triangle derives.
         sid = streams[0][0]
-        assert _derive_ids(sid, shared).tolist() == [RngStream(0, sid).derive(shared).stream_id]
+        assert _derive_ids(sid, shared).tolist() == [derived(sid, shared)]
+        assert RngStream(0, sid).derive(shared, 3).stream_id == derived(sid, shared, 3)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=WORDS64, sid=WORDS64, ix=WORDS64, wraps=st.tuples(WRAPS, WRAPS, WRAPS))
+    def test_shared_ints_are_taken_mod_2_64(self, seed, sid, ix, wraps):
+        a, b, c = wraps
+        assert _derive_ids(sid + b, ix + c).tolist() == [derived(sid, ix)]
+        lone = np.array([sid], dtype=np.uint64)
+        assert _derive_ids(lone, ix + c).tolist() == [derived(sid, ix)]
+        want = seeded(seed, sid).bit_generator.state
+        assert _stream_generators(seed + a, sid + b)[0].bit_generator.state == want
+        assert _stream_generators(seed + a, lone)[0].bit_generator.state == want
 
 
 class TestBetaAndDirichlet:

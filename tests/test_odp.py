@@ -12,7 +12,8 @@ import re
 import numpy as np
 import pytest
 
-from runoff.odp import OdpError, OdpFit, _odp_draws, odp_bootstrap, odp_fit
+from runoff.distributions import RngStream
+from runoff.odp import _ODP_DOMAIN, OdpError, OdpFit, _odp_draws, odp_bootstrap, odp_fit
 from runoff.patterns import chain_ladder_pattern, cl_ultimates, link_ratios
 from runoff.predictive import YearPredictive, _year_summary, multinomial_bootstrap
 from runoff.triangle import Triangle, bundled_triangle, latest_diagonal
@@ -90,7 +91,7 @@ def reference_years(fit: OdpFit, B: int, seed: int) -> list[YearPredictive]:
     F at the year's last lag, no c*F, the projected future summed as the
     point, the kernel's draws (B zeros for a fully developed year) and
     their summary."""
-    sums, _ = _odp_draws(fit, B, seed, {})
+    sums, _ = _odp_draws(fit, B, RngStream(seed).derive(_ODP_DOMAIN).generator(), {})
     F, points, drawn = fit.pattern_F(), np.nansum(fit.projected_future, axis=1), iter(sums)
     years = []
     for i in range(fit.I):
