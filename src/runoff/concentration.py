@@ -122,7 +122,7 @@ def _horizons(X: np.ndarray, ddof: int) -> list[_Horizon]:
     out = []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k in range(_AGGREGATE_KMIN, J - 1):
-            n_k = I - k - 1
+            n_k = I - k - 1  # the years observing past lag k: a row count, not a lag
             if n_k < _MIN_ROWS:
                 continue
             block = X[:, :n_k, : k + 1]

@@ -17,8 +17,10 @@ import numpy as np
 
 from .distributions import RngStream
 from .patterns import PatternError, _cumulative_pattern, _link_ratio_block
-from .predictive import ReserveDistribution, _b_fault, _distribution, _fold_and_check
-from .triangle import RunoffError, Triangle, _diagonal_totals, _n_observed, _observed_mask
+from .predictive import (PredictiveError, ReserveDistribution, _b_fault, _distribution,
+                         _fold_and_check)
+from .triangle import (RunoffError, Triangle, _diagonal_totals, _latest_lags, _n_observed,
+                       _observed_mask)
 
 _ODP_DOMAIN = 2  # stream tag for the residual bootstrap
 _POOL_FLOOR = 1e-9  # fitted means at or below this leave the residual pool
@@ -75,7 +77,7 @@ def _odp_fits(X: np.ndarray) -> list[OdpFit | OdpError | PatternError]:
                          f"parameters leaves dof = {dof}")] * n
     f, errors = _link_ratio_block(X)
     observed = _observed_mask(I, J)
-    last = observed.sum(axis=1) - 1
+    last = _latest_lags(I, J)
     latest = _diagonal_totals(X)
     # Fitted cumulatives: each row's latest total divided backward through
     # the link ratios, then walked forward into the future; differencing
@@ -161,7 +163,7 @@ def _odp_draws(fit: OdpFit, B: int, g: np.random.Generator, work: dict) -> tuple
     if fault is not None:
         raise OdpError(fault)
     B, I, J = int(B), fit.I, fit.J
-    last = [min(J - 1, I - i) for i in range(1, I + 1)]
+    last = _latest_lags(I, J).tolist()
     open_years = [i for i in range(I) if last[i] < J - 1]
     sums = _work_array(work, "sums", (len(open_years), B))
     phi = fit.dispersion
@@ -283,9 +285,11 @@ def odp_bootstrap(fit: OdpFit, B: int, seed: int) -> ReserveDistribution:
     directly; this function adds the per-year view, predictive._distribution.
     """
     sums, rejected = _odp_draws(fit, B, RngStream(seed).derive(_ODP_DOMAIN).generator(), {})
-    total = np.zeros((1, sums.shape[1]))
-    moments = _fold_and_check(total, ((0, year) for year in sums))
-    last = np.minimum(fit.J - 1, fit.I - 1 - np.arange(fit.I))
+    total, faults = np.zeros((1, sums.shape[1])), [None]
+    moments = _fold_and_check(total, ((0, year) for year in sums), faults)
+    if faults[0] is not None:
+        raise PredictiveError(faults[0])
+    last = _latest_lags(fit.I, fit.J)
     none = np.zeros(fit.I, dtype=bool)
     rules = (np.full(fit.I, np.nan), none, last < fit.J - 1, none)
     meta = {"rejected_replications": rejected, "dispersion": fit.dispersion, "dof": fit.dof}

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .triangle import RunoffError, Triangle, _observed_mask, latest_diagonal
+from .triangle import RunoffError, Triangle, _diagonal_totals, _latest_lags, _observed_mask
 
 _SIMPLEX_TOL = 1e-12
 _PI_FLOOR = 1e-10
@@ -131,9 +131,8 @@ def chain_ladder_pattern(t: Triangle) -> DevelopmentPattern:
 
 
 def _diagonal_and_F(t: Triangle, p: DevelopmentPattern) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's observed total and the pattern's F at its lag."""
-    diag = latest_diagonal(t)
-    return np.asarray(diag.observed), np.array([p.F_at_lag(d) for d in diag.dev_lag])
+    """Each row's observed total and the pattern's F at its latest lag."""
+    return _diagonal_totals(t.values), p.F[_latest_lags(t.I, p.J)]
 
 
 def _cl_reserves(obs: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .distributions import _derive_ids, _stream_generators, _words64, beta_prime_moments
 from .patterns import DevelopmentPattern
-from .triangle import DiagonalSummary, RunoffError
+from .triangle import DiagonalSummary, RunoffError, _latest_lags
 
 _ROW_DOMAIN = 1  # stream tag for per-accident-year draws
 _SUPPRESS_AT_OR_BELOW = 2.0  # c*F at or below this keeps draws but hides the mean
@@ -130,19 +130,17 @@ _ALL_EXCLUDED = "every open accident year is excluded by the inclusion rule"
 _BAD_OBSERVED = "observed row totals must be finite and non-negative"
 
 
-def _fold_and_check(totals: np.ndarray, years, faults: list[str | None] | None = None,
+def _fold_and_check(totals: np.ndarray, years, faults: list[str | None],
                     suppressed: np.ndarray | None = None):
     """Checks 5 and 6 of the fault ladder, after the fold: each (row,
     draws) of years, in the order given, is added into totals[row]; then a
-    row still without a fault gets _TOTAL_OVERFLOW if its total is not
-    finite, else _MOMENTS_OVERFLOW if its mean or se is not, unless
-    suppressed[row] (a drawn year's mean is suppressed). Without faults, a
-    one-row fault is raised as a PredictiveError. Returns each row's mean
-    and se (se None at B = 1), meaningless for a failed row. years is
-    consumed a pair at a time, so its draws may reuse one array.
+    row still without a fault in faults (one entry per row, set in place,
+    never raised) gets _TOTAL_OVERFLOW if its total is not finite, else
+    _MOMENTS_OVERFLOW if its mean or se is not, unless suppressed[row] (a
+    drawn year's mean is suppressed). Returns each row's mean and se (se
+    None at B = 1), meaningless for a failed row. years is consumed a pair
+    at a time, so its draws may reuse one array.
     """
-    raise_fault = faults is None
-    faults = [None] * len(totals) if faults is None else faults
     # A failed row may hold anything; overflow is reported by the checks.
     with np.errstate(over="ignore", invalid="ignore"):
         for row, draws in years:
@@ -156,8 +154,6 @@ def _fold_and_check(totals: np.ndarray, years, faults: list[str | None] | None =
             faults[k] = _TOTAL_OVERFLOW
         elif fault is None and not (moments_ok[k] or (suppressed is not None and suppressed[k])):
             faults[k] = _MOMENTS_OVERFLOW
-    if raise_fault and faults[0] is not None:
-        raise PredictiveError(faults[0])
     return mean, se
 
 
@@ -435,10 +431,10 @@ def multinomial_bootstrap(
     if fault is not None:
         raise PredictiveError(fault)
     obs = np.asarray(diag.observed, dtype=float)
-    if not np.all(np.isfinite(obs)) or np.any(obs < 0.0):
-        raise PredictiveError(_BAD_OBSERVED)
+    # The lags are the caller's input, not the triangle's shape: F_at_lag checks each.
     F = np.array([pattern.F_at_lag(dev) for dev in diag.dev_lag])
-    with np.errstate(over="ignore"):  # the kernel names a year that overflows
+    # The kernel names bad totals and a year that overflows; inf * 0 points are unread.
+    with np.errstate(over="ignore", invalid="ignore"):
         points = obs * (1.0 - F) / F
     return _year_view(obs, F, points, c_hat, B, seed, inclusion_threshold, "CL")
 
@@ -467,8 +463,7 @@ def bf_bootstrap(
         raise PredictiveError("exposures must be finite and positive")
     if not np.isfinite(q_bf) or q_bf <= 0.0:
         raise PredictiveError(f"prior loss ratio must be positive, got {q_bf}")
-    I = E.size
-    F = np.array([pattern.F_at_lag(I - idx - 1) for idx in range(I)])
+    F = pattern.F[_latest_lags(E.size, pattern.J)]
     # The kernel names a year that overflows; an inf prior's point at F = 1 is unread.
     with np.errstate(over="ignore", invalid="ignore"):
         prior = E * q_bf

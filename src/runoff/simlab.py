@@ -102,6 +102,7 @@ from .triangle import (
     RunoffError,
     Triangle,
     _diagonal_totals,
+    _latest_lags,
     _observed_mask,
     _value_errors,
 )
@@ -449,7 +450,7 @@ def _true_F(cfg: SimConfig) -> np.ndarray | str:
         pattern = DevelopmentPattern(pi=tuple(pi), F=tuple(F), method="true")
     except PatternError as exc:
         return f"PatternError: {exc}"
-    return np.array([pattern.F_at_lag(cfg.I - i) for i in range(1, cfg.I + 1)])
+    return pattern.F[_latest_lags(cfg.I, pattern.J)]
 
 
 def _multinomial_totals(

@@ -40,23 +40,29 @@ _BUNDLED = {
 
 
 def _n_observed(I: int, J: int) -> int:
-    """Number of observed cells: year i observes min(J, I - i + 1) lags."""
+    """Observed cells, min(J, I - i + 1) in year i, in closed form: a huge I allocates nothing."""
     m = min(I, J)
     return m * (m + 1) // 2 + (I - m) * J
 
 
 def _observed_cells(I: int, J: int):
     """(i, j) of every observed cell, in accident-year then lag order;
-    year i observes lags 0..min(J - 1, I - i)."""
+    year i observes lags 0..min(J - 1, I - i). Lazy, as _n_observed is."""
     for i in range(1, I + 1):
         for j in range(min(J, I - i + 1)):
             yield (i, j)
 
 
+def _latest_lags(I: int, J: int) -> np.ndarray:
+    """The (I,) lags min(J - 1, I - i) at which accident years i = 1..I
+    meet the valuation diagonal; every anchor's F_{I-i} is read there."""
+    return np.minimum(J - 1, np.arange(I - 1, -1, -1))
+
+
 @lru_cache(maxsize=64)
 def _observed_mask(I: int, J: int) -> np.ndarray:
-    """Read-only (I, J) mask of the observed region, i + j <= I (1-based i)."""
-    mask = np.add.outer(np.arange(1, I + 1), np.arange(J)) <= I
+    """Read-only (I, J) mask of the observed lags j <= _latest_lags, i + j <= I."""
+    mask = np.arange(J) <= _latest_lags(I, J)[:, None]
     mask.flags.writeable = False
     return mask
 
@@ -192,23 +198,20 @@ class DiagonalSummary:
 
 
 def _diagonal_totals(X: np.ndarray) -> np.ndarray:
-    """Each row's observed total over an (..., I, J) block of increments;
-    cells past a row's last observed lag are never read.
-
-    Each row's observed prefix is summed as one vector, the rows of one
-    length at once, so numpy's pairwise grouping is that of a lone row;
-    summing the NaN-padded row instead would regroup it.
-    """
+    """Each row's observed total over an (..., I, J) block of increments:
+    one loop sums each row's prefix up to its _latest_lags entry as one
+    contiguous vector, so numpy's pairwise grouping, and every bit, is that
+    of a lone row. Later cells are never read; summing the NaN-padded row
+    would regroup the sum."""
     I, J = X.shape[-2:]
     out = np.empty(X.shape[:-1])
-    full = max(I - J + 1, 0)  # rows observing every lag
-    out[..., :full] = X[..., :full, :].sum(axis=-1)
-    for r in range(full, I):
-        out[..., r] = X[..., r, : I - r].sum(axis=-1)
+    for r, lag in enumerate(_latest_lags(I, J).tolist()):
+        out[..., r] = X[..., r, : lag + 1].sum(axis=-1)
     return out
 
 
 def latest_diagonal(t: Triangle) -> DiagonalSummary:
+    # dev_lag is the public, unclipped development age; F_at_lag clips it.
     observed = tuple(_diagonal_totals(t.values).tolist())
     dev_lag = tuple(t.I - i for i in range(1, t.I + 1))
     return DiagonalSummary(observed=observed, dev_lag=dev_lag)

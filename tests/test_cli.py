@@ -11,11 +11,16 @@ import hashlib
 import json
 import math
 import re
+import tempfile
+from contextlib import redirect_stderr
 from importlib import resources
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from runoff import cli, predictive
 from runoff.cli import _write_bootstrap_csv, main
@@ -379,6 +384,42 @@ def test_a_poisson_rate_numpy_rejects_fails_its_replication(tmp_path, capsys, fl
     for reason in row["failure_reasons"].split("; "):
         assert re.fullmatch(r"generation: Poisson rate (\S+) is not finite or exceeds "
                             r"numpy's limit 9\.22337e\+18", reason), reason
+
+
+EDGE_FLOATS = st.sampled_from(["0", "-1", "inf", "-inf", "nan", "1e-300", "1e300", "1e-320",
+                                "0.5", "3"])
+
+
+def _reject_constant(token: str):
+    raise ValueError(f"non-strict JSON constant {token}")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(name=st.sampled_from(["taylor-ashe", "raa", "mortgage"]), bf=st.booleans(),
+       fmt=st.sampled_from(["json", "csv"]), c_hat=EDGE_FLOATS, threshold=EDGE_FLOATS,
+       q_bf=EDGE_FLOATS, B=st.integers(1, 50))
+def test_bootstrap_flags_end_in_a_report_or_one_error_line(name, bf, fmt, c_hat, threshold,
+                                                           q_bf, B):
+    # Each flag value is passed as --flag=value, so argparse reads "-inf"
+    # as a value, not an option.
+    argv = ["bootstrap", name, f"--B={B}", "--seed=1", f"--c-hat={c_hat}",
+            f"--inclusion-threshold={threshold}", f"--output-format={fmt}"]
+    argv += ["--anchor=bf", f"--q-bf={q_bf}"] if bf else []
+    with tempfile.TemporaryDirectory() as out, redirect_stderr(StringIO()) as err:
+        code = main(argv + ["--out-dir", out])
+        report = Path(out) / f"runoff_bootstrap.{fmt}"
+        if code == 1:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            assert not report.exists()
+            return
+        assert code == 0 and err.getvalue() == ""
+        manifest = (Path(out) / "runoff_bootstrap_manifest.json").read_text()
+        json.loads(manifest, parse_constant=_reject_constant)
+        if fmt == "json":
+            json.loads(report.read_text(), parse_constant=_reject_constant)
+        else:
+            cells = report.read_text().replace("\n", ",").split(",")
+            assert not {"nan", "inf", "-inf"} & {c.strip().lower() for c in cells}
 
 
 class TestDegenerateInput:

@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 from runoff import predictive
 from runoff.cli import _per_year_block
 from runoff.distributions import RngStream, beta_prime_moments
-from runoff.patterns import DevelopmentPattern, chain_ladder_pattern, cl_ultimates
+from runoff.patterns import DevelopmentPattern, PatternError, chain_ladder_pattern, cl_ultimates
 from runoff.predictive import (
     DEFAULT_INCLUSION_THRESHOLD,
     PredictiveError,
@@ -278,6 +278,23 @@ def test_a_b_numpy_cannot_size_is_a_named_error(B):
     # The check sizes the (rows, B) arrays, not B alone.
     assert predictive._b_fault(2**59) is None
     assert predictive._b_fault(2**59, 9).startswith(f"B = {2**59} is too large: a (9, B)")
+
+
+def test_the_cl_bootstrap_meets_doubly_invalid_input_in_the_kernels_order():
+    # multinomial_bootstrap leaves the observed totals to the kernel, whose
+    # ladder names the (I, B) size before them; F_at_lag checks the
+    # caller's lags before the kernel runs.
+    pattern = DevelopmentPattern(pi=(0.5, 0.3, 0.2), F=(0.5, 0.8, 1.0), method="x")
+    bad = DiagonalSummary(observed=(float("nan"), 1.0, 2.0), dev_lag=(2, 1, 0))
+    with pytest.raises(PredictiveError, match=rf"^B = {2**59} is too large: a \(3, B\)"):
+        multinomial_bootstrap(bad, pattern, 10.0, 2**59, 1)
+    with pytest.raises(PatternError, match="^development lag must be non-negative, got -1$"):
+        multinomial_bootstrap(DiagonalSummary((-1.0, 1.0, 2.0), (2, 1, -1)), pattern, 10.0, 10, 1)
+    # An inf total at F = 1 gives an inf * 0 point, which warns nothing.
+    for observed in ((float("inf"), 1.0, 2.0), (-float("inf"), 1.0, 2.0), (1.0, -1.0, 2.0)):
+        with pytest.raises(PredictiveError, match="^observed row totals must be finite and "
+                                                  "non-negative$"):
+            multinomial_bootstrap(DiagonalSummary(observed, (2, 1, 0)), pattern, 10.0, 10, 1)
 
 
 class TestConservatism:
@@ -849,7 +866,10 @@ def copying_summary(x: np.ndarray, mean_suppressed: bool):
     q = _quantiles(x, predictive._SUMMARY_PROBS)
     if mean_suppressed:
         return q, None, None
-    mean, se = predictive._fold_and_check(x[None], ())
+    faults = [None]
+    mean, se = predictive._fold_and_check(x[None], (), faults)
+    if faults[0] is not None:
+        raise PredictiveError(faults[0])
     return q, mean[0], None if se is None else se[0]
 
 

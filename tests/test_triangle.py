@@ -7,14 +7,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from runoff.simlab import SimConfig, generate_triangle
+from runoff.patterns import DevelopmentPattern, cl_ultimates
+from runoff.predictive import bf_bootstrap
+from runoff.simlab import SimConfig, _true_F, generate_triangle
 from runoff.triangle import (
     DiagonalSummary,
     Triangle,
     TriangleError,
+    _diagonal_totals,
+    _observed_mask,
     bundled_triangle,
     cumulate,
     decumulate,
@@ -398,3 +402,68 @@ class TestArrayProperties:
             t.values[0, 0] = 1.0
         with pytest.raises(TypeError):
             t.cells[(1, 0)] = 1.0
+
+
+def future_nan(X: np.ndarray) -> np.ndarray:
+    """X with every cell of year i past lag I - i (1-based i) set to NaN."""
+    I, J = X.shape[-2:]
+    return np.where(np.add.outer(np.arange(1, I + 1), np.arange(J)) <= I, X, np.nan)
+
+
+def random_pattern(J: int, rng: np.random.Generator) -> DevelopmentPattern:
+    pi = rng.uniform(0.5, 1.5, J)
+    pi /= pi.sum()
+    F = np.cumsum(pi)
+    F[-1] = 1.0
+    return DevelopmentPattern(pi=pi, F=F, method="x")
+
+
+shapes = st.tuples(st.integers(2, 12), st.integers(2, 12))
+
+
+class TestNonSquareDiagonal:
+    """The valuation diagonal on I > J and I < J shapes. Triangle(values)
+    and simlab reach I < J; CSV parsing infers J <= I. Year i's latest lag
+    is min(J - 1, I - i) and every anchor reads F_at_lag(I - i) there."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(shape=shapes, M=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    @example(shape=(12, 3), M=2, seed=1)
+    @example(shape=(3, 12), M=2, seed=2)
+    def test_diagonal_totals_sum_each_observed_prefix_alone(self, shape, M, seed):
+        # Rows of 8 or more cells reach numpy's pairwise blocks, so the
+        # summation order shows in the last bits.
+        I, J = shape
+        X = future_nan(np.random.default_rng(seed).lognormal(0.0, 2.0, (M, I, J)))
+        want = [[X[m, r, : I - r].sum() for r in range(I)] for m in range(M)]
+        assert _diagonal_totals(X).tobytes() == np.array(want).tobytes()
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(shape=shapes, seed=st.integers(0, 2**32 - 1))
+    @example(shape=(12, 3), seed=3)
+    @example(shape=(3, 12), seed=4)
+    def test_every_anchor_reads_f_at_the_latest_lag(self, shape, seed):
+        I, J = shape
+        rng = np.random.default_rng(seed)
+        t = Triangle(future_nan(rng.uniform(1.0, 100.0, (I, J))))
+        p = random_pattern(J, rng)
+        F = [p.F_at_lag(I - i) for i in range(1, I + 1)]
+        obs = np.array(latest_diagonal(t).observed)
+        assert cl_ultimates(t, p).ultimates.tobytes() == (obs / np.array(F)).tobytes()
+        dist = bf_bootstrap(np.full(I, 1000.0), 0.8, p, 50.0, 2, seed)
+        assert [y.F for y in dist.per_year] == F
+        if I >= 3:  # SimConfig's smallest I
+            # _true_F builds p again from pi_true, as random_pattern does.
+            assert _true_F(SimConfig(I=I, J=J, pi_true=tuple(p.pi))).tolist() == F
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(shape=shapes)
+    @example(shape=(12, 3))
+    @example(shape=(3, 12))
+    def test_the_observed_mask_ends_at_the_latest_lag(self, shape):
+        from runoff.triangle import _latest_lags
+
+        I, J = shape
+        lags = _latest_lags(I, J)
+        assert lags.tolist() == [min(J - 1, I - i) for i in range(1, I + 1)]
+        assert (_observed_mask(I, J) == (np.arange(J) <= lags[:, None])).all()
