@@ -42,9 +42,12 @@ from .predictive import (
     multinomial_bootstrap,
 )
 from .simlab import (
+    _DGPS,
+    _METHODS,
     SimConfig,
     SimulationError,
     SimulationReport,
+    _json_text,
     _write_csv,
     _write_json,
     compare_odp,
@@ -68,7 +71,7 @@ from .triangle import (
 )
 
 
-_ERRORS = (RunoffError, OSError)
+_ERRORS = (RunoffError, OSError, MemoryError)
 
 
 def _sha256(path: Path) -> str:
@@ -128,7 +131,7 @@ def _write_manifest(args, started: float, parameters: dict, inputs: dict[str, st
         "version": __version__,
         "inputs": inputs,
         "wall_clock_s": time.perf_counter() - started,
-    })
+    }, where="manifest")
 
 
 def _resolve_seed(seed: int | None) -> tuple[int, bool]:
@@ -184,11 +187,10 @@ def _per_year_block(dist: ReserveDistribution) -> list[dict]:
 def cmd_fit(args) -> int:
     started = time.perf_counter()
     t, digests = _load_triangle_args(args)
-    f = link_ratios(t)
     pattern = chain_ladder_pattern(t)
     report: dict = {
         "triangle": {"source": args.triangle, "I": t.I, "J": t.J, "kind": t.kind},
-        "link_ratios": list(f),
+        "link_ratios": list(link_ratios(t)),
         "pattern": {"pi": list(pattern.pi), "F": list(pattern.F), "method": pattern.method},
     }
     if pattern.floored_lags:
@@ -233,9 +235,11 @@ def cmd_fit(args) -> int:
             reserves[method] = block
     report["reserves"] = reserves
 
+    parameters = _parameters(args)
+    _json_text(parameters, "manifest.parameters")  # before any artifact is written
     report_path = _artifact(args, ".json")
     _write_json(report_path, report)
-    _write_manifest(args, started, _parameters(args), digests)
+    _write_manifest(args, started, parameters, digests)
 
     conc = report["concentration"]
     if "error" in conc:
@@ -316,6 +320,8 @@ def cmd_bootstrap(args) -> int:
     if pattern.floored_lags:
         report["floored_lags"] = list(pattern.floored_lags)
 
+    parameters = {**_parameters(args), "exposures_source": exposures_source}
+    _json_text(parameters, "manifest.parameters")  # before any artifact is written
     report_path = _artifact(args, f".{args.output_format}")
     if args.output_format == "json":
         _write_json(report_path, report)
@@ -323,8 +329,7 @@ def cmd_bootstrap(args) -> int:
         _write_bootstrap_csv(report_path, report)
     if args.dump_draws:
         _dump_draws(Path(args.dump_draws), dist)
-    _write_manifest(args, started, {**_parameters(args), "exposures_source": exposures_source},
-                    digests, seed, seed_generated)
+    _write_manifest(args, started, parameters, digests, seed, seed_generated)
 
     s = dist.summary
     mean_txt = "suppressed" if s["mean"] is None else _amount(s["mean"])
@@ -571,6 +576,8 @@ def cmd_simulate(args, options: dict[str, str]) -> int:
     call = inspect.signature(study).bind_partial(**kwargs)
     call.apply_defaults()
     call.arguments.update(report.resolved)
+    # The JSON report checks the config; the rest of the manifest's parameters now.
+    _json_text(call.arguments, "manifest.parameters")
 
     # The artifacts carry no timing: runtime_s stays at 0.0.
     rows = [{k: v for k, v in row.items() if k != "runtime_s"} for row in report.rows]
@@ -647,7 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--study", choices=tuple(_STUDIES), required=True)
     sim.add_argument("--config", default=None,
                      help="key=value file mirroring simulation config fields")
-    sim.add_argument("--method", choices=("multinomial", "odp"), default=None,
+    sim.add_argument("--method", choices=_METHODS, default=None,
                      help="bootstrap used by the correct-specification study")
     sim.add_argument("--I", type=int, default=None, dest="I")
     sim.add_argument("--J", type=int, default=None, dest="J")
@@ -655,8 +662,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--B", type=int, default=None, dest="B")
     sim.add_argument("--seed", type=int, default=None)
     sim.add_argument("--c-true", type=float, default=None, dest="c_true")
-    sim.add_argument("--dgp", choices=("dirichlet-gamma", "nonstationary", "tweedie",
-                                       "count-hierarchy"), default=None)
+    sim.add_argument("--dgp", choices=_DGPS, default=None)
     sim.add_argument("--sigma-delta", type=float, default=None, dest="sigma_delta")
     sim.add_argument("--p", type=float, default=None)
     sim.add_argument("--phi", type=float, default=None)
@@ -701,7 +707,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except _ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # A bare MemoryError carries no message: its name stands in.
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -19,8 +19,8 @@ rate 0.01) and, where applicable, one ultimate-severity law (Gamma shape
 
 Coverage studies mask each simulated triangle on the usual diagonal,
 run a bootstrap on the observed part, and score the realised future sum
-against the interval. A study runs a contiguous block of replications
-through five stages at a time (_run_block):
+against the interval. A study takes each contiguous block of
+replications through all five stages at once (_run_block):
 
   1. generate   each replication's square from its own substreams into
                 an (M, I, J) block; the truth is the sum of its future
@@ -38,11 +38,6 @@ through five stages at a time (_run_block):
   5. score      the realised future amount against the 95% and 75%
                 intervals of each row of totals, from one sort
 
-Stages 4 and 5 take a block's replications in slices of at most
-_SLICE_DRAWS // B of them (at least one): a slice holds its (n, B) totals
-and one block of draws, a row per drawn (replication, year), at a time,
-which bounds the memory a block holds at any B.
-
 A replication that fails a stage records the message the single-triangle
 functions would raise and drops out of the later stages; the rest of the
 block moves on. Every draw is keyed by (seed, study domain, replication
@@ -50,11 +45,11 @@ index) and then by a per-replication tag: _SUB_* for the square,
 _BOOT_MULTINOMIAL and the accident year (predictive._ROW_DOMAIN) for the
 Beta draws, _BOOT_ODP for the residual bootstrap. So any replication can
 be regenerated in isolation, and the block size never changes results.
-Stream ids come from distributions._derive_ids. A block's squares, and a
-slice's Beta and ODP draws, open their generators in one _stream_generators
-call (RngStream's, bit for bit).
-With threads > 1 the blocks hold at most M / threads replications each
-(rounded up) and run on a thread pool: numpy releases the GIL in the
+Stream ids come from distributions._derive_ids. A block's squares, its
+Beta draws and its ODP draws each open their generators in one
+_stream_generators call (RngStream's, bit for bit).
+With threads > 1 the blocks also hold at most M / threads replications
+each (rounded up) and run on a thread pool: numpy releases the GIL in the
 draws and the sorts, so the blocks overlap.
 """
 
@@ -144,14 +139,11 @@ _BOOT_ODP = 5
 _DGPS = ("dirichlet-gamma", "nonstationary", "tweedie", "count-hierarchy")
 _METHODS = ("multinomial", "odp")
 _SCORE_PROBS = np.array([0.025, 0.125, 0.875, 0.975])  # 95% and 75% interval ends
-# Replications a block takes through the generate, CL point and estimate
-# stages at once: enough to spread those stages' numpy calls thin.
+# A block holds at most _BLOCK_REPS replications, enough to spread each
+# stage's numpy calls thin, and at most max(1, _BLOCK_DRAWS // B): its (n, B)
+# totals then hold at most _BLOCK_DRAWS floats, or one replication's B.
 _BLOCK_REPS = 64
-# Bootstrap totals held at once (128 KiB of float64): the draw and score
-# stages take a block's replications in slices of max(1, _SLICE_DRAWS // B),
-# each holding its totals and one block of that many rows of draws, so a
-# block's transient arrays stay about as small as one replication's.
-_SLICE_DRAWS = 1 << 14
+_BLOCK_DRAWS = 1 << 16  # 512 KiB of float64 totals
 
 
 class SimulationError(RunoffError):
@@ -471,14 +463,15 @@ def _multinomial_totals(
 
 
 def _odp_totals(
-    cfg: SimConfig, roots: np.ndarray, fits: list, work: dict
+    cfg: SimConfig, roots: np.ndarray, fits: list
 ) -> tuple[np.ndarray, list[str | None]]:
     """Stage 4 of the ODP method: per fit (_BOOT_ODP tag), odp_bootstrap's
     total and None or the failure: a failed fit, the draw kernel's error,
     then predictive._fold_and_check's (an earlier failure leaves a zero
     total, which passes). The fold takes each replication's years before
-    the next is drawn into work, the kernel's arrays for the calling block."""
+    the next is drawn into the kernel's arrays, which this call alone keeps."""
     errors: list[str | None] = [None] * len(roots)
+    work: dict = {}
     streams = _stream_generators(_derive_ids(roots, _BOOT_ODP), _derive_ids(0, _ODP_DOMAIN))
 
     def years():
@@ -541,9 +534,8 @@ def _score(
 def _run_block(
     cfg: SimConfig, reps: range, methods: tuple[str, ...], F: np.ndarray | str
 ) -> dict[str, list[dict]]:
-    """Per method: the results of the contiguous replications reps, taken
-    through the five stages (see the module docstring), the last two in
-    slices of max(1, _SLICE_DRAWS // B) replications. F is _true_F(cfg).
+    """Per method: the results of the contiguous replications reps, all
+    taken through the five stages at once (module docstring); F is _true_F(cfg).
 
     The triangle, the CL point and c-hat are computed once for all
     methods. If the concentration estimator fails, the multinomial result
@@ -578,32 +570,25 @@ def _run_block(
         c_hat = estimate_c_batch(values)
     except ConcentrationError:  # no horizon qualifies at this I and J
         c_hat = np.full(len(live), np.nan)
-    fits = _odp_fits(values) if "odp" in methods else []
-    work: dict = {}  # the ODP kernel's arrays, this block's alone
-    step = max(1, _SLICE_DRAWS // cfg.B)
-    for a in range(0, len(live), step):
-        part = slice(a, a + step)
-        for method in methods:
-            if method == "multinomial":
-                totals, method_faults = _multinomial_totals(
-                    cfg, live_roots[part], obs[part], F, c_hat[part])
-            else:
-                totals, method_faults = _odp_totals(cfg, live_roots[part], fits[part], work)
-            scored = _score(totals, method_faults, truth[part], points[part], c_hat[part])
-            for m, result in zip(live[part], scored):
-                results[method][m] = result
+    for method in methods:
+        if method == "multinomial":
+            totals, method_faults = _multinomial_totals(cfg, live_roots, obs, F, c_hat)
+        else:
+            totals, method_faults = _odp_totals(cfg, live_roots, _odp_fits(values))
+        for m, result in zip(live, _score(totals, method_faults, truth, points, c_hat)):
+            results[method][m] = result
     return results
 
 
 def _run_reps(
     cfg: SimConfig, methods: tuple[str, ...] = ("multinomial",)
 ) -> dict[str, list[dict]]:
-    """Per method: the M replication results, run in contiguous blocks of
-    at most _BLOCK_REPS replications, and at least one block per thread."""
+    """Per method: the M replication results, run in contiguous blocks of at
+    most _BLOCK_REPS, max(1, _BLOCK_DRAWS // B) and ceil(M / threads) replications."""
     for method in methods:
         if method not in _METHODS:
             raise SimulationError(f"unknown method {method!r}; expected one of {_METHODS}")
-    size = min(-(-cfg.M // cfg.threads), _BLOCK_REPS)
+    size = max(1, min(-(-cfg.M // cfg.threads), _BLOCK_REPS, _BLOCK_DRAWS // cfg.B))
     blocks = [range(a, min(a + size, cfg.M)) for a in range(0, cfg.M, size)]
     run = functools.partial(_run_block, cfg, methods=methods, F=_true_F(cfg))
     if cfg.threads > 1:

@@ -422,6 +422,52 @@ def test_bootstrap_flags_end_in_a_report_or_one_error_line(name, bf, fmt, c_hat,
             assert not {"nan", "inf", "-inf"} & {c.strip().lower() for c in cells}
 
 
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(name=st.sampled_from(["taylor-ashe", "raa", "mortgage"]), exposures=st.booleans(),
+       reserves=st.sampled_from(["cl", "bf", "cc", "cl,bf,cc", "chain"]),
+       divisor=st.sampled_from(["unbiased", "biased"]), q_bf=st.none() | EDGE_FLOATS)
+def test_fit_flags_end_in_a_report_or_one_error_line(name, exposures, reserves, divisor,
+                                                     q_bf):
+    with tempfile.TemporaryDirectory() as tmp, redirect_stderr(StringIO()) as err:
+        out = Path(tmp) / "out"
+        out.mkdir()
+        argv = ["fit", name, f"--reserves={reserves}", f"--divisor={divisor}",
+                "--out-dir", str(out)]
+        argv += [] if q_bf is None else [f"--q-bf={q_bf}"]
+        if exposures:
+            sidecar = Path(tmp) / "exposures.csv"
+            sidecar.write_text("accident,exposure\n" + "".join(
+                f"{i},{1000 + 10 * i}\n" for i in range(1, bundled_triangle(name).I + 1)))
+            argv += ["--exposures", str(sidecar)]
+        code = main(argv)
+        if code == 1:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            assert list(out.iterdir()) == []
+            return
+        assert code == 0 and err.getvalue() == ""
+        for artifact in ("runoff_fit.json", "runoff_fit_manifest.json"):
+            json.loads((out / artifact).read_text(), parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize("raised,message", [
+    (MemoryError("Unable to allocate 745. GiB for an array with shape (10000000000, 5)"),
+     "error: Unable to allocate 745. GiB for an array with shape (10000000000, 5)\n"),
+    (MemoryError(), "error: MemoryError\n"),
+], ids=["numpy", "bare"])
+def test_a_refused_allocation_is_one_error_line(tmp_path, capsys, monkeypatch, raised,
+                                                message):
+    def refused(**kwargs):
+        raise raised
+
+    monkeypatch.setattr(cli, "verify_sigma_c", refused)
+    out = tmp_path / "out"
+    assert main(["simulate", "--study", "sigma-c", "--I", "10000000000", "--M", "2",
+                 "--c-values", "50", "--seed", "1", "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
 class TestDegenerateInput:
     @pytest.mark.parametrize("command", ["fit", "bootstrap"])
     @pytest.mark.parametrize("rows", [

@@ -615,6 +615,62 @@ class TestBlockRunner:
         assert sum("negative fitted" in f for f in failures) >= 2
 
 
+def recorded_blocks(monkeypatch) -> list[int]:
+    """The size of every block _run_reps hands to _run_block, in the order
+    the blocks start."""
+    sizes: list[int] = []
+    run_block = simlab._run_block
+
+    def recording(cfg, reps, methods, F):
+        sizes.append(len(reps))
+        return run_block(cfg, reps, methods, F)
+
+    monkeypatch.setattr(simlab, "_run_block", recording)
+    return sizes
+
+
+def study_rows(report) -> str:
+    """A report's rows, runtime_s aside, as exact text (repr keeps every bit)."""
+    return repr([{k: v for k, v in row.items() if k != "runtime_s"} for row in report.rows])
+
+
+class TestBlockSize:
+    """A block holds at most _BLOCK_REPS and at most max(1, _BLOCK_DRAWS // B)
+    replications, a study has a block per thread, and no block size moves a
+    bit."""
+
+    # B on both sides of 1024 (where _BLOCK_DRAWS // B falls below
+    # _BLOCK_REPS) and of 2**16 (where a block is one replication).
+    @pytest.mark.parametrize("M,B,threads,method", [
+        (130, 1000, 1, "multinomial"),
+        (130, 1100, 1, "multinomial"),
+        (7, 1000, 3, "multinomial"),
+        (2, 1000, 3, "multinomial"),
+        (5, 65536, 2, "multinomial"),
+        (5, 70000, 3, "odp"),
+    ])
+    def test_blocks_stay_within_their_bounds(self, monkeypatch, M, B, threads, method):
+        sizes = recorded_blocks(monkeypatch)
+        run_coverage_study(SimConfig(M=M, B=B, seed=1, threads=threads), method)
+        assert sum(sizes) == M
+        assert max(sizes) <= min(simlab._BLOCK_REPS, max(1, simlab._BLOCK_DRAWS // B))
+        assert len(sizes) >= min(M, threads)
+
+    @pytest.mark.parametrize("limit", [1, 10**9], ids=["one", "huge"])
+    def test_block_size_never_changes_results(self, monkeypatch, limit):
+        studies = [lambda: run_coverage_study(SimConfig(M=130, B=1100, seed=3)),
+                   lambda: compare_odp(SimConfig(M=22, B=6000, seed=4, threads=2))]
+        sizes = recorded_blocks(monkeypatch)
+        want = [study_rows(study()) for study in studies]
+        assert set(sizes) == {59, 12, 10, 2}  # the draw bound binds in both studies
+        sizes.clear()
+        monkeypatch.setattr(simlab, "_BLOCK_REPS", limit)
+        monkeypatch.setattr(simlab, "_BLOCK_DRAWS", limit)
+        assert [study_rows(study()) for study in studies] == want
+        # One replication a block, or one block per thread and scenario.
+        assert set(sizes) == ({1} if limit == 1 else {130, 11})
+
+
 class TestVerifySigmaC:
     def test_validation(self):
         with pytest.raises(SimulationError, match="I >= 20"):
