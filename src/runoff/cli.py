@@ -276,6 +276,8 @@ def cmd_bootstrap(args) -> int:
     else:
         c_hat, c_source = estimate_c(t, divisor=args.divisor).c_hat, "estimated"
 
+    # Only the dump reads a year's draws.
+    dump = Path(args.dump_draws) if args.dump_draws else None
     exposures_source = None
     if args.anchor == "cl":
         dist = multinomial_bootstrap(
@@ -285,6 +287,7 @@ def cmd_bootstrap(args) -> int:
             args.B,
             seed=seed,
             inclusion_threshold=args.inclusion_threshold,
+            keep_draws=dump is not None,
         )
     else:
         if args.q_bf is None:
@@ -301,7 +304,8 @@ def cmd_bootstrap(args) -> int:
                     "bf anchor fell back to lag-0 claims as exposures, "
                     "but some first-lag values are non-positive"
                 )
-        dist = bf_bootstrap(E, args.q_bf, pattern, c_hat, args.B, seed=seed)
+        dist = bf_bootstrap(E, args.q_bf, pattern, c_hat, args.B, seed=seed,
+                            keep_draws=dump is not None)
 
     report = {
         "anchor": dist.anchor,
@@ -321,14 +325,17 @@ def cmd_bootstrap(args) -> int:
         report["floored_lags"] = list(pattern.floored_lags)
 
     parameters = {**_parameters(args), "exposures_source": exposures_source}
-    _json_text(parameters, "manifest.parameters")  # before any artifact is written
+    # Every value is checked before any artifact is written, and the dump,
+    # which can fail on its path, is written before the report and manifest.
+    _json_text(parameters, "manifest.parameters")
+    text = _json_text(report) + "\n"
     report_path = _artifact(args, f".{args.output_format}")
+    if dump is not None:
+        _dump_draws(dump, dist)
     if args.output_format == "json":
-        _write_json(report_path, report)
+        report_path.write_text(text)
     else:
         _write_bootstrap_csv(report_path, report)
-    if args.dump_draws:
-        _dump_draws(Path(args.dump_draws), dist)
     _write_manifest(args, started, parameters, digests, seed, seed_generated)
 
     s = dist.summary

@@ -13,6 +13,8 @@ import os
 import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
+from threading import Condition
 from typing import NamedTuple
 
 import numpy as np
@@ -41,8 +43,11 @@ class YearPredictive:
 
     draws is None exactly when the year was excluded by the inclusion
     rule; the deterministic point reserve is reported either way so
-    totals stay interpretable. summary is _summarise's dict, the
-    PredictiveError message of a summary that failed, or None (excluded).
+    totals stay interpretable. A bootstrap run with keep_draws False
+    keeps no draws: every other year's draws, a fully developed year's
+    included, is then a zero-length read-only array. summary is
+    _summarise's dict, the PredictiveError message of a summary that
+    failed, or None (excluded).
     """
 
     accident: int
@@ -60,7 +65,8 @@ class YearPredictive:
 class ReserveDistribution:
     """Bootstrap draws of outstanding amounts, per year and in total.
 
-    total[b] is the sum of draws[b] over included years. The summary
+    total[b] is the sum of draws[b] over included years, whether or not
+    the draws were kept. The summary
     holds mean (None while any included year has its mean suppressed),
     standard error, and the 5/25/50/75/95 percent quantiles.
     """
@@ -236,58 +242,83 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _draw_years(block: np.ndarray, draws: list[tuple], ratio: bool, suppressed=None) -> list:
-    """Fill block[k] with the draws of draws[k], an (accident year,
-    generator, a, b, scale) tuple with W ~ Beta(a, b); return per row a
+def _draw_years(totals: np.ndarray, rows: list[int], draws: list[tuple], ratio: bool,
+                suppressed=None, block: np.ndarray | None = None) -> list:
+    """Draw each draws[k], an (accident year, generator, a, b, scale) tuple
+    with W ~ Beta(a, b), and fold it into totals[rows[k]]; return per draw a
     (fault, summary) pair, fault None or the PredictiveError message of a
-    row that overflows.
+    draw that overflows.
 
-    With ratio the row is scale * (1 - W) / W, W floored at 1e-15 (CL);
-    without it, scale * (1 - W) (BF). Each row is drawn in chunks of
+    With ratio a draw is scale * (1 - W) / W, W floored at 1e-15 (CL);
+    without it, scale * (1 - W) (BF). Each draw is made in chunks of
     _CHUNK variates, which consume the year's stream exactly as one
     beta(size=B) call does, so a row depends neither on the chunk size nor
-    on the thread that fills it. From B = _PARALLEL_MIN_B on, the rows
+    on the thread that fills it. From B = _PARALLEL_MIN_B on, the draws
     are spread over a thread pool: numpy releases the GIL inside the draws
     and ufuncs, and a worker touches only numpy and its own row. A row
-    that overflows the float range is left part drawn and named, never
-    passed on as a silent inf or NaN.
+    that overflows the float range is named, never passed on as a silent
+    inf or NaN, and is not folded: its total is at fault too.
 
-    With suppressed (each row's mean-suppression flag) the worker that drew
-    a row summarises it (_year_summary), else summary is None, in one of
-    `workers` scratch rows allocated here, so that no worker's allocator
-    arena keeps B floats, and passed between tasks by a queue.
+    The rows are folded in the order of draws, so each total adds its
+    years in one order, on the pool or off it, and keeps every bit: off
+    the pool a row is folded as soon as it is drawn; on it, a worker whose
+    row is done before every earlier row is folded waits for its turn.
+    With block, draws[k] is drawn into block[k] and kept there (a row at
+    fault left part drawn); without it, into one of `workers` rows
+    allocated here, so no more than `workers` rows of draws exist at once.
+    With suppressed (each draw's mean-suppression flag) the worker that
+    drew a row summarises it (_year_summary) before its fold, in one of
+    `workers` scratch rows allocated here, else summary is None. A queue
+    passes the rows allocated here between tasks, so that no worker's
+    allocator arena keeps B floats.
     """
-    B = block.shape[1]
+    B = totals.shape[1]
     scale_name = "observed total" if ratio else "prior ultimate"
     workers = min(_usable_cores() if B >= _PARALLEL_MIN_B else 1, len(draws))
-    scratch = None if suppressed is None else queue.SimpleQueue()
-    for _ in range(0 if scratch is None else workers):
-        scratch.put(np.empty(B))
+    spare = queue.SimpleQueue()
+    for _ in range(workers):
+        spare.put((np.empty(B) if block is None else None,
+                   None if suppressed is None else np.empty(B)))
+    turn, folded = Condition(), 0
+
+    def fold(k: int, row: np.ndarray | None) -> None:
+        if row is not None:  # overflow is reported by _fold_and_check
+            with np.errstate(over="ignore", invalid="ignore"):
+                totals[rows[k]] += row
+
+    def fold_in_turn(k: int, row: np.ndarray | None) -> None:
+        nonlocal folded
+        with turn:
+            turn.wait_for(lambda: folded == k)
+            fold(k, row)
+            folded += 1
+            turn.notify_all()
 
     def fill(k: int) -> tuple:
         accident, generator, a, b, scale = draws[k]
-        row = block[k]
-        # Overflow is reported by the check below, not by a numpy warning.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, B, _CHUNK):
-                seg = row[start : start + _CHUNK]
-                w = generator.beta(a, b, size=seg.size)
-                if ratio:
-                    np.maximum(w, _W_FLOOR, out=w)
-                np.subtract(1.0, w, out=seg)
-                np.multiply(scale, seg, out=seg)
-                if ratio:
-                    np.divide(seg, w, out=seg)
-                if not np.isfinite(seg).all():
-                    return (f"accident year {accident}: bootstrap draws overflow the "
-                            f"float range ({scale_name} {scale:.6g})"), None
-        if scratch is None:
-            return None, None
-        s = scratch.get()
+        own, scratch = spare.get()
+        row = own if block is None else block[k]
+        drawn = False
         try:
-            return None, _year_summary(row, suppressed[k], s)
-        finally:
-            scratch.put(s)
+            # Overflow is reported by the check below, not by a numpy warning.
+            with np.errstate(over="ignore", invalid="ignore"):
+                for start in range(0, B, _CHUNK):
+                    seg = row[start : start + _CHUNK]
+                    w = generator.beta(a, b, size=seg.size)
+                    if ratio:
+                        np.maximum(w, _W_FLOOR, out=w)
+                    np.subtract(1.0, w, out=seg)
+                    np.multiply(scale, seg, out=seg)
+                    if ratio:
+                        np.divide(seg, w, out=seg)
+                    if not np.isfinite(seg).all():
+                        return (f"accident year {accident}: bootstrap draws overflow the "
+                                f"float range ({scale_name} {scale:.6g})"), None
+            drawn = True
+            return None, None if scratch is None else _year_summary(row, suppressed[k], scratch)
+        finally:  # every row takes its turn, or a later one would wait for ever
+            (fold_in_turn if workers > 1 else fold)(k, row if drawn else None)
+            spare.put((own, scratch))
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -310,7 +341,8 @@ def _year_rules(c_hat, F: np.ndarray, inclusion_threshold: float, ratio: bool):
 
 
 def _anchored_draws(scales: np.ndarray, F: np.ndarray, c_hat: np.ndarray, seeds: np.ndarray,
-                    B: int, inclusion_threshold: float, ratio: bool, summaries=None):
+                    B: int, inclusion_threshold: float, ratio: bool, summaries=None,
+                    keep: bool = True):
     """The one draw kernel of the Beta bootstraps, over n rows at once;
     multinomial_bootstrap and bf_bootstrap are its n = 1 case.
 
@@ -321,15 +353,18 @@ def _anchored_draws(scales: np.ndarray, F: np.ndarray, c_hat: np.ndarray, seeds:
     draws from RngStream(seeds[k]).derive(_ROW_DOMAIN, i), so excluding a
     year never shifts another's draws. All streams open in one
     _stream_generators call and all rows' years are drawn in one
-    _draw_years call, so a lone row's years share its thread pool.
+    _draw_years call, so a lone row's years share its thread pool, and
+    each drawn year is folded into its row's total, in year order, as soon
+    as it is drawn.
 
     Per row the checks run in order: concentration and B; observed totals
     (CL only); every open year excluded; each drawn year's overflow, in
-    year order; the total, its years folded in year order, and its moments
-    (_fold_and_check). Returns the (n, B) totals, per row None or the first
-    fault's PredictiveError message (a failed row's total holds anything),
-    the block of draws, a row per drawn (row, year) year by year, and the
-    totals' mean and se. A summaries list receives each block row's summary.
+    year order; the total and its moments (_fold_and_check). Returns the
+    (n, B) totals, per row None or the first fault's PredictiveError
+    message (a failed row's total holds anything), the block of draws, a
+    row per drawn (row, year) year by year, or None without keep, and the
+    totals' mean and se. A summaries list receives each drawn year's
+    summary, in the block's order.
     """
     n, I = scales.shape
     b_fault = _b_fault(B, n * I)  # no array here has more than n * I rows of B draws
@@ -349,28 +384,30 @@ def _anchored_draws(scales: np.ndarray, F: np.ndarray, c_hat: np.ndarray, seeds:
     a, b = c_hat[rows] * F[years], c_hat[rows] * (1.0 - F[years])
     draws = list(zip((years + 1).tolist(), _stream_generators(seeds[rows], year_ids[years]),
                      a.tolist(), b.tolist(), scales[rows, years].tolist()))
-    block = np.empty((rows.size, int(B)))
-    rows = rows.tolist()
-    drawn = _draw_years(block, draws, ratio, None if summaries is None else suppressed[rows, years])
-    for k, (fault, _) in zip(rows, drawn):
+    totals = np.zeros((n, int(B)))
+    block = np.empty((rows.size, int(B))) if keep else None
+    drawn = _draw_years(totals, rows.tolist(), draws, ratio,
+                        None if summaries is None else suppressed[rows, years], block)
+    for k, (fault, _) in zip(rows.tolist(), drawn):
         if fault is not None and faults[k] is None:  # its first year at fault
             faults[k] = fault
     if summaries is not None:
         summaries.extend(summary for _, summary in drawn)
-    totals = np.zeros((n, int(B)))
-    moments = _fold_and_check(totals, zip(rows, block), faults, suppressed.any(axis=1))
+    moments = _fold_and_check(totals, (), faults, suppressed.any(axis=1))
     return totals, faults, block, moments
 
 
 def _year_view(scales: np.ndarray, F: np.ndarray, points: np.ndarray, c_hat: float, B: int,
-               seed: int, inclusion_threshold: float, anchor: str) -> ReserveDistribution:
+               seed: int, inclusion_threshold: float, anchor: str,
+               keep_draws: bool) -> ReserveDistribution:
     """_anchored_draws at n = 1 through the per-year view: one row of scales
-    with point reserves points, anchor "CL" (ratio) or "BF"; a fault raises."""
+    with point reserves points, anchor "CL" (ratio) or "BF"; a fault raises.
+    Without keep_draws no year's draws are kept."""
     ratio = anchor == "CL"
     summaries: list = []
     totals, faults, block, moments = _anchored_draws(
         scales[None], F, np.array([c_hat], dtype=float),
-        _words64(seed), B, inclusion_threshold, ratio, summaries)
+        _words64(seed), B, inclusion_threshold, ratio, summaries, keep_draws)
     if faults[0] is not None:
         raise PredictiveError(faults[0])
     rules = _year_rules(c_hat, F, inclusion_threshold, ratio)
@@ -378,16 +415,22 @@ def _year_view(scales: np.ndarray, F: np.ndarray, points: np.ndarray, c_hat: flo
                          inclusion_threshold)
 
 
+_NO_DRAWS = np.empty(0)  # the draws of a year that kept none
+_NO_DRAWS.flags.writeable = False
+
+
 def _distribution(total, moments, F, points, rules, block, summaries, anchor: str,
                   inclusion_threshold: float = -np.inf, meta=None) -> ReserveDistribution:
     """The one per-year view: each year's YearPredictive, the flags and the
     ReserveDistribution. rules is _year_rules' (c*F, excluded, drawn,
     suppressed); block and summaries (None: summarised here) are the drawn
-    years'. The total is summarised before any fully developed year gets
-    its zero row, whose summary is that of min(B, 2) zeros."""
+    years'. With block None no year keeps its draws: each that is not
+    excluded gets _NO_DRAWS. The total is summarised before any fully
+    developed year gets its zero row, whose summary is that of min(B, 2)
+    zeros."""
     cf, excluded, drawn, suppressed = rules
     summary = _summarise(total, bool(suppressed.any()), moments)
-    drawn_years = zip(block, summaries or [None] * len(block))
+    drawn_years = zip(repeat(_NO_DRAWS) if block is None else block, summaries or repeat(None))
     years, flags = [], {}
     for i, (f, c_f, point) in enumerate(zip(F.tolist(), cf.tolist(), points.tolist())):
         row = reason = year_summary = None
@@ -400,7 +443,7 @@ def _distribution(total, moments, F, points, rules, block, summaries, anchor: st
             if suppressed[i]:
                 flags[i + 1] = (f"mean-suppressed: c*F = {c_f:.3g} <= {_SUPPRESS_AT_OR_BELOW}",)
         else:  # fully developed: exact zeros
-            row, point = np.zeros(total.size), 0.0
+            row, point = _NO_DRAWS if block is None else np.zeros(total.size), 0.0
             year_summary = _summarise(np.zeros(min(total.size, 2)), False)
         years.append(YearPredictive(i + 1, f, c_f, point, row, bool(excluded[i]), reason,
                                     bool(suppressed[i]), year_summary))
@@ -414,6 +457,7 @@ def multinomial_bootstrap(
     B: int,
     seed: int,
     inclusion_threshold: float = DEFAULT_INCLUSION_THRESHOLD,
+    keep_draws: bool = True,
 ) -> ReserveDistribution:
     """Chain-ladder-anchored predictive bootstrap.
 
@@ -425,7 +469,11 @@ def multinomial_bootstrap(
     have means suppressed, since the ratio's mean is unstable there.
 
     Draw streams are keyed (seed, accident year), so excluding a year
-    never shifts any other year's draws.
+    never shifts any other year's draws. Each year is folded into the
+    total as soon as it is drawn and summarised; with keep_draws False its
+    draws are not kept, and every year that is not excluded carries a
+    zero-length draws array, which saves B floats per year and changes no
+    other bit of the result.
     """
     fault = _args_fault(c_hat, B) or _threshold_fault(inclusion_threshold)
     if fault is not None:
@@ -436,7 +484,7 @@ def multinomial_bootstrap(
     # The kernel names bad totals and a year that overflows; inf * 0 points are unread.
     with np.errstate(over="ignore", invalid="ignore"):
         points = obs * (1.0 - F) / F
-    return _year_view(obs, F, points, c_hat, B, seed, inclusion_threshold, "CL")
+    return _year_view(obs, F, points, c_hat, B, seed, inclusion_threshold, "CL", keep_draws)
 
 
 def bf_bootstrap(
@@ -446,12 +494,13 @@ def bf_bootstrap(
     c_hat: float,
     B: int,
     seed: int,
+    keep_draws: bool = True,
 ) -> ReserveDistribution:
     """Bornhuetter-Ferguson-anchored predictive bootstrap.
 
     The outstanding draw is exposure * q * (1 - W*): no ratio of draws
     appears, so every year with F < 1 participates and no mean
-    suppression is needed.
+    suppression is needed. keep_draws is multinomial_bootstrap's.
     """
     fault = _args_fault(c_hat, B)
     if fault is not None:
@@ -468,7 +517,7 @@ def bf_bootstrap(
     with np.errstate(over="ignore", invalid="ignore"):
         prior = E * q_bf
         points = prior * (1.0 - F)
-    return _year_view(prior, F, points, c_hat, B, seed, -np.inf, "BF")
+    return _year_view(prior, F, points, c_hat, B, seed, -np.inf, "BF", keep_draws)
 
 
 class IbnpMoments(NamedTuple):

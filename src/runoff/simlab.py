@@ -30,11 +30,13 @@ replications through all five stages at once (_run_block):
                 by the generating pattern, built once per scenario
   3. estimate   c-hat of every triangle by estimate_c_batch
   4. draw       the multinomial totals from one predictive._anchored_draws
-                call, the kernel whose n = 1 case is multinomial_bootstrap;
-                the ODP method instead fits every triangle of the block at
-                once (odp._odp_fits) and runs odp_bootstrap's draw kernel
-                per replication on arrays the block keeps. Both fold and
-                check each total by predictive._fold_and_check
+                call, the kernel whose n = 1 case is multinomial_bootstrap,
+                which folds each year into its total as it is drawn and
+                keeps no year's draws; the ODP method instead fits every
+                triangle of the block at once (odp._odp_fits), runs
+                odp_bootstrap's draw kernel per replication on arrays the
+                block keeps and folds by predictive._fold_and_check. Both
+                check each total there
   5. score      the realised future amount against the 95% and 75%
                 intervals of each row of totals, from one sort
 
@@ -454,7 +456,7 @@ def _multinomial_totals(
     fails first."""
     seeds = _derive_ids(roots, _BOOT_MULTINOMIAL)
     totals, faults, _, _ = _anchored_draws(obs, F, c_hat, seeds, cfg.B,
-                                           cfg.inclusion_threshold, ratio=True)
+                                           cfg.inclusion_threshold, ratio=True, keep=False)
     return totals, [
         f"ConcentrationError: {_NO_USABLE_CELLS}" if np.isnan(c)
         else None if fault is None else f"PredictiveError: {fault}"

@@ -179,3 +179,15 @@ def test_bootstrap_results_carry_what_the_tracer_counts():
     # CL draws years 1-8 (year 1 as exact zeros), BF all ten years.
     assert counts == {"predictive.draws": 18 * B, "predictive.excluded_years": 2,
                       "odp.draws": B, "odp.redraws": rejected}
+    # Without kept draws every year but an excluded one still carries an
+    # array, of no draws, so the hooks count the same.
+    lean_cl = multinomial_bootstrap(latest_diagonal(t), pattern, 13.4, B, seed=5,
+                                    keep_draws=False)
+    lean_bf = bf_bootstrap(t.values[:, 0], 1.3, pattern, 13.4, B, seed=6, keep_draws=False)
+    lean = Counter()
+    for dist, hook in ((lean_cl, "multinomial_bootstrap"), (lean_bf, "bf_bootstrap")):
+        assert [y.draws is None for y in dist.per_year] == [y.excluded for y in dist.per_year]
+        assert all(y.draws.size == 0 for y in dist.per_year if not y.excluded)
+        hooks[f"predictive.{hook}"](lean, (), dist)
+    hooks["odp.odp_bootstrap"](lean, (), odp)
+    assert lean == counts

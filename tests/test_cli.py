@@ -239,6 +239,15 @@ class TestBootstrap:
         assert dump[0].endswith(",total")
         assert len(dump) == 81  # header plus one line per draw
 
+    def test_a_dump_into_a_missing_directory_leaves_no_report(self, tmp_path, capsys):
+        # The dump is opened before the report and the manifest are written.
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["bootstrap", "raa", "--seed", "1", "--B", "100", "--out-dir", str(out),
+                     "--dump-draws", str(out / "missing" / "x.csv")]) == 1
+        assert_one_error_line(capsys, "No such file or directory")
+        assert list(out.iterdir()) == []
+
     def test_no_se_where_the_mean_is_suppressed(self, tmp_path):
         # At c = 0.5 every developing year has c*F <= 2, where the ratio's
         # variance does not exist: se is withheld along with the mean.
@@ -397,20 +406,24 @@ def _reject_constant(token: str):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(name=st.sampled_from(["taylor-ashe", "raa", "mortgage"]), bf=st.booleans(),
        fmt=st.sampled_from(["json", "csv"]), c_hat=EDGE_FLOATS, threshold=EDGE_FLOATS,
-       q_bf=EDGE_FLOATS, B=st.integers(1, 50))
+       q_bf=EDGE_FLOATS, B=st.integers(1, 50),
+       dump=st.sampled_from([None, "draws.csv", "missing/draws.csv"]))
 def test_bootstrap_flags_end_in_a_report_or_one_error_line(name, bf, fmt, c_hat, threshold,
-                                                           q_bf, B):
+                                                           q_bf, B, dump):
     # Each flag value is passed as --flag=value, so argparse reads "-inf"
     # as a value, not an option.
     argv = ["bootstrap", name, f"--B={B}", "--seed=1", f"--c-hat={c_hat}",
             f"--inclusion-threshold={threshold}", f"--output-format={fmt}"]
     argv += ["--anchor=bf", f"--q-bf={q_bf}"] if bf else []
     with tempfile.TemporaryDirectory() as out, redirect_stderr(StringIO()) as err:
+        draws = None if dump is None else Path(out) / dump
+        argv += [] if draws is None else [f"--dump-draws={draws}"]
         code = main(argv + ["--out-dir", out])
         report = Path(out) / f"runoff_bootstrap.{fmt}"
         if code == 1:
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
             assert not report.exists()
+            assert draws is None or not draws.exists()
             return
         assert code == 0 and err.getvalue() == ""
         manifest = (Path(out) / "runoff_bootstrap_manifest.json").read_text()
@@ -420,7 +433,9 @@ def test_bootstrap_flags_end_in_a_report_or_one_error_line(name, bf, fmt, c_hat,
         else:
             cells = report.read_text().replace("\n", ",").split(",")
             assert not {"nan", "inf", "-inf"} & {c.strip().lower() for c in cells}
-
+        if draws is not None:
+            header, *rows = draws.read_text().splitlines()
+            assert header.endswith("total") and len(rows) == B
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

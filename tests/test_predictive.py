@@ -3,6 +3,8 @@ moments and claim-count laws."""
 from __future__ import annotations
 
 import sys
+import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -383,18 +385,20 @@ class TestParallelDraws:
         return calls
 
     @staticmethod
-    def run_both(B):
+    def run_both(B, keep_draws=True):
         diag, pattern, E = raa_inputs()
-        return (multinomial_bootstrap(diag, pattern, 13.4, B, seed=5),
-                bf_bootstrap(E, 1.3, pattern, 13.4, B, seed=6))
+        return (multinomial_bootstrap(diag, pattern, 13.4, B, seed=5, keep_draws=keep_draws),
+                bf_bootstrap(E, 1.3, pattern, 13.4, B, seed=6, keep_draws=keep_draws))
 
+    @pytest.mark.parametrize("keep_draws", [True, False])
     @pytest.mark.parametrize("B, chunk", [(2000, 1 << 15), (2000, 300), (2001, 512), (1, 512),
                                           (2, 512), (3, 1)])
-    def test_pool_matches_serial(self, monkeypatch, pool_calls, B, chunk):
-        # Each year is summarised on the pool, through scratch rows the
-        # workers pass around; a row two workers shared would show here.
-        # The interpreter switches threads often, and 4 workers may exceed
-        # the cores.
+    def test_pool_matches_serial(self, monkeypatch, pool_calls, B, chunk, keep_draws):
+        # Each year is summarised on the pool and folded into the total in
+        # year order, through rows the workers pass around; a row two
+        # workers shared, or a fold out of order, would show here. The
+        # interpreter switches threads often, and 4 workers may exceed the
+        # cores.
         serial = self.run_both(B)
         assert pool_calls == []
         monkeypatch.setattr(predictive, "_PARALLEL_MIN_B", 1)
@@ -404,7 +408,7 @@ class TestParallelDraws:
         try:
             for workers in (1, 2, 4):
                 monkeypatch.setattr(predictive, "_usable_cores", lambda: workers)
-                self.assert_same(serial, self.run_both(B))
+                self.assert_same(serial, self.run_both(B, keep_draws))
         finally:
             sys.setswitchinterval(interval)
         assert pool_calls == [2, 2, 4, 4]
@@ -416,17 +420,72 @@ class TestParallelDraws:
         assert np.all(cl.per_year[0].draws == 0.0)
         for a, b in zip(serial, pooled):
             assert a.anchor == b.anchor
-            assert np.array_equal(a.total, b.total)
-            assert a.summary == b.summary
+            assert a.total.tobytes() == b.total.tobytes()
+            assert a.summary == b.summary and a.flags == b.flags
             # Year 1 is fully developed: B zeros, summarised as B zeros are.
             assert a.per_year[0].summary == _summarise(np.zeros(a.total.size), False)
             for ya, yb in zip(a.per_year, b.per_year):
                 assert ya.summary == yb.summary
                 if ya.draws is None:
                     assert ya == yb and ya.summary is None
-                else:
+                elif yb.draws.size:
                     assert np.array_equal(ya.draws, yb.draws)
                     assert ya.summary == _summarise(ya.draws, ya.mean_suppressed)
+                else:  # no draws kept: the year keeps only its summary
+                    assert not yb.draws.flags.writeable and yb.draws.shape == (0,)
+
+    @pytest.mark.parametrize("keep_draws", [True, False])
+    def test_a_year_that_finishes_first_is_folded_in_turn(self, monkeypatch, keep_draws):
+        # Year 2, the first drawn, cannot draw until year 3 waits for its
+        # turn to fold, so year 3 is done first on two workers. The total
+        # still adds year 2 before year 3, bit for bit as off the pool.
+        serial = self.run_both(2000)
+        waiting = threading.Event()
+
+        class Turn(predictive.Condition):
+            def wait_for(self, predicate, timeout=None):
+                if not predicate():  # a row done before an earlier one is folded
+                    waiting.set()
+                return super().wait_for(predicate, timeout)
+
+        class HeldGenerator:
+            def __init__(self, generator):
+                self.generator = generator
+
+            def beta(self, *args, **kwargs):
+                assert waiting.wait(timeout=10)
+                return self.generator.beta(*args, **kwargs)
+
+        streams = predictive._stream_generators
+
+        def hold_year_2(*args):
+            waiting.clear()
+            first, *rest = streams(*args)
+            return [HeldGenerator(first), *rest]
+
+        monkeypatch.setattr(predictive, "_PARALLEL_MIN_B", 1)
+        monkeypatch.setattr(predictive, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(predictive, "Condition", Turn)
+        monkeypatch.setattr(predictive, "_stream_generators", hold_year_2)
+        self.assert_same(serial, self.run_both(2000, keep_draws))
+
+    def test_unkept_rows_hold_no_block(self, monkeypatch):
+        # numpy reports its data buffers to tracemalloc. On two workers an
+        # unkept run holds two rows to draw into, two scratch rows and the
+        # total, and the total's own summary one more; a kept run holds the
+        # block of its seven drawn years as well.
+        monkeypatch.setattr(predictive, "_PARALLEL_MIN_B", 1)
+        monkeypatch.setattr(predictive, "_usable_cores", lambda: 2)
+        diag, pattern, _ = raa_inputs()
+        B, rows = 200_000, {}
+        for keep_draws in (False, True):
+            tracemalloc.start()
+            try:
+                multinomial_bootstrap(diag, pattern, 13.4, B, seed=5, keep_draws=keep_draws)
+                rows[keep_draws] = tracemalloc.get_traced_memory()[1] / (8 * B)
+            finally:
+                tracemalloc.stop()
+        assert rows[False] < 2 * 2 + 3 and rows[True] > 9, rows
 
     def test_pool_is_capped_at_drawn_years(self, monkeypatch, pool_calls):
         monkeypatch.setattr(predictive, "_PARALLEL_MIN_B", 1)
@@ -435,8 +494,9 @@ class TestParallelDraws:
         # CL draws years 2-8, BF years 2-10; year 1 is fully developed.
         assert pool_calls == [7, 9]
 
+    @pytest.mark.parametrize("keep_draws", [True, False])
     @pytest.mark.parametrize("threshold", [10**9, 1])
-    def test_overflow_is_an_error_not_a_warning(self, monkeypatch, threshold):
+    def test_overflow_is_an_error_not_a_warning(self, monkeypatch, threshold, keep_draws):
         # RAA scaled by 1e300 at c = 3: the ratio of draws exceeds the
         # float range. No numpy warning may escape; the error names the year.
         monkeypatch.setattr(predictive, "_PARALLEL_MIN_B", threshold)
@@ -447,15 +507,19 @@ class TestParallelDraws:
             warnings.simplefilter("error")
             with pytest.raises(PredictiveError, match=r"accident year \d+: .*overflow"):
                 multinomial_bootstrap(huge, pattern, 3.0, 1000, seed=1,
-                                      inclusion_threshold=0.0)
+                                      inclusion_threshold=0.0, keep_draws=keep_draws)
 
-    def test_total_overflow_is_an_error(self):
+    @pytest.mark.parametrize("keep_draws", [True, False])
+    def test_total_overflow_is_an_error(self, keep_draws):
         # Each year stays finite, but their sum exceeds the float range.
         pat = DevelopmentPattern(
             pi=np.array([0.1, 0.1, 0.1, 0.1, 0.6]),
             F=np.array([0.1, 0.2, 0.3, 0.4, 1.0]), method="fixed")
-        with pytest.raises(PredictiveError, match="total .* overflows"):
-            bf_bootstrap(np.full(5, 1.7e308), 1.0, pat, 50.0, 1000, seed=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PredictiveError, match="total .* overflows"):
+                bf_bootstrap(np.full(5, 1.7e308), 1.0, pat, 50.0, 1000, seed=2,
+                             keep_draws=keep_draws)
 
 
 _TOTAL_OVERFLOW = "the total of the bootstrap draws overflows the float range"
@@ -570,9 +634,10 @@ def kernel_inputs(draw, n_min=2):
     return pattern, lags, F, scales, c, seeds, threshold, B
 
 
-def run_kernel(scales, F, c, seeds, B, threshold, ratio):
+def run_kernel(scales, F, c, seeds, B, threshold, ratio, keep=True):
     return predictive._anchored_draws(scales, F, np.array(c, dtype=float),
-                                      np.array(seeds, dtype=np.uint64), B, threshold, ratio)
+                                      np.array(seeds, dtype=np.uint64), B, threshold, ratio,
+                                      keep=keep)
 
 
 # One row per check of the ladder, and one that passes with its mean
@@ -647,6 +712,13 @@ class TestAnchoredKernel:
         for k, (_, total, fault) in enumerate(refs):
             if fault is None:
                 assert totals[k].tobytes() == total.tobytes()
+        # Without a kept block the years fold into the same totals.
+        lean, lean_faults, no_block, _ = run_kernel(scales, F, c, seeds, B, threshold, ratio,
+                                                    keep=False)
+        assert no_block is None and lean_faults == faults
+        for k, fault in enumerate(faults):
+            if fault is None:
+                assert lean[k].tobytes() == totals[k].tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(inputs=kernel_inputs(),
