@@ -325,18 +325,27 @@ def cmd_bootstrap(args) -> int:
         report["floored_lags"] = list(pattern.floored_lags)
 
     parameters = {**_parameters(args), "exposures_source": exposures_source}
-    # Every value is checked before any artifact is written, and the dump,
-    # which can fail on its path, is written before the report and manifest.
+    # Every value is checked before any artifact is written; the dump, which
+    # can fail on its path, is written first, and the files written are
+    # removed again if a later one fails.
     _json_text(parameters, "manifest.parameters")
-    text = _json_text(report) + "\n"
+    text = _json_text(report)  # the values of either format's report
     report_path = _artifact(args, f".{args.output_format}")
-    if dump is not None:
-        _dump_draws(dump, dist)
-    if args.output_format == "json":
-        report_path.write_text(text)
-    else:
-        _write_bootstrap_csv(report_path, report)
-    _write_manifest(args, started, parameters, digests, seed, seed_generated)
+    written: list[Path] = []
+    try:
+        if dump is not None:
+            _dump_draws(dump, dist)
+            written.append(dump)
+        if args.output_format == "json":
+            _write_json(report_path, report, text=text)
+        else:
+            _write_bootstrap_csv(report_path, report, checked=True)
+        written.append(report_path)
+        _write_manifest(args, started, parameters, digests, seed, seed_generated)
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
 
     s = dist.summary
     mean_txt = "suppressed" if s["mean"] is None else _amount(s["mean"])
@@ -353,7 +362,8 @@ def cmd_bootstrap(args) -> int:
     return 0
 
 
-def _write_bootstrap_csv(path: Path, report: dict) -> None:
+def _write_bootstrap_csv(path: Path, report: dict, checked: bool = False) -> None:
+    """The report as CSV; checked: its values have passed _json_text."""
     cols = ["accident", "F", "c_times_F", "point_reserve", "mean", "se",
             "q5", "q25", "q50", "q75", "q95", "excluded", "exclusion_reason",
             "mean_suppressed"]
@@ -361,7 +371,7 @@ def _write_bootstrap_csv(path: Path, report: dict) -> None:
     *years, total = [[r.get(c) for c in cols]
                      for r in (*report["per_year"], {"accident": "total", **report["summary"]})]
     floored = [["floored_lags", *report["floored_lags"]]] if "floored_lags" in report else []
-    _write_csv(path, [cols, *years, [], total, *floored], report)
+    _write_csv(path, [cols, *years, [], total, *floored], None if checked else report)
 
 
 _DUMP_ROWS = 2048  # draws formatted at a time

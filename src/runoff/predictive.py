@@ -260,9 +260,9 @@ def _draw_years(totals: np.ndarray, rows: list[int], draws: list[tuple], ratio: 
     inf or NaN, and is not folded: its total is at fault too.
 
     The rows are folded in the order of draws, so each total adds its
-    years in one order, on the pool or off it, and keeps every bit: off
-    the pool a row is folded as soon as it is drawn; on it, a worker whose
-    row is done before every earlier row is folded waits for its turn.
+    years in one order, on the pool or off it, and keeps every bit: a row
+    is folded as soon as it is drawn and every earlier row is folded, so on
+    the pool a worker whose row is done first waits for its turn.
     With block, draws[k] is drawn into block[k] and kept there (a row at
     fault left part drawn); without it, into one of `workers` rows
     allocated here, so no more than `workers` rows of draws exist at once.
@@ -281,16 +281,13 @@ def _draw_years(totals: np.ndarray, rows: list[int], draws: list[tuple], ratio: 
                    None if suppressed is None else np.empty(B)))
     turn, folded = Condition(), 0
 
-    def fold(k: int, row: np.ndarray | None) -> None:
-        if row is not None:  # overflow is reported by _fold_and_check
-            with np.errstate(over="ignore", invalid="ignore"):
-                totals[rows[k]] += row
-
     def fold_in_turn(k: int, row: np.ndarray | None) -> None:
         nonlocal folded
         with turn:
             turn.wait_for(lambda: folded == k)
-            fold(k, row)
+            if row is not None:  # overflow is reported by _fold_and_check
+                with np.errstate(over="ignore", invalid="ignore"):
+                    totals[rows[k]] += row
             folded += 1
             turn.notify_all()
 
@@ -317,7 +314,7 @@ def _draw_years(totals: np.ndarray, rows: list[int], draws: list[tuple], ratio: 
             drawn = True
             return None, None if scratch is None else _year_summary(row, suppressed[k], scratch)
         finally:  # every row takes its turn, or a later one would wait for ever
-            (fold_in_turn if workers > 1 else fold)(k, row if drawn else None)
+            fold_in_turn(k, row if drawn else None)
             spare.put((own, scratch))
 
     if workers > 1:

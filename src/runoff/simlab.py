@@ -188,15 +188,19 @@ def _json_text(v, where: str = "report", pad: str = "\n") -> str:
     raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
 
-def _write_json(path, payload, where: str = "report") -> None:
-    # Built in full before the file is opened: a rejected value leaves no file.
-    Path(path).write_text(_json_text(payload, where) + "\n")
+def _write_json(path, payload, where: str = "report", text: str | None = None) -> None:
+    """payload as strict JSON, text being its _json_text if the caller has
+    rendered it already. Built in full before the file is opened: a
+    rejected value leaves no file."""
+    Path(path).write_text((_json_text(payload, where) if text is None else text) + "\n")
 
 
 def _write_csv(path, rows, payload, where: str = "report") -> None:
     """rows written by csv.writer, None as an empty cell, once payload has
-    passed _json_text: a rejected value leaves no file."""
-    _json_text(payload, where)
+    passed _json_text (payload None: the caller has checked it): a
+    rejected value leaves no file."""
+    if payload is not None:
+        _json_text(payload, where)
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
 

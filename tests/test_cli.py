@@ -248,6 +248,23 @@ class TestBootstrap:
         assert_one_error_line(capsys, "No such file or directory")
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("blocked", ["report", "manifest"])
+    def test_a_report_or_manifest_that_cannot_be_written_leaves_no_dump(self, tmp_path, capsys,
+                                                                        fmt, blocked):
+        # A directory stands at the report's or the manifest's name: the
+        # dump, written first outside the out-dir, and the report are
+        # removed again.
+        name = {"report": f"runoff_bootstrap.{fmt}",
+                "manifest": "runoff_bootstrap_manifest.json"}[blocked]
+        out, dump = tmp_path / "out", tmp_path / "draws.csv"
+        (out / name).mkdir(parents=True)
+        assert main(["bootstrap", "raa", "--seed", "1", "--B", "100", "--out-dir", str(out),
+                     f"--output-format={fmt}", "--dump-draws", str(dump)]) == 1
+        assert_one_error_line(capsys, "Is a directory")
+        assert not dump.exists()
+        assert [p.name for p in out.iterdir()] == [name]
+
     def test_no_se_where_the_mean_is_suppressed(self, tmp_path):
         # At c = 0.5 every developing year has c*F <= 2, where the ratio's
         # variance does not exist: se is withheld along with the mean.

@@ -408,29 +408,33 @@ class TestParallelDraws:
         try:
             for workers in (1, 2, 4):
                 monkeypatch.setattr(predictive, "_usable_cores", lambda: workers)
-                self.assert_same(serial, self.run_both(B, keep_draws))
+                self.assert_same(serial, self.run_both(B, keep_draws), keep_draws)
         finally:
             sys.setswitchinterval(interval)
         assert pool_calls == [2, 2, 4, 4]
 
     @staticmethod
-    def assert_same(serial, pooled):
-        cl = pooled[0]
-        assert cl.excluded_years == (9, 10)
-        assert np.all(cl.per_year[0].draws == 0.0)
+    def assert_same(serial, pooled, keep_draws):
+        # serial kept its draws; pooled kept them exactly when keep_draws.
+        assert pooled[0].excluded_years == (9, 10)
         for a, b in zip(serial, pooled):
             assert a.anchor == b.anchor
             assert a.total.tobytes() == b.total.tobytes()
             assert a.summary == b.summary and a.flags == b.flags
             # Year 1 is fully developed: B zeros, summarised as B zeros are.
-            assert a.per_year[0].summary == _summarise(np.zeros(a.total.size), False)
+            zeros = np.zeros(a.total.size)
+            assert np.array_equal(a.per_year[0].draws, zeros)
+            assert a.per_year[0].summary == _summarise(zeros, False)
+            if keep_draws:
+                assert np.array_equal(b.per_year[0].draws, zeros)
             for ya, yb in zip(a.per_year, b.per_year):
                 assert ya.summary == yb.summary
                 if ya.draws is None:
                     assert ya == yb and ya.summary is None
-                elif yb.draws.size:
+                    continue
+                assert ya.summary == _summarise(ya.draws, ya.mean_suppressed)
+                if keep_draws:
                     assert np.array_equal(ya.draws, yb.draws)
-                    assert ya.summary == _summarise(ya.draws, ya.mean_suppressed)
                 else:  # no draws kept: the year keeps only its summary
                     assert not yb.draws.flags.writeable and yb.draws.shape == (0,)
 
@@ -467,7 +471,7 @@ class TestParallelDraws:
         monkeypatch.setattr(predictive, "_usable_cores", lambda: 2)
         monkeypatch.setattr(predictive, "Condition", Turn)
         monkeypatch.setattr(predictive, "_stream_generators", hold_year_2)
-        self.assert_same(serial, self.run_both(2000, keep_draws))
+        self.assert_same(serial, self.run_both(2000, keep_draws), keep_draws)
 
     def test_unkept_rows_hold_no_block(self, monkeypatch):
         # numpy reports its data buffers to tracemalloc. On two workers an
