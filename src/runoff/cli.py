@@ -1,12 +1,12 @@
 """Command-line surface: fit, bootstrap, simulate.
 
-Every run writes a manifest (command, parameters, seed, version, input
-digests, wall clock) next to its report so results can be reproduced
-from the artifact alone. Given the same inputs, flags and seed, a report
-is written byte for byte identically. Across --threads a study's CSV is
-identical and its JSON differs only in the config's "threads" field;
-every study JSON carries "runtime_s": 0.0. main builds the argument
-parser once per process, on its first call, and then reuses it.
+Every run writes its files, then a manifest (command, parameters, seed,
+version, input digests, wall clock) that reproduces them, all or none: a
+failed write removes the files already written. Given the same inputs,
+flags and seed, a report is written byte for byte identically; across
+--threads a study's CSV is identical and its JSON differs only in the
+config's "threads" field. Every study JSON carries "runtime_s": 0.0.
+main builds the argument parser on its first call and then reuses it.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .simlab import (
     SimulationError,
     SimulationReport,
     _json_text,
+    _parse_pattern,
     _write_csv,
     _write_json,
     compare_odp,
@@ -113,25 +114,39 @@ def _parameters(args) -> dict:
 
 
 def _artifact(args, suffix: str) -> Path:
-    """<out-dir>/<stem><suffix>, creating out-dir. The default stem is
-    runoff_<study> for simulate and runoff_<command> otherwise."""
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir / f"{args.stem or 'runoff_' + getattr(args, 'study', args.command)}{suffix}"
+    """<out-dir>/<stem><suffix>. The default stem is runoff_<study> for
+    simulate and runoff_<command> otherwise."""
+    stem = args.stem or "runoff_" + getattr(args, "study", args.command)
+    return Path(args.out_dir) / f"{stem}{suffix}"
 
 
-def _write_manifest(args, started: float, parameters: dict, inputs: dict[str, str],
-                    seed: int | None = None, seed_generated: bool = False) -> None:
-    command = args.command + (f" --study {args.study}" if args.command == "simulate" else "")
-    _write_json(_artifact(args, "_manifest.json"), {
-        "command": command,
-        "parameters": parameters,
-        "seed": seed,
-        "seed_generated": seed_generated,
-        "version": __version__,
-        "inputs": inputs,
-        "wall_clock_s": time.perf_counter() - started,
-    }, where="manifest")
+def _write_artifacts(args, started: float, files: list, parameters: dict, inputs: dict[str, str],
+                     seed: int | None = None, seed_generated: bool = False) -> None:
+    """Write files, (path, write) pairs, in order, then the manifest: all
+    or none. The parameters are checked and out-dir is made before the
+    first file opens; if a file or the manifest fails, the files already
+    written are removed and the error goes on."""
+    _json_text(parameters, "manifest.parameters")
+    Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+    written: list[Path] = []
+    try:
+        for path, write in files:
+            write(path)
+            written.append(path)
+        command = args.command + (f" --study {args.study}" if args.command == "simulate" else "")
+        _write_json(_artifact(args, "_manifest.json"), {
+            "command": command,
+            "parameters": parameters,
+            "seed": seed,
+            "seed_generated": seed_generated,
+            "version": __version__,
+            "inputs": inputs,
+            "wall_clock_s": time.perf_counter() - started,
+        }, where="manifest")
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
 
 
 def _resolve_seed(seed: int | None) -> tuple[int, bool]:
@@ -149,7 +164,7 @@ def _positive_int(text: str) -> int:
 
 def _float_list(text: str) -> tuple[float, ...]:
     try:
-        vals = tuple(float(x) for x in text.replace(",", " ").split())
+        vals = _parse_pattern(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
     if not vals:
@@ -235,11 +250,9 @@ def cmd_fit(args) -> int:
             reserves[method] = block
     report["reserves"] = reserves
 
-    parameters = _parameters(args)
-    _json_text(parameters, "manifest.parameters")  # before any artifact is written
     report_path = _artifact(args, ".json")
-    _write_json(report_path, report)
-    _write_manifest(args, started, parameters, digests)
+    _write_artifacts(args, started, [(report_path, functools.partial(_write_json, payload=report))],
+                     _parameters(args), digests)
 
     conc = report["concentration"]
     if "error" in conc:
@@ -324,28 +337,15 @@ def cmd_bootstrap(args) -> int:
     if pattern.floored_lags:
         report["floored_lags"] = list(pattern.floored_lags)
 
-    parameters = {**_parameters(args), "exposures_source": exposures_source}
-    # Every value is checked before any artifact is written; the dump, which
-    # can fail on its path, is written first, and the files written are
-    # removed again if a later one fails.
-    _json_text(parameters, "manifest.parameters")
-    text = _json_text(report)  # the values of either format's report
+    text = _json_text(report)  # before the dump, so a bad value overwrites no file there
     report_path = _artifact(args, f".{args.output_format}")
-    written: list[Path] = []
-    try:
-        if dump is not None:
-            _dump_draws(dump, dist)
-            written.append(dump)
-        if args.output_format == "json":
-            _write_json(report_path, report, text=text)
-        else:
-            _write_bootstrap_csv(report_path, report, checked=True)
-        written.append(report_path)
-        _write_manifest(args, started, parameters, digests, seed, seed_generated)
-    except BaseException:
-        for path in written:
-            path.unlink(missing_ok=True)
-        raise
+    files = [] if dump is None else [(dump, functools.partial(_dump_draws, dist=dist))]
+    files.append((report_path, functools.partial(_write_json, payload=report, text=text)
+                  if args.output_format == "json"
+                  else functools.partial(_write_bootstrap_csv, report=report, checked=True)))
+    _write_artifacts(args, started, files,
+                     {**_parameters(args), "exposures_source": exposures_source},
+                     digests, seed, seed_generated)
 
     s = dist.summary
     mean_txt = "suppressed" if s["mean"] is None else _amount(s["mean"])
@@ -593,18 +593,17 @@ def cmd_simulate(args, options: dict[str, str]) -> int:
     call = inspect.signature(study).bind_partial(**kwargs)
     call.apply_defaults()
     call.arguments.update(report.resolved)
-    # The JSON report checks the config; the rest of the manifest's parameters now.
-    _json_text(call.arguments, "manifest.parameters")
 
     # The artifacts carry no timing: runtime_s stays at 0.0.
     rows = [{k: v for k, v in row.items() if k != "runtime_s"} for row in report.rows]
     artifact = SimulationReport(report.study, rows, report.config)
+    # Named as in the JSON report (config.<key>), before the manifest's copy is checked.
+    _json_text(artifact.config, "config")
     csv_path, json_path = _artifact(args, ".csv"), _artifact(args, ".json")
-    # JSON first: its check covers the config too, so a rejection leaves no file.
-    artifact.write_json(json_path)
-    artifact.write_csv(csv_path)
-    _write_manifest(args, started, {**report.config, **call.arguments, "study": args.study},
-                    digests, seed, seed_generated)
+    _write_artifacts(args, started, [(json_path, artifact.write_json),
+                                     (csv_path, artifact.write_csv)],
+                     {**report.config, **call.arguments, "study": args.study},
+                     digests, seed, seed_generated)
 
     print(report.format_text())
     soft = sum(int(r.get("failures") or 0) for r in report.rows)

@@ -31,7 +31,7 @@ from runoff.predictive import (
     bf_bootstrap,
     multinomial_bootstrap,
 )
-from runoff.simlab import ReportError, SimulationReport, _write_json
+from runoff.simlab import _DGPS, ReportError, SimulationReport, _write_json
 from runoff.triangle import bundled_triangle
 
 TA_EXPOSURES = "accident,exposure\n" + "".join(
@@ -321,6 +321,25 @@ def assert_one_error_line(capsys, text: str) -> None:
     assert text in err and "Traceback" not in err
 
 
+SMALL_CORRECT = ["simulate", "--study", "correct", "--M", "3", "--B", "20", "--seed", "1"]
+
+
+@pytest.mark.parametrize("argv,blocked", [
+    (["fit", "raa"], "runoff_fit_manifest.json"),
+    (SMALL_CORRECT, "runoff_correct_manifest.json"),
+    (SMALL_CORRECT, "runoff_correct.csv"),
+], ids=["fit-manifest", "simulate-manifest", "simulate-csv"])
+def test_a_file_that_cannot_be_written_leaves_none_of_the_others(tmp_path, capsys, argv,
+                                                                 blocked):
+    # A directory stands at one file's name: the files written before it
+    # are removed again.
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    assert main([*argv, "--out-dir", str(out)]) == 1
+    assert_one_error_line(capsys, "Is a directory")
+    assert [p.name for p in out.iterdir()] == [blocked]
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--study", "correct", "--M", "1"],
     ["simulate", "--study", "compare-odp", "--M", "1"],
@@ -480,6 +499,36 @@ def test_fit_flags_end_in_a_report_or_one_error_line(name, exposures, reserves, 
         assert code == 0 and err.getvalue() == ""
         for artifact in ("runoff_fit.json", "runoff_fit_manifest.json"):
             json.loads((out / artifact).read_text(), parse_constant=_reject_constant)
+
+
+SIMULATE_FLOATS = ("c-true", "sigma-delta", "p", "phi", "kappa", "mu", "inclusion-threshold")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(study=st.sampled_from([*(["correct", f"--dgp={dgp}"] for dgp in _DGPS),
+                              ["nonstat"], ["tweedie"], ["compare-odp"]]),
+       values=st.dictionaries(st.sampled_from(SIMULATE_FLOATS), EDGE_FLOATS, max_size=3),
+       M=st.integers(1, 3), B=st.integers(1, 50), threads=st.integers(1, 2))
+def test_simulate_flags_end_in_reports_or_one_error_line(study, values, M, B, threads):
+    # Up to three float flags at edge values: every study file's values are
+    # finite, or the run is one error line and leaves no file.
+    argv = ["simulate", "--study", *study, f"--M={M}", f"--B={B}", f"--threads={threads}",
+            "--seed=1"]
+    argv += [f"--{flag}={value}" for flag, value in values.items()]
+    with tempfile.TemporaryDirectory() as tmp, redirect_stderr(StringIO()) as err:
+        out = Path(tmp) / "out"
+        out.mkdir()
+        code = main(argv + ["--out-dir", str(out)])
+        if code == 1:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            assert list(out.iterdir()) == []
+            return
+        assert code == 0 and err.getvalue() == ""
+        stem = f"runoff_{study[0]}"
+        for name in (f"{stem}.json", f"{stem}_manifest.json"):
+            json.loads((out / name).read_text(), parse_constant=_reject_constant)
+        cells = (out / f"{stem}.csv").read_text().replace("\n", ",").split(",")
+        assert not {"nan", "inf", "-inf"} & {c.strip().lower() for c in cells}
 
 
 @pytest.mark.parametrize("raised,message", [
