@@ -163,33 +163,75 @@ def _fold_and_check(totals: np.ndarray, years, faults: list[str | None],
     return mean, se
 
 
+_WORK = 1 << 14  # floats of squared deviations a summary holds at once
+_PAIRWISE_BLOCK = 128  # numpy's pairwise summation adds up to this many values in 8 lanes
+
+
+def _squares(x: np.ndarray, mean, work: np.ndarray) -> np.ndarray:
+    """(x - mean) * (x - mean), in the first x.size floats of work."""
+    w = work[: x.size]
+    np.subtract(x, mean, out=w)
+    return np.multiply(w, w, out=w)
+
+
+def _squares_sum(x: np.ndarray, mean, work: np.ndarray):
+    """np.add.reduce((x - mean) * (x - mean)), bit for bit, with the
+    squared deviations taken into work (8 floats or more, or x.size) one
+    node of numpy's pairwise summation tree at a time. A node of more than
+    128 values adds its two halves, split at n // 2 rounded down to a
+    multiple of 8. One of 8 to 128 values adds every 8th value into each of
+    8 lanes, the lanes in a fixed tree, then its last n % 8 values in turn.
+    A node that fits in work is one np.add.reduce, which builds the same
+    tree."""
+    n = x.size
+    if n <= work.size:
+        return np.add.reduce(_squares(x, mean, work))
+    if n > _PAIRWISE_BLOCK:
+        half = n // 2 - n // 2 % 8
+        return _squares_sum(x[:half], mean, work) + _squares_sum(x[half:], mean, work)
+    lanes = _squares(x[:8], mean, work).copy()
+    for i in range(8, n - n % 8, 8):
+        lanes += _squares(x[i : i + 8], mean, work)
+    total = np.add.reduce(lanes)  # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for value in _squares(x[n - n % 8 :], mean, work):
+        total += value
+    return total
+
+
+def _row_moments(x: np.ndarray, work: np.ndarray):
+    """The mean and se (None for one value) of the row x, the bits of
+    ndarray.mean and std(ddof=1), numpy's _mean and _var step by step but
+    with the squared deviations in work (_squares_sum). An overflow gives a
+    non-finite value, not a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = np.add.reduce(x) / x.size
+        if x.size == 1:
+            return mean, None
+        return mean, np.sqrt(_squares_sum(x, mean, work) / (x.size - 1))
+
+
 def _summarise(draws: np.ndarray, mean_suppressed: bool, moments=None,
                scratch: np.ndarray | None = None) -> dict[str, float | None]:
     """Mean, se and quantiles of draws. A suppressed mean withholds se too:
     the mean is suppressed at c*F <= 2, where the ratio has no variance.
-    moments, what _fold_and_check returned for draws[None], spares
-    computing mean and se again; a quantile, then a mean or se, that
-    overflows the float range is an error. scratch, a row like draws that
-    a caller reuses, takes the sorted copy and the squared deviations. The
-    bits are those of np.quantile, ndarray.mean and std(ddof=1)."""
+    moments, draws' (mean, se) as _row_moments gives them, spares computing
+    them again; a quantile, then a mean or se, that overflows the float
+    range is an error. scratch, a row like draws that a caller reuses, or
+    draws itself, which is then left sorted, takes the sorted copy. The bits
+    are those of np.quantile, ndarray.mean and std(ddof=1)."""
+    if not mean_suppressed and moments is None:
+        moments = _row_moments(draws, np.empty(min(draws.size, _WORK)))
     s = np.empty_like(draws) if scratch is None else scratch
-    np.copyto(s, draws)
+    if s is not draws:
+        np.copyto(s, draws)
     s.sort()
     q5, q25, q50, q75, q95 = _quantiles(s, _SUMMARY_PROBS, presorted=True)
     mean = se = None
-    if not mean_suppressed and moments is None:
-        n = draws.size
-        # numpy's _mean and _var, step by step; overflow is reported below.
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean = np.add.reduce(draws) / n
-            if n > 1:
-                np.multiply(np.subtract(draws, mean, out=s), s, out=s)
-                se = np.sqrt(np.add.reduce(s) / (n - 1))
+    if not mean_suppressed:
+        mean, se = moments
         if not (np.isfinite(mean) and (se is None or np.isfinite(se))):
             raise PredictiveError(_MOMENTS_OVERFLOW)
         mean, se = float(mean), None if se is None else float(se)
-    elif not mean_suppressed:
-        mean, se = float(moments[0][0]), None if moments[1] is None else float(moments[1][0])
     return {
         "mean": mean,
         "se": se,
@@ -201,10 +243,11 @@ def _summarise(draws: np.ndarray, mean_suppressed: bool, moments=None,
     }
 
 
-def _year_summary(draws: np.ndarray, mean_suppressed: bool, scratch=None) -> dict | str:
+def _year_summary(draws: np.ndarray, mean_suppressed: bool, moments=None,
+                  scratch=None) -> dict | str:
     """_summarise, or the PredictiveError message of a summary that fails."""
     try:
-        return _summarise(draws, mean_suppressed, scratch=scratch)
+        return _summarise(draws, mean_suppressed, moments, scratch)
     except PredictiveError as exc:
         return str(exc)
 
@@ -264,21 +307,23 @@ def _draw_years(totals: np.ndarray, rows: list[int], draws: list[tuple], ratio: 
     is folded as soon as it is drawn and every earlier row is folded, so on
     the pool a worker whose row is done first waits for its turn.
     With block, draws[k] is drawn into block[k] and kept there (a row at
-    fault left part drawn); without it, into one of `workers` rows
-    allocated here, so no more than `workers` rows of draws exist at once.
-    With suppressed (each draw's mean-suppression flag) the worker that
-    drew a row summarises it (_year_summary) before its fold, in one of
-    `workers` scratch rows allocated here, else summary is None. A queue
-    passes the rows allocated here between tasks, so that no worker's
-    allocator arena keeps B floats.
+    fault left part drawn); without it, into the row of the worker, one of
+    `workers` rows allocated here, so no more than `workers` rows of draws
+    exist at once. With suppressed (each draw's mean-suppression flag) the
+    worker that drew a row summarises it (_year_summary), else summary is
+    None: it takes the row's mean and se (_row_moments, in a work buffer of
+    at most _WORK floats) before the fold, and sorts the row for its
+    quantiles after it, in place without block, else as a copy in its row.
+    A queue passes each worker's row and work buffer, allocated here,
+    between tasks, so that no worker's allocator arena keeps B floats.
     """
     B = totals.shape[1]
     scale_name = "observed total" if ratio else "prior ultimate"
     workers = min(_usable_cores() if B >= _PARALLEL_MIN_B else 1, len(draws))
     spare = queue.SimpleQueue()
     for _ in range(workers):
-        spare.put((np.empty(B) if block is None else None,
-                   None if suppressed is None else np.empty(B)))
+        spare.put((np.empty(B) if block is None or suppressed is not None else None,
+                   None if suppressed is None else np.empty(min(B, _WORK))))
     turn, folded = Condition(), 0
 
     def fold_in_turn(k: int, row: np.ndarray | None) -> None:
@@ -291,31 +336,41 @@ def _draw_years(totals: np.ndarray, rows: list[int], draws: list[tuple], ratio: 
             folded += 1
             turn.notify_all()
 
-    def fill(k: int) -> tuple:
+    def draw(k: int, row: np.ndarray) -> str | None:
         accident, generator, a, b, scale = draws[k]
-        own, scratch = spare.get()
-        row = own if block is None else block[k]
-        drawn = False
+        # Overflow is reported by the check below, not by a numpy warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, B, _CHUNK):
+                seg = row[start : start + _CHUNK]
+                w = generator.beta(a, b, size=seg.size)
+                if ratio:
+                    np.maximum(w, _W_FLOOR, out=w)
+                np.subtract(1.0, w, out=seg)
+                np.multiply(scale, seg, out=seg)
+                if ratio:
+                    np.divide(seg, w, out=seg)
+                if not np.isfinite(seg).all():
+                    return (f"accident year {accident}: bootstrap draws overflow the "
+                            f"float range ({scale_name} {scale:.6g})")
+        return None
+
+    def fill(k: int) -> tuple:
+        own, work = spare.get()
         try:
-            # Overflow is reported by the check below, not by a numpy warning.
-            with np.errstate(over="ignore", invalid="ignore"):
-                for start in range(0, B, _CHUNK):
-                    seg = row[start : start + _CHUNK]
-                    w = generator.beta(a, b, size=seg.size)
-                    if ratio:
-                        np.maximum(w, _W_FLOOR, out=w)
-                    np.subtract(1.0, w, out=seg)
-                    np.multiply(scale, seg, out=seg)
-                    if ratio:
-                        np.divide(seg, w, out=seg)
-                    if not np.isfinite(seg).all():
-                        return (f"accident year {accident}: bootstrap draws overflow the "
-                                f"float range ({scale_name} {scale:.6g})"), None
-            drawn = True
-            return None, None if scratch is None else _year_summary(row, suppressed[k], scratch)
-        finally:  # every row takes its turn, or a later one would wait for ever
-            fold_in_turn(k, row if drawn else None)
-            spare.put((own, scratch))
+            row = own if block is None else block[k]
+            drawn = moments = None  # drawn: the row to fold, once it is drawn without fault
+            try:
+                fault = draw(k, row)
+                if fault is None and work is not None and not suppressed[k]:
+                    moments = _row_moments(row, work)
+                drawn = None if fault else row
+            finally:  # every row takes its turn, or a later one would wait for ever
+                fold_in_turn(k, drawn)
+            if fault is not None or work is None:
+                return fault, None
+            return None, _year_summary(row, suppressed[k], moments, scratch=own)
+        finally:
+            spare.put((own, work))
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -426,7 +481,8 @@ def _distribution(total, moments, F, points, rules, block, summaries, anchor: st
     developed year gets its zero row, whose summary is that of min(B, 2)
     zeros."""
     cf, excluded, drawn, suppressed = rules
-    summary = _summarise(total, bool(suppressed.any()), moments)
+    (mean,), se = moments
+    summary = _summarise(total, bool(suppressed.any()), (mean, se if se is None else se[0]))
     drawn_years = zip(repeat(_NO_DRAWS) if block is None else block, summaries or repeat(None))
     years, flags = [], {}
     for i, (f, c_f, point) in enumerate(zip(F.tolist(), cf.tolist(), points.tolist())):

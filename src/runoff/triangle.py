@@ -393,7 +393,7 @@ def _bundled_file(name: str):
     key = Path(name.strip()).name.lower().removesuffix(".csv").replace("_", "-")
     if key not in _BUNDLED:
         return None
-    return resources.files("runoff").joinpath("data", _BUNDLED[key])
+    return resources.files(__package__).joinpath("data", _BUNDLED[key])
 
 
 def bundled_triangle(name: str) -> Triangle:

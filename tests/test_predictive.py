@@ -473,13 +473,17 @@ class TestParallelDraws:
         monkeypatch.setattr(predictive, "_stream_generators", hold_year_2)
         self.assert_same(serial, self.run_both(2000, keep_draws), keep_draws)
 
-    def test_unkept_rows_hold_no_block(self, monkeypatch):
-        # numpy reports its data buffers to tracemalloc. On two workers an
-        # unkept run holds two rows to draw into, two scratch rows and the
-        # total, and the total's own summary one more; a kept run holds the
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unkept_rows_hold_no_block(self, monkeypatch, workers):
+        # numpy reports its data buffers to tracemalloc. An unkept run
+        # holds the total and one row per worker, which the worker draws
+        # into and sorts in place, and per worker a work buffer and a chunk
+        # of Beta variates, each a twelfth of a row or less here; the
+        # total's own summary adds one row once the workers' are gone. A
+        # second row per worker would break the bound. A kept run holds the
         # block of its seven drawn years as well.
         monkeypatch.setattr(predictive, "_PARALLEL_MIN_B", 1)
-        monkeypatch.setattr(predictive, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(predictive, "_usable_cores", lambda: workers)
         diag, pattern, _ = raa_inputs()
         B, rows = 200_000, {}
         for keep_draws in (False, True):
@@ -489,7 +493,23 @@ class TestParallelDraws:
                 rows[keep_draws] = tracemalloc.get_traced_memory()[1] / (8 * B)
             finally:
                 tracemalloc.stop()
-        assert rows[False] < 2 * 2 + 3 and rows[True] > 9, rows
+        assert rows[False] < workers + 2.5 and rows[True] > 9, rows
+
+    @pytest.mark.parametrize("keep_draws", [True, False])
+    def test_pooled_moments_are_numpys_beyond_the_work_buffer(self, monkeypatch, keep_draws):
+        # At B above the work buffer a worker sums the squared deviations
+        # node by node; each drawn year's mean and se are still numpy's own.
+        monkeypatch.setattr(predictive, "_PARALLEL_MIN_B", 1)
+        monkeypatch.setattr(predictive, "_usable_cores", lambda: 2)
+        B = 2 * predictive._WORK + 9
+        kept = self.run_both(B)
+        pooled = self.run_both(B, keep_draws)
+        for a, b in zip(kept, pooled):
+            for ya, yb in zip(a.per_year[1:], b.per_year[1:]):  # year 1: fully developed
+                assert ya.summary == yb.summary
+                if ya.draws is not None and not ya.mean_suppressed:
+                    assert yb.summary["mean"] == float(np.mean(ya.draws))
+                    assert yb.summary["se"] == float(np.std(ya.draws, ddof=1))
 
     def test_pool_is_capped_at_drawn_years(self, monkeypatch, pool_calls):
         monkeypatch.setattr(predictive, "_PARALLEL_MIN_B", 1)
@@ -981,6 +1001,55 @@ class TestScratchSummary:
         if not suppressed:
             assert bits(got["mean"]) == bits(x.mean())
             assert bits(got["se"]) == (None if x.size == 1 else bits(x.std(ddof=1)))
+
+
+SQUARES_WORK = [8, 128, 1000]
+SQUARES_EDGES = [0.0, 1e-300, 1e300, -1e300, 1.0, 7.25e5]
+
+
+@st.composite
+def squares_rows(draw):
+    """A work buffer of 8, 128 or 1000 floats; a row of 1 to 300,000
+    values, its size now and then a multiple of 8 or the buffer's size, one
+    either side of it, or the summary's own buffer size; values that mix
+    the edge values 0, 1e-300 and ±1e300 into dense random ones; and a mean
+    that is the row's own, 0 or an edge value."""
+    m = draw(st.sampled_from(SQUARES_WORK))
+    n = draw(st.one_of(
+        st.integers(1, 300_000),
+        st.integers(1, 37_500).map(lambda k: 8 * k),
+        st.sampled_from([m, predictive._WORK, 300_000])))
+    n = max(1, n + draw(st.sampled_from([-1, 0, 1])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.lognormal(0, draw(st.sampled_from([1.0, 5.0, 300.0])), n)
+    if draw(st.booleans()):
+        spots = rng.random(n) < draw(st.sampled_from([0.001, 0.1, 1.0]))
+        x[spots] = rng.choice(np.array(draw(st.lists(st.sampled_from(SQUARES_EDGES),
+                                                     min_size=1, max_size=3))), spots.sum())
+    with np.errstate(over="ignore"):
+        mean = draw(st.sampled_from([np.add.reduce(x) / n, 0.0, 1e-300, 1e300]))
+    return x, mean, m
+
+
+class TestSquaresSum:
+    """The squared deviations summed node by node in a small work buffer
+    give the bits of np.add.reduce over the full deviation row. This pins
+    numpy's pairwise summation rule, its 8-lane blocks included: if a numpy
+    release changes it, this fails before a golden digest does."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=squares_rows())
+    @example(case=(np.linspace(0.0, 1.0, 129), 0.5, 8))
+    @example(case=(np.arange(1001.0), 500.0, 1000))
+    def test_node_by_node_sum_is_numpys(self, case):
+        x, mean, m = case
+        before = x.tobytes()
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.add.reduce((x - mean) * (x - mean))
+            got = predictive._squares_sum(x, mean, np.full(min(m, x.size), np.nan))
+        assert x.tobytes() == before
+        assert np.float64(got).tobytes() == np.float64(want).tobytes() or (
+            np.isnan(got) and np.isnan(want))
 
 
 class TestIbnpExactMoments:

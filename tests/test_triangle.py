@@ -1,7 +1,10 @@
 """Triangle construction, cumulate/decumulate, and CSV ingestion."""
 from __future__ import annotations
 
+import importlib
 import io
+import shutil
+import sys
 import warnings
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import runoff
 from runoff.patterns import DevelopmentPattern, cl_ultimates
 from runoff.predictive import bf_bootstrap
 from runoff.simlab import SimConfig, _true_F, generate_triangle
@@ -340,6 +344,22 @@ class TestBundled:
         # triangle with decreases; downstream estimators must tolerate it.
         t = bundled_triangle("raa")
         assert min(t.cells.values()) < 0.0
+
+    def test_a_copy_under_another_name_reads_its_own_data(self, tmp_path, monkeypatch):
+        # Two checkouts can be loaded side by side in one interpreter only
+        # if each package finds the bundled triangles beside its own code.
+        copy = tmp_path / "runoff_copy"
+        shutil.copytree(Path(runoff.__file__).parent, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        monkeypatch.syspath_prepend(str(tmp_path))
+        try:
+            triangle = importlib.import_module("runoff_copy.triangle")
+            assert Path(str(triangle._bundled_file("raa"))).is_relative_to(copy)
+            assert np.array_equal(triangle.bundled_triangle("raa").values,
+                                  bundled_triangle("raa").values, equal_nan=True)
+        finally:
+            for name in [m for m in sys.modules if m.split(".")[0] == "runoff_copy"]:
+                del sys.modules[name]
 
 
 @st.composite
