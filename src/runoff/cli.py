@@ -173,10 +173,11 @@ def _float_list(text: str) -> tuple[float, ...]:
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in _float_list(text))
-    except OverflowError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+    vals = _float_list(text)
+    for v in vals:
+        if not v.is_integer():  # nan and inf included
+            raise argparse.ArgumentTypeError(f"expected integers, got {v}")
+    return tuple(int(v) for v in vals)
 
 
 def _amount(v: float) -> str:

@@ -143,16 +143,16 @@ def _fold_and_check(totals: np.ndarray, years, faults: list[str | None],
     row still without a fault in faults (one entry per row, set in place,
     never raised) gets _TOTAL_OVERFLOW if its total is not finite, else
     _MOMENTS_OVERFLOW if its mean or se is not, unless suppressed[row] (a
-    drawn year's mean is suppressed). Returns each row's mean and se (se
-    None at B = 1), meaningless for a failed row. years is consumed a pair
-    at a time, so its draws may reuse one array.
+    drawn year's mean is suppressed). Returns each row's mean and se
+    (_row_moments; se None at B = 1), meaningless for a failed row. years
+    is consumed a pair at a time, so its draws may reuse one array.
     """
     # A failed row may hold anything; overflow is reported by the checks.
     with np.errstate(over="ignore", invalid="ignore"):
         for row, draws in years:
             totals[row] += draws
-        mean = totals.mean(axis=-1)
-        se = totals.std(axis=-1, ddof=1) if totals.shape[-1] > 1 else None
+    n, B = totals.shape
+    mean, se = _row_moments(totals, np.empty(n * min(B, _WORK)))
     finite = np.isfinite(totals).all(axis=-1)
     moments_ok = np.isfinite(mean) if se is None else np.isfinite(mean) & np.isfinite(se)
     for k, fault in enumerate(faults):
@@ -163,69 +163,60 @@ def _fold_and_check(totals: np.ndarray, years, faults: list[str | None],
     return mean, se
 
 
-_WORK = 1 << 14  # floats of squared deviations a summary holds at once
-_PAIRWISE_BLOCK = 128  # numpy's pairwise summation adds up to this many values in 8 lanes
+_WORK = 1 << 14  # floats per row of squared deviations a summary holds at once
 
 
 def _squares(x: np.ndarray, mean, work: np.ndarray) -> np.ndarray:
-    """(x - mean) * (x - mean), in the first x.size floats of work."""
-    w = work[: x.size]
+    """(x - mean) * (x - mean), shaped like x in the first x.size floats
+    of work."""
+    w = work[: x.size].reshape(x.shape)
     np.subtract(x, mean, out=w)
     return np.multiply(w, w, out=w)
 
 
 def _squares_sum(x: np.ndarray, mean, work: np.ndarray):
-    """np.add.reduce((x - mean) * (x - mean)), bit for bit, with the
-    squared deviations taken into work (8 floats or more, or x.size) one
-    node of numpy's pairwise summation tree at a time. A node of more than
-    128 values adds its two halves, split at n // 2 rounded down to a
-    multiple of 8. One of 8 to 128 values adds every 8th value into each of
-    8 lanes, the lanes in a fixed tree, then its last n % 8 values in turn.
-    A node that fits in work is one np.add.reduce, which builds the same
-    tree."""
-    n = x.size
-    if n <= work.size:
-        return np.add.reduce(_squares(x, mean, work))
-    if n > _PAIRWISE_BLOCK:
-        half = n // 2 - n // 2 % 8
-        return _squares_sum(x[:half], mean, work) + _squares_sum(x[half:], mean, work)
-    lanes = _squares(x[:8], mean, work).copy()
-    for i in range(8, n - n % 8, 8):
-        lanes += _squares(x[i : i + 8], mean, work)
-    total = np.add.reduce(lanes)  # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-    for value in _squares(x[n - n % 8 :], mean, work):
-        total += value
-    return total
+    """_squares(x, mean) summed along its last axis by np.add.reduce, bit
+    for bit, x a row or an (n, B) block and mean a scalar or (n, 1), with
+    the squared deviations taken into work one node of numpy's pairwise
+    summation tree at a time. A node that fits in work is one
+    np.add.reduce, which builds the same tree; one that does not adds its
+    halves, split at B // 2 rounded down to a multiple of 8. work holds at
+    least min(B, 128) floats per row, so a split node holds more than 128
+    values, as numpy's do."""
+    if x.size <= work.size:
+        return np.add.reduce(_squares(x, mean, work), axis=-1)
+    half = x.shape[-1] // 2 - x.shape[-1] // 2 % 8
+    return _squares_sum(x[..., :half], mean, work) + _squares_sum(x[..., half:], mean, work)
 
 
 def _row_moments(x: np.ndarray, work: np.ndarray):
-    """The mean and se (None for one value) of the row x, the bits of
-    ndarray.mean and std(ddof=1), numpy's _mean and _var step by step but
-    with the squared deviations in work (_squares_sum). An overflow gives a
-    non-finite value, not a warning."""
+    """The mean and se (None for one value) along the last axis of x, a row
+    or an (n, B) block: the bits of ndarray.mean and std(ddof=1) on that
+    axis, numpy's _mean and _var step by step but with the squared
+    deviations in work (_squares_sum). An overflow gives a non-finite
+    value, not a warning."""
+    size = x.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = np.add.reduce(x) / x.size
-        if x.size == 1:
+        mean = np.add.reduce(x, axis=-1) / size
+        if size == 1:
             return mean, None
-        return mean, np.sqrt(_squares_sum(x, mean, work) / (x.size - 1))
+        return mean, np.sqrt(_squares_sum(x, mean[..., None], work) / (size - 1))
 
 
 def _summarise(draws: np.ndarray, mean_suppressed: bool, moments=None,
-               scratch: np.ndarray | None = None) -> dict[str, float | None]:
+               in_place: bool = False) -> dict[str, float | None]:
     """Mean, se and quantiles of draws. A suppressed mean withholds se too:
     the mean is suppressed at c*F <= 2, where the ratio has no variance.
     moments, draws' (mean, se) as _row_moments gives them, spares computing
     them again; a quantile, then a mean or se, that overflows the float
-    range is an error. scratch, a row like draws that a caller reuses, or
-    draws itself, which is then left sorted, takes the sorted copy. The bits
-    are those of np.quantile, ndarray.mean and std(ddof=1)."""
+    range is an error. With in_place the draws are sorted in place for the
+    quantiles, after their moments are taken; without, a sorted copy is.
+    The bits are those of np.quantile, ndarray.mean and std(ddof=1)."""
     if not mean_suppressed and moments is None:
         moments = _row_moments(draws, np.empty(min(draws.size, _WORK)))
-    s = np.empty_like(draws) if scratch is None else scratch
-    if s is not draws:
-        np.copyto(s, draws)
-    s.sort()
-    q5, q25, q50, q75, q95 = _quantiles(s, _SUMMARY_PROBS, presorted=True)
+    if in_place:
+        draws.sort()
+    q5, q25, q50, q75, q95 = _quantiles(draws, _SUMMARY_PROBS, presorted=in_place)
     mean = se = None
     if not mean_suppressed:
         mean, se = moments
@@ -243,11 +234,10 @@ def _summarise(draws: np.ndarray, mean_suppressed: bool, moments=None,
     }
 
 
-def _year_summary(draws: np.ndarray, mean_suppressed: bool, moments=None,
-                  scratch=None) -> dict | str:
+def _year_summary(draws: np.ndarray, mean_suppressed: bool, in_place: bool = False) -> dict | str:
     """_summarise, or the PredictiveError message of a summary that fails."""
     try:
-        return _summarise(draws, mean_suppressed, moments, scratch)
+        return _summarise(draws, mean_suppressed, in_place=in_place)
     except PredictiveError as exc:
         return str(exc)
 
@@ -306,24 +296,19 @@ def _draw_years(totals: np.ndarray, rows: list[int], draws: list[tuple], ratio: 
     years in one order, on the pool or off it, and keeps every bit: a row
     is folded as soon as it is drawn and every earlier row is folded, so on
     the pool a worker whose row is done first waits for its turn.
-    With block, draws[k] is drawn into block[k] and kept there (a row at
-    fault left part drawn); without it, into the row of the worker, one of
-    `workers` rows allocated here, so no more than `workers` rows of draws
-    exist at once. With suppressed (each draw's mean-suppression flag) the
-    worker that drew a row summarises it (_year_summary), else summary is
-    None: it takes the row's mean and se (_row_moments, in a work buffer of
-    at most _WORK floats) before the fold, and sorts the row for its
-    quantiles after it, in place without block, else as a copy in its row.
-    A queue passes each worker's row and work buffer, allocated here,
-    between tasks, so that no worker's allocator arena keeps B floats.
+    Each draw is made into the worker's row, one of `workers` rows that a
+    queue passes between tasks (so that no worker's allocator arena keeps
+    B floats), and with block copied into block[k] right after it (a row at
+    fault left part drawn). With suppressed (each draw's mean-suppression
+    flag) the worker summarises its row after the fold (_year_summary),
+    sorting it in place, else summary is None.
     """
     B = totals.shape[1]
     scale_name = "observed total" if ratio else "prior ultimate"
     workers = min(_usable_cores() if B >= _PARALLEL_MIN_B else 1, len(draws))
     spare = queue.SimpleQueue()
     for _ in range(workers):
-        spare.put((np.empty(B) if block is None or suppressed is not None else None,
-                   None if suppressed is None else np.empty(min(B, _WORK))))
+        spare.put(np.empty(B))
     turn, folded = Condition(), 0
 
     def fold_in_turn(k: int, row: np.ndarray | None) -> None:
@@ -355,22 +340,21 @@ def _draw_years(totals: np.ndarray, rows: list[int], draws: list[tuple], ratio: 
         return None
 
     def fill(k: int) -> tuple:
-        own, work = spare.get()
+        row = spare.get()
         try:
-            row = own if block is None else block[k]
-            drawn = moments = None  # drawn: the row to fold, once it is drawn without fault
+            drawn = None  # the row to fold, once it is drawn without fault
             try:
                 fault = draw(k, row)
-                if fault is None and work is not None and not suppressed[k]:
-                    moments = _row_moments(row, work)
+                if block is not None:
+                    block[k] = row
                 drawn = None if fault else row
             finally:  # every row takes its turn, or a later one would wait for ever
                 fold_in_turn(k, drawn)
-            if fault is not None or work is None:
+            if fault is not None or suppressed is None:
                 return fault, None
-            return None, _year_summary(row, suppressed[k], moments, scratch=own)
+            return None, _year_summary(row, suppressed[k], in_place=True)
         finally:
-            spare.put((own, work))
+            spare.put(row)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

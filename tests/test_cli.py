@@ -739,6 +739,26 @@ class TestSimulate:
                   "--out-dir", str(tmp_path)])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag,grid,bad", [
+        ("--grid-i", "7.5", "7.5"),
+        ("--grid-i", "nan", "nan"),
+        ("--grid-j", "5,2.25", "2.25"),
+    ], ids=["fraction", "nan", "second-entry"])
+    def test_non_integer_grid_size_is_a_usage_error(self, tmp_path, capsys, flag, grid, bad):
+        # int() would run 7.5 as I = 7 and fail on nan with argparse's own
+        # message, which names no value.
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--study", "grid", flag, grid, "--out-dir", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument {flag}: expected integers, got {bad}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spelling", ["7", "7.0", "0.7e1"])
+    def test_integral_grid_sizes_parse(self, spelling):
+        assert cli._int_list(f"{spelling},1e1") == (7, 10)
+
     @pytest.mark.parametrize("grid,message", [
         ("x", "could not convert string to float: 'x'"),
         (",", "expected a comma-separated list of numbers"),

@@ -477,11 +477,12 @@ class TestParallelDraws:
     def test_unkept_rows_hold_no_block(self, monkeypatch, workers):
         # numpy reports its data buffers to tracemalloc. An unkept run
         # holds the total and one row per worker, which the worker draws
-        # into and sorts in place, and per worker a work buffer and a chunk
-        # of Beta variates, each a twelfth of a row or less here; the
-        # total's own summary adds one row once the workers' are gone. A
-        # second row per worker would break the bound. A kept run holds the
-        # block of its seven drawn years as well.
+        # into and sorts in place, and per worker a chunk of Beta variates
+        # while it draws and a work buffer of squared deviations while it
+        # summarises, each a sixth of a row or less here; the total's own
+        # summary adds one row once the workers' are gone. A second row per
+        # worker would break the bound. A kept run holds the block of its
+        # seven drawn years as well.
         monkeypatch.setattr(predictive, "_PARALLEL_MIN_B", 1)
         monkeypatch.setattr(predictive, "_usable_cores", lambda: workers)
         diag, pattern, _ = raa_inputs()
@@ -517,6 +518,14 @@ class TestParallelDraws:
         self.run_both(100)
         # CL draws years 2-8, BF years 2-10; year 1 is fully developed.
         assert pool_calls == [7, 9]
+
+    @pytest.mark.parametrize("cpus", [3, None])
+    def test_cores_without_affinity_are_the_cpu_count(self, monkeypatch, cpus):
+        # Platforms without CPU affinity have no os.sched_getaffinity, and
+        # os.cpu_count() may not know the count.
+        monkeypatch.delattr(predictive.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(predictive.os, "cpu_count", lambda: cpus)
+        assert predictive._usable_cores() == (cpus or 1)
 
     @pytest.mark.parametrize("keep_draws", [True, False])
     @pytest.mark.parametrize("threshold", [10**9, 1])
@@ -958,98 +967,161 @@ def summary_rows(draw):
 
 def copying_summary(x: np.ndarray, mean_suppressed: bool):
     """The summary from numpy's own copies: _quantiles' sorted copy, then
-    _fold_and_check's mean and se of x[None]."""
+    ndarray.mean and std(ddof=1), whose overflow is _MOMENTS_OVERFLOW."""
     q = _quantiles(x, predictive._SUMMARY_PROBS)
     if mean_suppressed:
         return q, None, None
-    faults = [None]
-    mean, se = predictive._fold_and_check(x[None], (), faults)
-    if faults[0] is not None:
-        raise PredictiveError(faults[0])
-    return q, mean[0], None if se is None else se[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, se = x.mean(), None if x.size == 1 else x.std(ddof=1)
+    if not (np.isfinite(mean) and (se is None or np.isfinite(se))):
+        raise PredictiveError(predictive._MOMENTS_OVERFLOW)
+    return q, mean, se
 
 
-class TestScratchSummary:
-    """_summarise through a scratch row gives the bits of np.quantile,
-    ndarray.mean and std(ddof=1), and the copying path's errors."""
+class TestInPlaceSummary:
+    """_summarise, sorting the draws in place or a copy of them, gives the
+    bits of np.quantile, ndarray.mean and std(ddof=1), and the copying
+    path's errors."""
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(case=summary_rows())
-    def test_scratch_summary_is_the_copying_summary(self, case):
+    def test_in_place_summary_is_the_copying_summary(self, case):
         x, suppressed = case
         before = x.tobytes()
-        scratch = np.full(x.size, np.nan)
         try:
             q, mean, se = copying_summary(x, suppressed)
         except PredictiveError as exc:
-            with pytest.raises(PredictiveError) as got:
-                _summarise(x, suppressed, scratch=scratch)
-            assert str(got.value) == str(exc)
+            for in_place in (False, True):
+                with pytest.raises(PredictiveError) as got:
+                    _summarise(x.copy(), suppressed, in_place=in_place)
+                assert str(got.value) == str(exc)
             return
-        got = _summarise(x, suppressed, scratch=scratch)
-        assert x.tobytes() == before
 
         def bits(v):
             return None if v is None else np.float64(v).tobytes()
 
         names = ["q5", "q25", "q50", "q75", "q95"]
-        assert [bits(got[k]) for k in names] == [bits(v) for v in q]
-        # +0.0 and -0.0 tie; np.quantile's partition may pick either.
-        assert [bits(got[k] + 0.0) for k in names] == [
-            bits(v + 0.0) for v in np.quantile(x, predictive._SUMMARY_PROBS)]
-        assert (bits(got["mean"]), bits(got["se"])) == (bits(mean), bits(se))
-        if not suppressed:
-            assert bits(got["mean"]) == bits(x.mean())
-            assert bits(got["se"]) == (None if x.size == 1 else bits(x.std(ddof=1)))
+        sorted_x = x.copy()
+        for got in (_summarise(x, suppressed), _summarise(sorted_x, suppressed, in_place=True)):
+            assert [bits(got[k]) for k in names] == [bits(v) for v in q]
+            # +0.0 and -0.0 tie; np.quantile's partition may pick either.
+            assert [bits(got[k] + 0.0) for k in names] == [
+                bits(v + 0.0) for v in np.quantile(x, predictive._SUMMARY_PROBS)]
+            assert (bits(got["mean"]), bits(got["se"])) == (bits(mean), bits(se))
+        assert x.tobytes() == before
+        assert sorted_x.tobytes() == np.sort(x).tobytes()
 
 
-SQUARES_WORK = [8, 128, 1000]
+FOLD_SIZES = [1, 2, 1000, 2 * predictive._WORK + 9]
+
+
+class TestFoldAndCheck:
+    """_fold_and_check's mean and se are numpy's along the last axis of an
+    (n, B) block, and its faults follow from them."""
+
+    @pytest.mark.parametrize("B", FOLD_SIZES)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_moments_and_faults_are_numpys(self, n, B):
+        rng = np.random.default_rng(1000 * n + B)
+        for _ in range(8):
+            # Per row: dense draws, draws of about 1e307 whose moments may
+            # overflow, a total at inf or NaN, or a row already at fault.
+            totals = rng.lognormal(0, rng.choice([1.0, 300.0]), (n, B))
+            kinds = rng.integers(0, 5, n)
+            totals[kinds == 1] = rng.uniform(0.5, 1.0, B) * 1e307
+            totals[kinds == 2, -1] = np.inf
+            totals[kinds == 3, 0] = np.nan
+            faults = ["earlier" if k == 4 else None for k in kinds]
+            suppressed = rng.random(n) < 0.3
+            with np.errstate(over="ignore", invalid="ignore"):
+                want_mean = totals.mean(axis=-1)
+                want_se = totals.std(axis=-1, ddof=1) if B > 1 else None
+            moments_ok = np.isfinite(want_mean) & (True if B == 1 else np.isfinite(want_se))
+            want_faults = [
+                f if f is not None
+                else _TOTAL_OVERFLOW if not np.isfinite(totals[k]).all()
+                else None if moments_ok[k] or suppressed[k]
+                else _MOMENTS_OVERFLOW
+                for k, f in enumerate(faults)]
+            before = totals.tobytes()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                mean, se = predictive._fold_and_check(totals, (), faults, suppressed)
+            assert totals.tobytes() == before
+            assert faults == want_faults
+            assert mean.tobytes() == want_mean.tobytes()
+            assert (se is None) if B == 1 else (se.tobytes() == want_se.tobytes())
+
+    def test_moments_hold_no_row_of_deviations(self):
+        # numpy reports its data buffers to tracemalloc. The moments of a
+        # (1, B) block take a work buffer of 16,384 floats and the finite
+        # check a row of B booleans; numpy's std would add a row of B floats.
+        B = 200_000
+        totals = np.random.default_rng(3).lognormal(0, 1, (1, B))
+        tracemalloc.start()
+        try:
+            predictive._fold_and_check(totals, (), [None])
+            peak = tracemalloc.get_traced_memory()[1] / (8 * B)
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25, peak
+
+
+SQUARES_WORK = [128, 1000]
 SQUARES_EDGES = [0.0, 1e-300, 1e300, -1e300, 1.0, 7.25e5]
 
 
 @st.composite
 def squares_rows(draw):
-    """A work buffer of 8, 128 or 1000 floats; a row of 1 to 300,000
-    values, its size now and then a multiple of 8 or the buffer's size, one
-    either side of it, or the summary's own buffer size; values that mix
-    the edge values 0, 1e-300 and ±1e300 into dense random ones; and a mean
-    that is the row's own, 0 or an edge value."""
+    """A work buffer of 128 or 1000 floats per row; a lone row or a stack
+    of 1 to 3 rows of 1 to 300,000 values, their size now and then a
+    multiple of 8 or the buffer's size, one either side of it, or the
+    summary's own buffer size; values that mix the edge values 0, 1e-300
+    and ±1e300 into dense random ones; and per row a mean that is the row's
+    own, 0 or an edge value, shaped to broadcast along the last axis."""
     m = draw(st.sampled_from(SQUARES_WORK))
     n = draw(st.one_of(
         st.integers(1, 300_000),
         st.integers(1, 37_500).map(lambda k: 8 * k),
         st.sampled_from([m, predictive._WORK, 300_000])))
     n = max(1, n + draw(st.sampled_from([-1, 0, 1])))
+    rows = draw(st.sampled_from([(), (1,), (2,), (3,)]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    x = rng.lognormal(0, draw(st.sampled_from([1.0, 5.0, 300.0])), n)
+    x = rng.lognormal(0, draw(st.sampled_from([1.0, 5.0, 300.0])), (*rows, n))
     if draw(st.booleans()):
-        spots = rng.random(n) < draw(st.sampled_from([0.001, 0.1, 1.0]))
+        spots = rng.random(x.shape) < draw(st.sampled_from([0.001, 0.1, 1.0]))
         x[spots] = rng.choice(np.array(draw(st.lists(st.sampled_from(SQUARES_EDGES),
                                                      min_size=1, max_size=3))), spots.sum())
     with np.errstate(over="ignore"):
-        mean = draw(st.sampled_from([np.add.reduce(x) / n, 0.0, 1e-300, 1e300]))
-    return x, mean, m
+        own = np.add.reduce(x, axis=-1) / n
+    mean = [o if v is None else v for o, v in zip(np.atleast_1d(own), draw(st.lists(
+        st.sampled_from([None, 0.0, 1e-300, 1e300]), min_size=x.size // n, max_size=x.size // n)))]
+    return x, np.reshape(mean, (*rows, 1)), m
 
 
 class TestSquaresSum:
     """The squared deviations summed node by node in a small work buffer
-    give the bits of np.add.reduce over the full deviation row. This pins
-    numpy's pairwise summation rule, its 8-lane blocks included: if a numpy
-    release changes it, this fails before a golden digest does."""
+    give the bits of np.add.reduce over the full deviation rows. This pins
+    numpy's pairwise summation rule: if a numpy release changes it, this
+    fails before a golden digest does."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(case=squares_rows())
-    @example(case=(np.linspace(0.0, 1.0, 129), 0.5, 8))
+    @example(case=(np.linspace(0.0, 1.0, 129), 0.5, 128))
     @example(case=(np.arange(1001.0), 500.0, 1000))
+    @example(case=(np.arange(2002.0).reshape(2, 1001), np.array([[500.0], [1501.0]]), 128))
     def test_node_by_node_sum_is_numpys(self, case):
         x, mean, m = case
         before = x.tobytes()
+        rows = x.size // x.shape[-1]
         with np.errstate(over="ignore", invalid="ignore"):
-            want = np.add.reduce((x - mean) * (x - mean))
-            got = predictive._squares_sum(x, mean, np.full(min(m, x.size), np.nan))
+            want = np.atleast_1d(np.add.reduce((x - mean) * (x - mean), axis=-1))
+            got = np.atleast_1d(predictive._squares_sum(
+                x, mean, np.full(rows * min(m, x.shape[-1]), np.nan)))
         assert x.tobytes() == before
-        assert np.float64(got).tobytes() == np.float64(want).tobytes() or (
-            np.isnan(got) and np.isnan(want))
+        assert got.shape == want.shape
+        assert ((got.view(np.uint64) == want.view(np.uint64))
+                | (np.isnan(got) & np.isnan(want))).all()
 
 
 class TestIbnpExactMoments:
