@@ -17,8 +17,8 @@ import numpy as np
 
 from .distributions import RngStream
 from .patterns import PatternError, _cumulative_pattern, _link_ratio_block
-from .predictive import (PredictiveError, ReserveDistribution, _b_fault, _distribution,
-                         _fold_and_check)
+from .predictive import (PredictiveError, ReserveDistribution, _b_fault, _check_totals,
+                         _distribution, _fold, _year_summary)
 from .triangle import (RunoffError, Triangle, _diagonal_totals, _latest_lags, _n_observed,
                        _observed_mask)
 
@@ -280,13 +280,17 @@ def odp_bootstrap(fit: OdpFit, B: int, seed: int) -> ReserveDistribution:
     year's process-error total is numpy's pairwise sum over its future
     cells (8-way blocks from 8 cells on).
 
-    The draws come from _odp_draws and the checked total from
-    predictive._fold_and_check, both of which the coverage studies call
-    directly; this function adds the per-year view, predictive._distribution.
+    The draws come from _odp_draws; the years are folded into the total by
+    predictive._fold, in year order, and the total is checked by
+    predictive._check_totals, as the Beta bootstraps' are and as the
+    coverage studies do directly. Each year is summarised by
+    predictive._year_summary on a sorted copy, its draws kept in order, and
+    the per-year view is predictive._distribution.
     """
     sums, rejected = _odp_draws(fit, B, RngStream(seed).derive(_ODP_DOMAIN).generator(), {})
     total, faults = np.zeros((1, sums.shape[1])), [None]
-    moments = _fold_and_check(total, ((0, year) for year in sums), faults)
+    _fold(total[0], sums)
+    moments = _check_totals(total, faults)
     if faults[0] is not None:
         raise PredictiveError(faults[0])
     last = _latest_lags(fit.I, fit.J)
@@ -294,5 +298,5 @@ def odp_bootstrap(fit: OdpFit, B: int, seed: int) -> ReserveDistribution:
     rules = (np.full(fit.I, np.nan), none, last < fit.J - 1, none)
     meta = {"rejected_replications": rejected, "dispersion": fit.dispersion, "dof": fit.dof}
     return _distribution(total[0], moments, fit.pattern_F()[last],
-                         np.nansum(fit.projected_future, axis=1), rules, sums, None, "ODP",
-                         meta=meta)
+                         np.nansum(fit.projected_future, axis=1), rules, sums,
+                         [_year_summary(year, False) for year in sums], "ODP", meta=meta)

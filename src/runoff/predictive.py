@@ -136,27 +136,30 @@ _ALL_EXCLUDED = "every open accident year is excluded by the inclusion rule"
 _BAD_OBSERVED = "observed row totals must be finite and non-negative"
 
 
-def _fold_and_check(totals: np.ndarray, years, faults: list[str | None],
-                    suppressed: np.ndarray | None = None):
-    """Checks 5 and 6 of the fault ladder, after the fold: each (row,
-    draws) of years, in the order given, is added into totals[row]; then a
-    row still without a fault in faults (one entry per row, set in place,
+def _fold(total: np.ndarray, rows) -> None:
+    """Add each row of rows into total, in the order given: the one fold of a
+    year's draws into its bootstrap total. Overflow is reported by
+    _check_totals, not by a numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row in rows:
+            total += row
+
+
+def _check_totals(totals: np.ndarray, faults: list[str | None], suppressed=None):
+    """Checks 5 and 6 of the fault ladder on folded (n, B) totals: a row
+    still without a fault in faults (one entry per row, set in place,
     never raised) gets _TOTAL_OVERFLOW if its total is not finite, else
     _MOMENTS_OVERFLOW if its mean or se is not, unless suppressed[row] (a
     drawn year's mean is suppressed). Returns each row's mean and se
-    (_row_moments; se None at B = 1), meaningless for a failed row. years
-    is consumed a pair at a time, so its draws may reuse one array.
+    (_row_moments; se None at B = 1), meaningless for a failed row. A
+    finite mean needs every value finite, so a row's values are read again
+    only when its mean is not finite.
     """
-    # A failed row may hold anything; overflow is reported by the checks.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for row, draws in years:
-            totals[row] += draws
-    n, B = totals.shape
-    mean, se = _row_moments(totals, np.empty(n * min(B, _WORK)))
-    finite = np.isfinite(totals).all(axis=-1)
-    moments_ok = np.isfinite(mean) if se is None else np.isfinite(mean) & np.isfinite(se)
+    mean, se = _row_moments(totals, np.empty(len(totals) * min(totals.shape[1], _WORK)))
+    mean_ok = np.isfinite(mean)
+    moments_ok = mean_ok if se is None else mean_ok & np.isfinite(se)
     for k, fault in enumerate(faults):
-        if fault is None and not finite[k]:
+        if fault is None and not (mean_ok[k] or np.isfinite(totals[k]).all()):
             faults[k] = _TOTAL_OVERFLOW
         elif fault is None and not (moments_ok[k] or (suppressed is not None and suppressed[k])):
             faults[k] = _MOMENTS_OVERFLOW
@@ -278,7 +281,8 @@ def _usable_cores() -> int:
 def _draw_years(totals: np.ndarray, rows: list[int], draws: list[tuple], ratio: bool,
                 suppressed=None, block: np.ndarray | None = None) -> list:
     """Draw each draws[k], an (accident year, generator, a, b, scale) tuple
-    with W ~ Beta(a, b), and fold it into totals[rows[k]]; return per draw a
+    with W ~ Beta(a, b), and fold it into totals[rows[k]] (_fold, the one
+    fold odp_bootstrap and the ODP studies use too); return per draw a
     (fault, summary) pair, fault None or the PredictiveError message of a
     draw that overflows.
 
@@ -301,7 +305,8 @@ def _draw_years(totals: np.ndarray, rows: list[int], draws: list[tuple], ratio: 
     B floats), and with block copied into block[k] right after it (a row at
     fault left part drawn). With suppressed (each draw's mean-suppression
     flag) the worker summarises its row after the fold (_year_summary),
-    sorting it in place, else summary is None.
+    sorting it in place, else summary is None. The totals are checked by
+    the caller (_check_totals), once all rows are folded.
     """
     B = totals.shape[1]
     scale_name = "observed total" if ratio else "prior ultimate"
@@ -311,13 +316,11 @@ def _draw_years(totals: np.ndarray, rows: list[int], draws: list[tuple], ratio: 
         spare.put(np.empty(B))
     turn, folded = Condition(), 0
 
-    def fold_in_turn(k: int, row: np.ndarray | None) -> None:
+    def fold_in_turn(k: int, drawn: tuple) -> None:
         nonlocal folded
         with turn:
             turn.wait_for(lambda: folded == k)
-            if row is not None:  # overflow is reported by _fold_and_check
-                with np.errstate(over="ignore", invalid="ignore"):
-                    totals[rows[k]] += row
+            _fold(totals[rows[k]], drawn)
             folded += 1
             turn.notify_all()
 
@@ -342,12 +345,12 @@ def _draw_years(totals: np.ndarray, rows: list[int], draws: list[tuple], ratio: 
     def fill(k: int) -> tuple:
         row = spare.get()
         try:
-            drawn = None  # the row to fold, once it is drawn without fault
+            drawn = ()  # the rows to fold: the row, once drawn without fault
             try:
                 fault = draw(k, row)
                 if block is not None:
                     block[k] = row
-                drawn = None if fault else row
+                drawn = () if fault else (row,)
             finally:  # every row takes its turn, or a later one would wait for ever
                 fold_in_turn(k, drawn)
             if fault is not None or suppressed is None:
@@ -390,12 +393,13 @@ def _anchored_draws(scales: np.ndarray, F: np.ndarray, c_hat: np.ndarray, seeds:
     year never shifts another's draws. All streams open in one
     _stream_generators call and all rows' years are drawn in one
     _draw_years call, so a lone row's years share its thread pool, and
-    each drawn year is folded into its row's total, in year order, as soon
-    as it is drawn.
+    each drawn year is folded into its row's total (_fold), in year order,
+    as soon as it is drawn; the folded totals are checked in one
+    _check_totals call, as the ODP bootstrap's are.
 
     Per row the checks run in order: concentration and B; observed totals
     (CL only); every open year excluded; each drawn year's overflow, in
-    year order; the total and its moments (_fold_and_check). Returns the
+    year order; the total and its moments (_check_totals). Returns the
     (n, B) totals, per row None or the first fault's PredictiveError
     message (a failed row's total holds anything), the block of draws, a
     row per drawn (row, year) year by year, or None without keep, and the
@@ -429,7 +433,7 @@ def _anchored_draws(scales: np.ndarray, F: np.ndarray, c_hat: np.ndarray, seeds:
             faults[k] = fault
     if summaries is not None:
         summaries.extend(summary for _, summary in drawn)
-    moments = _fold_and_check(totals, (), faults, suppressed.any(axis=1))
+    moments = _check_totals(totals, faults, suppressed.any(axis=1))
     return totals, faults, block, moments
 
 
@@ -459,15 +463,15 @@ def _distribution(total, moments, F, points, rules, block, summaries, anchor: st
                   inclusion_threshold: float = -np.inf, meta=None) -> ReserveDistribution:
     """The one per-year view: each year's YearPredictive, the flags and the
     ReserveDistribution. rules is _year_rules' (c*F, excluded, drawn,
-    suppressed); block and summaries (None: summarised here) are the drawn
-    years'. With block None no year keeps its draws: each that is not
+    suppressed); block and summaries (_year_summary's, one per drawn year)
+    are the drawn years'. With block None no year keeps its draws: each that is not
     excluded gets _NO_DRAWS. The total is summarised before any fully
     developed year gets its zero row, whose summary is that of min(B, 2)
     zeros."""
     cf, excluded, drawn, suppressed = rules
     (mean,), se = moments
     summary = _summarise(total, bool(suppressed.any()), (mean, se if se is None else se[0]))
-    drawn_years = zip(repeat(_NO_DRAWS) if block is None else block, summaries or repeat(None))
+    drawn_years = zip(repeat(_NO_DRAWS) if block is None else block, summaries)
     years, flags = [], {}
     for i, (f, c_f, point) in enumerate(zip(F.tolist(), cf.tolist(), points.tolist())):
         row = reason = year_summary = None
@@ -476,7 +480,6 @@ def _distribution(total, moments, F, points, rules, block, summaries, anchor: st
             flags[i + 1] = (f"excluded: {reason}",)
         elif drawn[i]:
             row, year_summary = next(drawn_years)
-            year_summary = year_summary or _year_summary(row, bool(suppressed[i]))
             if suppressed[i]:
                 flags[i + 1] = (f"mean-suppressed: c*F = {c_f:.3g} <= {_SUPPRESS_AT_OR_BELOW}",)
         else:  # fully developed: exact zeros

@@ -35,8 +35,10 @@ replications through all five stages at once (_run_block):
                 keeps no year's draws; the ODP method instead fits every
                 triangle of the block at once (odp._odp_fits), runs
                 odp_bootstrap's draw kernel per replication on arrays the
-                block keeps and folds by predictive._fold_and_check. Both
-                check each total there
+                block keeps and folds each replication's years into its
+                total by predictive._fold, as the Beta draws are folded.
+                Both check the block's totals in one
+                predictive._check_totals call
   5. score      the realised future amount against the 95% and 75%
                 intervals of each row of totals, from one sort
 
@@ -90,7 +92,8 @@ from .predictive import (
     PredictiveError,
     _anchored_draws,
     _b_fault,
-    _fold_and_check,
+    _check_totals,
+    _fold,
     _quantiles,
     _threshold_fault,
 )
@@ -473,27 +476,25 @@ def _odp_totals(
 ) -> tuple[np.ndarray, list[str | None]]:
     """Stage 4 of the ODP method: per fit (_BOOT_ODP tag), odp_bootstrap's
     total and None or the failure: a failed fit, the draw kernel's error,
-    then predictive._fold_and_check's (an earlier failure leaves a zero
-    total, which passes). The fold takes each replication's years before
-    the next is drawn into the kernel's arrays, which this call alone keeps."""
+    then predictive._check_totals' (an earlier failure leaves a zero
+    total, which passes). Each replication's years are folded before the
+    next is drawn into the kernel's arrays, which this call alone keeps;
+    the block's totals are checked once, after the last fold."""
     errors: list[str | None] = [None] * len(roots)
     work: dict = {}
     streams = _stream_generators(_derive_ids(roots, _BOOT_ODP), _derive_ids(0, _ODP_DOMAIN))
-
-    def years():
-        for k, (g, fit) in enumerate(zip(streams, fits)):
-            if isinstance(fit, Exception):
-                errors[k] = f"{type(fit).__name__}: {fit}"
-                continue
-            try:
-                sums, _ = _odp_draws(fit, cfg.B, g, work)
-            except OdpError as exc:
-                errors[k] = f"OdpError: {exc}"
-                continue
-            yield from ((k, year) for year in sums)
-
     totals, checks = np.zeros((len(roots), cfg.B)), [None] * len(roots)
-    _fold_and_check(totals, years(), checks)
+    for k, (g, fit) in enumerate(zip(streams, fits)):
+        if isinstance(fit, Exception):
+            errors[k] = f"{type(fit).__name__}: {fit}"
+            continue
+        try:
+            sums, _ = _odp_draws(fit, cfg.B, g, work)
+        except OdpError as exc:
+            errors[k] = f"OdpError: {exc}"
+            continue
+        _fold(totals[k], sums)
+    _check_totals(totals, checks)
     return totals, [e or (c and f"PredictiveError: {c}") for e, c in zip(errors, checks)]
 
 
