@@ -123,10 +123,19 @@ def _artifact(args, suffix: str) -> Path:
 def _write_artifacts(args, started: float, files: list, parameters: dict, inputs: dict[str, str],
                      seed: int | None = None, seed_generated: bool = False) -> None:
     """Write files, (path, write) pairs, in order, then the manifest: all
-    or none. The parameters are checked and out-dir is made before the
-    first file opens; if a file or the manifest fails, the files already
-    written are removed and the error goes on."""
+    or none. Before the first file opens, the parameters are checked, each
+    artifact is checked to resolve to a path of its own that is none of
+    the inputs (their paths are the keys of inputs), and out-dir is made;
+    if a file or the manifest fails, the files already written are removed
+    and the error goes on."""
     _json_text(parameters, "manifest.parameters")
+    manifest = _artifact(args, "_manifest.json")
+    claimed = {Path(p).resolve(): "is an input of this command" for p in inputs}
+    for path in [*(path for path, _ in files), manifest]:
+        key = path.resolve()
+        if key in claimed:
+            raise RunoffError(f"{path} {claimed[key]}: each artifact needs a file of its own")
+        claimed[key] = "is the path of two artifacts"
     Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     try:
@@ -134,7 +143,7 @@ def _write_artifacts(args, started: float, files: list, parameters: dict, inputs
             write(path)
             written.append(path)
         command = args.command + (f" --study {args.study}" if args.command == "simulate" else "")
-        _write_json(_artifact(args, "_manifest.json"), {
+        _write_json(manifest, {
             "command": command,
             "parameters": parameters,
             "seed": seed,
@@ -155,8 +164,26 @@ def _resolve_seed(seed: int | None) -> tuple[int, bool]:
     return int.from_bytes(os.urandom(4), "big"), True
 
 
+def _integer(text: str, expected: str = "an integer") -> int:
+    """The one rule of every integer flag: a decimal integer is read
+    exactly, and an integral float spelling such as 1e6 or 7.0 as the
+    integer it spells; a fraction, nan, inf or a word is an error that
+    names text."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan  # a word fails as nan does
+    if not value.is_integer():  # nan and inf included
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text}")
+    return int(value)
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
     return value
@@ -173,11 +200,10 @@ def _float_list(text: str) -> tuple[float, ...]:
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    vals = _float_list(text)
-    for v in vals:
-        if not v.is_integer():  # nan and inf included
-            raise argparse.ArgumentTypeError(f"expected integers, got {v}")
-    return tuple(int(v) for v in vals)
+    vals = tuple(_integer(v, "integers") for v in text.replace(",", " ").split())
+    if not vals:
+        raise argparse.ArgumentTypeError("expected a comma-separated list of numbers")
+    return vals
 
 
 def _amount(v: float) -> str:
@@ -652,7 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
     boot.add_argument("--anchor", choices=("cl", "bf"), default="cl")
     boot.add_argument("--B", type=_positive_int, default=1000, dest="B",
                       help="bootstrap draws (positive)")
-    boot.add_argument("--seed", type=int, default=None)
+    boot.add_argument("--seed", type=_integer, default=None)
     boot.add_argument("--q-bf", type=float, default=None, dest="q_bf")
     boot.add_argument("--c-hat", type=float, default=None, dest="c_hat",
                       help="override the estimated concentration")
@@ -673,11 +699,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="key=value file mirroring simulation config fields")
     sim.add_argument("--method", choices=_METHODS, default=None,
                      help="bootstrap used by the correct-specification study")
-    sim.add_argument("--I", type=int, default=None, dest="I")
-    sim.add_argument("--J", type=int, default=None, dest="J")
-    sim.add_argument("--M", type=int, default=None, dest="M")
-    sim.add_argument("--B", type=int, default=None, dest="B")
-    sim.add_argument("--seed", type=int, default=None)
+    sim.add_argument("--I", type=_integer, default=None, dest="I")
+    sim.add_argument("--J", type=_integer, default=None, dest="J")
+    sim.add_argument("--M", type=_integer, default=None, dest="M")
+    sim.add_argument("--B", type=_integer, default=None, dest="B")
+    sim.add_argument("--seed", type=_integer, default=None)
     sim.add_argument("--c-true", type=float, default=None, dest="c_true")
     sim.add_argument("--dgp", choices=_DGPS, default=None)
     sim.add_argument("--sigma-delta", type=float, default=None, dest="sigma_delta")

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -91,3 +92,24 @@ def test_code_facts_count_lines_statements_and_exports(tmp_path):
     (src / "m.py").write_text("def f(x):\n    return (\n        x\n        + 1)\n\n")
     assert bench_pairs.code_facts(tmp_path) == {
         "src_runoff_lines": 8, "src_runoff_statements": 4, "all_size": 2}
+
+
+def test_steps_record_the_code_facts_of_each_intermediate_checkout(tmp_path):
+    # Three checkouts of one, two and three statements, each with one run.
+    roots = {}
+    for n, name in enumerate(["parent", "midway", "change"], start=1):
+        root = roots[name] = tmp_path / name
+        (root / "src" / "runoff").mkdir(parents=True)
+        (root / "src" / "runoff" / "__init__.py").write_text("__all__ = []\n" * n)
+        (root / "BENCHMARK.json").write_text(
+            '{"end_to_end": [{"name": "cmd_p50_ms", "better": "lower"}]}')
+        (root / ".perfbench_out").mkdir()
+        (root / ".perfbench_out" / "w-seed1-trace0.json").write_text(json.dumps({
+            "workload": "w", "seed": 1, "digest": "d", "failed": 0,
+            "facts": {"nproc": 2, "python": "3", "numpy": "2"},
+            "metrics": {"cmd_p50_ms": {"value": float(n)}}}))
+    assert bench_pairs.main(["--parent", str(roots["parent"]), "--change", str(roots["change"]),
+                             "--tag", "t", "--step", f"tentpole={roots['midway']}"]) == 0
+    code = json.loads((roots["change"] / "BENCH_t.json").read_text())["code"]
+    assert list(code) == ["parent", "tentpole", "change"]
+    assert [c["src_runoff_statements"] for c in code.values()] == [1, 2, 3]

@@ -6,6 +6,7 @@ argparse's own 2 for malformed invocations.
 """
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -340,6 +341,39 @@ def test_a_file_that_cannot_be_written_leaves_none_of_the_others(tmp_path, capsy
     assert [p.name for p in out.iterdir()] == [blocked]
 
 
+@pytest.mark.parametrize("command,clash,message", [
+    (["bootstrap", "IN", "--dump-draws", "OUT/runoff_bootstrap.json"],
+     "OUT/runoff_bootstrap.json", "is the path of two artifacts"),
+    (["bootstrap", "IN", "--output-format", "csv", "--dump-draws", "OUT/runoff_bootstrap.csv"],
+     "OUT/runoff_bootstrap.csv", "is the path of two artifacts"),
+    (["bootstrap", "IN", "--dump-draws", "OUT/../out/runoff_bootstrap_manifest.json"],
+     "OUT/runoff_bootstrap_manifest.json", "is the path of two artifacts"),
+    (["bootstrap", "IN", "--dump-draws", "IN"], "IN", "is an input of this command"),
+    (["simulate", "--study", "correct", "--config", "OUT/runoff_correct.json"],
+     "OUT/runoff_correct.json", "is an input of this command"),
+], ids=["dump-at-json-report", "dump-at-csv-report", "dump-at-manifest", "dump-at-triangle",
+        "config-at-report"])
+def test_colliding_artifact_paths_are_an_error_before_any_file_opens(tmp_path, capsys, command,
+                                                                     clash, message):
+    # The input is the triangle, or for simulate the config file; an
+    # artifact at its path or at another artifact's would lose one of them.
+    out = tmp_path / "out"
+    out.mkdir()
+    is_config = command[0] == "simulate"
+    source = (out / "runoff_correct.json") if is_config else (tmp_path / "raa.csv")
+    source.write_text("M = 1\nB = 10\n" if is_config else bundled_csv("raa.csv"))
+    before = source.read_bytes()
+
+    def place(arg: str) -> str:
+        return str(source) if arg == "IN" else arg.replace("OUT", str(out))
+
+    assert main([*map(place, command), "--seed", "1", "--out-dir", str(out)]) == 1
+    assert_one_error_line(capsys, f"{place(clash)} {message}: each artifact needs a file of "
+                                  "its own")
+    assert source.read_bytes() == before
+    assert list(out.iterdir()) == ([source] if is_config else [])
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--study", "correct", "--M", "1"],
     ["simulate", "--study", "compare-odp", "--M", "1"],
@@ -529,6 +563,76 @@ def test_simulate_flags_end_in_reports_or_one_error_line(study, values, M, B, th
             json.loads((out / name).read_text(), parse_constant=_reject_constant)
         cells = (out / f"{stem}.csv").read_text().replace("\n", ",").split(",")
         assert not {"nan", "inf", "-inf"} & {c.strip().lower() for c in cells}
+
+
+# Per integer flag of the coverage studies: values that run within M <= 3,
+# B <= 50 and at most M pool threads, values the study rejects, and huge
+# values (a huge M stays above numpy's int64 range under every spelling).
+INTEGER_FLAGS = {
+    "--I": ([3, 7, 10], [2, 0], [10**30]),
+    "--J": ([5, 10], [2, 7], [10**30]),
+    "--M": ([1, 3], [0], [10**19, 10**30]),
+    "--B": ([1, 50], [0], [2**62, 10**30]),
+    "--threads": ([1, 2], [0], [10**30]),
+    "--seed": ([0, 1, -1], [], [2**64, 10**30]),
+}
+NON_INTEGRAL = ["2.5", "1e-3", "-0.5", "nan", "inf", "-inf"]
+
+
+@st.composite
+def integer_flag(draw, flag: str):
+    """(value or None, spelling) of flag: six times in ten a value that
+    runs, else a rejected or huge value or a non-integral spelling (value
+    None). A value is spelled as a decimal integer, read exactly, or as an
+    integral float, read as the float's integer."""
+    runs, rejected, huge = INTEGER_FLAGS[flag]
+    kind = draw(st.integers(0, 9))
+    if kind == 9:
+        return None, draw(st.sampled_from(NON_INTEGRAL))
+    v = draw(st.sampled_from(huge if kind > 6 else rejected if kind == 6 and rejected else runs))
+    spelling = draw(st.sampled_from([str(v), f"{v}.0", f"{v:e}"]))
+    return (v if spelling == str(v) else int(float(spelling))), spelling
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(study=st.sampled_from(["correct", "compare-odp"]),
+       flags=st.fixed_dictionaries(
+           {flag: integer_flag(flag) for flag in ("--M", "--B", "--seed")},
+           optional={flag: integer_flag(flag) for flag in ("--I", "--J", "--threads")}))
+def test_integer_flags_end_in_reports_one_error_line_or_a_usage_error(study, flags):
+    # A spelling that is not an integer, or a --threads below 1, is argparse's
+    # usage error naming the first such flag; every other example ends in
+    # the study's files, which record each value as its spelling reads, or
+    # in one error line and no file.
+    argv = ["simulate", "--study", study, *(f"{f}={text}" for f, (_, text) in flags.items())]
+    usage = [f for f, (v, _) in flags.items() if v is None or (f == "--threads" and v < 1)]
+    with tempfile.TemporaryDirectory() as tmp, redirect_stderr(StringIO()) as err:
+        out = Path(tmp) / "out"
+        out.mkdir()
+        try:
+            code = main(argv + ["--out-dir", str(out)])
+        except SystemExit as exc:
+            assert exc.code == 2 and usage, err.getvalue()
+            last = err.getvalue().splitlines()[-1]
+            assert last.startswith(f"runoff simulate: error: argument {usage[0]}: "), last
+            assert last.endswith(f", got {flags[usage[0]][1]}"), last
+            assert list(out.iterdir()) == []
+            return
+        assert not usage
+        if code == 1:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            assert list(out.iterdir()) == []
+            return
+        assert code == 0 and err.getvalue() == ""
+        stem = f"runoff_{study}"
+        manifest = json.loads((out / f"{stem}_manifest.json").read_text(),
+                              parse_constant=_reject_constant)
+        config = json.loads((out / f"{stem}.json").read_text(),
+                            parse_constant=_reject_constant)["config"]
+        assert (out / f"{stem}.csv").exists()
+        for flag, (value, _) in flags.items():
+            got = manifest["seed"] if flag == "--seed" else config[flag[2:]]
+            assert got == value, flag
 
 
 @pytest.mark.parametrize("raised,message", [
@@ -759,17 +863,58 @@ class TestSimulate:
     def test_integral_grid_sizes_parse(self, spelling):
         assert cli._int_list(f"{spelling},1e1") == (7, 10)
 
-    @pytest.mark.parametrize("grid,message", [
-        ("x", "could not convert string to float: 'x'"),
-        (",", "expected a comma-separated list of numbers"),
-    ], ids=["word", "comma"])
-    def test_unreadable_grid_is_a_usage_error(self, tmp_path, capsys, grid, message):
-        out = tmp_path / "out"
+    @pytest.mark.parametrize("text,value", [
+        ("7", 7), ("-3", -3), ("9007199254740993", 9007199254740993), (str(10**30), 10**30),
+        ("7.0", 7), ("1e6", 10**6), ("0.7e1", 7), ("-2e0", -2), ("1e30", int(1e30)),
+    ])
+    def test_integers_are_read_exactly_and_integral_spellings_as_their_float(self, text,
+                                                                              value):
+        # float() would read 9007199254740993 as 9007199254740992.
+        assert cli._integer(text) == value
+        assert cli._int_list(f"{text},{text}") == (value, value)
+        if value >= 1:
+            assert cli._positive_int(text) == value
+
+    @pytest.mark.parametrize("text", ["2.5", "1e-3", "nan", "inf", "-inf", "x", "7,8"])
+    def test_a_non_integer_is_an_error_naming_it(self, text):
+        for parse in (cli._integer, cli._positive_int):
+            with pytest.raises(argparse.ArgumentTypeError,
+                               match=f"^expected an integer, got {re.escape(text)}$"):
+                parse(text)
+
+    @pytest.mark.parametrize("argv,flag,text", [
+        (["bootstrap", "raa", "--B=1e6x"], "--B", "1e6x"),
+        (["bootstrap", "raa", "--seed=0.5"], "--seed", "0.5"),
+        (["simulate", "--study", "correct", "--M=2.5"], "--M", "2.5"),
+        (["simulate", "--study", "correct", "--threads=1.5"], "--threads", "1.5"),
+        (["simulate", "--study", "sigma-c", "--I=nan"], "--I", "nan"),
+    ])
+    def test_every_integer_flag_names_a_non_integer(self, tmp_path, capsys, argv, flag, text):
         with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--study", "nonstat", "--sigma-grid", grid, "--out-dir", str(out)])
+            main([*argv, "--out-dir", str(tmp_path / "out")])
         assert exc.value.code == 2
         assert capsys.readouterr().err.endswith(
-            f"error: argument --sigma-grid: {message}\n")
+            f"error: argument {flag}: expected an integer, got {text}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_an_integral_spelling_of_b_runs_as_its_integer(self, tmp_path):
+        assert main(["bootstrap", "raa", "--B", "2e2", "--seed", "1",
+                     "--out-dir", str(tmp_path)]) == 0
+        assert read_json(tmp_path / "runoff_bootstrap.json")["B"] == 200
+
+    @pytest.mark.parametrize("study,flag,grid,message", [
+        ("nonstat", "--sigma-grid", "x", "could not convert string to float: 'x'"),
+        ("nonstat", "--sigma-grid", ",", "expected a comma-separated list of numbers"),
+        ("grid", "--grid-i", "5,x", "expected integers, got x"),
+        ("grid", "--grid-j", ",", "expected a comma-separated list of numbers"),
+    ], ids=["word", "comma", "int-word", "int-comma"])
+    def test_unreadable_grid_is_a_usage_error(self, tmp_path, capsys, study, flag, grid,
+                                              message):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--study", study, flag, grid, "--out-dir", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: argument {flag}: {message}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("argv,message", [

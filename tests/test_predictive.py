@@ -1053,6 +1053,16 @@ class TestCheckTotals:
             assert mean.tobytes() == want_mean.tobytes()
             assert (se is None) if B == 1 else (se.tobytes() == want_se.tobytes())
 
+    def test_fold_adds_rows_in_order_without_a_warning(self):
+        # In order, 1 + 2**-53 rounds back to 1 twice; adding the two small
+        # rows first would give 1 + 2**-52. The second column overflows to
+        # inf and then to NaN, which _check_totals reports, not numpy.
+        total = np.array([1.0, 1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            predictive._fold(total, np.array([[2.0**-53, 1e308], [2.0**-53, -np.inf]]))
+        assert total[0] == 1.0 and np.isnan(total[1])
+
     def test_moments_hold_no_row_of_deviations(self):
         # numpy reports its data buffers to tracemalloc. The moments of a
         # (1, B) block take a work buffer of 16,384 floats, 0.082 rows here;

@@ -79,6 +79,12 @@ class TestSimConfig:
             SimConfig(M=0)
         with pytest.raises(SimulationError, match="at least 1"):
             SimConfig(B=0)
+        # An M whose replication indices int64 cannot hold: its list of
+        # blocks alone would grow until memory ran out.
+        for M in (2**63, 10**30):
+            with pytest.raises(SimulationError, match=re.escape(f"M = {M} is too large")):
+                SimConfig(M=M)
+        assert SimConfig(M=2**63 - 1).M == 2**63 - 1
         # A B whose (cells, B) draws numpy cannot size.
         for B in (10**30, 2**62):
             message = f"B = {B} is too large: a (50, B)"

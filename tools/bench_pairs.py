@@ -1,6 +1,7 @@
 """Summarise paired perfbench runs of a parent and a changed checkout.
 
-    python3 tools/bench_pairs.py --parent ../parent --change . --tag <n>
+    python3 tools/bench_pairs.py --parent ../parent --change . --tag <n> \
+        [--step LABEL=../midway ...]
 
 perfbench/run.py writes one record per run under <checkout>/.perfbench_out/,
 named <workload>-seed<seed>-trace<0|1>.json. A pair is one workload and
@@ -13,7 +14,10 @@ seeds and whether the two sides' report digests were equal in every pair.
 A workload and seed run with --trace 1 on both sides adds its per-layer
 metrics, parent and change side by side. Per checkout it records the
 lines and the AST statements under src/runoff and the size of
-runoff.__all__. The JSON goes to BENCH_<n>.json in the change checkout.
+runoff.__all__; each --step adds those of an intermediate checkout under
+its label, between the parent's and the change's, so that a change made in
+parts can count each part apart. The JSON goes to BENCH_<n>.json in the
+change checkout.
 """
 
 from __future__ import annotations
@@ -111,7 +115,10 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--parent", type=Path, required=True, help="parent checkout")
     ap.add_argument("--change", type=Path, required=True, help="changed checkout")
     ap.add_argument("--tag", required=True, help="names the output BENCH_<tag>.json")
+    ap.add_argument("--step", action="append", default=[], metavar="LABEL=DIR",
+                    help="an intermediate checkout whose code facts go under LABEL")
     args = ap.parse_args(argv)
+    steps = dict(step.split("=", 1) for step in args.step)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     parent, change = records(args.parent, 0), records(args.change, 0)
@@ -123,7 +130,9 @@ def main(argv: list[str] | None = None) -> int:
         "tag": args.tag,
         "source": "perfbench/run.py --seconds 20, alternating parent/change pairs",
         "machine": {k: first[k] for k in ("nproc", "python", "numpy")},
-        "code": {"parent": code_facts(args.parent), "change": code_facts(args.change)},
+        "code": {"parent": code_facts(args.parent),
+                 **{label: code_facts(Path(root)) for label, root in steps.items()},
+                 "change": code_facts(args.change)},
         "workloads": summarise(parent, change, better),
     }
     traced_parent, traced_change = records(args.parent, 1), records(args.change, 1)
