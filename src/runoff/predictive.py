@@ -464,10 +464,10 @@ def _distribution(total, moments, F, points, rules, block, summaries, anchor: st
     """The one per-year view: each year's YearPredictive, the flags and the
     ReserveDistribution. rules is _year_rules' (c*F, excluded, drawn,
     suppressed); block and summaries (_year_summary's, one per drawn year)
-    are the drawn years'. With block None no year keeps its draws: each that is not
-    excluded gets _NO_DRAWS. The total is summarised before any fully
-    developed year gets its zero row, whose summary is that of min(B, 2)
-    zeros."""
+    are the drawn years'. With block None no year keeps its draws: each
+    that is not excluded gets _NO_DRAWS. The total is summarised before any
+    fully developed year gets its zero row, whose summary is that of
+    min(B, 2) zeros."""
     cf, excluded, drawn, suppressed = rules
     (mean,), se = moments
     summary = _summarise(total, bool(suppressed.any()), (mean, se if se is None else se[0]))

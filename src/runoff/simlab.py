@@ -263,7 +263,7 @@ class SimConfig:
             raise SimulationError(f"c_true must be positive, got {self.c_true}")
         if self.M < 1 or self.B < 1:
             raise SimulationError("M and B must be at least 1")
-        if self.M > np.iinfo(np.int64).max:  # the list of blocks would grow until memory ran out
+        if self.M > 2**63 - 1:  # the list of blocks would grow until memory ran out
             raise SimulationError(f"M = {self.M} is too large: a replication index "
                                   "exceeds numpy's int64 range")
         fault = _b_fault(self.B, self.I * self.J)  # ODP draws take a row per cell
