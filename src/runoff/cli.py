@@ -5,7 +5,8 @@ version, input digests, wall clock) that reproduces them, all or none: a
 failed write removes the files already written. Given the same inputs,
 flags and seed, a report is written byte for byte identically; across
 --threads a study's CSV is identical and its JSON differs only in the
-config's "threads" field. Every study JSON carries "runtime_s": 0.0.
+config's "threads" field; no study file holds a time (SimulationReport's
+writers). Integer flags and --config lines follow simlab._parse_integer.
 main builds the argument parser on its first call and then reuses it.
 """
 
@@ -46,8 +47,8 @@ from .simlab import (
     _METHODS,
     SimConfig,
     SimulationError,
-    SimulationReport,
     _json_text,
+    _parse_integer,
     _parse_pattern,
     _write_csv,
     _write_json,
@@ -164,22 +165,12 @@ def _resolve_seed(seed: int | None) -> tuple[int, bool]:
     return int.from_bytes(os.urandom(4), "big"), True
 
 
-def _integer(text: str, expected: str = "an integer") -> int:
-    """The one rule of every integer flag: a decimal integer is read
-    exactly, and an integral float spelling such as 1e6 or 7.0 as the
-    integer it spells; a fraction, nan, inf or a word is an error that
-    names text."""
+def _integer(text: str) -> int:
+    """An integer flag's value, read by simlab._parse_integer."""
     try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        value = float(text)
-    except ValueError:
-        value = np.nan  # a word fails as nan does
-    if not value.is_integer():  # nan and inf included
-        raise argparse.ArgumentTypeError(f"expected {expected}, got {text}")
-    return int(value)
+        return _parse_integer(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _positive_int(text: str) -> int:
@@ -189,9 +180,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _float_list(text: str) -> tuple[float, ...]:
+def _number_list(text: str, parse=float) -> tuple:
     try:
-        vals = _parse_pattern(text)
+        vals = _parse_pattern(text, parse)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
     if not vals:
@@ -200,10 +191,7 @@ def _float_list(text: str) -> tuple[float, ...]:
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    vals = tuple(_integer(v, "integers") for v in text.replace(",", " ").split())
-    if not vals:
-        raise argparse.ArgumentTypeError("expected a comma-separated list of numbers")
-    return vals
+    return _number_list(text, functools.partial(_parse_integer, expected="integers"))
 
 
 def _amount(v: float) -> str:
@@ -621,14 +609,11 @@ def cmd_simulate(args, options: dict[str, str]) -> int:
     call.apply_defaults()
     call.arguments.update(report.resolved)
 
-    # The artifacts carry no timing: runtime_s stays at 0.0.
-    rows = [{k: v for k, v in row.items() if k != "runtime_s"} for row in report.rows]
-    artifact = SimulationReport(report.study, rows, report.config)
     # Named as in the JSON report (config.<key>), before the manifest's copy is checked.
-    _json_text(artifact.config, "config")
+    _json_text(report.config, "config")
     csv_path, json_path = _artifact(args, ".csv"), _artifact(args, ".json")
-    _write_artifacts(args, started, [(json_path, artifact.write_json),
-                                     (csv_path, artifact.write_csv)],
+    _write_artifacts(args, started, [(json_path, report.write_json),
+                                     (csv_path, report.write_csv)],
                      {**report.config, **call.arguments, "study": args.study},
                      digests, seed, seed_generated)
 
@@ -715,18 +700,18 @@ def build_parser() -> argparse.ArgumentParser:
                      dest="inclusion_threshold")
     sim.add_argument("--threads", type=_positive_int, default=None)
     # Each list flag's dest is the name of the study argument it sets.
-    sim.add_argument("--sigma-grid", type=_float_list, dest="sigma_values",
+    sim.add_argument("--sigma-grid", type=_number_list, dest="sigma_values",
                      metavar="SIGMA_GRID", help="nonstat study: perturbation variances")
-    sim.add_argument("--p-grid", type=_float_list, dest="p_values", metavar="P_GRID")
-    sim.add_argument("--phi-grid", type=_float_list, dest="phi_values", metavar="PHI_GRID",
+    sim.add_argument("--p-grid", type=_number_list, dest="p_values", metavar="P_GRID")
+    sim.add_argument("--phi-grid", type=_number_list, dest="phi_values", metavar="PHI_GRID",
                      help="tweedie study: per-power dispersions aligned with "
                           "--p-grid (default: calibrated table)")
-    sim.add_argument("--grid-c", type=_float_list, dest="c_list", metavar="GRID_C")
+    sim.add_argument("--grid-c", type=_number_list, dest="c_list", metavar="GRID_C")
     sim.add_argument("--grid-i", type=_int_list, dest="I_list", metavar="GRID_I")
     sim.add_argument("--grid-j", type=_int_list, dest="J_list", metavar="GRID_J")
-    sim.add_argument("--c-values", type=_float_list, dest="c_values",
+    sim.add_argument("--c-values", type=_number_list, dest="c_values",
                      help="sigma-c study: concentrations to verify")
-    sim.add_argument("--F-values", type=_float_list, dest="F_values",
+    sim.add_argument("--F-values", type=_number_list, dest="F_values",
                      help="conservatism study: development fractions")
     sim.add_argument("--nu", type=float, default=None,
                      help="conservatism study: cell mean")

@@ -294,29 +294,31 @@ class SimulationReport:
     rows is a list of plain dicts so that differently shaped studies
     (coverage tables, the variance verification, the conservatism
     check) share one report type and one pair of writers. Values are
-    Python scalars or None; None renders as an absent cell. resolved
-    holds the study arguments a study works out itself when they are not
-    given (tweedie_sweep's dispersions); the CLI's manifest records them,
-    the report files do not.
+    Python scalars or None; None renders as an absent cell. format_text
+    shows a coverage row's runtime_s, its scenario's wall time; the files
+    leave it out, and the JSON holds "runtime_s": 0.0. resolved holds the
+    study arguments a study works out itself when they are not given
+    (tweedie_sweep's dispersions); the CLI's manifest records them, the
+    report files do not.
     """
 
     study: str
     rows: list[dict] = field(default_factory=list)
     config: dict = field(default_factory=dict)
-    runtime_s: float = 0.0
     resolved: dict = field(default_factory=dict)
 
     def columns(self) -> list[str]:
         return list(dict.fromkeys(key for row in self.rows for key in row))
 
     def write_csv(self, path) -> None:
-        cols = self.columns()
+        cols = [k for k in self.columns() if k != "runtime_s"]
         _write_csv(path, [cols, *([row.get(k) for k in cols] for row in self.rows)],
                    self.rows, "rows")
 
     def write_json(self, path) -> None:
+        rows = [{k: v for k, v in row.items() if k != "runtime_s"} for row in self.rows]
         _write_json(path, {"study": self.study, "config": self.config,
-                           "runtime_s": self.runtime_s, "rows": self.rows}, where="")
+                           "runtime_s": 0.0, "rows": rows}, where="")
 
     def format_text(self) -> str:
         cols = self.columns()
@@ -661,23 +663,21 @@ def _run_scenarios(
     _paired_counts). A SimulationError in place of a config gives a row
     of no replications that names it.
     """
-    start = time.perf_counter()
     rows = []
     for head, sub in scenarios:
         if isinstance(sub, SimulationError):
             rows.append({**head, "n_reps": 0, "n_effective": 0, "failures": 0,
                          "coverage95": None, "mc_se95": None, "failure_reasons": str(sub)})
             continue
-        scenario_start = time.perf_counter()
+        start = time.perf_counter()
         runs = _run_reps(sub, methods or ("multinomial",))
-        runtime = time.perf_counter() - scenario_start
+        runtime = time.perf_counter() - start
         for method, results in runs.items():
             row_head = {**head, "method": method} if methods else head
             rows.append(_aggregate(results, runtime, row_head))
         if methods == _METHODS:
             rows[-2].update(_paired_counts(runs["multinomial"], runs["odp"]))
-    return SimulationReport(study=study, rows=rows, config=config,
-                            runtime_s=time.perf_counter() - start)
+    return SimulationReport(study=study, rows=rows, config=config)
 
 
 def run_coverage_study(cfg: SimConfig, method: str = "multinomial") -> SimulationReport:
@@ -836,7 +836,6 @@ def verify_sigma_c(
     if M < 2:
         raise SimulationError("need at least two replications to estimate a variance")
     pi = np.asarray(PATTERN_J5)
-    start = time.perf_counter()
     rows = []
     for idx, c in enumerate(c_values):
         if not 0.0 < c < math.inf:
@@ -863,7 +862,6 @@ def verify_sigma_c(
         rows=rows,
         config={"c_values": [float(c) for c in c_values], "I": I, "M": M,
                 "seed": seed, "divisor": divisor},
-        runtime_s=time.perf_counter() - start,
     )
 
 
@@ -894,7 +892,6 @@ def verify_conservatism(
     if M < 2:
         raise SimulationError("need at least two replications")
     c_used = nu / phi - 1.0
-    start = time.perf_counter()
     rows = []
     for idx, F in enumerate(F_values):
         if not 0.0 < F < 1.0:
@@ -934,17 +931,34 @@ def verify_conservatism(
         rows=rows,
         config={"F_values": [float(F) for F in F_values], "nu": nu, "phi": phi,
                 "M": M, "seed": seed},
-        runtime_s=time.perf_counter() - start,
     )
 
 
-def _parse_pattern(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.replace(",", " ").split())
+def _parse_pattern(text: str, parse=float) -> tuple:
+    return tuple(parse(x) for x in text.replace(",", " ").split())
+
+
+def _parse_integer(text: str, expected: str = "an integer") -> int:
+    """The one integer rule of config lines and CLI flags: a decimal
+    integer is read exactly, and an integral float spelling such as 1e6 or
+    7.0 as the integer it spells; a fraction, nan, inf or a word is a
+    ValueError that names text."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan  # a word fails as nan does
+    if not value.is_integer():  # nan and inf included
+        raise ValueError(f"expected {expected}, got {text}")
+    return int(value)
 
 
 # One parser per SimConfig field, chosen by its annotation; pi_true is a
 # comma- or space-separated list.
-_SCALAR_CASTS = {"int": int, "float": float, "str": str}
+_SCALAR_CASTS = {"int": _parse_integer, "float": float, "str": str}
 _CONFIG_CASTS = {
     f.name: _parse_pattern if f.name == "pi_true" else _SCALAR_CASTS[f.type]
     for f in fields(SimConfig)

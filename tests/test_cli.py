@@ -635,6 +635,107 @@ def test_integer_flags_end_in_reports_one_error_line_or_a_usage_error(study, fla
             assert got == value, flag
 
 
+# Per config key: (spellings that run, within M <= 3, B <= 50 and two
+# threads; spellings SimConfig rejects; spellings the key's parser rejects),
+# each spelling with the value it reads as.
+CONFIG_VALUES = {
+    "I": ([("5", 5), ("7.0", 7), ("1e1", 10)], [("2", 2)], ["2.5", "x", ""]),
+    "J": ([("5", 5), ("1e1", 10)], [("7", 7), ("1", 1)], ["5.5", "nan"]),
+    "M": ([("1", 1), ("3", 3), ("2e0", 2)], [("0", 0)], ["1e-3", "inf", "three"]),
+    "B": ([("1", 1), ("50", 50), ("2e1", 20)], [("0", 0)], ["0.5", "-inf"]),
+    "seed": ([("0", 0), ("-1", -1), ("1e3", 1000)], [], ["1.5", "seed"]),
+    "threads": ([("1", 1), ("2.0", 2)], [("0", 0)], ["1.5"]),
+    "c_true": ([("50", 50.0), ("1e2", 100.0), ("20.5", 20.5)],
+               [("0", 0.0), ("-5", -5.0), ("nan", math.nan), ("inf", math.inf)], ["x", ""]),
+    "sigma_delta": ([("0", 0.0), ("0.05", 0.05)], [("-1", -1.0)], ["1.2.3"]),
+    "p": ([("1.3", 1.3), ("1.5", 1.5)], [("2", 2.0)], ["x"]),
+    "dgp": ([(d, d) for d in _DGPS], [("gamma", "gamma")], []),
+    "inclusion_threshold": ([("0", 0.0), ("5", 5.0)], [("-1", -1.0)], ["x"]),
+}
+# The flags that set a config key; they are drawn with spellings that run.
+CONFIG_FLAGS = {"M": "--M", "B": "--B", "seed": "--seed", "c_true": "--c-true", "I": "--I"}
+
+
+@st.composite
+def config_file(draw):
+    """(lines, entries, fault): the lines of a config file, the key = value
+    entries it sets (key -> value; None for a rejected value), and the
+    first line the parser rejects as (line number, message part) or None.
+    M and B are always among the keys drawn, so no example runs a study at
+    its default size: a line of theirs that the parser or SimConfig rejects
+    ends the run first."""
+    lines, entries, fault = [], {}, None
+    others = sorted(set(CONFIG_VALUES) - {"M", "B"})
+    keys = draw(st.permutations(["M", "B", *draw(st.lists(st.sampled_from(others), max_size=4,
+                                                          unique=True))]))
+    for key in keys:
+        lines += draw(st.lists(st.sampled_from(["# a comment", "", "   "]), max_size=2))
+        kind = draw(st.integers(0, 19))
+        runs, rejected, bad = CONFIG_VALUES[key]
+        if kind >= 18:
+            line, found = draw(st.sampled_from([
+                ("volatility = 3", "unknown key 'volatility'"),
+                (f"{key} 1", "expected key = value"),
+                *((f"{k} = 1", f"duplicate key {k!r}") for k in sorted(entries))]))
+        elif kind == 17 and bad:
+            line = f"{key} = {draw(st.sampled_from(bad))}"
+            found = f"duplicate key {key!r}" if key in entries else f"bad value for {key!r}"
+        else:
+            spelling, value = draw(st.sampled_from(rejected if kind == 16 and rejected
+                                                   else runs or rejected))
+            line = draw(st.sampled_from(["{} = {}", "{}={}", "  {} =  {}  # set"]))
+            line = line.format(key, spelling)
+            found = f"duplicate key {key!r}" if key in entries else None
+            entries.setdefault(key, value if (spelling, value) in runs else None)
+        lines.append(line)
+        if found and fault is None:
+            fault = (len(lines), found)
+    return lines, entries, fault
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(study=st.sampled_from(["correct", "nonstat", "tweedie", "compare-odp"]),
+       config=config_file(),
+       flags=st.fixed_dictionaries({}, optional={
+           key: st.sampled_from(CONFIG_VALUES[key][0]) for key in CONFIG_FLAGS}))
+def test_config_files_end_in_reports_or_one_error_line(study, config, flags):
+    # A generated --config file, at times with flags for some of its keys:
+    # exit 0 with both reports and a manifest that records the file's digest
+    # and every value as the flag, else the file, sets it; or exit 1 with
+    # one error line, naming the file's first bad line if it has one, and
+    # no file written. A file every value of which runs always runs.
+    lines, entries, fault = config
+    with tempfile.TemporaryDirectory() as tmp, redirect_stderr(StringIO()) as err:
+        path, out = Path(tmp) / "scenario.cfg", Path(tmp) / "out"
+        path.write_text("\n".join(lines) + "\n")
+        out.mkdir()
+        argv = ["simulate", "--study", study, "--config", str(path), "--out-dir", str(out),
+                *(f"{CONFIG_FLAGS[k]}={spelling}" for k, (spelling, _) in flags.items())]
+        code = main(argv)
+        if code == 1:
+            text = err.getvalue()
+            assert text.startswith("error: ") and text.count("\n") == 1, text
+            assert list(out.iterdir()) == []
+            if fault is not None:
+                assert text.startswith(f"error: config line {fault[0]}: {fault[1]}"), text
+            else:
+                assert not text.startswith("error: config line"), text
+                assert None in [entries.get(k) for k in entries if k not in flags], text
+            return
+        assert code == 0 and err.getvalue() == "" and fault is None
+        stem = f"runoff_{study}"
+        assert (out / f"{stem}.csv").exists()
+        manifest = json.loads((out / f"{stem}_manifest.json").read_text(),
+                              parse_constant=_reject_constant)
+        config = json.loads((out / f"{stem}.json").read_text(),
+                            parse_constant=_reject_constant)["config"]
+        assert manifest["inputs"] == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
+        for key, value in {**entries, **{k: v for k, (_, v) in flags.items()}}.items():
+            got = [manifest["seed"]] if key == "seed" else [manifest["parameters"][key],
+                                                           config[key]]
+            assert got == [value] * len(got), key
+
+
 @pytest.mark.parametrize("raised,message", [
     (MemoryError("Unable to allocate 745. GiB for an array with shape (10000000000, 5)"),
      "error: Unable to allocate 745. GiB for an array with shape (10000000000, 5)\n"),
@@ -1024,6 +1125,32 @@ class TestSimulate:
                      "--out-dir", str(tmp_path)])
         assert code == 1
         assert "unknown key" in capsys.readouterr().err
+
+    def test_config_integers_follow_the_flags_rule(self, tmp_path):
+        # M = 1e3 runs 1,000 replications, as --M 1e3 does, with the same bytes.
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("M = 1e3\nB = 1e1\nI = 7.0\nseed = 1e3\n")
+        assert main(["simulate", "--study", "correct", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "file")]) == 0
+        assert main(["simulate", "--study", "correct", "--M", "1e3", "--B", "1e1", "--I", "7.0",
+                     "--seed", "1e3", "--out-dir", str(tmp_path / "flags")]) == 0
+        report = read_json(tmp_path / "file" / "runoff_correct.json")
+        assert [report["config"][k] for k in ("M", "B", "I", "seed")] == [1000, 10, 7, 1000]
+        assert report["rows"][0]["n_reps"] == 1000
+        for name in ("runoff_correct.json", "runoff_correct.csv"):
+            assert ((tmp_path / "file" / name).read_bytes()
+                    == (tmp_path / "flags" / name).read_bytes())
+
+    @pytest.mark.parametrize("text", ["2.5", "1e-3", "nan", "x"])
+    def test_a_non_integer_config_value_is_one_error_line(self, tmp_path, capsys, text):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(f"M = {text}\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--study", "correct", "--config", str(cfg),
+                     "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: config line 1: bad value for 'M': expected an integer, got {text}\n")
+        assert not out.exists()
 
     def test_config_rejected_for_verification_studies(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.cfg"

@@ -275,8 +275,30 @@ class TestReportWriters:
         assert "---" in report.format_text()
         payload = json.loads(json_path.read_text())
         assert payload["study"] == "coverage"
-        assert payload["rows"] == report.rows
+        assert payload["rows"] == [{k: v for k, v in row.items() if k != "runtime_s"}
+                                   for row in report.rows]
         assert payload["config"]["M"] == 2
+
+    def test_study_files_carry_no_measured_time(self, tmp_path):
+        # A coverage row holds its scenario's wall time, and format_text shows
+        # it; the files leave it out, and the JSON holds the 0.0 placeholder.
+        # The verification studies build their reports outside _run_scenarios.
+        assert "runtime_s" not in {f.name for f in dataclasses.fields(simlab.SimulationReport)}
+        coverage = run_coverage_study(SimConfig(M=3, B=20, seed=2))
+        assert coverage.rows[0]["runtime_s"] > 0.0
+        assert "runtime_s" in coverage.format_text().splitlines()[0].split()
+        for report in (coverage, verify_sigma_c(c_values=(50.0,), I=20, M=4, seed=2),
+                       verify_conservatism(F_values=(0.5,), M=20, seed=2)):
+            json_path, csv_path = tmp_path / f"{report.study}.json", tmp_path / f"{report.study}.csv"
+            report.write_json(json_path)
+            report.write_csv(csv_path)
+            payload = json.loads(json_path.read_text())
+            assert list(payload) == ["study", "config", "runtime_s", "rows"]
+            assert payload["runtime_s"] == 0.0
+            assert payload["rows"] == [{k: v for k, v in row.items() if k != "runtime_s"}
+                                       for row in report.rows]
+            header = csv_path.read_text().splitlines()[0].split(",")
+            assert header == [k for k in report.columns() if k != "runtime_s"]
 
     def test_aggregate_of_no_scored_replication(self):
         # Every value is None, in the key order of a scored row, and up to
@@ -756,3 +778,13 @@ class TestConfigFiles:
             parse_config_text("I = ten")
         with pytest.raises(SimulationError, match="expected key = value"):
             parse_config_text("just words")
+
+    def test_integers_follow_the_flags_rule(self):
+        # An integral float spelling reads as the integer it spells, as on
+        # the command line; a fraction, nan or a word is a bad value.
+        assert parse_config_text("M = 1e3\nI = 7.0\nseed = -2e0\nB = 9007199254740993") == {
+            "M": 1000, "I": 7, "seed": -2, "B": 9007199254740993}
+        for text in ("2.5", "1e-3", "nan", "inf", "ten"):
+            with pytest.raises(SimulationError, match=re.escape(
+                    f"config line 1: bad value for 'M': expected an integer, got {text}")):
+                parse_config_text(f"M = {text}")
