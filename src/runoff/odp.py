@@ -18,7 +18,7 @@ import numpy as np
 from .distributions import RngStream
 from .patterns import PatternError, _cumulative_pattern, _link_ratio_block
 from .predictive import (PredictiveError, ReserveDistribution, _b_fault, _check_totals,
-                         _distribution, _fold, _year_summary)
+                         _distribution, _fold, _summarise)
 from .triangle import (RunoffError, Triangle, _diagonal_totals, _latest_lags, _n_observed,
                        _observed_mask)
 
@@ -283,9 +283,9 @@ def odp_bootstrap(fit: OdpFit, B: int, seed: int) -> ReserveDistribution:
     The draws come from _odp_draws; the years are folded into the total by
     predictive._fold, in year order, and the total is checked by
     predictive._check_totals, as the Beta bootstraps' are and as the
-    coverage studies do directly. Each year is summarised by
-    predictive._year_summary on a sorted copy, its draws kept in order, and
-    the per-year view is predictive._distribution.
+    coverage studies do directly. Each year's summary, or its fault's
+    message, is predictive._summarise's on a sorted copy, its draws kept in
+    order; the per-year view is predictive._distribution.
     """
     sums, rejected = _odp_draws(fit, B, RngStream(seed).derive(_ODP_DOMAIN).generator(), {})
     total, faults = np.zeros((1, sums.shape[1])), [None]
@@ -299,4 +299,4 @@ def odp_bootstrap(fit: OdpFit, B: int, seed: int) -> ReserveDistribution:
     meta = {"rejected_replications": rejected, "dispersion": fit.dispersion, "dof": fit.dof}
     return _distribution(total[0], moments, fit.pattern_F()[last],
                          np.nansum(fit.projected_future, axis=1), rules, sums,
-                         [_year_summary(year, False) for year in sums], "ODP", meta=meta)
+                         [_summarise(year, False) for year in sums], "ODP", meta=meta)

@@ -46,8 +46,8 @@ class YearPredictive:
     totals stay interpretable. A bootstrap run with keep_draws False
     keeps no draws: every other year's draws, a fully developed year's
     included, is then a zero-length read-only array. summary is
-    _summarise's dict, the PredictiveError message of a summary that
-    failed, or None (excluded).
+    _summarise's dict or fault message (a per-year report raises the
+    message as a PredictiveError), or None (excluded).
     """
 
     accident: int
@@ -87,29 +87,37 @@ class ReserveDistribution:
 
 
 _SUMMARY_PROBS = np.array([0.05, 0.25, 0.50, 0.75, 0.95])  # == [5, 25, 50, 75, 95] / 100
+_NON_FINITE_DRAWS = "quantiles of non-finite draws are undefined"
+_QUANTILE_OVERFLOW = "a quantile of the bootstrap draws overflows the float range"
+_MOMENTS_OVERFLOW = "the mean or standard error of the bootstrap draws overflows the float range"
+_TOTAL_OVERFLOW = "the total of the bootstrap draws overflows the float range"
+_ALL_EXCLUDED = "every open accident year is excluded by the inclusion rule"
+_BAD_OBSERVED = "observed row totals must be finite and non-negative"
 
 
-def _quantiles(x: np.ndarray, probs: np.ndarray, presorted: bool = False) -> np.ndarray:
+def _quantiles(x: np.ndarray, probs: np.ndarray,
+               in_place: bool = False) -> tuple[np.ndarray, list[str | None]]:
     """Quantiles of x at probs by Hyndman & Fan's method 7, the same bits
-    np.quantile(x, probs) returns (numpy's "linear" method). x may be a
-    (..., B) block: each row along the last axis gives its own quantiles,
-    shaped (..., len(probs)), with the bits the row alone would give.
+    np.quantile(x, probs) returns (numpy's "linear" method), and one fault
+    per row, None or a message; nothing is raised. x may be a (..., B)
+    block: each row along the last axis gives its own quantiles, shaped
+    (..., len(probs)), with the bits the row alone would give, and its own
+    fault, listed in C order (one for a vector).
 
     A sorted copy replaces numpy's multi-kth partition, which is about
-    three times slower on 1e6 draws; x keeps its order, on which mean, std
-    and the draw dump depend. The index and interpolation arithmetic is
-    that of numpy's _get_indexes and _lerp. The one difference: +0.0 and
-    -0.0 tie, and the sort and the partition may break that tie apart, so
-    a zero quantile of a vector holding both may differ in sign. Non-finite
-    input is an error, where np.quantile would return NaN, and so is a
-    quantile that overflows (finite extremes of opposite sign near the
-    float limit), where np.quantile would return inf. With presorted, x is
-    already sorted along its last axis and is read as it is.
+    three times slower on 1e6 draws, so x keeps its order, on which mean,
+    std and the draw dump depend; with in_place x itself is sorted. The
+    index and interpolation arithmetic is that of numpy's _get_indexes and
+    _lerp. The one difference: +0.0 and -0.0 tie, and the sort and the
+    partition may break that tie apart, so a zero quantile of a vector
+    holding both may differ in sign. A row's fault is _NON_FINITE_DRAWS if
+    it holds a NaN or inf (np.quantile would give NaN), else
+    _QUANTILE_OVERFLOW if a quantile overflows, from finite extremes of
+    opposite sign near the float limit (np.quantile would give inf). The
+    quantiles of a row at fault hold anything.
     """
-    s = x if presorted else np.sort(x, axis=-1)
-    # NaN and inf sort to the ends.
-    if not (np.isfinite(s[..., 0]).all() and np.isfinite(s[..., -1]).all()):
-        raise PredictiveError("quantiles of non-finite draws are undefined")
+    s = x if in_place else x.copy()
+    s.sort(axis=-1)
     n = s.shape[-1]
     v = (n - 1) * probs
     lo = np.floor(v)
@@ -120,20 +128,16 @@ def _quantiles(x: np.ndarray, probs: np.ndarray, presorted: bool = False) -> np.
     g = v - lo
     a = s[..., lo.astype(np.intp)]
     b = s[..., hi.astype(np.intp)]
-    # Overflow is reported by the check below, not by a numpy warning.
+    # Non-finite input and overflow are the rows' faults, not numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         d = b - a
         out = a + d * g
         np.subtract(b, d * (1 - g), out=out, where=g >= 0.5)
-    if not np.isfinite(out).all():
-        raise PredictiveError("a quantile of the bootstrap draws overflows the float range")
-    return out
-
-
-_MOMENTS_OVERFLOW = "the mean or standard error of the bootstrap draws overflows the float range"
-_TOTAL_OVERFLOW = "the total of the bootstrap draws overflows the float range"
-_ALL_EXCLUDED = "every open accident year is excluded by the inclusion rule"
-_BAD_OBSERVED = "observed row totals must be finite and non-negative"
+    # NaN and inf sort to the ends.
+    finite = np.ravel(np.isfinite(s[..., 0]) & np.isfinite(s[..., -1])).tolist()
+    fits = np.ravel(np.isfinite(out).all(axis=-1)).tolist()
+    return out, [_NON_FINITE_DRAWS if not ok else None if fit else _QUANTILE_OVERFLOW
+                 for ok, fit in zip(finite, fits)]
 
 
 def _fold(total: np.ndarray, rows) -> None:
@@ -207,24 +211,25 @@ def _row_moments(x: np.ndarray, work: np.ndarray):
 
 
 def _summarise(draws: np.ndarray, mean_suppressed: bool, moments=None,
-               in_place: bool = False) -> dict[str, float | None]:
-    """Mean, se and quantiles of draws. A suppressed mean withholds se too:
-    the mean is suppressed at c*F <= 2, where the ratio has no variance.
-    moments, draws' (mean, se) as _row_moments gives them, spares computing
-    them again; a quantile, then a mean or se, that overflows the float
-    range is an error. With in_place the draws are sorted in place for the
-    quantiles, after their moments are taken; without, a sorted copy is.
-    The bits are those of np.quantile, ndarray.mean and std(ddof=1)."""
+               in_place: bool = False) -> dict[str, float | None] | str:
+    """Mean, se and quantiles of draws, or the message of the first fault,
+    which is returned, not raised: _quantiles' fault, then _MOMENTS_OVERFLOW
+    for a mean or se that overflows the float range. A suppressed mean (at
+    c*F <= 2, where the ratio has no variance) withholds se too, and neither
+    is checked. moments, draws' (mean, se) as _row_moments gives them,
+    spares computing them again. With in_place the draws are sorted in place
+    for the quantiles, after their moments are taken; without, a sorted copy
+    is. The bits are those of np.quantile, ndarray.mean and std(ddof=1)."""
     if not mean_suppressed and moments is None:
         moments = _row_moments(draws, np.empty(min(draws.size, _WORK)))
-    if in_place:
-        draws.sort()
-    q5, q25, q50, q75, q95 = _quantiles(draws, _SUMMARY_PROBS, presorted=in_place)
+    (q5, q25, q50, q75, q95), (fault,) = _quantiles(draws, _SUMMARY_PROBS, in_place)
+    if fault is not None:
+        return fault
     mean = se = None
     if not mean_suppressed:
         mean, se = moments
         if not (np.isfinite(mean) and (se is None or np.isfinite(se))):
-            raise PredictiveError(_MOMENTS_OVERFLOW)
+            return _MOMENTS_OVERFLOW
         mean, se = float(mean), None if se is None else float(se)
     return {
         "mean": mean,
@@ -235,14 +240,6 @@ def _summarise(draws: np.ndarray, mean_suppressed: bool, moments=None,
         "q75": float(q75),
         "q95": float(q95),
     }
-
-
-def _year_summary(draws: np.ndarray, mean_suppressed: bool, in_place: bool = False) -> dict | str:
-    """_summarise, or the PredictiveError message of a summary that fails."""
-    try:
-        return _summarise(draws, mean_suppressed, in_place=in_place)
-    except PredictiveError as exc:
-        return str(exc)
 
 
 def _b_fault(B, rows: int = 1) -> str | None:
@@ -304,9 +301,9 @@ def _draw_years(totals: np.ndarray, rows: list[int], draws: list[tuple], ratio: 
     queue passes between tasks (so that no worker's allocator arena keeps
     B floats), and with block copied into block[k] right after it (a row at
     fault left part drawn). With suppressed (each draw's mean-suppression
-    flag) the worker summarises its row after the fold (_year_summary),
-    sorting it in place, else summary is None. The totals are checked by
-    the caller (_check_totals), once all rows are folded.
+    flag) the worker summarises its row after the fold, sorting it in
+    place: summary is _summarise's dict or fault message, else None. The
+    totals are checked by the caller (_check_totals), once all rows are folded.
     """
     B = totals.shape[1]
     scale_name = "observed total" if ratio else "prior ultimate"
@@ -355,7 +352,7 @@ def _draw_years(totals: np.ndarray, rows: list[int], draws: list[tuple], ratio: 
                 fold_in_turn(k, drawn)
             if fault is not None or suppressed is None:
                 return fault, None
-            return None, _year_summary(row, suppressed[k], in_place=True)
+            return None, _summarise(row, suppressed[k], in_place=True)
         finally:
             spare.put(row)
 
@@ -463,14 +460,16 @@ def _distribution(total, moments, F, points, rules, block, summaries, anchor: st
                   inclusion_threshold: float = -np.inf, meta=None) -> ReserveDistribution:
     """The one per-year view: each year's YearPredictive, the flags and the
     ReserveDistribution. rules is _year_rules' (c*F, excluded, drawn,
-    suppressed); block and summaries (_year_summary's, one per drawn year)
-    are the drawn years'. With block None no year keeps its draws: each
-    that is not excluded gets _NO_DRAWS. The total is summarised before any
-    fully developed year gets its zero row, whose summary is that of
-    min(B, 2) zeros."""
+    suppressed); block and summaries (_summarise's, one per drawn year) are
+    the drawn years'. With block None no year keeps its draws: each that is
+    not excluded gets _NO_DRAWS. A year keeps its summary's fault message;
+    the total's is raised, before any fully developed year gets its zero
+    row, whose summary is that of min(B, 2) zeros."""
     cf, excluded, drawn, suppressed = rules
     (mean,), se = moments
     summary = _summarise(total, bool(suppressed.any()), (mean, se if se is None else se[0]))
+    if isinstance(summary, str):
+        raise PredictiveError(summary)
     drawn_years = zip(repeat(_NO_DRAWS) if block is None else block, summaries)
     years, flags = [], {}
     for i, (f, c_f, point) in enumerate(zip(F.tolist(), cf.tolist(), points.tolist())):

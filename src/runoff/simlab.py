@@ -53,8 +53,8 @@ Stream ids come from distributions._derive_ids. A block's squares, its
 Beta draws and its ODP draws each open their generators in one
 _stream_generators call (RngStream's, bit for bit).
 With threads > 1 the blocks also hold at most M / threads replications
-each (rounded up) and run on a thread pool: numpy releases the GIL in the
-draws and the sorts, so the blocks overlap.
+each (rounded up) and run on a thread pool, `threads` at a time in block
+order: numpy releases the GIL in the draws and the sorts, so they overlap.
 """
 
 from __future__ import annotations
@@ -63,8 +63,10 @@ import csv
 import functools
 import math
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _ascii
 from pathlib import Path
 from typing import NamedTuple
@@ -89,7 +91,6 @@ from .distributions import (
 from .odp import _ODP_DOMAIN, OdpError, _odp_draws, _odp_fits
 from .patterns import DevelopmentPattern, PatternError, _cl_reserves
 from .predictive import (
-    PredictiveError,
     _anchored_draws,
     _b_fault,
     _check_totals,
@@ -513,20 +514,10 @@ def _score(
     """Stage 5: each replication's realised future amount against the
     central 95% and 75% intervals of its row of totals, all rows from one
     sort. A replication already failed keeps its failure; a row whose
-    quantiles cannot be taken fails its replication alone."""
+    quantiles fail fails its replication alone, with _quantiles' fault."""
     out: list[dict] = [{"failure": f} for f in faults]
     live = [k for k, f in enumerate(faults) if f is None]
-    try:
-        q = _quantiles(totals[live], _SCORE_PROBS)
-    except PredictiveError:
-        q = []
-        for k in list(live):
-            try:
-                q.append(_quantiles(totals[k], _SCORE_PROBS))
-            except PredictiveError as exc:
-                out[k] = {"failure": f"PredictiveError: {exc}"}
-                live.remove(k)
-        q = np.array(q).reshape(len(live), _SCORE_PROBS.size)
+    q, q_faults = _quantiles(totals[live], _SCORE_PROBS)
     t = truth[live]
     # The realised amount may be inf or NaN; the scores then read as the
     # scalar arithmetic gives them.
@@ -535,11 +526,12 @@ def _score(
         covered75 = (q[:, 1] <= t) & (t <= q[:, 2])
         rel_bias = (points[live] - t) / t
         rel_width = (q[:, 3] - q[:, 0]) / t
-    rows = zip(live, covered95.tolist(), covered75.tolist(), rel_bias.tolist(),
+    rows = zip(live, q_faults, covered95.tolist(), covered75.tolist(), rel_bias.tolist(),
                rel_width.tolist())
-    for k, c95, c75, bias, width in rows:
-        out[k] = {"covered95": c95, "covered75": c75, "rel_bias": bias, "rel_width": width,
-                  "c_hat": float(c_hat[k])}
+    for k, fault, c95, c75, bias, width in rows:
+        out[k] = ({"failure": f"PredictiveError: {fault}"} if fault is not None else
+                  {"covered95": c95, "covered75": c75, "rel_bias": bias, "rel_width": width,
+                   "c_hat": float(c_hat[k])})
     return out
 
 
@@ -596,16 +588,23 @@ def _run_reps(
     cfg: SimConfig, methods: tuple[str, ...] = ("multinomial",)
 ) -> dict[str, list[dict]]:
     """Per method: the M replication results, run in contiguous blocks of at
-    most _BLOCK_REPS, max(1, _BLOCK_DRAWS // B) and ceil(M / threads) replications."""
+    most _BLOCK_REPS, max(1, _BLOCK_DRAWS // B) and ceil(M / threads)
+    replications, made one by one as they are taken, the pool holding at
+    most `threads`: a huge M builds nothing ahead. Results and errors come
+    in block order."""
     for method in methods:
         if method not in _METHODS:
             raise SimulationError(f"unknown method {method!r}; expected one of {_METHODS}")
     size = max(1, min(-(-cfg.M // cfg.threads), _BLOCK_REPS, _BLOCK_DRAWS // cfg.B))
-    blocks = [range(a, min(a + size, cfg.M)) for a in range(0, cfg.M, size)]
+    blocks = (range(a, min(a + size, cfg.M)) for a in range(0, cfg.M, size))
     run = functools.partial(_run_block, cfg, methods=methods, F=_true_F(cfg))
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            done = list(pool.map(run, blocks))
+            running = deque(pool.submit(run, block) for block in islice(blocks, cfg.threads))
+            done = []
+            while running:  # the oldest block is collected, then the next one taken
+                done.append(running.popleft().result())
+                running.extend(pool.submit(run, block) for block in islice(blocks, 1))
     else:
         done = list(map(run, blocks))
     return {method: [r for block in done for r in block[method]] for method in methods}

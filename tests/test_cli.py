@@ -535,6 +535,21 @@ def test_fit_flags_end_in_a_report_or_one_error_line(name, exposures, reserves, 
             json.loads((out / artifact).read_text(), parse_constant=_reject_constant)
 
 
+def assert_same_at_the_other_thread_count(argv: list[str], out: Path, stem: str) -> None:
+    """Run an exit-0 simulate argv again, with the seed its manifest records,
+    at the other --threads value, 1 or 2: its CSV must be byte-identical to
+    the one in out, and its JSON equal but for config.threads."""
+    first = json.loads((out / f"{stem}.json").read_text())
+    other = 3 - first["config"].pop("threads")
+    seed = json.loads((out / f"{stem}_manifest.json").read_text())["seed"]
+    with tempfile.TemporaryDirectory() as again:
+        assert main([*argv, f"--seed={seed}", f"--threads={other}", "--out-dir", again]) == 0
+        csv_again = (Path(again) / f"{stem}.csv").read_bytes()
+        second = json.loads((Path(again) / f"{stem}.json").read_text())
+    assert csv_again == (out / f"{stem}.csv").read_bytes()
+    assert second["config"].pop("threads") == other and second == first
+
+
 SIMULATE_FLOATS = ("c-true", "sigma-delta", "p", "phi", "kappa", "mu", "inclusion-threshold")
 
 
@@ -563,6 +578,7 @@ def test_simulate_flags_end_in_reports_or_one_error_line(study, values, M, B, th
             json.loads((out / name).read_text(), parse_constant=_reject_constant)
         cells = (out / f"{stem}.csv").read_text().replace("\n", ",").split(",")
         assert not {"nan", "inf", "-inf"} & {c.strip().lower() for c in cells}
+        assert_same_at_the_other_thread_count(argv, out, stem)
 
 
 # Per integer flag of the coverage studies: values that run within M <= 3,
@@ -633,6 +649,7 @@ def test_integer_flags_end_in_reports_one_error_line_or_a_usage_error(study, fla
         for flag, (value, _) in flags.items():
             got = manifest["seed"] if flag == "--seed" else config[flag[2:]]
             assert got == value, flag
+        assert_same_at_the_other_thread_count(argv, out, stem)
 
 
 # Per config key: (spellings that run, within M <= 3, B <= 50 and two
@@ -734,6 +751,77 @@ def test_config_files_end_in_reports_or_one_error_line(study, config, flags):
             got = [manifest["seed"]] if key == "seed" else [manifest["parameters"][key],
                                                            config[key]]
             assert got == [value] * len(got), key
+        assert_same_at_the_other_thread_count(argv, out, stem)
+
+
+# Edge values of the sweep lists: the calibrated powers, powers at and just
+# inside the ends of (1, 2), zero, negative, tiny, huge and non-finite.
+GRID_VALUES = {
+    "--sigma-grid": ["0", "0.05", "-1", "1e-320", "1e300", "nan", "inf"],
+    "--p-grid": ["1.3", "1.5", "1.8", "1", "2", "1.0000001", "1.9999999", "nan", "-inf"],
+    "--phi-grid": ["43", "0.5", "0", "-1", "1e-320", "1e300", "nan", "inf"],
+}
+GRID_FLAGS = {"nonstat": ("--sigma-grid",), "tweedie": ("--p-grid", "--phi-grid")}
+GRID_HEADS = {"--sigma-grid": "sigma_delta", "--p-grid": "p", "--phi-grid": "phi"}
+
+
+@st.composite
+def grid_list(draw, flag: str):
+    """The entries of a list flag: none, one, or up to four edge values, at
+    times with one of them repeated."""
+    entries = draw(st.lists(st.sampled_from(GRID_VALUES[flag]), max_size=3))
+    if entries and draw(st.booleans()):
+        entries.insert(draw(st.integers(0, len(entries))), draw(st.sampled_from(entries)))
+    return entries
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data(), study=st.sampled_from(sorted(GRID_FLAGS)), M=st.integers(1, 3),
+       B=st.integers(1, 50), threads=st.integers(1, 2))
+def test_list_flags_end_in_reports_one_error_line_or_a_usage_error(data, study, M, B,
+                                                                   threads):
+    # An empty list is argparse's usage error naming its flag; a --phi-grid
+    # whose length differs from the powers' (three by default) is one error
+    # line naming both lengths; every other example ends in one error line
+    # and no file, or in study files of finite values with one row per list
+    # entry, in order, whose CSV and JSON do not depend on --threads.
+    lists = data.draw(st.fixed_dictionaries({}, optional={
+        flag: grid_list(flag) for flag in GRID_FLAGS[study]}))
+    argv = ["simulate", "--study", study, f"--M={M}", f"--B={B}", f"--threads={threads}",
+            "--seed=1", *(f"{flag}={','.join(entries)}" for flag, entries in lists.items())]
+    empty = [flag for flag, entries in lists.items() if not entries]
+    phi, powers = lists.get("--phi-grid"), lists.get("--p-grid", ["1.3", "1.5", "1.8"])
+    with tempfile.TemporaryDirectory() as tmp, redirect_stderr(StringIO()) as err:
+        out = Path(tmp) / "out"
+        out.mkdir()
+        try:
+            code = main(argv + ["--out-dir", str(out)])
+        except SystemExit as exc:
+            last = err.getvalue().splitlines()[-1]
+            assert exc.code == 2 and empty, last
+            assert last == (f"runoff simulate: error: argument {empty[0]}: "
+                            "expected a comma-separated list of numbers")
+            assert list(out.iterdir()) == []
+            return
+        assert not empty
+        if code == 1:
+            text = err.getvalue()
+            assert text.startswith("error: ") and text.count("\n") == 1, text
+            assert list(out.iterdir()) == []
+            if phi is not None and len(phi) != len(powers):
+                assert text == (f"error: phi_values has {len(phi)} entries for "
+                                f"{len(powers)} powers\n")
+            return
+        assert code == 0 and err.getvalue() == ""
+        assert phi is None or len(phi) == len(powers)
+        stem = f"runoff_{study}"
+        rows = json.loads((out / f"{stem}.json").read_text(),
+                          parse_constant=_reject_constant)["rows"]
+        for flag, entries in lists.items():
+            assert [row[GRID_HEADS[flag]] for row in rows] == [float(v) for v in entries]
+        cells = (out / f"{stem}.csv").read_text().replace("\n", ",").split(",")
+        assert not {"nan", "inf", "-inf"} & {c.strip().lower() for c in cells}
+        assert_same_at_the_other_thread_count(argv, out, stem)
 
 
 @pytest.mark.parametrize("raised,message", [

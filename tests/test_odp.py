@@ -15,7 +15,7 @@ import pytest
 from runoff.distributions import RngStream
 from runoff.odp import _ODP_DOMAIN, OdpError, OdpFit, _odp_draws, odp_bootstrap, odp_fit
 from runoff.patterns import chain_ladder_pattern, cl_ultimates, link_ratios
-from runoff.predictive import YearPredictive, _year_summary, multinomial_bootstrap
+from runoff.predictive import YearPredictive, _summarise, multinomial_bootstrap
 from runoff.triangle import Triangle, bundled_triangle, latest_diagonal
 
 TA_CL_TOTAL = 18_680_855.6
@@ -99,7 +99,7 @@ def reference_years(fit: OdpFit, B: int, seed: int) -> list[YearPredictive]:
         draws = next(drawn) if last < fit.J - 1 else np.zeros(B)
         years.append(YearPredictive(accident=i + 1, F=float(F[last]), c_times_F=float("nan"),
                                     point_reserve=float(points[i]), draws=draws,
-                                    summary=_year_summary(draws, False)))
+                                    summary=_summarise(draws, False)))
     return years
 
 

@@ -16,6 +16,7 @@ from hypothesis.extra import numpy as hnp
 from runoff import predictive
 from runoff.cli import _per_year_block
 from runoff.distributions import RngStream, beta_prime_moments
+from runoff.odp import OdpError, odp_bootstrap, odp_fit
 from runoff.patterns import DevelopmentPattern, PatternError, chain_ladder_pattern, cl_ultimates
 from runoff.predictive import (
     DEFAULT_INCLUSION_THRESHOLD,
@@ -44,31 +45,31 @@ def four_year_diag():
 
 @st.composite
 def interior_moves(draw):
-    """Two triangles of whole-number cells that differ inside the rows
-    but share every row total, their exposures, and a fixed pattern of
-    J lags. The second moves whole units between two cells of each row
-    observed at two lags or more, so both row totals are exact sums."""
-    J = draw(st.integers(2, 8))
-    I = draw(st.integers(max(J, 3), 12))
+    """Two triangles of whole-number increments, amounts or counts, with I
+    and J in 3..12, that differ inside their rows but share every row's
+    latest cumulative, their exposures, and a fixed pattern of J lags. The
+    second moves whole units between observed cells of each row observed at
+    two lags or more, so both rows' totals are exact sums."""
+    I, J = draw(st.integers(3, 12)), draw(st.integers(3, 12))
     observed = np.add.outer(np.arange(1, I + 1), np.arange(J)) <= I
     a = draw(hnp.arrays(np.float64, (I, J), elements=st.integers(0, 10**6).map(float)))
     a[~observed] = np.nan
     b = a.copy()
     for r in range(I):
         n = int(observed[r].sum())
-        if n < 2:
-            continue
-        j1, j2 = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
-        moved = draw(st.integers(0, int(a[r, j1])))
-        b[r, j1] -= moved
-        b[r, j2] += moved
+        for _ in range(draw(st.integers(0, 3)) if n > 1 else 0):
+            j1, j2 = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            moved = draw(st.integers(0, int(b[r, j1])))
+            b[r, j1] -= moved
+            b[r, j2] += moved
     assume(not np.array_equal(a, b, equal_nan=True))
     weights = np.array(draw(st.lists(st.integers(1, 100), min_size=J, max_size=J)), float)
     pi = weights / weights.sum()
     F = np.cumsum(pi)
     F[-1] = 1.0
     E = draw(st.lists(st.floats(1.0, 1e6), min_size=I, max_size=I))
-    return (Triangle(a, exposures=E), Triangle(b, exposures=E),
+    kind = draw(st.sampled_from(["amounts", "counts"]))
+    return (Triangle(a, kind, E), Triangle(b, kind, E),
             DevelopmentPattern(pi=pi, F=F, method="fixed"))
 
 
@@ -86,10 +87,11 @@ def same_distribution(x, y) -> bool:
     if isinstance(x, str) or isinstance(y, str):
         return x == y
     years = all(
-        (u.draws is None and v.draws is None) or np.array_equal(u.draws, v.draws)
+        (u.draws is None and v.draws is None) or u.draws.tobytes() == v.draws.tobytes()
         for u, v in zip(x.per_year, y.per_year))
-    return (years and np.array_equal(x.total, y.total) and x.summary == y.summary
-            and x.flags == y.flags)
+    return (years and x.total.tobytes() == y.total.tobytes() and x.summary == y.summary
+            and x.flags == y.flags
+            and [u.summary for u in x.per_year] == [v.summary for v in y.per_year])
 
 
 class TestConditioning:
@@ -121,16 +123,36 @@ class TestConditioning:
     def test_interior_cells_never_move_the_draws(self, pair, c_hat, q, B, seed):
         # The conditioning principle on generated triangles: with the
         # pattern and c-hat held fixed, only the latest diagonal (and, for
-        # BF, the exposures) reaches the draws.
+        # BF, the exposures) reaches the draws, kept or not. The full
+        # pipeline estimates c-hat and F-hat from the whole triangle, so it
+        # is conditional on those estimates and may move with the interior.
         a, b, pattern = pair
+        for keep in (True, False):
+            # A diagonal whose open years are all excluded fails on both sides.
+            assert same_distribution(*(
+                outcome(multinomial_bootstrap, latest_diagonal(t), pattern, c_hat, B, seed,
+                        DEFAULT_INCLUSION_THRESHOLD, keep) for t in (a, b)))
+            assert same_distribution(*(
+                bf_bootstrap(np.array(t.exposures), q, pattern, c_hat, B, seed, keep)
+                for t in (a, b)))
         assert latest_diagonal(a) == latest_diagonal(b)
-        # A diagonal whose open years are all excluded fails on both sides.
-        assert same_distribution(
-            outcome(multinomial_bootstrap, latest_diagonal(a), pattern, c_hat, B, seed),
-            outcome(multinomial_bootstrap, latest_diagonal(b), pattern, c_hat, B, seed))
-        assert same_distribution(
-            bf_bootstrap(np.array(a.exposures), q, pattern, c_hat, B, seed),
-            bf_bootstrap(np.array(b.exposures), q, pattern, c_hat, B, seed))
+        # The ODP bootstrap resamples the interior's residuals: where those
+        # differ, so do its draws, unless both fail. At B >= 37 some draw
+        # resamples a residual that differs.
+        try:
+            fits = [odp_fit(t) for t in (a, b)]
+        except (OdpError, PatternError):
+            return
+        if np.array_equal(fits[0].residuals, fits[1].residuals, equal_nan=True):
+            return
+        runs = []
+        for fit in fits:
+            try:
+                runs.append(odp_bootstrap(fit, max(B, 37), seed))
+            except (OdpError, PredictiveError) as exc:
+                runs.append(str(exc))
+        if not all(isinstance(run, str) for run in runs):
+            assert not same_distribution(*runs)
 
 
 class TestMultinomialBootstrap:
@@ -618,7 +640,7 @@ def same_as_reference(dist, ref, B) -> None:
         # Every year's summary, a fully developed year's included, is the
         # summary of its own draws (or the message of one that fails).
         assert y.summary == (None if y.excluded
-                             else predictive._year_summary(y.draws, y.mean_suppressed))
+                             else _summarise(y.draws, y.mean_suppressed))
     assert dist.total.tobytes() == total.tobytes()
     if dist.summary["mean"] is not None:
         assert dist.summary["mean"] == float(total.mean())
@@ -855,15 +877,15 @@ class TestQuantileKernel:
         before = x.copy()
         with np.errstate(all="ignore"):
             want = np.quantile(x, probs)
+        got, faults = _quantiles(x, probs)
+        assert x.tobytes() == before.tobytes()  # the draws keep their order
         if not np.isfinite(want).all():
             # Differences of opposite-sign extremes overflow; np.quantile
-            # returns inf where the kernel raises.
-            with pytest.raises(PredictiveError, match="overflows"):
-                _quantiles(x, probs)
+            # returns inf where the kernel returns the fault.
+            assert faults == [predictive._QUANTILE_OVERFLOW]
             return
-        got = _quantiles(x, probs)
+        assert faults == [None]
         assert got.tobytes() == want.tobytes()
-        assert x.tobytes() == before.tobytes()  # the draws keep their order
 
     @settings(max_examples=100, deadline=None)
     @given(x=float_vectors())
@@ -871,11 +893,11 @@ class TestQuantileKernel:
         x = x + 0.0
         with np.errstate(all="ignore"):
             want = np.percentile(x, [5, 25, 50, 75, 95])
+        got, faults = _quantiles(x, predictive._SUMMARY_PROBS)
         if not np.isfinite(want).all():
-            with pytest.raises(PredictiveError, match="overflows"):
-                _quantiles(x, predictive._SUMMARY_PROBS)
+            assert faults == [predictive._QUANTILE_OVERFLOW]
             return
-        got = _quantiles(x, predictive._SUMMARY_PROBS)
+        assert faults == [None]
         assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=50, deadline=None)
@@ -883,15 +905,15 @@ class TestQuantileKernel:
                         elements=st.sampled_from([0.0, -0.0, 1.0, -1.0])),
            probs=probabilities())
     def test_signed_zeros_agree_in_value(self, x, probs):
-        assert np.array_equal(_quantiles(x, probs), np.quantile(x, probs))
+        assert np.array_equal(_quantiles(x, probs)[0], np.quantile(x, probs))
 
     @settings(max_examples=50, deadline=None)
     @given(x=float_vectors(), bad=st.sampled_from([np.nan, np.inf, -np.inf]),
            where=st.integers(0, 5000))
     def test_non_finite_input_is_an_error(self, x, bad, where):
         x = np.insert(x, where % (x.size + 1), bad)
-        with pytest.raises(PredictiveError, match="non-finite"):
-            _quantiles(x, predictive._SUMMARY_PROBS)
+        faults = _quantiles(x, predictive._SUMMARY_PROBS)[1]
+        assert faults == ["quantiles of non-finite draws are undefined"]
 
     def test_quantile_overflow_is_an_error_not_a_warning(self):
         # Finite draws whose extremes have opposite signs near the float
@@ -899,12 +921,36 @@ class TestQuantileKernel:
         x = np.array([-1.7e308, 1.7e308])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(PredictiveError, match="quantile .* overflows"):
-                _quantiles(x, np.array([0.5]))
+            assert _quantiles(x, np.array([0.5]))[1] == [
+                "a quantile of the bootstrap draws overflows the float range"]
             # Extremes whose difference stays finite keep np.quantile's bits.
             y = np.array([-1.0e308, 0.5e308])
             probs = predictive._SUMMARY_PROBS
-            assert _quantiles(y, probs).tobytes() == np.quantile(y, probs).tobytes()
+            got, faults = _quantiles(y, probs)
+            assert faults == [None] and got.tobytes() == np.quantile(y, probs).tobytes()
+
+    def test_a_block_gives_each_row_its_own_quantiles_and_fault(self):
+        # A (2, 3, 50) block: finite rows, rows with a NaN or an inf, and a
+        # row whose 99% quantile overflows; faults come in C order.
+        x = np.random.default_rng(3).lognormal(0.0, 2.0, (2, 3, 50))
+        x[0, 1, 7] = np.nan
+        x[1, 0] = -1.7e308
+        x[1, 0, -1] = 1.7e308
+        x[1, 2, 0] = -np.inf
+        probs = np.array([0.05, 0.5, 0.99])
+        before = x.tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, faults = _quantiles(x, probs)
+            sorted_x = x.copy()
+            assert _quantiles(sorted_x, probs, in_place=True)[1] == faults
+        assert x.tobytes() == before
+        assert sorted_x.tobytes() == np.sort(x).tobytes()
+        non_finite, overflow = predictive._NON_FINITE_DRAWS, predictive._QUANTILE_OVERFLOW
+        assert faults == [None, non_finite, None, overflow, None, non_finite]
+        for row, q, fault in zip(x.reshape(6, 50), got.reshape(6, 3), faults):
+            if fault is None:
+                assert q.tobytes() == np.quantile(row, probs).tobytes()
 
     def test_summary_overflow_is_an_error_not_a_warning(self):
         # Every draw and the total stay finite (about 5e307), but the mean's
@@ -933,6 +979,20 @@ class TestQuantileKernel:
                 assert isinstance(dist.per_year[2].summary, dict)
                 with pytest.raises(PredictiveError, match="mean or standard error .* overflows"):
                     _per_year_block(dist)
+
+    def test_a_total_whose_summary_fails_is_an_error(self):
+        # The bootstraps check their totals before the per-year view, so a
+        # total reaches it with a fault only when handed in unchecked: the
+        # view raises the total's fault, where a year keeps its own.
+        F = np.array([1.0, 0.5])
+        rules = predictive._year_rules(50.0, F, 0.0, True)
+        moments = (np.array([1.0]), np.array([1.0]))
+        with pytest.raises(PredictiveError, match="^quantiles of non-finite draws are undefined$"):
+            predictive._distribution(np.array([1.0, np.nan, 2.0]), moments, F, np.zeros(2),
+                                     rules, None, ["a year's fault"], "CL")
+        dist = predictive._distribution(np.array([1.0, 3.0, 2.0]), moments, F, np.zeros(2),
+                                        rules, None, ["a year's fault"], "CL")
+        assert dist.per_year[1].summary == "a year's fault"
 
     def test_suppressed_summary_skips_the_overflow_check(self):
         summary = _summarise(np.full(1000, 1e308), mean_suppressed=True)
@@ -967,14 +1027,17 @@ def summary_rows(draw):
 
 def copying_summary(x: np.ndarray, mean_suppressed: bool):
     """The summary from numpy's own copies: _quantiles' sorted copy, then
-    ndarray.mean and std(ddof=1), whose overflow is _MOMENTS_OVERFLOW."""
-    q = _quantiles(x, predictive._SUMMARY_PROBS)
+    ndarray.mean and std(ddof=1), whose overflow is _MOMENTS_OVERFLOW; or
+    the first fault's message."""
+    q, (fault,) = _quantiles(x, predictive._SUMMARY_PROBS)
+    if fault is not None:
+        return fault
     if mean_suppressed:
         return q, None, None
     with np.errstate(over="ignore", invalid="ignore"):
         mean, se = x.mean(), None if x.size == 1 else x.std(ddof=1)
     if not (np.isfinite(mean) and (se is None or np.isfinite(se))):
-        raise PredictiveError(predictive._MOMENTS_OVERFLOW)
+        return predictive._MOMENTS_OVERFLOW
     return q, mean, se
 
 
@@ -988,14 +1051,12 @@ class TestInPlaceSummary:
     def test_in_place_summary_is_the_copying_summary(self, case):
         x, suppressed = case
         before = x.tobytes()
-        try:
-            q, mean, se = copying_summary(x, suppressed)
-        except PredictiveError as exc:
+        want = copying_summary(x, suppressed)
+        if isinstance(want, str):
             for in_place in (False, True):
-                with pytest.raises(PredictiveError) as got:
-                    _summarise(x.copy(), suppressed, in_place=in_place)
-                assert str(got.value) == str(exc)
+                assert _summarise(x.copy(), suppressed, in_place=in_place) == want
             return
+        q, mean, se = want
 
         def bits(v):
             return None if v is None else np.float64(v).tobytes()

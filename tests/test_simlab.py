@@ -9,7 +9,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
+import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -241,6 +243,30 @@ class TestRunCoverageStudy:
         assert row["failures"] == 3
         assert "non-finite" in row["failure_reasons"]
 
+    def test_a_row_whose_quantiles_fail_fails_its_replication_alone(self, monkeypatch):
+        # Between the draw stage and the scoring stage replication 0's total
+        # gets a NaN, and replication 1's extremes of opposite sign near the
+        # float limit, so that its 97.5% quantile overflows; replication 2
+        # scores as it does untouched.
+        cfg = SimConfig(M=3, B=20, seed=4)
+        want = simlab._run_reps(cfg)["multinomial"]
+        draw = simlab._multinomial_totals
+
+        def faulty_totals(*args, **kwargs):
+            totals, faults = draw(*args, **kwargs)
+            totals[0, 5] = np.nan
+            totals[1] = -1.7e308
+            totals[1, -1] = 1.7e308
+            return totals, faults
+
+        monkeypatch.setattr(simlab, "_multinomial_totals", faulty_totals)
+        assert "failure" not in want[2]
+        assert simlab._run_reps(cfg)["multinomial"] == [
+            {"failure": "PredictiveError: quantiles of non-finite draws are undefined"},
+            {"failure": "PredictiveError: a quantile of the bootstrap draws overflows the float "
+                        "range"},
+            want[2]]
+
     def test_thread_count_does_not_change_results(self):
         r1 = run_coverage_study(SimConfig(M=6, B=40, seed=14, threads=1))
         r3 = run_coverage_study(SimConfig(M=6, B=40, seed=14, threads=3))
@@ -465,9 +491,11 @@ def reference_replication(cfg: SimConfig, rep: int, method: str = "multinomial")
                 latest_diagonal(t), pattern, c_hat, cfg.B,
                 seed=root.derive(simlab._BOOT_MULTINOMIAL).stream_id,
                 inclusion_threshold=cfg.inclusion_threshold).total
-        q025, q125, q875, q975 = _quantiles(total, simlab._SCORE_PROBS)
+        (q025, q125, q875, q975), (fault,) = _quantiles(total, simlab._SCORE_PROBS)
     except (ConcentrationError, PredictiveError, PatternError, OdpError) as exc:
         return {"failure": f"{type(exc).__name__}: {exc}"}
+    if fault is not None:
+        return {"failure": f"PredictiveError: {fault}"}
     return {"covered95": bool(q025 <= truth <= q975), "covered75": bool(q125 <= truth <= q875),
             "rel_bias": (point - truth) / truth, "rel_width": (q975 - q025) / truth,
             "c_hat": c_hat}
@@ -697,6 +725,37 @@ class TestBlockSize:
         assert [study_rows(study()) for study in studies] == want
         # One replication a block, or one block per thread and scenario.
         assert set(sizes) == ({1} if limit == 1 else {130, 11})
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_huge_m_hands_out_its_blocks_lazily(self, monkeypatch, threads):
+        # 2**62 replications make 2**56 blocks of 64: a list of them, or a
+        # pool given every one, grew memory at about 200 MB/s. The third
+        # block raises, and the study ends in that error with little traced.
+        starts: list[int] = []
+        lock = threading.Lock()
+        run_block = simlab._run_block
+
+        def third_raises(cfg, reps, methods, F):
+            with lock:
+                starts.append(reps.start)
+                calls = len(starts)
+            if calls == 3:
+                raise RuntimeError("the third block")
+            return run_block(cfg, reps, methods, F)
+
+        monkeypatch.setattr(simlab, "_run_block", third_raises)
+        tracemalloc.start()
+        try:
+            with pytest.raises(RuntimeError, match="^the third block$"):
+                run_coverage_study(SimConfig(M=2**62, B=10, seed=1, threads=threads))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+        # One block at a time; or at most two on the pool, whose fourth block
+        # is handed out when the second is collected, before the third's
+        # error is.
+        assert sorted(starts) == [0, 64, 128, 192][: 3 if threads == 1 else 4]
 
 
 class TestVerifySigmaC:
