@@ -260,8 +260,6 @@ def cmd_fit(args) -> int:
             }
             if est_r.prior_q is not None:
                 block["prior_q"] = est_r.prior_q
-            if est_r.floored_rows:
-                block["floored_rows"] = list(est_r.floored_rows)
             reserves[method] = block
     report["reserves"] = reserves
 

@@ -3,13 +3,15 @@
 Chain-ladder link ratios are volume-weighted. The cumulative pattern F
 is recovered from the link ratios by the backward product F_j = 1 /
 (f_j ... f_{J-2}) with F_{J-1} = 1, and the incremental pattern pi by
-differencing. Bornhuetter-Ferguson and Cape Cod reuse the same pattern
-and blend in prior information.
+differencing. Chain-ladder, Bornhuetter-Ferguson and Cape Cod are one
+credibility blend, ultimate = F * CL ultimate + (1 - F) * prior, under a
+diffuse prior, a given prior and the pooled prior E * q with
+q = sum(observed) / sum(E * F) respectively.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -69,11 +71,13 @@ class DevelopmentPattern:
 
 @dataclass(frozen=True)
 class UltimateEstimates:
+    """Per accident year ultimates and reserves of one method ("CL", "BF"
+    or "CC"); prior_q is Cape Cod's pooled loss ratio, else None."""
+
     ultimates: np.ndarray
     reserves: np.ndarray
     method: str
     prior_q: float | None = None
-    floored_rows: tuple[int, ...] = ()
 
 
 def _link_ratio_block(X: np.ndarray) -> tuple[np.ndarray, list[str | None]]:
@@ -163,25 +167,16 @@ def bf_ultimates(t: Triangle, p: DevelopmentPattern, prior: np.ndarray) -> Ultim
 
 
 def cape_cod_ultimates(t: Triangle, p: DevelopmentPattern) -> UltimateEstimates:
+    """Bornhuetter-Ferguson at the pooled prior E * q, q = sum(obs) / sum(E * F)."""
     if t.exposures is None:
         raise PatternError("Cape Cod needs exposures attached to the triangle")
     E = np.asarray(t.exposures)
     if np.any(E <= 0.0):
         raise PatternError("Cape Cod needs strictly positive exposures")
     obs, F = _diagonal_and_F(t, p)
-    denom = float(np.sum(E * F))
-    if denom <= 0.0:
-        raise PatternError("sum of exposure-weighted proportions is zero")
-    q_hat = float(np.sum(obs)) / denom
-    ultimates = E * q_hat
-    reserves = ultimates - obs
-    floored = tuple(int(i + 1) for i in np.nonzero(reserves < 0.0)[0])
-    if floored:
-        reserves = np.maximum(reserves, 0.0)
-    return UltimateEstimates(
-        ultimates=ultimates,
-        reserves=reserves,
-        method="CC",
-        prior_q=q_hat,
-        floored_rows=floored,
-    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q_hat = float(np.sum(obs) / np.sum(E * F))
+    if not (np.isfinite(q_hat) and q_hat > 0.0):
+        raise PatternError(f"Cape Cod's pooled ratio sum(observed) / sum(exposure * F) "
+                           f"must be finite and positive, got {q_hat}")
+    return replace(bf_ultimates(t, p, E * q_hat), method="CC", prior_q=q_hat)

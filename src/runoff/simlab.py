@@ -835,6 +835,9 @@ def verify_sigma_c(
     if M < 2:
         raise SimulationError("need at least two replications to estimate a variance")
     pi = np.asarray(PATTERN_J5)
+    if M * I * pi.size * 8 > np.iinfo(np.intp).max:  # the bytes of each c's draws
+        raise SimulationError(f"M = {M} and I = {I} are too large: an (M, I, {pi.size}) "
+                              "array of floats exceeds numpy's limit")
     rows = []
     for idx, c in enumerate(c_values):
         if not 0.0 < c < math.inf:
@@ -890,6 +893,8 @@ def verify_conservatism(
     lam = 2.0 * (nu / phi)  # claim rate making the cell variance phi * nu
     if M < 2:
         raise SimulationError("need at least two replications")
+    if M * 8 > np.iinfo(np.intp).max:  # the bytes of each F's draws
+        raise SimulationError(f"M = {M} is too large: an array of M floats exceeds numpy's limit")
     c_used = nu / phi - 1.0
     rows = []
     for idx, F in enumerate(F_values):

@@ -81,8 +81,12 @@ class TestFit:
         code = main(["fit", "taylor-ashe", "--reserves", "cc",
                      "--exposures", str(epath), "--out-dir", str(tmp_path)])
         assert code == 0
-        report = read_json(tmp_path / "runoff_fit.json")
-        assert report["reserves"]["cc"]["prior_q"] > 0.0
+        cc = read_json(tmp_path / "runoff_fit.json")["reserves"]["cc"]
+        assert cc["prior_q"] > 0.0
+        # Year 1 is fully developed, so the credibility blend reserves 0 for it.
+        assert cc["per_year"][0] == 0.0
+        assert cc["total"] == pytest.approx(18_101_631.6, abs=0.1)
+        assert "floored_rows" not in cc
         manifest = read_json(tmp_path / "runoff_fit_manifest.json")
         assert str(epath) in manifest["inputs"]
 
@@ -822,6 +826,91 @@ def test_list_flags_end_in_reports_one_error_line_or_a_usage_error(data, study, 
         cells = (out / f"{stem}.csv").read_text().replace("\n", ",").split(",")
         assert not {"nan", "inf", "-inf"} & {c.strip().lower() for c in cells}
         assert_same_at_the_other_thread_count(argv, out, stem)
+
+
+# Per flag of the sigma-c and conservatism studies: values that run, and
+# values the study rejects or that sit at an edge (tiny, huge, non-finite).
+# --M is always set, at most 3 where the study runs; a huge --M or --I is an
+# error before the first draw.
+HUGE = [str(2**60), str(10**30)]
+VERIFY_FLAGS = {
+    "sigma-c": {
+        "--c-values": (["20", "50", "0.5"], ["0", "-1", "1e-320", "1e300", "nan", "inf"]),
+        "--I": (["20", "30"], ["19", "0", *HUGE]),
+        "--M": (["2", "3"], ["1", "0", *HUGE]),
+        "--divisor": (["unbiased", "biased"], []),
+    },
+    "conservatism": {
+        "--F-values": (["0.1", "0.5", "0.99"], ["0", "1", "-0.5", "1e-320", "nan", "inf"]),
+        "--nu": (["1e6", "1e4", "150"], ["100", "0", "-1", "1e-320", "1e300", "nan", "inf"]),
+        "--phi": (["100", "1"], ["0", "-1", "1e-320", "1e300", "nan", "inf"]),
+        "--M": (["2", "3"], ["1", "0", *HUGE]),
+    },
+}
+VERIFY_LISTS = {"--c-values": "c", "--F-values": "F"}  # list flag -> the rows' column
+
+
+@st.composite
+def verify_flag(draw, study: str, flag: str):
+    """The text of one flag: four times in five a value that runs, else an
+    edge value; a list flag joins one to three such values by commas."""
+    runs, edges = VERIFY_FLAGS[study][flag]
+    value = st.integers(0, 4).flatmap(
+        lambda kind: st.sampled_from(edges if kind == 4 and edges else runs))
+    if flag not in VERIFY_LISTS:
+        return draw(value)
+    return ",".join(draw(st.lists(value, min_size=1, max_size=3)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), study=st.sampled_from(sorted(VERIFY_FLAGS)))
+def test_verification_flags_end_in_reports_or_one_error_line(data, study):
+    # Every example ends in one error line and no file, or in study files of
+    # finite values with one row per list entry, in order, and a config that
+    # records each flag as it reads.
+    flags = data.draw(st.fixed_dictionaries({"--M": verify_flag(study, "--M")}, optional={
+        flag: verify_flag(study, flag) for flag in VERIFY_FLAGS[study] if flag != "--M"}))
+    argv = ["simulate", "--study", study, "--seed=1", *(f"{f}={v}" for f, v in flags.items())]
+    with tempfile.TemporaryDirectory() as tmp, redirect_stderr(StringIO()) as err:
+        out = Path(tmp) / "out"
+        out.mkdir()
+        code = main(argv + ["--out-dir", str(out)])
+        if code == 1:
+            text = err.getvalue()
+            assert text.startswith("error: ") and text.count("\n") == 1, text
+            assert list(out.iterdir()) == []
+            return
+        assert code == 0 and err.getvalue() == ""
+        stem = f"runoff_{study}"
+        json.loads((out / f"{stem}_manifest.json").read_text(), parse_constant=_reject_constant)
+        report = json.loads((out / f"{stem}.json").read_text(), parse_constant=_reject_constant)
+        cells = (out / f"{stem}.csv").read_text().replace("\n", ",").split(",")
+        assert not {"nan", "inf", "-inf"} & {c.strip().lower() for c in cells}
+        for flag, text in flags.items():
+            if flag in VERIFY_LISTS:
+                column = [row[VERIFY_LISTS[flag]] for row in report["rows"]]
+                assert column == [float(v) for v in text.split(",")], flag
+            else:
+                value = report["config"][flag[2:]]
+                assert value == (text if flag == "--divisor" else float(text)), flag
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--study", "sigma-c", "--I=20", "--M=1152921504606846976"],
+     "error: M = 1152921504606846976 and I = 20 are too large: an (M, I, 5) array of floats "
+     "exceeds numpy's limit\n"),
+    (["--study", "conservatism", "--M=1152921504606846976"],
+     "error: M = 1152921504606846976 is too large: an array of M floats exceeds numpy's "
+     "limit\n"),
+], ids=["sigma-c", "conservatism"])
+def test_a_verification_study_numpy_cannot_allocate_is_one_error_line(tmp_path, capsys, argv,
+                                                                      message):
+    # numpy cannot describe the study's draws, so no draw is made.
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["simulate", *argv, "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == message
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("raised,message", [

@@ -127,6 +127,15 @@ class TestCellEstimate:
         )
         assert est.c_hat == est.cells[0].c_hat == pytest.approx(188.75)
 
+    def test_non_positive_estimate_dropped(self):
+        # Column 0 of horizon 2 holds the proportions 0.01, 0.98, 0.01: their
+        # sample variance exceeds m(1 - m), so m(1 - m)/v - 1 < 0.
+        X = np.full((6, 4), np.nan)
+        X[:3, :3] = [[1.0, 50.0, 49.0], [98.0, 1.5, 0.5], [1.0, 48.0, 51.0]]
+        est = estimate_c_from_matrix(X)
+        assert est.dropped_cells == ((0, 2, "non-positive estimate -0.2915"),)
+        assert [(c.j, c.k) for c in est.cells] == [(1, 2)]
+
     def test_divisor_validated(self):
         with pytest.raises(ConcentrationError, match="divisor"):
             estimate_c_batch(screening_matrix()[None], "ml")

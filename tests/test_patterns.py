@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from runoff.patterns import (
     DevelopmentPattern,
@@ -187,14 +189,33 @@ class TestCapeCod:
         assert est.prior_q == pytest.approx(2.0)
         np.testing.assert_allclose(est.ultimates, [20.0, 40.0, 60.0])
         np.testing.assert_allclose(est.reserves, [0.0, 8.0, 30.0])
-        assert est.floored_rows == ()
 
-    def test_negative_reserve_floored_and_flagged(self):
+    def test_fully_developed_year_reserves_zero(self):
+        # Year 1 observes more than E * q here; its reserve is still
+        # (1 - F) * E * q = 0.
         t = hand_triangle().with_exposures([5.0, 20.0, 30.0])
         est = cape_cod_ultimates(t, chain_ladder_pattern(t))
-        assert est.floored_rows == (1,)
+        # q = (20 + 32 + 30) / (5 * 1 + 20 * 0.8 + 30 * 0.5) = 82 / 36
+        assert est.prior_q == pytest.approx(82.0 / 36.0)
         assert est.reserves[0] == 0.0
+        expected = np.array([0.0, 0.2 * 20.0, 0.5 * 30.0]) * est.prior_q
+        np.testing.assert_allclose(est.reserves, expected)
         assert np.all(est.reserves >= 0.0)
+
+    @pytest.mark.parametrize("values, exposures, got", [
+        # Nothing observed: q = 0.
+        ([[0.0, 0.0, np.nan], [0.0, np.nan, np.nan]], (1.0, 2.0), "0.0"),
+        # Each E * F rounds to 0 (F < 1 in every row, as I < J): q = inf.
+        ([[1.0, 2.0, np.nan], [3.0, np.nan, np.nan]], (5e-324, 5e-324), "inf"),
+    ], ids=["no-claims", "underflow"])
+    def test_pooled_ratio_must_be_finite_and_positive(self, values, exposures, got):
+        t = Triangle(np.array(values), "amounts", exposures)
+        p = DevelopmentPattern(pi=np.array([0.25, 0.25, 0.5]), F=np.array([0.25, 0.5, 1.0]),
+                               method="CL")
+        with pytest.raises(PatternError) as exc:
+            cape_cod_ultimates(t, p)
+        assert str(exc.value) == ("Cape Cod's pooled ratio sum(observed) / sum(exposure * F) "
+                                  f"must be finite and positive, got {got}")
 
     def test_requires_exposures(self):
         with pytest.raises(PatternError, match="exposures"):
@@ -204,3 +225,39 @@ class TestCapeCod:
         t = hand_triangle().with_exposures([0.0, 20.0, 30.0])
         with pytest.raises(PatternError, match="positive"):
             cape_cod_ultimates(t, chain_ladder_pattern(t))
+
+
+@st.composite
+def blend_case(draw):
+    """A triangle with positive increments (amounts or counts), so that it
+    has a chain-ladder pattern, with positive exposures, and a positive
+    q_bf."""
+    I = draw(st.integers(2, 8))
+    J = draw(st.integers(2, I))
+    kind = draw(st.sampled_from(["amounts", "counts"]))
+    cell = (st.floats(1e-3, 1e6) if kind == "amounts"
+            else st.integers(1, 10**6).map(float))
+    values = np.full((I, J), np.nan)
+    for i in range(I):
+        for j in range(min(J, I - i)):
+            values[i, j] = draw(cell)
+    exposures = draw(st.lists(st.floats(1e-3, 1e6), min_size=I, max_size=I))
+    return Triangle(values, kind, exposures), draw(st.floats(1e-3, 1e3))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=blend_case())
+def test_bf_and_cape_cod_are_the_credibility_blend(case):
+    # ultimate = F * CL + (1 - F) * prior for BF's prior E * q_bf and Cape
+    # Cod's E * q; every reserve is (1 - F) * prior, so never negative, and
+    # exactly 0 where F = 1.
+    t, q_bf = case
+    p = chain_ladder_pattern(t)
+    cl = cl_ultimates(t, p).ultimates
+    F = p.F[np.minimum(np.arange(t.I)[::-1], t.J - 1)]
+    E = np.asarray(t.exposures)
+    for est in (bf_ultimates(t, p, E * q_bf), cape_cod_ultimates(t, p)):
+        prior = E * (q_bf if est.method == "BF" else est.prior_q)
+        np.testing.assert_allclose(est.ultimates, F * cl + (1.0 - F) * prior, rtol=1e-12)
+        assert np.all(est.reserves >= 0.0)
+        assert np.all(est.reserves[F == 1.0] == 0.0)

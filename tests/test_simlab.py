@@ -794,6 +794,32 @@ class TestVerifyConservatism:
         assert row["sd_boot"] > row["sd_true"] * 1.2
 
 
+@pytest.mark.parametrize("study, kwargs, message", [
+    (verify_sigma_c, {"I": 20, "M": 2**60}, f"M = {2**60} and I = 20 are too large: "
+                                            "an (M, I, 5) array of floats exceeds numpy's limit"),
+    (verify_sigma_c, {"I": 2**60, "M": 3}, f"M = 3 and I = {2**60} are too large: "
+                                           "an (M, I, 5) array of floats exceeds numpy's limit"),
+    (verify_conservatism, {"M": 2**60},
+     f"M = {2**60} is too large: an array of M floats exceeds numpy's limit"),
+], ids=["sigma-c-M", "sigma-c-I", "conservatism-M"])
+def test_a_study_size_numpy_cannot_allocate_is_an_error_before_any_draw(monkeypatch, study,
+                                                                         kwargs, message):
+    # numpy cannot describe the draws: the study says so before opening a stream.
+    def no_stream(seed):
+        raise AssertionError("a random stream was opened")
+
+    monkeypatch.setattr(simlab, "RngStream", no_stream)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SimulationError) as exc:
+            study(**kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == message
+    assert peak < 2**16, peak
+
+
 class TestConfigFiles:
     def test_parse_config_text(self):
         text = """
