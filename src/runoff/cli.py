@@ -1,13 +1,15 @@
 """Command-line surface: fit, bootstrap, simulate.
 
-Every run writes its files, then a manifest (command, parameters, seed,
-version, input digests, wall clock) that reproduces them, all or none: a
-failed write removes the files already written. Given the same inputs,
-flags and seed, a report is written byte for byte identically; across
---threads a study's CSV is identical and its JSON differs only in the
-config's "threads" field; no study file holds a time (SimulationReport's
-writers). Integer flags and --config lines follow simlab._parse_integer.
-main builds the argument parser on its first call and then reuses it.
+Every run writes its report, then its other file (bootstrap's draw dump,
+simulate's CSV), then a manifest (command, parameters, seed, version, input
+digests, wall clock) that reproduces them, all or none: each writer checks
+its values before opening its file, and a failed write removes the files
+already written. Given the same inputs, flags and seed, a report is written
+byte for byte identically; across --threads a study's CSV is identical and
+its JSON differs only in the config's "threads" field; no study file holds
+a time (SimulationReport's writers). Integer flags and --config lines
+follow simlab._parse_integer. main builds the argument parser on its first
+call and then reuses it.
 """
 
 from __future__ import annotations
@@ -125,26 +127,26 @@ def _write_artifacts(args, started: float, files: list, parameters: dict, inputs
                      seed: int | None = None, seed_generated: bool = False) -> None:
     """Write files, (path, write) pairs, in order, then the manifest: all
     or none. Before the first file opens, the parameters are checked, each
-    artifact is checked to resolve to a path of its own that is none of
-    the inputs (their paths are the keys of inputs), and out-dir is made;
-    if a file or the manifest fails, the files already written are removed
-    and the error goes on."""
+    artifact and its sibling <path>.part are checked to resolve to paths
+    that are none of the inputs' (the keys of inputs) or another's, and
+    out-dir is made. Each file is written to its sibling and moved to its
+    path once complete, except at a symbolic link, a directory or a device,
+    opened as it is and never removed. A failed file or manifest takes its
+    sibling and the files already moved with it, and the error goes on."""
     _json_text(parameters, "manifest.parameters")
     manifest = _artifact(args, "_manifest.json")
     claimed = {Path(p).resolve(): "is an input of this command" for p in inputs}
     for path in [*(path for path, _ in files), manifest]:
-        key = path.resolve()
-        if key in claimed:
-            raise RunoffError(f"{path} {claimed[key]}: each artifact needs a file of its own")
-        claimed[key] = "is the path of two artifacts"
+        key = path.resolve()  # key.part: the sibling's key without a second resolve
+        for p, k in ((path, key), (f"{path}.part", Path(f"{key}.part"))):
+            if k in claimed:
+                raise RunoffError(f"{p} {claimed[k]}: each artifact needs a file of its own")
+            claimed[k] = "is the path of two artifacts"
     Path(args.out_dir).mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    try:
-        for path, write in files:
-            write(path)
-            written.append(path)
+
+    def write_manifest(path: Path) -> None:
         command = args.command + (f" --study {args.study}" if args.command == "simulate" else "")
-        _write_json(manifest, {
+        _write_json(path, {
             "command": command,
             "parameters": parameters,
             "seed": seed,
@@ -153,6 +155,17 @@ def _write_artifacts(args, started: float, files: list, parameters: dict, inputs
             "inputs": inputs,
             "wall_clock_s": time.perf_counter() - started,
         }, where="manifest")
+
+    written: list[Path] = []  # a sibling while it is written, then the path it moved to
+    try:
+        for path, write in [*files, (manifest, write_manifest)]:
+            if path.is_symlink() or path.exists() and not path.is_file():
+                write(path)
+                continue
+            written.append(Path(f"{path}.part"))
+            write(written[-1])
+            os.replace(written[-1], path)
+            written[-1] = path
     except BaseException:
         for path in written:
             path.unlink(missing_ok=True)
@@ -350,12 +363,11 @@ def cmd_bootstrap(args) -> int:
     if pattern.floored_lags:
         report["floored_lags"] = list(pattern.floored_lags)
 
-    text = _json_text(report)  # before the dump, so a bad value overwrites no file there
     report_path = _artifact(args, f".{args.output_format}")
-    files = [] if dump is None else [(dump, functools.partial(_dump_draws, dist=dist))]
-    files.append((report_path, functools.partial(_write_json, payload=report, text=text)
-                  if args.output_format == "json"
-                  else functools.partial(_write_bootstrap_csv, report=report, checked=True)))
+    writer = _write_json if args.output_format == "json" else _write_bootstrap_csv
+    files = [(report_path, lambda path: writer(path, report))]
+    if dump is not None:
+        files.append((dump, functools.partial(_dump_draws, dist=dist)))
     _write_artifacts(args, started, files,
                      {**_parameters(args), "exposures_source": exposures_source},
                      digests, seed, seed_generated)
@@ -375,8 +387,8 @@ def cmd_bootstrap(args) -> int:
     return 0
 
 
-def _write_bootstrap_csv(path: Path, report: dict, checked: bool = False) -> None:
-    """The report as CSV; checked: its values have passed _json_text."""
+def _write_bootstrap_csv(path: Path, report: dict) -> None:
+    """The report as CSV, once its values have passed _json_text."""
     cols = ["accident", "F", "c_times_F", "point_reserve", "mean", "se",
             "q5", "q25", "q50", "q75", "q95", "excluded", "exclusion_reason",
             "mean_suppressed"]
@@ -384,7 +396,7 @@ def _write_bootstrap_csv(path: Path, report: dict, checked: bool = False) -> Non
     *years, total = [[r.get(c) for c in cols]
                      for r in (*report["per_year"], {"accident": "total", **report["summary"]})]
     floored = [["floored_lags", *report["floored_lags"]]] if "floored_lags" in report else []
-    _write_csv(path, [cols, *years, [], total, *floored], None if checked else report)
+    _write_csv(path, [cols, *years, [], total, *floored], report)
 
 
 _DUMP_ROWS = 2048  # draws formatted at a time

@@ -85,15 +85,16 @@ def sigma_c_squared(c: float, pi: float) -> float:
     """Asymptotic per-cell variance of the moment estimator of c.
 
     Strictly positive on c > 0, pi in (0, 1); grows like 2 c^2 for
-    large c.
+    large c. The ratios are taken before the products, so the value is
+    finite up to c of about 9.4e153 and only then overflows to inf.
     """
     if c <= 0.0:
         raise ConcentrationError(f"c must be positive, got {c}")
     if not 0.0 < pi < 1.0:
         raise ConcentrationError(f"pi must lie in (0, 1), got {pi}")
     u = pi * (1.0 - pi)
-    return c * (c + 1.0) * (2.0 * c * (c - 3.0) * u + 3.0 * c + 1.0) / (
-        u * (c + 2.0) * (c + 3.0)
+    return (c / (c + 2.0)) * ((c + 1.0) / (c + 3.0)) * (
+        (2.0 * c * (c - 3.0) * u + 3.0 * c + 1.0) / u
     )
 
 

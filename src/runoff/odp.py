@@ -54,9 +54,6 @@ class OdpFit:
     link_ratios: np.ndarray
     projected_future: np.ndarray
 
-    def pattern_F(self) -> np.ndarray:
-        return _cumulative_pattern(self.link_ratios)
-
 
 def _odp_fits(X: np.ndarray) -> list[OdpFit | OdpError | PatternError]:
     """odp_fit of each (I, J) slice of an (n, I, J) increments block: its
@@ -297,6 +294,6 @@ def odp_bootstrap(fit: OdpFit, B: int, seed: int) -> ReserveDistribution:
     none = np.zeros(fit.I, dtype=bool)
     rules = (np.full(fit.I, np.nan), none, last < fit.J - 1, none)
     meta = {"rejected_replications": rejected, "dispersion": fit.dispersion, "dof": fit.dof}
-    return _distribution(total[0], moments, fit.pattern_F()[last],
+    return _distribution(total[0], moments, _cumulative_pattern(fit.link_ratios)[last],
                          np.nansum(fit.projected_future, axis=1), rules, sums,
                          [_summarise(year, False) for year in sums], "ODP", meta=meta)

@@ -192,19 +192,16 @@ def _json_text(v, where: str = "report", pad: str = "\n") -> str:
     raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
 
-def _write_json(path, payload, where: str = "report", text: str | None = None) -> None:
-    """payload as strict JSON, text being its _json_text if the caller has
-    rendered it already. Built in full before the file is opened: a
+def _write_json(path, payload, where: str = "report") -> None:
+    """payload as strict JSON, built in full before the file is opened: a
     rejected value leaves no file."""
-    Path(path).write_text((_json_text(payload, where) if text is None else text) + "\n")
+    Path(path).write_text(_json_text(payload, where) + "\n")
 
 
 def _write_csv(path, rows, payload, where: str = "report") -> None:
     """rows written by csv.writer, None as an empty cell, once payload has
-    passed _json_text (payload None: the caller has checked it): a
-    rejected value leaves no file."""
-    if payload is not None:
-        _json_text(payload, where)
+    passed _json_text: a rejected value leaves no file."""
+    _json_text(payload, where)
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
 
@@ -264,7 +261,7 @@ class SimConfig:
             raise SimulationError(f"c_true must be positive, got {self.c_true}")
         if self.M < 1 or self.B < 1:
             raise SimulationError("M and B must be at least 1")
-        if self.M > 2**63 - 1:  # the list of blocks would grow until memory ran out
+        if self.M > 2**63 - 1:  # _run_block reads replication indices as int64
             raise SimulationError(f"M = {self.M} is too large: a replication index "
                                   "exceeds numpy's int64 range")
         fault = _b_fault(self.B, self.I * self.J)  # ODP draws take a row per cell
@@ -838,16 +835,20 @@ def verify_sigma_c(
     if M * I * pi.size * 8 > np.iinfo(np.intp).max:  # the bytes of each c's draws
         raise SimulationError(f"M = {M} and I = {I} are too large: an (M, I, {pi.size}) "
                               "array of floats exceeds numpy's limit")
-    rows = []
-    for idx, c in enumerate(c_values):
+    formulas = []  # every c is checked before the first draw
+    for c in c_values:
         if not 0.0 < c < math.inf:
             raise SimulationError(f"c must be positive and finite, got {c}")
+        formulas.append(sigma_c_squared(float(c), 0.45))
+        if not math.isfinite(formulas[-1]):
+            raise SimulationError(f"c = {c} is too large: sigma_c_squared overflows")
+    rows = []
+    for idx, (c, formula) in enumerate(zip(c_values, formulas)):
         g = RngStream(seed).derive(_SIM_DOMAIN, _TAG_SIGMA, idx).generator()
         P = g.dirichlet(float(c) * pi, size=(M, I))
         chats = estimate_c_batch(P, divisor)
         valid = np.isfinite(chats)
         n = int(valid.sum())
-        formula = sigma_c_squared(float(c), 0.45)
         emp = float(I * np.var(chats[valid], ddof=1)) if n >= 2 else None
         rows.append(
             {

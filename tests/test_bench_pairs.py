@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import py_compile
 from pathlib import Path
 
 import pytest
@@ -91,7 +92,26 @@ def test_code_facts_count_lines_statements_and_exports(tmp_path):
     # Two statements over five lines: a def holding one return.
     (src / "m.py").write_text("def f(x):\n    return (\n        x\n        + 1)\n\n")
     assert bench_pairs.code_facts(tmp_path) == {
-        "src_runoff_lines": 8, "src_runoff_statements": 4, "all_size": 2}
+        "src_runoff_lines": 8, "src_runoff_statements": 4, "all_size": 2,
+        "src_runoff_cached_modules": 0}
+
+
+@pytest.mark.parametrize("mode", list(py_compile.PycInvalidationMode))
+def test_a_bytecode_cache_counts_while_it_matches_its_source(tmp_path, mode):
+    src = tmp_path / "src" / "runoff"
+    src.mkdir(parents=True)
+    (src / "__init__.py").write_text("__all__ = []\n")
+    module = src / "m.py"
+    module.write_text("x = 1\n")
+    py_compile.compile(str(src / "__init__.py"), invalidation_mode=mode, doraise=True)
+    py_compile.compile(str(module), invalidation_mode=mode, doraise=True)
+    assert bench_pairs.code_facts(tmp_path)["src_runoff_cached_modules"] == 2
+    module.write_text("x = 12\n")  # a new size and hash: the cache is stale
+    assert bench_pairs.code_facts(tmp_path)["src_runoff_cached_modules"] == 1
+    # Another interpreter's magic number: not this interpreter's cache.
+    cache = Path(importlib.util.cache_from_source(src / "__init__.py"))
+    cache.write_bytes(b"\0\0\0\0" + cache.read_bytes()[4:])
+    assert bench_pairs.code_facts(tmp_path)["src_runoff_cached_modules"] == 0
 
 
 def test_steps_record_the_code_facts_of_each_intermediate_checkout(tmp_path):

@@ -11,6 +11,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
 import tempfile
 from contextlib import redirect_stderr
@@ -244,8 +245,75 @@ class TestBootstrap:
         assert dump[0].endswith(",total")
         assert len(dump) == 81  # header plus one line per draw
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["absent", "existing"])
+    def test_a_dump_that_fails_partway_leaves_no_file_behind(self, tmp_path, capsys,
+                                                             monkeypatch, existing):
+        # The disk fills at the dump's second block of rows: the report,
+        # the partial dump and its sibling go, and a file already at the
+        # dump path keeps its bytes.
+        repr_rows, blocks = cli._repr_rows, []
+
+        def full_disk(block):
+            blocks.append(block)
+            if len(blocks) == 2:
+                raise OSError(28, "No space left on device")
+            return repr_rows(block)
+
+        monkeypatch.setattr(cli, "_repr_rows", full_disk)
+        out, dump = tmp_path / "out", tmp_path / "out" / "draws.csv"
+        out.mkdir()
+        if existing:
+            dump.write_bytes(b"earlier\r\n")
+        assert main(["bootstrap", "raa", "--B", "5000", "--seed", "1",
+                     "--dump-draws", str(dump), "--out-dir", str(out)]) == 1
+        assert_one_error_line(capsys, "No space left on device")
+        assert len(blocks) == 2
+        assert [p.name for p in out.iterdir()] == (["draws.csv"] if existing else [])
+        assert not existing or dump.read_bytes() == b"earlier\r\n"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_dump_into_a_pipe_is_written_in_place_and_never_removed(self, tmp_path, capsys):
+        # A path that is no regular file (a named pipe here, as /dev/stdout
+        # may be) is opened as it is, with no sibling moved over it, and a
+        # failed run leaves it in place.
+        pipe, out = tmp_path / "draws", tmp_path / "out"
+        os.mkfifo(pipe)
+        reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)  # so the dump's open returns
+        try:
+            argv = ["bootstrap", "raa", "--seed", "1", "--B", "50",
+                    "--dump-draws", str(pipe), "--out-dir", str(out)]
+            assert main(argv) == 0
+            assert os.read(reader, 1 << 16).count(b"\r\n") == 51
+            (out / "runoff_bootstrap_manifest.json").unlink()
+            (out / "runoff_bootstrap_manifest.json").mkdir()
+            assert main(argv) == 1
+            assert_one_error_line(capsys, "Is a directory")
+            assert pipe.is_fifo()
+            assert os.read(reader, 1 << 16).count(b"\r\n") == 51
+            assert sorted(p.name for p in out.iterdir()) == ["runoff_bootstrap_manifest.json"]
+        finally:
+            os.close(reader)
+
+    def test_a_dump_at_a_symbolic_link_is_written_through_and_never_removed(self, tmp_path,
+                                                                            capsys):
+        # As /dev/stdout is a link: the link stays a link, and its target
+        # takes the draws.
+        target, link, out = tmp_path / "target.csv", tmp_path / "draws.csv", tmp_path / "out"
+        target.write_bytes(b"earlier\r\n")
+        link.symlink_to(target)
+        argv = ["bootstrap", "raa", "--seed", "1", "--B", "50",
+                "--dump-draws", str(link), "--out-dir", str(out)]
+        assert main(argv) == 0
+        assert link.is_symlink() and target.read_bytes().count(b"\r\n") == 51
+        (out / "runoff_bootstrap_manifest.json").unlink()
+        (out / "runoff_bootstrap_manifest.json").mkdir()
+        assert main(argv) == 1
+        assert_one_error_line(capsys, "Is a directory")
+        assert link.is_symlink() and target.read_bytes().count(b"\r\n") == 51
+        assert not (tmp_path / "draws.csv.part").exists()
+
     def test_a_dump_into_a_missing_directory_leaves_no_report(self, tmp_path, capsys):
-        # The dump is opened before the report and the manifest are written.
+        # The report is written first and removed again when the dump fails.
         out = tmp_path / "out"
         out.mkdir()
         assert main(["bootstrap", "raa", "--seed", "1", "--B", "100", "--out-dir", str(out),
@@ -258,8 +326,8 @@ class TestBootstrap:
     def test_a_report_or_manifest_that_cannot_be_written_leaves_no_dump(self, tmp_path, capsys,
                                                                         fmt, blocked):
         # A directory stands at the report's or the manifest's name: the
-        # dump, written first outside the out-dir, and the report are
-        # removed again.
+        # files written before the failing one, the report and the dump
+        # outside the out-dir, are removed again.
         name = {"report": f"runoff_bootstrap.{fmt}",
                 "manifest": "runoff_bootstrap_manifest.json"}[blocked]
         out, dump = tmp_path / "out", tmp_path / "draws.csv"
@@ -353,18 +421,24 @@ def test_a_file_that_cannot_be_written_leaves_none_of_the_others(tmp_path, capsy
     (["bootstrap", "IN", "--dump-draws", "OUT/../out/runoff_bootstrap_manifest.json"],
      "OUT/runoff_bootstrap_manifest.json", "is the path of two artifacts"),
     (["bootstrap", "IN", "--dump-draws", "IN"], "IN", "is an input of this command"),
+    (["bootstrap", "IN", "--dump-draws", "OUT/runoff_bootstrap.json.part"],
+     "OUT/runoff_bootstrap.json.part", "is the path of two artifacts"),
     (["simulate", "--study", "correct", "--config", "OUT/runoff_correct.json"],
      "OUT/runoff_correct.json", "is an input of this command"),
+    (["simulate", "--study", "correct", "--config", "OUT/runoff_correct.csv.part"],
+     "OUT/runoff_correct.csv.part", "is an input of this command"),
 ], ids=["dump-at-json-report", "dump-at-csv-report", "dump-at-manifest", "dump-at-triangle",
-        "config-at-report"])
+        "dump-at-report-sibling", "config-at-report", "config-at-csv-sibling"])
 def test_colliding_artifact_paths_are_an_error_before_any_file_opens(tmp_path, capsys, command,
                                                                      clash, message):
     # The input is the triangle, or for simulate the config file; an
-    # artifact at its path or at another artifact's would lose one of them.
+    # artifact, or the sibling <path>.part it is written to, at its path or
+    # at another artifact's would lose one of them.
     out = tmp_path / "out"
     out.mkdir()
     is_config = command[0] == "simulate"
-    source = (out / "runoff_correct.json") if is_config else (tmp_path / "raa.csv")
+    source = (Path(command[-1].replace("OUT", str(out))) if is_config
+              else tmp_path / "raa.csv")
     source.write_text("M = 1\nB = 10\n" if is_config else bundled_csv("raa.csv"))
     before = source.read_bytes()
 
@@ -1213,6 +1287,19 @@ class TestSimulate:
         assert code == 0
         rows = read_json(tmp_path / "runoff_sigma-c.json")["rows"]
         assert rows[0]["c"] == 50.0 and rows[0]["ratio"] > 0.0
+
+    def test_sigma_c_study_at_a_huge_c(self, tmp_path, capsys):
+        # The formula stays finite far past c = 1e78, where its products
+        # used to overflow; a c where it does overflow is named before any
+        # file opens.
+        out = tmp_path / "out"
+        argv = ["simulate", "--study", "sigma-c", "--I=20", "--M=3", "--seed=1",
+                "--out-dir", str(out)]
+        assert main([*argv, "--c-values=1e300"]) == 1
+        assert_one_error_line(capsys, "c = 1e+300 is too large: sigma_c_squared overflows")
+        assert not out.exists()
+        assert main([*argv, "--c-values=1e100"]) == 0
+        assert read_json(out / "runoff_sigma-c.json")["rows"][0]["formula"] == 2e200
 
     def test_conservatism_study(self, tmp_path):
         code = main(["simulate", "--study", "conservatism", "--F-values", "0.5",

@@ -6,6 +6,8 @@ the median) and are frozen here under both variance conventions.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,6 +65,14 @@ class TestSigmaCSquared:
         ratio = sigma_c_squared(2000.0, 0.45) / sigma_c_squared(1000.0, 0.45)
         assert ratio == pytest.approx(4.0, rel=0.05)
         assert sigma_c_squared(1000.0, 0.45) == pytest.approx(2e6, rel=0.05)
+
+    def test_finite_until_its_value_overflows(self):
+        # c * (c + 1) * (...) overflows from c of about 1e78; the ratios
+        # taken first keep the value, about 2 c^2, until it exceeds the
+        # float range itself.
+        assert sigma_c_squared(1e100, 0.45) == 2e200
+        assert sigma_c_squared(9e153, 0.45) == pytest.approx(2 * 9e153**2, rel=1e-12)
+        assert sigma_c_squared(1e155, 0.45) == math.inf
 
     def test_domain_errors(self):
         with pytest.raises(ConcentrationError):

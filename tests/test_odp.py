@@ -6,6 +6,7 @@ reshuffling interior cells moves its answers.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 
@@ -14,7 +15,12 @@ import pytest
 
 from runoff.distributions import RngStream
 from runoff.odp import _ODP_DOMAIN, OdpError, OdpFit, _odp_draws, odp_bootstrap, odp_fit
-from runoff.patterns import chain_ladder_pattern, cl_ultimates, link_ratios
+from runoff.patterns import (
+    _cumulative_pattern,
+    chain_ladder_pattern,
+    cl_ultimates,
+    link_ratios,
+)
 from runoff.predictive import YearPredictive, _summarise, multinomial_bootstrap
 from runoff.triangle import Triangle, bundled_triangle, latest_diagonal
 
@@ -60,7 +66,7 @@ class TestFit:
         fit = odp_fit(t)
         np.testing.assert_allclose(fit.link_ratios, link_ratios(t), rtol=1e-12)
         np.testing.assert_allclose(
-            fit.pattern_F(), chain_ladder_pattern(t).F, rtol=1e-12)
+            _cumulative_pattern(fit.link_ratios), chain_ladder_pattern(t).F, rtol=1e-12)
         # Projected future cells per row sum to the CL reserve.
         est = cl_ultimates(t, chain_ladder_pattern(t))
         np.testing.assert_allclose(
@@ -69,7 +75,8 @@ class TestFit:
     @pytest.mark.parametrize("name", ["taylor-ashe", "raa", "mortgage"])
     def test_pattern_is_the_chain_ladder_pattern_bit_for_bit(self, name):
         t = bundled_triangle(name)
-        assert np.array_equal(odp_fit(t).pattern_F(), chain_ladder_pattern(t).F)
+        F = _cumulative_pattern(odp_fit(t).link_ratios)
+        assert np.array_equal(F, chain_ladder_pattern(t).F)
 
     def test_saturated_triangle_rejected(self):
         t = Triangle.from_cells(2, 2, "amounts", {(1, 0): 4.0, (1, 1): 2.0, (2, 0): 8.0})
@@ -92,7 +99,8 @@ def reference_years(fit: OdpFit, B: int, seed: int) -> list[YearPredictive]:
     point, the kernel's draws (B zeros for a fully developed year) and
     their summary."""
     sums, _ = _odp_draws(fit, B, RngStream(seed).derive(_ODP_DOMAIN).generator(), {})
-    F, points, drawn = fit.pattern_F(), np.nansum(fit.projected_future, axis=1), iter(sums)
+    F, drawn = _cumulative_pattern(fit.link_ratios), iter(sums)
+    points = np.nansum(fit.projected_future, axis=1)
     years = []
     for i in range(fit.I):
         last = min(fit.J - 1, fit.I - 1 - i)
@@ -156,6 +164,16 @@ class TestBootstrap:
         with pytest.raises(OdpError,
                            match="^5 replications still degenerate after 100 redraw rounds$"):
             odp_bootstrap(fit, 5, seed=1)
+
+    def test_an_empty_residual_pool_is_a_named_error(self):
+        # odp_fit never builds such a fit (no finite residual means zero
+        # dispersion, which returns the point); a caller's own fit can.
+        fit = odp_fit(bundled_triangle("raa"))
+        bad = dataclasses.replace(fit, residuals=np.full_like(fit.residuals, np.nan))
+        assert bad.dispersion > 0.0
+        with pytest.raises(OdpError, match="^empty residual pool: every fitted mean is "
+                                           "degenerate$"):
+            odp_bootstrap(bad, 10, seed=1)
 
     def test_b_validated(self):
         fit = odp_fit(proportional_triangle())

@@ -767,6 +767,15 @@ class TestVerifySigmaC:
         with pytest.raises(SimulationError, match="positive"):
             verify_sigma_c((0.0,), I=30, M=10)
 
+    def test_a_c_whose_formula_overflows_is_an_error_before_any_draw(self, monkeypatch):
+        def no_stream(seed):
+            raise AssertionError("a random stream was opened")
+
+        monkeypatch.setattr(simlab, "RngStream", no_stream)
+        with pytest.raises(SimulationError) as exc:
+            verify_sigma_c((20.0, 1e300), I=20, M=3)
+        assert str(exc.value) == "c = 1e+300 is too large: sigma_c_squared overflows"
+
     def test_small_run_schema(self):
         report = verify_sigma_c((50.0,), I=30, M=60, seed=1)
         row = report.rows[0]

@@ -13,19 +13,21 @@ that change exceeds the parent's interquartile range; it also gives the
 seeds and whether the two sides' report digests were equal in every pair.
 A workload and seed run with --trace 1 on both sides adds its per-layer
 metrics, parent and change side by side. Per checkout it records the
-lines and the AST statements under src/runoff and the size of
-runoff.__all__; each --step adds those of an intermediate checkout under
-its label, between the parent's and the change's, so that a change made in
-parts can count each part apart. The JSON goes to BENCH_<n>.json in the
-change checkout.
+lines and the AST statements under src/runoff, the size of runoff.__all__
+and how many of its modules have a matching bytecode cache; each --step
+adds those of an intermediate checkout under its label, between the
+parent's and the change's, so that a change made in parts can count each
+part apart. The JSON goes to BENCH_<n>.json in the change checkout.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import importlib.util
 import json
 import statistics
+import struct
 import sys
 from pathlib import Path
 
@@ -39,11 +41,30 @@ def records(root: Path, trace: int) -> dict[tuple[str, int], dict]:
     return out
 
 
+def cached(module: Path) -> bool:
+    """Whether module has a bytecode cache for the running interpreter,
+    __pycache__/<module>.<cache_tag>.pyc, whose header matches the source:
+    this interpreter's magic number and, as its flags say, the source's
+    mtime and size or its hash."""
+    try:
+        head = Path(importlib.util.cache_from_source(module)).read_bytes()[:16]
+    except OSError:
+        return False
+    stat = module.stat()
+    source = (importlib.util.source_hash(module.read_bytes())
+              if int.from_bytes(head[4:8], "little") & 1
+              else struct.pack("<II", int(stat.st_mtime) & 0xFFFFFFFF, stat.st_size & 0xFFFFFFFF))
+    return head[:4] == importlib.util.MAGIC_NUMBER and head[8:] == source
+
+
 def code_facts(root: Path) -> dict:
     """The physical lines and the AST statements of the modules under
-    src/runoff, and the size of runoff.__all__."""
+    src/runoff, the size of runoff.__all__, and how many of the modules
+    have a matching bytecode cache, which makes a fresh import (perfbench's
+    setup_s) faster."""
     src = root / "src" / "runoff"
-    texts = [p.read_text() for p in sorted(src.glob("*.py"))]
+    modules = sorted(src.glob("*.py"))
+    texts = [p.read_text() for p in modules]
     statements = sum(isinstance(node, ast.stmt)
                      for text in texts for node in ast.walk(ast.parse(text)))
     tree = ast.parse((src / "__init__.py").read_text())
@@ -51,7 +72,8 @@ def code_facts(root: Path) -> dict:
                     if isinstance(node, ast.Assign)
                     and any(getattr(t, "id", None) == "__all__" for t in node.targets))
     return {"src_runoff_lines": sum(len(text.splitlines()) for text in texts),
-            "src_runoff_statements": statements, "all_size": len(exported)}
+            "src_runoff_statements": statements, "all_size": len(exported),
+            "src_runoff_cached_modules": sum(map(cached, modules))}
 
 
 def spread(values: list[float]) -> dict:
