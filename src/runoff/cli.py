@@ -19,6 +19,7 @@ import functools
 import hashlib
 import inspect
 import os
+import shutil
 import sys
 import time
 from dataclasses import fields
@@ -130,9 +131,10 @@ def _write_artifacts(args, started: float, files: list, parameters: dict, inputs
     artifact and its sibling <path>.part are checked to resolve to paths
     that are none of the inputs' (the keys of inputs) or another's, and
     out-dir is made. Each file is written to its sibling and moved to its
-    path once complete, except at a symbolic link, a directory or a device,
-    opened as it is and never removed. A failed file or manifest takes its
-    sibling and the files already moved with it, and the error goes on."""
+    path once complete, taking the mode of a file it replaces, except at a
+    symbolic link, a directory or a device, opened as it is and never
+    removed. A failed file or manifest takes its sibling and the files
+    already moved with it, and the error goes on."""
     _json_text(parameters, "manifest.parameters")
     manifest = _artifact(args, "_manifest.json")
     claimed = {Path(p).resolve(): "is an input of this command" for p in inputs}
@@ -164,6 +166,8 @@ def _write_artifacts(args, started: float, files: list, parameters: dict, inputs
                 continue
             written.append(Path(f"{path}.part"))
             write(written[-1])
+            if path.is_file():  # the file it replaces keeps its mode
+                shutil.copymode(path, written[-1])
             os.replace(written[-1], path)
             written[-1] = path
     except BaseException:

@@ -10,7 +10,6 @@ observed proportion W is resampled, from Beta(c F, c (1 - F)).
 from __future__ import annotations
 
 import os
-import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
@@ -297,21 +296,21 @@ def _draw_years(totals: np.ndarray, rows: list[int], draws: list[tuple], ratio: 
     years in one order, on the pool or off it, and keeps every bit: a row
     is folded as soon as it is drawn and every earlier row is folded, so on
     the pool a worker whose row is done first waits for its turn.
-    Each draw is made into the worker's row, one of `workers` rows that a
-    queue passes between tasks (so that no worker's allocator arena keeps
-    B floats), and with block copied into block[k] right after it (a row at
-    fault left part drawn). With suppressed (each draw's mean-suppression
-    flag) the worker summarises its row after the fold, sorting it in
-    place: summary is _summarise's dict or fault message, else None. The
-    totals are checked by the caller (_check_totals), once all rows are folded.
+    Each worker (off the pool, the calling thread) takes the next draw from
+    one shared iterator into its own row, allocated by the calling thread so
+    that no worker's allocator arena keeps B floats, with block copied into
+    block[k] right after it (a row at fault left part drawn). With
+    suppressed (each draw's mean-suppression flag) the worker summarises
+    its row after the fold, sorting it in place: summary is _summarise's
+    dict or fault message, else None. The totals are checked by the caller
+    (_check_totals), once all rows are folded.
     """
     B = totals.shape[1]
     scale_name = "observed total" if ratio else "prior ultimate"
     workers = min(_usable_cores() if B >= _PARALLEL_MIN_B else 1, len(draws))
-    spare = queue.SimpleQueue()
-    for _ in range(workers):
-        spare.put(np.empty(B))
     turn, folded = Condition(), 0
+    todo = iter(range(len(draws)))  # shared by the workers: a C iterator's next holds the GIL
+    out: list = [None] * len(draws)
 
     def fold_in_turn(k: int, drawn: tuple) -> None:
         nonlocal folded
@@ -323,43 +322,42 @@ def _draw_years(totals: np.ndarray, rows: list[int], draws: list[tuple], ratio: 
 
     def draw(k: int, row: np.ndarray) -> str | None:
         accident, generator, a, b, scale = draws[k]
-        # Overflow is reported by the check below, not by a numpy warning.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, B, _CHUNK):
-                seg = row[start : start + _CHUNK]
-                w = generator.beta(a, b, size=seg.size)
-                if ratio:
-                    np.maximum(w, _W_FLOOR, out=w)
-                np.subtract(1.0, w, out=seg)
-                np.multiply(scale, seg, out=seg)
-                if ratio:
-                    np.divide(seg, w, out=seg)
-                if not np.isfinite(seg).all():
-                    return (f"accident year {accident}: bootstrap draws overflow the "
-                            f"float range ({scale_name} {scale:.6g})")
+        for start in range(0, B, _CHUNK):
+            seg = row[start : start + _CHUNK]
+            w = generator.beta(a, b, size=seg.size)
+            if ratio:
+                np.maximum(w, _W_FLOOR, out=w)
+            np.subtract(1.0, w, out=seg)
+            np.multiply(scale, seg, out=seg)
+            if ratio:
+                np.divide(seg, w, out=seg)
+            if not np.isfinite(seg).all():
+                return (f"accident year {accident}: bootstrap draws overflow the "
+                        f"float range ({scale_name} {scale:.6g})")
         return None
 
-    def fill(k: int) -> tuple:
-        row = spare.get()
-        try:
-            drawn = ()  # the rows to fold: the row, once drawn without fault
-            try:
-                fault = draw(k, row)
-                if block is not None:
-                    block[k] = row
-                drawn = () if fault else (row,)
-            finally:  # every row takes its turn, or a later one would wait for ever
-                fold_in_turn(k, drawn)
-            if fault is not None or suppressed is None:
-                return fault, None
-            return None, _summarise(row, suppressed[k], in_place=True)
-        finally:
-            spare.put(row)
+    def work(row: np.ndarray) -> None:
+        # Overflow is reported by draw's check, not by a numpy warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in todo:
+                drawn = ()  # the rows to fold: the row, once drawn without fault
+                try:
+                    fault = draw(k, row)
+                    if block is not None:
+                        block[k] = row
+                    drawn = () if fault else (row,)
+                finally:  # every row takes its turn, or a later one would wait for ever
+                    fold_in_turn(k, drawn)
+                out[k] = (fault, None if fault is not None or suppressed is None
+                          else _summarise(row, suppressed[k], in_place=True))
 
+    worker_rows = [np.empty(B) for _ in range(workers)]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fill, range(len(draws))))
-    return list(map(fill, range(len(draws))))
+            list(pool.map(work, worker_rows))
+    else:
+        list(map(work, worker_rows))
+    return out
 
 
 def _year_rules(c_hat, F: np.ndarray, inclusion_threshold: float, ratio: bool):

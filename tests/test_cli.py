@@ -271,6 +271,27 @@ class TestBootstrap:
         assert [p.name for p in out.iterdir()] == (["draws.csv"] if existing else [])
         assert not existing or dump.read_bytes() == b"earlier\r\n"
 
+    def test_a_replaced_artifact_keeps_its_mode_and_a_new_one_the_umask(self, tmp_path):
+        # The sibling moved over a file takes that file's permission bits;
+        # a path that held no file gets the umask's default, as an open
+        # would give it.
+        out = tmp_path / "out"
+        out.mkdir()
+        report, dump = out / "runoff_bootstrap.json", out / "draws.csv"
+        for path in (report, dump):
+            path.write_bytes(b"earlier\r\n")
+            path.chmod(0o600)
+        umask = os.umask(0o022)
+        try:
+            assert main(["bootstrap", "raa", "--B", "20", "--seed", "1",
+                         "--dump-draws", str(dump), "--out-dir", str(out)]) == 0
+        finally:
+            os.umask(umask)
+        assert dump.read_bytes().count(b"\r\n") == 21
+        modes = {p.name: p.stat().st_mode & 0o777 for p in out.iterdir()}
+        assert modes == {"runoff_bootstrap.json": 0o600, "draws.csv": 0o600,
+                         "runoff_bootstrap_manifest.json": 0o644}
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_a_dump_into_a_pipe_is_written_in_place_and_never_removed(self, tmp_path, capsys):
         # A path that is no regular file (a named pipe here, as /dev/stdout

@@ -73,6 +73,23 @@ def interior_moves(draw):
             DevelopmentPattern(pi=pi, F=F, method="fixed"))
 
 
+def floored_pair():
+    """An interior_moves pair whose two ODP fits resample different residuals
+    but project no future claim: a 12 x 12 amounts triangle of zeros but
+    for year 1's lag-2 cell, 1, whose year 10 reads (2, 0, 0) in one
+    triangle and (1, 1, 0) in the other, with unit exposures and a flat
+    pattern."""
+    I = J = 12
+    a = np.where(np.add.outer(np.arange(1, I + 1), np.arange(J)) <= I, 0.0, np.nan)
+    a[0, 2] = 1.0
+    b = a.copy()
+    a[9, :3], b[9, :3] = (2, 0, 0), (1, 1, 0)
+    F = np.cumsum(np.full(J, 1 / J))
+    F[-1] = 1.0
+    return (Triangle(a, "amounts", [1.0] * I), Triangle(b, "amounts", [1.0] * I),
+            DevelopmentPattern(pi=np.full(J, 1 / J), F=F, method="fixed"))
+
+
 def outcome(bootstrap, *args):
     """The distribution bootstrap(*args) returns, or the message of the
     PredictiveError it raises."""
@@ -120,6 +137,7 @@ class TestConditioning:
     @settings(max_examples=60, deadline=None)
     @given(pair=interior_moves(), c_hat=st.floats(0.5, 500.0), q=st.floats(0.1, 2.0),
            B=st.sampled_from([1, 37, 400]), seed=st.integers(0, 2**63))
+    @example(pair=floored_pair(), c_hat=1.0, q=1.0, B=1, seed=0)
     def test_interior_cells_never_move_the_draws(self, pair, c_hat, q, B, seed):
         # The conditioning principle on generated triangles: with the
         # pattern and c-hat held fixed, only the latest diagonal (and, for
@@ -137,8 +155,12 @@ class TestConditioning:
                 for t in (a, b)))
         assert latest_diagonal(a) == latest_diagonal(b)
         # The ODP bootstrap resamples the interior's residuals: where those
-        # differ, so do its draws, unless both fail. At B >= 37 some draw
-        # resamples a residual that differs.
+        # differ, its draws differ too (at B >= 37 some draw resamples a
+        # residual that differs), unless both runs fail or both draw only
+        # zeros. Gamma process error is never negative, so a total of zeros
+        # is a run that drew zero in every year, whatever residuals it
+        # resampled; that happens where every process-error mean sits at the
+        # floor, as when neither fit projects a future claim (floored_pair).
         try:
             fits = [odp_fit(t) for t in (a, b)]
         except (OdpError, PatternError):
@@ -151,7 +173,8 @@ class TestConditioning:
                 runs.append(odp_bootstrap(fit, max(B, 37), seed))
             except (OdpError, PredictiveError) as exc:
                 runs.append(str(exc))
-        if not all(isinstance(run, str) for run in runs):
+        zeros = [not isinstance(run, str) and not run.total.any() for run in runs]
+        if not all(isinstance(run, str) for run in runs) and not all(zeros):
             assert not same_distribution(*runs)
 
 
@@ -417,7 +440,7 @@ class TestParallelDraws:
                                           (2, 512), (3, 1)])
     def test_pool_matches_serial(self, monkeypatch, pool_calls, B, chunk, keep_draws):
         # Each year is summarised on the pool and folded into the total in
-        # year order, through rows the workers pass around; a row two
+        # year order, each worker through its own row; a row two
         # workers shared, or a fold out of order, would show here. The
         # interpreter switches threads often, and 4 workers may exceed the
         # cores.
@@ -494,6 +517,43 @@ class TestParallelDraws:
         monkeypatch.setattr(predictive, "Condition", Turn)
         monkeypatch.setattr(predictive, "_stream_generators", hold_year_2)
         self.assert_same(serial, self.run_both(2000, keep_draws), keep_draws)
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("failing", [0, 3, 6])
+    def test_a_draw_that_raises_ends_the_call_without_a_hang(self, monkeypatch, workers,
+                                                             failing):
+        # The CL draws of raa are years 2-8; one of them raises. Its row
+        # still takes its turn to fold, so no worker with a later row waits
+        # for ever, and the error reaches the caller. The bootstrap runs on
+        # a thread joined with a timeout, so a hang fails the test.
+        class Failing:
+            def beta(self, *args, **kwargs):
+                raise MemoryError(f"draw {failing}")
+
+        streams = predictive._stream_generators
+
+        def fail_one(*args):
+            generators = list(streams(*args))
+            generators[failing] = Failing()
+            return generators
+
+        monkeypatch.setattr(predictive, "_PARALLEL_MIN_B", 1)
+        monkeypatch.setattr(predictive, "_usable_cores", lambda: workers)
+        monkeypatch.setattr(predictive, "_stream_generators", fail_one)
+        diag, pattern, _ = raa_inputs()
+        raised = []
+
+        def run():
+            try:
+                multinomial_bootstrap(diag, pattern, 13.4, 2000, seed=5, keep_draws=False)
+            except MemoryError as exc:
+                raised.append(str(exc))
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive(), "the bootstrap still waits"
+        assert raised == [f"draw {failing}"]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_unkept_rows_hold_no_block(self, monkeypatch, workers):
